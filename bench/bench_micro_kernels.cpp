@@ -19,6 +19,7 @@
 #include "sched/blocked_matrix.h"
 #include "sched/star_scheduler.h"
 #include "sched/uniform_scheduler.h"
+#include "serve/snapshot.h"
 #include "sim/cpu_device.h"
 #include "sim/gpu_device.h"
 #include "util/thread_pool.h"
@@ -80,7 +81,7 @@ void BM_RmseKernel(benchmark::State& state, KernelKind kind) {
   state.SetLabel(ops.name);
 }
 
-void BM_TopKKernel(benchmark::State& state, KernelKind kind) {
+void BM_BatchTopK(benchmark::State& state, KernelKind kind) {
   auto resolved = ResolveKernelKind(kind);
   HSGD_CHECK_OK(resolved.status());
   const KernelOps& ops = GetKernelOps(*resolved);
@@ -88,33 +89,19 @@ void BM_TopKKernel(benchmark::State& state, KernelKind kind) {
   Model model(ds.num_rows, ds.num_cols, 128);
   Rng rng(1);
   model.InitRandom(&rng, 3.0);
-  Recommender recommender(&model, ds.train, &ops);
-  int32_t user = 0;
+  auto snapshot = serve::FactorSnapshot::FromModel(model, ds.train, 1);
+  HSGD_CHECK_OK(snapshot.status());
+  std::vector<float> scratch;
+  serve::TopKQuery query{0, 100};
   for (auto _ : state) {
-    auto top = recommender.TopK(user, 100);
-    HSGD_CHECK_OK(top.status());
-    benchmark::DoNotOptimize(*top);
-    user = (user + 1) % ds.num_rows;
+    auto top = serve::BatchTopK(**snapshot, &query, 1, &ops, &scratch);
+    HSGD_CHECK_OK(top[0].status());
+    benchmark::DoNotOptimize(top);
+    query.user = (query.user + 1) % ds.num_rows;
   }
   state.SetItemsProcessed(state.iterations() * ds.num_cols);
   state.SetLabel(ops.name);
 }
-
-void BM_SgdUpdateBlockHogwild(benchmark::State& state) {
-  Dataset ds = MicroDataset(500000);
-  Model model(ds.num_rows, ds.num_cols, 128);
-  Rng rng(1);
-  model.InitRandom(&rng, 3.0);
-  SgdHyper hyper{0.005f, 0.05f, 0.05f};
-  ThreadPool pool(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SgdUpdateBlockHogwild(&model, ds.train, hyper, &pool));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(ds.train.size()));
-}
-BENCHMARK(BM_SgdUpdateBlockHogwild)->Arg(4)->Arg(12);
 
 void BM_RmseParallel(benchmark::State& state) {
   Dataset ds = MicroDataset(300000);
@@ -247,8 +234,8 @@ void RegisterKernelVariantBenches() {
         ("BM_Rmse/" + variant).c_str(),
         [kind](benchmark::State& state) { BM_RmseKernel(state, kind); });
     benchmark::RegisterBenchmark(
-        ("BM_RecommenderTopK/" + variant + "/100").c_str(),
-        [kind](benchmark::State& state) { BM_TopKKernel(state, kind); });
+        ("BM_BatchTopK/" + variant + "/100").c_str(),
+        [kind](benchmark::State& state) { BM_BatchTopK(state, kind); });
   }
 }
 

@@ -1,15 +1,15 @@
 // Umbrella header for the hsgd library: datasets, the factor model and
 // real SGD/RMSE kernels, the device simulators, the block schedulers, and
-// the Session engine that ties them together (plus the legacy Trainer
-// facade, checkpointing, and the top-k Recommender). The bench drivers
+// the Session engine that ties them together (plus checkpointing and the
+// top-k selection blocks the serving path scores with). The bench drivers
 // include this (plus individual sim/sched headers when they poke at
 // internals).
 //
 // Layering:
 //   util/  - status, logging, strings, cli, rng, stopwatch, thread pool,
 //            cpu feature detection, aligned alloc, parallel reduce
-//   core/  - datasets, model, session engine + checkpoint, recommender,
-//            legacy trainer facade (this directory)
+//   core/  - datasets, model, session engine + checkpoint, top-k
+//            selection (this directory)
 //   core/kernels/ - scalar/AVX2/AVX-512 SGD + scoring kernels behind a
 //            runtime dispatch table, and the rate calibrator that feeds
 //            measured speeds back into sim/'s cost models
@@ -25,7 +25,6 @@
 #include "core/model.h"
 #include "core/recommender.h"
 #include "core/session.h"
-#include "core/trainer.h"
 #include "core/types.h"
 #include "sched/blocked_matrix.h"
 #include "sched/scheduler.h"

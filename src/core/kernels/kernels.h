@@ -2,10 +2,10 @@
 // fused dot+SGD-update over a rating block, squared-error reduction, and
 // batch dot-scoring — in scalar, AVX2+FMA and (optional) AVX-512F
 // variants behind one dispatch table. Every caller that used to hand-roll
-// the k-loop (Model::Predict, SgdUpdateBlock{,Hogwild}, Rmse,
-// Recommender::TopK) now routes through a KernelOps table; which table is
-// picked at runtime from cpuid (util/cpu_features.h), overridable via
-// TrainConfig::kernel / the benches' --kernel flag.
+// the k-loop (Model::Predict, SgdUpdateBlock, Rmse, serve::BatchTopK)
+// now routes through a KernelOps table; which table is picked at runtime
+// from cpuid (util/cpu_features.h), overridable via TrainConfig::kernel /
+// the benches' --kernel flag.
 //
 // Layout contract. The factor matrices are stored stride-padded and
 // 64-byte aligned (core/model.h): row r of a rank-k matrix lives at

@@ -144,23 +144,6 @@ double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
                           hyper.lambda_q);
 }
 
-double SgdUpdateBlockHogwild(Model* model, const Ratings& block,
-                             SgdHyper hyper, ThreadPool* pool,
-                             const KernelOps* ops) {
-  if (pool == nullptr || pool->size() == 0) {
-    return SgdUpdateBlock(model, block, hyper, ops);
-  }
-  const KernelOps& kernel = Resolve(ops);
-  const int64_t n = static_cast<int64_t>(block.size());
-  return ParallelReduce(pool, n, /*grain=*/8192, [&](int64_t lo,
-                                                     int64_t hi) {
-    return kernel.sgd_block(model->p_data(), model->q_data(),
-                            model->stride(), model->k(), block.data() + lo,
-                            hi - lo, hyper.learning_rate, hyper.lambda_p,
-                            hyper.lambda_q);
-  });
-}
-
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
             const KernelOps* ops) {
   const int64_t n = static_cast<int64_t>(ratings.size());

@@ -65,7 +65,7 @@ class Model {
   }
 
   /// p_u . q_v through `ops` (null = the auto-dispatched default). Pass
-  /// the same ops as the surrounding Session/Recommender when the kernel
+  /// the same ops as the surrounding Session/BatchTopK when the kernel
   /// is pinned away from the default — each variant's dot is bitwise
   /// consistent with its own score_block, but not across variants.
   float Predict(int32_t u, int32_t v, const KernelOps* ops = nullptr) const;
@@ -118,14 +118,6 @@ struct SgdHyper {
 /// kernel variant; null means the auto-dispatched default.
 double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
                       const KernelOps* ops = nullptr);
-
-/// Lock-free parallel sweep in Hogwild style: threads race on shared
-/// factors, which is statistically fine for sparse blocks. Not
-/// bit-reproducible across pool sizes — the simulator uses the sequential
-/// kernel where determinism matters.
-double SgdUpdateBlockHogwild(Model* model, const Ratings& block,
-                             SgdHyper hyper, ThreadPool* pool,
-                             const KernelOps* ops = nullptr);
 
 /// Root mean squared prediction error over `ratings`. Deterministic for a
 /// given input regardless of pool size (fixed-grain chunking, in-order

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace hsgd {
 
@@ -100,51 +99,6 @@ std::vector<ScoredItem> TopKAccumulator::Finish() {
     heap_.pop_back();
   }
   return result;
-}
-
-Recommender::Recommender(const Model* model, const Ratings& rated,
-                         const KernelOps* ops)
-    : model_(model), ops_(ops != nullptr ? ops : &DefaultKernelOps()) {
-  HSGD_CHECK(model != nullptr);
-  rated_ = RatedIndex::Build(rated, model_->num_rows(), model_->num_cols());
-}
-
-StatusOr<std::vector<ScoredItem>> Recommender::TopK(int32_t user,
-                                                    int k) const {
-  std::vector<float> scores;
-  return TopK(user, k, &scores);
-}
-
-StatusOr<std::vector<ScoredItem>> Recommender::TopK(
-    int32_t user, int k, std::vector<float>* score_buffer) const {
-  if (user < 0 || user >= model_->num_rows()) {
-    return Status::InvalidArgument(
-        StrFormat("user %d out of range [0, %d)", user,
-                  model_->num_rows()));
-  }
-  if (k <= 0) {
-    return Status::InvalidArgument(StrFormat("k must be positive, got %d",
-                                             k));
-  }
-  const int32_t num_items = model_->num_cols();
-  const float* p = model_->Row(user);
-
-  // Score the catalog in tiles through the batch dot-scoring kernel (one
-  // indirect call per tile, SIMD inside), then feed each tile to the
-  // shared accumulator. Scoring a rated item and discarding it is cheaper
-  // than breaking the batch around it.
-  if (score_buffer->size() < static_cast<size_t>(kTopKTile)) {
-    score_buffer->resize(static_cast<size_t>(kTopKTile));
-  }
-  TopKAccumulator acc(k, rated_.Begin(user), rated_.End(user));
-  for (int32_t tile_begin = 0; tile_begin < num_items;
-       tile_begin += kTopKTile) {
-    const int32_t count = std::min(kTopKTile, num_items - tile_begin);
-    ops_->score_block(p, model_->q_data(), model_->stride(), model_->k(),
-                      tile_begin, count, score_buffer->data());
-    acc.Consume(tile_begin, count, score_buffer->data());
-  }
-  return acc.Finish();
 }
 
 }  // namespace hsgd

@@ -1,27 +1,15 @@
-// Serving facade over trained factors: top-k item retrieval for a user,
-// excluding the items the user already rated. This is the query half of
-// the ROADMAP's serving path — serve/ wraps this machinery in a
-// concurrent server; the scoring itself has no dependency on the trainer
-// or the simulators.
-//
-// The recommender borrows the model (e.g. a live Session's `model()`, or
-// one restored from a checkpoint) and indexes the exclusion set once at
-// construction; TopK itself is read-only and safe to call from many
-// threads concurrently.
-//
-// The building blocks are exposed so the serving batch path produces
-// bit-identical rankings: RatedIndex is the CSR exclusion set a
-// FactorSnapshot copies, and TopKAccumulator is the tile-walk + bounded
-// heap every TopK variant (facade, snapshot, batched) feeds.
+// Top-k selection building blocks shared by the serving path
+// (serve/snapshot.h's BatchTopK): the scored-item result type, the item
+// tile width, the per-user rated-item exclusion index, and the streaming
+// accumulator that turns scored tiles into a ranked result. None of it
+// depends on the trainer or the simulators.
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/model.h"
 #include "core/types.h"
-#include "util/status.h"
 
 namespace hsgd {
 
@@ -30,10 +18,8 @@ struct ScoredItem {
   float score = 0.0f;
 };
 
-/// The item-tile width every TopK variant scores through score_block.
-/// Shared so the batched path consumes scores in exactly the facade's
-/// tile order (bitwise-identical results, and a tile of Q rows stays
-/// cache-resident across a batch).
+/// The item-tile width BatchTopK scores through score_block: a tile of Q
+/// rows stays cache-resident while every query of a batch consumes it.
 inline constexpr int32_t kTopKTile = 1024;
 
 /// CSR-style per-user exclusion lists: items of user u live in
@@ -64,9 +50,8 @@ struct RatedIndex {
 /// ascending-item order via Consume, then Finish for the ranked result.
 /// Skips the query's sorted exclusion list with a forward cursor, keeps
 /// the best k candidates in a bounded heap, and breaks score ties toward
-/// the smaller item id — the exact selection logic of Recommender::TopK,
-/// factored out so the serving batch path (tiles interleaved across many
-/// queries) cannot drift from the facade (tiles of one query in a row).
+/// the smaller item id. Each query owns its accumulator, so BatchTopK can
+/// interleave the tiles of many queries.
 class TopKAccumulator {
  public:
   /// `excl_begin/excl_end` delimit the query's sorted exclusion list
@@ -94,45 +79,6 @@ class TopKAccumulator {
   const int32_t* excl_end_;
   /// Binary heap ordered by Better (worst retained candidate at front).
   std::vector<ScoredItem> heap_;
-};
-
-class Recommender {
- public:
-  /// `model` is borrowed and must outlive the recommender. `rated` lists
-  /// the known (user, item) interactions to exclude from results —
-  /// typically the training ratings; entries outside the model's
-  /// dimensions are ignored. `ops` selects the scoring kernel variant
-  /// (batch dot-scoring over the aligned factor tiles); null means the
-  /// auto-dispatched default.
-  Recommender(const Model* model, const Ratings& rated,
-              const KernelOps* ops = nullptr);
-
-  /// The `k` highest-scoring items for `user` (score = p_u . q_v),
-  /// excluding items the user already rated. Sorted by descending score;
-  /// equal scores break ties by ascending item id, so results are
-  /// deterministic. Returns fewer than `k` items when the catalog minus
-  /// the exclusions is smaller. InvalidArgument for an out-of-range user
-  /// or non-positive k.
-  StatusOr<std::vector<ScoredItem>> TopK(int32_t user, int k) const;
-
-  /// Same, reusing `score_buffer` as the tile scratch instead of
-  /// allocating per call — the form the serving layer drives, where a
-  /// worker answers thousands of queries with one resident buffer. The
-  /// buffer is resized as needed (to kTopKTile floats) and holds
-  /// garbage afterwards; it must not be shared between concurrent calls.
-  StatusOr<std::vector<ScoredItem>> TopK(int32_t user, int k,
-                                         std::vector<float>* score_buffer) const;
-
-  int32_t num_users() const { return model_->num_rows(); }
-  int32_t num_items() const { return model_->num_cols(); }
-  /// Items `user` has rated (the exclusion set), sorted ascending.
-  int64_t NumRated(int32_t user) const { return rated_.NumRated(user); }
-  const RatedIndex& rated_index() const { return rated_; }
-
- private:
-  const Model* model_;
-  const KernelOps* ops_;
-  RatedIndex rated_;
 };
 
 }  // namespace hsgd

@@ -1,8 +1,7 @@
 // Session: the stateful training engine behind heterogeneous SGD matrix
-// factorization. Where the legacy `Trainer::Train` ran to completion and
-// threw its internal state away, a Session keeps the whole execution —
-// scheduler, simulated device fleet, virtual clock, RNG streams, factor
-// model — alive across epochs, so callers can:
+// factorization, and the only way to train. A Session keeps the whole
+// execution — scheduler, simulated device fleet, virtual clock, RNG
+// streams, factor model — alive across epochs, so callers can:
 //
 //   - drive training stepwise (`RunEpoch()` advances one simulated epoch
 //     and returns its TracePoint),
@@ -10,7 +9,7 @@
 //   - inspect mid-run state (`Done()`, `stats()`, `model()`, `trace()`),
 //   - persist and resume long runs (`SaveCheckpoint()` / `Restore()`,
 //     bit-identical to an uninterrupted run — see core/checkpoint.h),
-//   - serve the trained factors (core/recommender.h builds on `model()`).
+//   - serve the trained factors (serve::FactorSnapshot copies `model()`).
 //
 // Real SGD arithmetic updates the factors (honest RMSE curves); a
 // discrete-event loop over simulated CPU threads and GPUs decides when
@@ -305,8 +304,7 @@ class Session {
   /// FailedPrecondition once Done().
   StatusOr<TracePoint> RunEpoch();
 
-  /// Drive RunEpoch until Done(). Equivalent to the legacy
-  /// Trainer::Train loop.
+  /// Drive RunEpoch until Done().
   Status RunToCompletion();
 
   // ---- Online training (stream ingestion) -------------------------------
@@ -338,6 +336,11 @@ class Session {
   /// holds the barrier, fails fast with FailedPrecondition instead —
   /// callers retry at the next epoch boundary. This is the gate that
   /// makes serve::FactorSnapshot::FromSession torn-read-safe.
+  ///
+  /// Starvation hazard: the barrier is a plain std::mutex, which does not
+  /// hand itself fairly to a RunEpoch/AppendRatings blocked on it. A
+  /// caller that retries back to back can keep retaking it and stall
+  /// training; pause briefly after each successful visit.
   Status VisitQuiesced(const std::function<Status()>& fn) const;
 
   /// Blocks dirtied by appends and not yet swept by an epoch.
@@ -359,7 +362,8 @@ class Session {
   /// Aggregate statistics over the epochs run so far; callable mid-run.
   TrainStats stats() const;
   /// The live factor model (updated in place every epoch). Valid for the
-  /// session's lifetime; pair with core/recommender.h for top-k serving.
+  /// session's lifetime; serve::FactorSnapshot::FromModel (or FromSession)
+  /// copies it for top-k serving.
   const Model& model() const { return *model_; }
   const Dataset& dataset() const { return dataset_; }
   /// Note: `config().kernel` is the resolved concrete kind (never kAuto)

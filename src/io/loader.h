@@ -17,8 +17,8 @@
 // chunks parsed in parallel on a util::ThreadPool (per-shard accumulation,
 // deterministic in-order merge — the result is byte-identical to a serial
 // parse regardless of thread count), raw ids are remapped to contiguous
-// dense indices with both directions of the mapping retained (so
-// Recommender results can be translated back to external ids), and every
+// dense indices with both directions of the mapping retained (so TopK
+// results can be translated back to external ids), and every
 // malformed line fails the load with a Status naming "<path>:<line>" —
 // unless LoadOptions::max_bad_lines grants an error budget, in which case
 // up to that many bad lines are quarantined into a counted report
@@ -53,7 +53,7 @@ StatusOr<DataFormat> FormatByName(const std::string& name);
 /// Raw-id -> contiguous dense index mapping, built in first-appearance
 /// (file) order so it is deterministic and independent of parse
 /// parallelism. Retained by LoadedData so serving-side callers can
-/// translate Recommender output back to the dump's external ids.
+/// translate TopK output back to the dump's external ids.
 class IdMap {
  public:
   /// Dense index for `raw`, assigning the next free index when new.

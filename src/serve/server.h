@@ -10,7 +10,7 @@
 //                                                        │
 //                              ┌─────────────────────────┘
 //                              ▼
-//            SnapshotHolder::Acquire()  (one pin per BATCH, lock-free)
+//            SnapshotHolder::Acquire()  (one pointer copy per BATCH)
 //                              ▼
 //            deadline check: shed requests held past the latency budget
 //                              ▼
@@ -178,7 +178,7 @@ class RecServer {
   RecServer& operator=(const RecServer&) = delete;
 
   /// Install a new snapshot without blocking in-flight queries — batches
-  /// already scoring finish on the snapshot they pinned; later batches
+  /// already scoring finish on the snapshot they acquired; later batches
   /// see the new one. The candidate is validated first
   /// (SnapshotHolder::PublishValidated): a null or corrupt snapshot is
   /// REJECTED with a typed error, counted in publish_rejected, and the

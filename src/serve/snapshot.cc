@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "core/checkpoint.h"
@@ -68,11 +67,12 @@ StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromModel(
 StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromSession(
     const Session& session, uint64_t version, const io::IdMap* users,
     const io::IdMap* items) {
-  // The copy must not race Hogwild workers mid-epoch (torn factor rows)
-  // or an append (the grow path REALLOCATES the factor buffers, so a
-  // concurrent copy would read freed memory). VisitQuiesced try-locks
-  // the epoch barrier: success means the factors are settled for the
-  // whole copy; contention surfaces as FailedPrecondition.
+  // The copy must not race an epoch's SGD updates, which the session
+  // thread applies block by block (torn factor rows), or an append (the
+  // grow path REALLOCATES the factor buffers, so a concurrent copy would
+  // read freed memory). VisitQuiesced try-locks the epoch barrier:
+  // success means the factors are settled for the whole copy; contention
+  // surfaces as FailedPrecondition.
   StatusOr<std::shared_ptr<const FactorSnapshot>> result =
       Status::FailedPrecondition("snapshot attempted mid-epoch");
   HSGD_RETURN_IF_ERROR(session.VisitQuiesced([&]() -> Status {
@@ -265,9 +265,9 @@ std::vector<StatusOr<std::vector<ScoredItem>>> BatchTopK(
   }
 
   // The batched sweep: tiles outermost, so each Q tile crosses memory
-  // once and serves every query while cache-resident. Per query the tile
-  // order and score_block operands are exactly the Recommender facade's,
-  // which is what makes batched results bitwise equal to sequential ones.
+  // once and serves every query while cache-resident. ScoreBlockBatch
+  // scores each query's row exactly as a lone score_block call would, so
+  // a query's result does not depend on the rest of the batch.
   const int32_t num_items = snapshot.num_items();
   if (!valid.empty()) {
     const size_t needed = valid.size() * static_cast<size_t>(kTopKTile);
@@ -299,54 +299,36 @@ std::vector<StatusOr<std::vector<ScoredItem>>> BatchTopK(
 }
 
 SnapshotPtr SnapshotHolder::Acquire() const {
-  for (;;) {
-    const uint32_t i = cur_.load();  // seq_cst, see class comment
-    const Slot& slot = slots_[i];
-    slot.pins.fetch_add(1);
-    if (cur_.load() == i) {
-      // Pin validated: a publisher targeting this slot either saw our
-      // pin (and waits) or already flipped cur_ (and the re-check would
-      // have failed). Safe to copy the shared_ptr.
-      SnapshotPtr snap = slot.snap;
-      slot.pins.fetch_sub(1);
-      return snap;
-    }
-    // A publish flipped slots between our load and pin; retry on the
-    // fresh slot.
-    slot.pins.fetch_sub(1);
-  }
-}
-
-void SnapshotHolder::Publish(SnapshotPtr snapshot) {
-  std::lock_guard<std::mutex> lock(publish_mu_);
-  const uint32_t next = 1 - cur_.load();
-  Slot& slot = slots_[next];
-  // Drain readers still mid-copy on the idle slot (pinned before the
-  // PREVIOUS flip). Their critical section is a shared_ptr copy, so this
-  // spin is nanoseconds, and it is the only wait anywhere in the scheme —
-  // readers themselves never wait at all.
-  while (slot.pins.load() != 0) {
-    std::this_thread::yield();
-  }
-  slot.snap = std::move(snapshot);
-  cur_.store(next);
-  publishes_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return snap_;
 }
 
 Status SnapshotHolder::PublishValidated(SnapshotPtr snapshot) {
-  if (snapshot == nullptr) {
-    rejected_publishes_.fetch_add(1, std::memory_order_relaxed);
-    return Status::InvalidArgument("refusing to publish a null snapshot");
-  }
-  Status valid = snapshot->Validate();
+  const Status valid =
+      snapshot == nullptr
+          ? Status::InvalidArgument("refusing to publish a null snapshot")
+          : snapshot->Validate();
+  SnapshotPtr replaced;  // destroyed after the lock is released
+  std::lock_guard<std::mutex> lock(mu_);
   if (!valid.ok()) {
-    // Reject WITHOUT touching the slots: the last-known-good snapshot
-    // keeps serving, which is the entire rollback policy.
-    rejected_publishes_.fetch_add(1, std::memory_order_relaxed);
+    // Reject without touching snap_: the last-known-good snapshot keeps
+    // serving, which is the entire rollback policy.
+    ++rejected_publishes_;
     return valid;
   }
-  Publish(std::move(snapshot));
+  replaced = std::exchange(snap_, std::move(snapshot));
+  ++publishes_;
   return Status::Ok();
+}
+
+int64_t SnapshotHolder::publishes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return publishes_;
+}
+
+int64_t SnapshotHolder::rejected_publishes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return rejected_publishes_;
 }
 
 }  // namespace hsgd::serve

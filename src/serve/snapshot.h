@@ -1,38 +1,34 @@
-// Serving-side factor snapshots and their lock-free publication.
+// Serving-side factor snapshots, their publication, and the TopK path.
 //
 // A FactorSnapshot is an immutable, 64-byte-aligned copy of a trained
 // model's factor matrices plus everything a query needs that the raw
-// factors don't carry: the per-user rated-item exclusion lists (exactly
-// what Recommender excludes) and, when the ratings came from a real dump,
-// the raw<->dense id maps so results can be translated back to external
-// ids. Snapshots are captured from a live Session between epochs, from a
-// checkpoint file via the factors-only fast path (core/checkpoint.h's
-// ReadFactorSnapshot), or from any Model directly; once built they are
-// never mutated, so any number of threads may score against one without
-// coordination.
+// factors don't carry: the per-user rated-item exclusion lists and, when
+// the ratings came from a real dump, the raw<->dense id maps so results
+// can be translated back to external ids. Snapshots are captured from a
+// live Session between epochs, from a checkpoint file via the
+// factors-only fast path (core/checkpoint.h's ReadFactorSnapshot), or
+// from any Model directly; once built they are never mutated, so any
+// number of threads may score against one without coordination.
 //
-// SnapshotHolder is the publication point: a double-buffered, pin-counted
-// slot pair in the epoch/RCU style. Readers pin the current slot, copy
-// its shared_ptr (nanoseconds), unpin, and then score against their copy
-// for as long as they like; Publish installs the next snapshot into the
-// idle slot and flips an atomic index. Readers never take a lock and
-// never block on a refresh — a publish waits only for the handful of
-// readers mid-copy on the slot it is about to reuse, two publishes back.
+// SnapshotHolder is the publication point: one shared_ptr behind a mutex.
+// Readers copy the pointer under the lock (nanoseconds) and then score
+// against their copy for as long as they like; a publish validates the
+// candidate outside the lock and swaps the pointer under it. The server
+// acquires once per batch, not per query, so the lock is rarely
+// contended.
 //
-// BatchTopK is the batched scoring stage: it answers many TopK queries
-// with ONE tile-major sweep of the item-factor matrix (each Q tile is
-// pulled from memory once and served to every query in the batch via
-// kernels' ScoreBlockBatch), while producing results bit-identical to
-// per-query Recommender::TopK — both feed the same TopKAccumulator in
-// the same tile order.
+// BatchTopK is the only TopK path: it answers many queries with ONE
+// tile-major sweep of the item-factor matrix (each Q tile is pulled from
+// memory once and served to every query in the batch via kernels'
+// ScoreBlockBatch). A one-query batch is a plain TopK.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/model.h"
@@ -163,43 +159,30 @@ struct TopKQuery {
 };
 
 /// Answers `queries[0..n)` against one snapshot with a single tile-major
-/// sweep of the item factors. Per-query results are bit-identical to
-/// Recommender::TopK on the same factors/exclusions/kernel: same tile
-/// size, same score_block operands, same accumulator. Invalid queries
-/// (user out of range, k <= 0) get their own InvalidArgument entry
-/// without failing the batch. `ops` null means the auto-dispatched
-/// default; `scratch` (optional) is reused as the num-queries x tile
-/// score buffer so a serving worker allocates nothing per batch.
+/// sweep of the item factors. Each result is the query's `k`
+/// highest-scoring items (score = p_u . q_v through `ops`), excluding the
+/// items the user rated, sorted by descending score with ties broken by
+/// ascending item id; fewer than `k` when the catalog minus the
+/// exclusions is smaller. Scores are bitwise equal to
+/// Model::Predict(u, v, ops), and a query's result does not depend on
+/// the rest of the batch. Invalid queries (user out of range, k <= 0)
+/// get their own InvalidArgument entry without failing the batch. `ops`
+/// null means the auto-dispatched default; `scratch` (optional) is
+/// reused as the num-queries x tile score buffer so a serving worker
+/// allocates nothing per batch.
 std::vector<StatusOr<std::vector<ScoredItem>>> BatchTopK(
     const FactorSnapshot& snapshot, const TopKQuery* queries, size_t n,
     const KernelOps* ops = nullptr, std::vector<float>* scratch = nullptr);
 
-/// Lock-free snapshot publication: double-buffered slots with per-slot
-/// pin counts.
-///
-/// Read side (Acquire): load the current slot index, pin the slot,
-/// re-check the index, copy the shared_ptr, unpin. The re-check makes the
-/// pin safe: if a publish flipped slots between load and pin, the
-/// re-check fails and the reader retries on the fresh slot — it never
-/// dereferences a slot it hasn't validly pinned. Wait-free in practice
-/// (a retry needs a concurrent publish, which happens per refresh, not
-/// per query).
-///
-/// Write side (Publish): serialize publishers, wait for the pin count of
-/// the IDLE slot to drain (readers still mid-copy from two publishes
-/// ago — a nanoseconds-scale window), install the new snapshot there,
-/// flip the index. In-flight queries keep scoring against whatever
-/// shared_ptr they already copied; nothing is ever torn or freed early.
-///
-/// Every atomic here is seq_cst deliberately: the pin/re-check handshake
-/// is the hazard-pointer pattern, whose correctness argument needs the
-/// single total order (a publisher's drain-check must not read a stale
-/// pin count an acquire load would permit). This path runs once per
-/// batch and once per refresh — ordering cost is irrelevant.
+/// Snapshot publication: one shared_ptr guarded by a mutex. A reader
+/// copies the pointer under the lock and scores against its copy, so a
+/// publish never tears or frees a snapshot a query is still using.
 class SnapshotHolder {
  public:
   SnapshotHolder() = default;
-  explicit SnapshotHolder(SnapshotPtr initial) { Publish(std::move(initial)); }
+  /// Installs `initial` unvalidated, counted as the first publish.
+  explicit SnapshotHolder(SnapshotPtr initial)
+      : snap_(std::move(initial)), publishes_(1) {}
 
   SnapshotHolder(const SnapshotHolder&) = delete;
   SnapshotHolder& operator=(const SnapshotHolder&) = delete;
@@ -209,46 +192,27 @@ class SnapshotHolder {
   /// caller holds it, across any number of subsequent publishes.
   SnapshotPtr Acquire() const;
 
-  /// Atomically replace the served snapshot. Never blocks readers;
-  /// multiple publishers serialize among themselves.
-  void Publish(SnapshotPtr snapshot);
-
-  /// Publish with a validity gate: a null snapshot is InvalidArgument
-  /// and one failing FactorSnapshot::Validate() is FailedPrecondition;
-  /// both are counted in rejected_publishes() and install NOTHING — the
-  /// previously published snapshot keeps serving untouched, which is the
-  /// whole rollback policy (last-known-good is simply never replaced by
-  /// a bad candidate). Ok means the snapshot is live.
+  /// Replace the served snapshot after a validity gate: a null snapshot
+  /// is InvalidArgument and one failing FactorSnapshot::Validate() is
+  /// FailedPrecondition; both are counted in rejected_publishes() and
+  /// install NOTHING — the previously published snapshot keeps serving
+  /// untouched, which is the whole rollback policy (last-known-good is
+  /// simply never replaced by a bad candidate). Ok means the snapshot is
+  /// live. Validation runs before the lock and the replaced snapshot is
+  /// released after it, so readers never wait on either.
   Status PublishValidated(SnapshotPtr snapshot);
 
   /// Publishes so far (0 = Acquire still returns null).
-  int64_t publishes() const {
-    return publishes_.load(std::memory_order_relaxed);
-  }
+  int64_t publishes() const;
 
   /// Candidates PublishValidated refused (never installed).
-  int64_t rejected_publishes() const {
-    return rejected_publishes_.load(std::memory_order_relaxed);
-  }
-
-  /// Test-only: total outstanding reader pins across both slots. Settled
-  /// (no Acquire mid-copy) it must read 0 — Acquire's critical section
-  /// is a shared_ptr copy, so nonzero is only ever transient.
-  int64_t DebugPins() const {
-    return slots_[0].pins.load() + slots_[1].pins.load();
-  }
+  int64_t rejected_publishes() const;
 
  private:
-  struct alignas(64) Slot {
-    SnapshotPtr snap;
-    mutable std::atomic<int64_t> pins{0};
-  };
-
-  Slot slots_[2];
-  std::atomic<uint32_t> cur_{0};
-  std::atomic<int64_t> publishes_{0};
-  std::atomic<int64_t> rejected_publishes_{0};
-  std::mutex publish_mu_;
+  mutable std::mutex mu_;
+  SnapshotPtr snap_;
+  int64_t publishes_ = 0;
+  int64_t rejected_publishes_ = 0;
 };
 
 }  // namespace hsgd::serve

@@ -2,7 +2,7 @@
 // serve concurrently from one process" real.
 //
 // The pieces PR 8 left unconnected — `Session` (batch training),
-// `serve::SnapshotHolder` (lock-free publication), `io::IdMap` (raw-id
+// `serve::SnapshotHolder` (snapshot publication), `io::IdMap` (raw-id
 // vocabulary) — are driven here by an `OnlineTrainer`:
 //
 //   Ingest(raw batch)   raw ids -> dense via the trainer's OWN IdMaps
@@ -17,7 +17,8 @@
 //                       kFailedPrecondition rather than tear mid-epoch)
 //                       carrying THIS publish's id maps, handed to the
 //                       publisher callback (typically
-//                       SnapshotHolder::Publish / RecServer::Publish).
+//                       SnapshotHolder::PublishValidated /
+//                       RecServer::Publish).
 //
 // Staleness semantics: a rating is stale from Ingest until the first
 // PublishSnapshot after an epoch swept its block. `stream.staleness_ratings`

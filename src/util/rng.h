@@ -1,7 +1,7 @@
 // Deterministic, platform-independent RNG (splitmix64-seeded
 // xoshiro256**). The library never uses std::random distributions — their
 // output is implementation-defined and would break cross-platform
-// reproducibility of Trainer::Train.
+// reproducibility of training runs.
 
 #pragma once
 

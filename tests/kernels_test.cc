@@ -1,17 +1,20 @@
 // Kernel-dispatch suite: every compiled-in SIMD variant must agree with
 // the scalar reference — factor updates and error sums within float
-// summation tolerance, TopK orderings exactly, and checkpoint resume
-// bit-identically under a fixed kernel. Also covers the dispatch /
-// naming API, the zero-padding layout invariant the vector kernels rely
-// on, the InitRandom degenerate-mean clamp, and the rate calibrator.
-// Runs under ASan/UBSan in CI like every other test binary.
+// summation tolerance, TopK orderings exactly (and BatchTopK with a
+// brute-force scorer bit for bit), and checkpoint resume bit-identically
+// under a fixed kernel. Also covers the dispatch / naming API, the
+// zero-padding layout invariant the vector kernels rely on, the
+// InitRandom degenerate-mean clamp, and the rate calibrator. Runs under
+// ASan/UBSan in CI like every other test binary.
 
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "brute_force_topk.h"
 #include "core/hsgd.h"
+#include "serve/snapshot.h"
 #include "test_main.h"
 #include "util/cpu_features.h"
 
@@ -202,7 +205,8 @@ void TestFrozenSweepMatchesReduction() {
   }
 }
 
-// Identical TopK ordering (items AND scores' ranks) across every kernel.
+// Per kernel, BatchTopK equals the brute-force scorer through the same
+// kernel bit for bit, and ranks items exactly as the scalar kernel does.
 void TestTopKOrderingEquivalence() {
   SyntheticSpec spec;
   spec.num_rows = 200;
@@ -212,22 +216,32 @@ void TestTopKOrderingEquivalence() {
   spec.params.k = 48;  // not a multiple of 16: exercises padded lanes
   auto ds = GenerateSynthetic(spec, 21);
   EXPECT_TRUE(ds.ok());
+  if (!ds.ok()) return;
   Model model = RandomModel(ds->num_rows, ds->num_cols, ds->params.k, 33);
+  auto snap = serve::FactorSnapshot::FromModel(model, ds->train, 1);
+  EXPECT_TRUE(snap.ok());
+  if (!snap.ok()) return;
 
+  const std::vector<serve::TopKQuery> queries = {{0, 25}, {57, 25},
+                                                 {199, 25}};
   const KernelOps& scalar = GetKernelOps(KernelKind::kScalar);
-  Recommender ref(&model, ds->train, &scalar);
+  auto expected =
+      serve::BatchTopK(**snap, queries.data(), queries.size(), &scalar);
   for (KernelKind kind : SupportedKinds()) {
     const KernelOps& ops = GetKernelOps(kind);
-    Recommender rec(&model, ds->train, &ops);
-    for (int32_t user : {0, 57, 199}) {
-      auto expected = ref.TopK(user, 25);
-      auto got = rec.TopK(user, 25);
-      EXPECT_TRUE(expected.ok());
-      EXPECT_TRUE(got.ok());
-      if (!expected.ok() || !got.ok()) continue;
-      EXPECT_EQ(got->size(), expected->size());
-      for (size_t i = 0; i < expected->size() && i < got->size(); ++i) {
-        EXPECT_EQ((*got)[i].item, (*expected)[i].item);
+    auto got = serve::BatchTopK(**snap, queries.data(), queries.size(), &ops);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_TRUE(expected[q].ok());
+      EXPECT_TRUE(got[q].ok());
+      if (!expected[q].ok() || !got[q].ok()) continue;
+      EXPECT_SAME_TOPK(*got[q],
+                       testing::BruteForceTopK(model, ds->train,
+                                               queries[q].user,
+                                               queries[q].k, &ops));
+      EXPECT_EQ(got[q]->size(), expected[q]->size());
+      for (size_t i = 0; i < expected[q]->size() && i < got[q]->size();
+           ++i) {
+        EXPECT_EQ((*got[q])[i].item, (*expected[q])[i].item);
       }
     }
   }
@@ -257,8 +271,10 @@ void TestCheckpointResumeBitIdenticalPerKernel() {
     cfg.eval_threads = 2;
     cfg.kernel = kind;
 
-    auto reference = Trainer::Train(ds, cfg);
+    auto reference = Session::Create(ds, cfg);
     EXPECT_TRUE(reference.ok());
+    if (!reference.ok()) continue;
+    EXPECT_TRUE((*reference)->RunToCompletion().ok());
 
     auto session = Session::Create(ds, cfg);
     EXPECT_TRUE(session.ok());
@@ -279,7 +295,7 @@ void TestCheckpointResumeBitIdenticalPerKernel() {
       if (!point.ok()) break;
     }
     const auto& got = (*restored)->trace().points;
-    const auto& want = reference->trace.points;
+    const auto& want = (*reference)->trace().points;
     EXPECT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size() && i < want.size(); ++i) {
       EXPECT_EQ(got[i].time, want[i].time);

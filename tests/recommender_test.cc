@@ -1,120 +1,152 @@
-// Recommender::TopK edge cases on hand-built factor models: k beyond the
-// catalog, a user with every item rated, out-of-range queries, and
-// deterministic tie-breaking — the serving-facade counterpart of
-// session_test's trained-model agreement checks.
+// TopK edge cases on hand-built factor models, answered by
+// serve::BatchTopK over a FactorSnapshot: k beyond the catalog, a user
+// with every item rated, invalid queries, deterministic tie-breaking and
+// duplicate or out-of-range exclusion entries — the hand-checkable
+// counterpart of the brute-force agreement checks in serve_test and
+// session_test.
 
+#include <utility>
 #include <vector>
 
 #include "core/model.h"
 #include "core/recommender.h"
+#include "serve/snapshot.h"
 #include "test_main.h"
 
 namespace hsgd {
 namespace {
 
-/// A model whose scores are trivially predictable: p_u = (1, 0),
+using serve::FactorSnapshot;
+using serve::SnapshotPtr;
+using serve::TopKQuery;
+
+/// A snapshot whose scores are trivially predictable: p_u = (1, 0),
 /// q_v = (weight_v, 0), so score(u, v) == weight_v for every user.
-Model WeightedModel(int32_t num_users, const std::vector<float>& weights) {
+SnapshotPtr WeightedSnapshot(int32_t num_users,
+                             const std::vector<float>& weights,
+                             const Ratings& rated = {}) {
   Model model(num_users, static_cast<int32_t>(weights.size()), /*k=*/2);
-  for (int32_t u = 0; u < num_users; ++u) {
-    model.Row(u)[0] = 1.0f;
-    model.Row(u)[1] = 0.0f;
-  }
+  for (int32_t u = 0; u < num_users; ++u) model.Row(u)[0] = 1.0f;
   for (size_t v = 0; v < weights.size(); ++v) {
     model.Col(static_cast<int32_t>(v))[0] = weights[v];
-    model.Col(static_cast<int32_t>(v))[1] = 0.0f;
   }
-  return model;
+  auto snap = FactorSnapshot::FromModel(model, rated, /*version=*/1);
+  EXPECT_TRUE(snap.ok());
+  return snap.ok() ? *snap : nullptr;
+}
+
+/// One TopK query as a one-query batch.
+StatusOr<std::vector<ScoredItem>> TopK(const FactorSnapshot& snapshot,
+                                       int32_t user, int k) {
+  const TopKQuery query{user, k};
+  return std::move(serve::BatchTopK(snapshot, &query, 1).front());
 }
 
 void TestKLargerThanCatalog() {
-  Model model = WeightedModel(2, {0.5f, 2.0f, 1.0f, 3.0f});
-  Ratings rated = {{0, 1, 5.0f}};  // user 0 already rated item 1
-  Recommender rec(&model, rated);
+  // User 0 already rated item 1.
+  SnapshotPtr snap =
+      WeightedSnapshot(2, {0.5f, 2.0f, 1.0f, 3.0f}, {{0, 1, 5.0f}});
+  if (snap == nullptr) return;
 
-  auto top = rec.TopK(0, 100);
+  auto top = TopK(*snap, 0, 100);
   EXPECT_TRUE(top.ok());
   if (!top.ok()) return;
   // Everything unrated comes back, highest score first.
   EXPECT_EQ(top->size(), 3u);
+  if (top->size() != 3u) return;
   EXPECT_EQ((*top)[0].item, 3);
   EXPECT_EQ((*top)[1].item, 2);
   EXPECT_EQ((*top)[2].item, 0);
   // A user with no exclusions gets the full catalog.
-  auto all = rec.TopK(1, 100);
+  auto all = TopK(*snap, 1, 100);
   EXPECT_TRUE(all.ok());
   if (all.ok()) EXPECT_EQ(all->size(), 4u);
 }
 
 void TestUserWithAllItemsRated() {
-  Model model = WeightedModel(2, {1.0f, 2.0f, 3.0f});
-  Ratings rated = {{0, 0, 1.0f}, {0, 1, 1.0f}, {0, 2, 1.0f}};
-  Recommender rec(&model, rated);
-  EXPECT_EQ(rec.NumRated(0), 3);
+  SnapshotPtr snap = WeightedSnapshot(
+      2, {1.0f, 2.0f, 3.0f}, {{0, 0, 1.0f}, {0, 1, 1.0f}, {0, 2, 1.0f}});
+  if (snap == nullptr) return;
+  EXPECT_EQ(snap->NumRated(0), 3);
 
   // Nothing left to recommend: an empty result, not an error.
-  auto top = rec.TopK(0, 5);
+  auto top = TopK(*snap, 0, 5);
   EXPECT_TRUE(top.ok());
   if (top.ok()) EXPECT_EQ(top->size(), 0u);
   // The other user is unaffected.
-  auto other = rec.TopK(1, 2);
+  auto other = TopK(*snap, 1, 2);
   EXPECT_TRUE(other.ok());
   if (other.ok()) EXPECT_EQ(other->size(), 2u);
 }
 
 void TestInvalidQueries() {
-  Model model = WeightedModel(3, {1.0f, 2.0f});
-  Recommender rec(&model, {});
-  EXPECT_FALSE(rec.TopK(-1, 1).ok());
-  EXPECT_FALSE(rec.TopK(3, 1).ok());
-  EXPECT_FALSE(rec.TopK(0, 0).ok());
-  EXPECT_FALSE(rec.TopK(0, -4).ok());
+  SnapshotPtr snap = WeightedSnapshot(3, {1.0f, 2.0f});
+  if (snap == nullptr) return;
+  for (const TopKQuery& bad :
+       {TopKQuery{-1, 1}, TopKQuery{3, 1}, TopKQuery{0, 0},
+        TopKQuery{0, -4}}) {
+    EXPECT_TRUE(TopK(*snap, bad.user, bad.k).status().code() ==
+                StatusCode::kInvalidArgument);
+  }
+  // An invalid query fails alone; the rest of its batch is answered.
+  const TopKQuery mixed[] = {{0, 1}, {3, 1}, {2, 2}};
+  auto results = serve::BatchTopK(*snap, mixed, 3);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_FALSE(results[1].ok());
+  EXPECT_TRUE(results[2].ok());
+  if (results[2].ok()) EXPECT_EQ(results[2]->size(), 2u);
   // Out-of-range users have no exclusion list.
-  EXPECT_EQ(rec.NumRated(-1), 0);
-  EXPECT_EQ(rec.NumRated(3), 0);
+  EXPECT_EQ(snap->NumRated(-1), 0);
+  EXPECT_EQ(snap->NumRated(3), 0);
 }
 
 void TestDeterministicTieBreaks() {
   // All scores equal: the ranking must fall back to ascending item id,
   // both inside the returned window and at the eviction boundary.
-  Model flat = WeightedModel(1, {7.0f, 7.0f, 7.0f, 7.0f, 7.0f, 7.0f});
-  Recommender rec(&flat, {});
-  auto top = rec.TopK(0, 4);
+  SnapshotPtr flat =
+      WeightedSnapshot(1, {7.0f, 7.0f, 7.0f, 7.0f, 7.0f, 7.0f});
+  if (flat == nullptr) return;
+  auto top = TopK(*flat, 0, 4);
   EXPECT_TRUE(top.ok());
   if (top.ok()) {
     EXPECT_EQ(top->size(), 4u);
-    for (int i = 0; i < 4; ++i) EXPECT_EQ((*top)[i].item, i);
+    for (size_t i = 0; i < 4 && i < top->size(); ++i) {
+      EXPECT_EQ((*top)[i].item, static_cast<int32_t>(i));
+    }
   }
 
   // Mixed ties: equal-score runs stay id-ordered among themselves.
-  Model mixed = WeightedModel(1, {2.0f, 1.0f, 2.0f, 3.0f, 1.0f});
-  Recommender rec2(&mixed, {});
-  auto ranked = rec2.TopK(0, 5);
+  SnapshotPtr mixed = WeightedSnapshot(1, {2.0f, 1.0f, 2.0f, 3.0f, 1.0f});
+  if (mixed == nullptr) return;
+  auto ranked = TopK(*mixed, 0, 5);
   EXPECT_TRUE(ranked.ok());
   if (ranked.ok()) {
     const std::vector<int32_t> expected = {3, 0, 2, 1, 4};
     EXPECT_EQ(ranked->size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
+    for (size_t i = 0; i < expected.size() && i < ranked->size(); ++i) {
       EXPECT_EQ((*ranked)[i].item, expected[i]);
     }
   }
 }
 
 void TestDuplicateAndOutOfRangeExclusions() {
-  Model model = WeightedModel(2, {1.0f, 2.0f, 3.0f});
   // Duplicate observations collapse; entries outside the model's
   // dimensions are ignored rather than crashing.
-  Ratings rated = {{0, 2, 1.0f}, {0, 2, 4.0f}, {0, 99, 1.0f},
-                   {99, 1, 1.0f}, {-3, 0, 1.0f}, {1, -7, 1.0f}};
-  Recommender rec(&model, rated);
-  EXPECT_EQ(rec.NumRated(0), 1);
-  EXPECT_EQ(rec.NumRated(1), 0);
-  auto top = rec.TopK(0, 3);
+  SnapshotPtr snap = WeightedSnapshot(
+      2, {1.0f, 2.0f, 3.0f},
+      {{0, 2, 1.0f}, {0, 2, 4.0f}, {0, 99, 1.0f}, {99, 1, 1.0f},
+       {-3, 0, 1.0f}, {1, -7, 1.0f}});
+  if (snap == nullptr) return;
+  EXPECT_EQ(snap->NumRated(0), 1);
+  EXPECT_EQ(snap->NumRated(1), 0);
+  auto top = TopK(*snap, 0, 3);
   EXPECT_TRUE(top.ok());
   if (top.ok()) {
     EXPECT_EQ(top->size(), 2u);
-    EXPECT_EQ((*top)[0].item, 1);
-    EXPECT_EQ((*top)[1].item, 0);
+    if (top->size() == 2u) {
+      EXPECT_EQ((*top)[0].item, 1);
+      EXPECT_EQ((*top)[1].item, 0);
+    }
   }
 }
 

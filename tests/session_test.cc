@@ -1,9 +1,8 @@
-// Session API tests: stepwise epochs must be bit-identical to the
-// one-shot Trainer::Train facade, checkpoint/restore must reproduce an
-// uninterrupted run exactly, observers must see every epoch, and the
-// Recommender must agree with a brute-force scorer.
+// Session API tests: stepwise epochs must be bit-identical to a one-shot
+// run, checkpoint/restore must reproduce an uninterrupted run exactly,
+// observers must see every epoch, and BatchTopK over the trained factors
+// must agree with a brute-force scorer.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -11,65 +10,29 @@
 #include <string>
 #include <vector>
 
+#include "brute_force_topk.h"
 #include "core/hsgd.h"
+#include "serve/snapshot.h"
 #include "test_main.h"
+#include "train_fixture.h"
 
 namespace hsgd {
 namespace {
 
-Dataset SmallDataset(uint64_t seed = 5) {
-  SyntheticSpec spec;
-  spec.num_rows = 600;
-  spec.num_cols = 500;
-  spec.train_nnz = 40000;
-  spec.test_nnz = 4000;
-  spec.params.k = 16;
-  spec.params.learning_rate = 0.01f;
-  spec.noise_stddev = 0.3;
-  auto ds = GenerateSynthetic(spec, seed);
-  EXPECT_TRUE(ds.ok());
-  return std::move(ds).value();
-}
+using testing::ExpectStatsEqual;
+using testing::ExpectTracePointsEqual;
+using testing::SmallConfig;
+using testing::SmallDataset;
+using testing::Train;
 
-TrainConfig SmallConfig(Algorithm algorithm) {
-  TrainConfig cfg;
-  cfg.algorithm = algorithm;
-  cfg.hardware.num_cpu_threads = 4;
-  cfg.hardware.num_gpus = 1;
-  cfg.max_epochs = 5;
-  cfg.use_dataset_target = false;
-  cfg.eval_threads = 2;
-  return cfg;
-}
-
-void ExpectTracePointsEqual(const TracePoint& a, const TracePoint& b) {
-  EXPECT_EQ(a.epoch, b.epoch);
-  EXPECT_EQ(a.time, b.time);
-  EXPECT_EQ(a.test_rmse, b.test_rmse);
-  EXPECT_EQ(a.train_rmse, b.train_rmse);
-}
-
-/// The sim side only — wall time is real time, inherently
-/// non-reproducible, and lives in its own sub-struct for exactly this
-/// reason.
-void ExpectStatsEqual(const TrainStats& a, const TrainStats& b) {
-  EXPECT_EQ(a.sim.reached_target, b.sim.reached_target);
-  EXPECT_EQ(a.sim.seconds, b.sim.seconds);
-  EXPECT_EQ(a.sim.alpha, b.sim.alpha);
-  EXPECT_EQ(a.sim.stolen_by_gpus, b.sim.stolen_by_gpus);
-  EXPECT_EQ(a.sim.stolen_by_cpus, b.sim.stolen_by_cpus);
-  EXPECT_EQ(a.sim.update_rate_cv, b.sim.update_rate_cv);
-  EXPECT_EQ(a.sim.block_tasks, b.sim.block_tasks);
-}
-
-// (a) N x RunEpoch == one Trainer::Train with max_epochs=N, bit-for-bit.
+// (a) N x RunEpoch == one Train with max_epochs=N, bit-for-bit.
 void TestStepwiseMatchesOneShot() {
   Dataset ds = SmallDataset();
   for (Algorithm algorithm :
        {Algorithm::kCpuOnly, Algorithm::kGpuOnly, Algorithm::kHsgd,
         Algorithm::kHsgdStar}) {
     TrainConfig cfg = SmallConfig(algorithm);
-    auto oneshot = Trainer::Train(ds, cfg);
+    auto oneshot = Train(ds, cfg);
     EXPECT_TRUE(oneshot.ok());
     auto session = Session::Create(ds, cfg);
     EXPECT_TRUE(session.ok());
@@ -103,7 +66,7 @@ void TestCheckpointResumeBitIdentical() {
   for (Algorithm algorithm : {Algorithm::kHsgdStar, Algorithm::kHsgd}) {
     TrainConfig cfg = SmallConfig(algorithm);
     cfg.dynamic_scheduling = true;
-    auto reference = Trainer::Train(ds, cfg);
+    auto reference = Train(ds, cfg);
     EXPECT_TRUE(reference.ok());
     for (int stop_epoch : {1, 3}) {
       auto session = Session::Create(ds, cfg);
@@ -366,6 +329,8 @@ void TestObservers() {
   EXPECT_TRUE((*easy_session)->stats().sim.reached_target);
 }
 
+// Invalid fleets, an empty epoch budget or eval pool, and an empty
+// dataset are all rejected at Create.
 void TestCreateValidation() {
   Dataset ds = SmallDataset();
   TrainConfig cfg = SmallConfig(Algorithm::kCpuOnly);
@@ -386,29 +351,36 @@ void TestCreateValidation() {
   EXPECT_FALSE(Session::Create(empty, SmallConfig(Algorithm::kHsgd)).ok());
 }
 
-// (c) Recommender: sorted scores, rated items excluded, agreement with a
-// brute-force scorer.
-void TestRecommenderTopK() {
+// (c) TopK over trained factors: sorted scores, rated items excluded,
+// bitwise agreement with a brute-force scorer.
+void TestBatchTopKOverTrainedFactors() {
   Dataset ds = SmallDataset();
   TrainConfig cfg = SmallConfig(Algorithm::kHsgdStar);
   cfg.max_epochs = 3;
   auto session = Session::Create(ds, cfg);
   EXPECT_TRUE(session.ok());
+  if (!session.ok()) return;
   EXPECT_TRUE((*session)->RunToCompletion().ok());
   const Model& model = (*session)->model();
-  Recommender recommender(&model, ds.train);
+  auto snap = serve::FactorSnapshot::FromModel(model, ds.train, 1);
+  EXPECT_TRUE(snap.ok());
+  if (!snap.ok()) return;
 
   const int k = 10;
-  for (int32_t user : {0, 7, 599}) {
-    auto top = recommender.TopK(user, k);
-    EXPECT_TRUE(top.ok());
-    if (!top.ok()) continue;
-    EXPECT_EQ(top->size(), static_cast<size_t>(k));
+  const std::vector<serve::TopKQuery> queries = {{0, k}, {7, k}, {599, k}};
+  auto results =
+      serve::BatchTopK(**snap, queries.data(), queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const int32_t user = queries[q].user;
+    EXPECT_TRUE(results[q].ok());
+    if (!results[q].ok()) continue;
+    const std::vector<ScoredItem>& top = *results[q];
+    EXPECT_EQ(top.size(), static_cast<size_t>(k));
 
     // Scores are sorted descending (ties broken by ascending item id).
-    for (size_t i = 1; i < top->size(); ++i) {
-      const ScoredItem& prev = (*top)[i - 1];
-      const ScoredItem& cur = (*top)[i];
+    for (size_t i = 1; i < top.size(); ++i) {
+      const ScoredItem& prev = top[i - 1];
+      const ScoredItem& cur = top[i];
       EXPECT_TRUE(prev.score > cur.score ||
                   (prev.score == cur.score && prev.item < cur.item));
     }
@@ -418,39 +390,29 @@ void TestRecommenderTopK() {
     for (const Rating& r : ds.train) {
       if (r.u == user) rated[static_cast<size_t>(r.v)] = 1;
     }
-    for (const ScoredItem& item : *top) {
+    for (const ScoredItem& item : top) {
       EXPECT_FALSE(rated[static_cast<size_t>(item.item)]);
     }
 
-    // Brute force agreement: same items, same order. Predict and TopK's
-    // batch scorer share one dot kernel, so scores match bitwise.
-    std::vector<ScoredItem> all;
-    for (int32_t v = 0; v < ds.num_cols; ++v) {
-      if (rated[static_cast<size_t>(v)]) continue;
-      all.push_back({v, model.Predict(user, v)});
-    }
-    std::sort(all.begin(), all.end(),
-              [](const ScoredItem& a, const ScoredItem& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.item < b.item;
-              });
-    for (int i = 0; i < k; ++i) {
-      EXPECT_EQ((*top)[i].item, all[static_cast<size_t>(i)].item);
-      EXPECT_EQ((*top)[i].score, all[static_cast<size_t>(i)].score);
-    }
+    // Brute force agreement: same items, same order, same score bits.
+    EXPECT_SAME_TOPK(top, testing::BruteForceTopK(model, ds.train, user, k));
   }
 
   // k past the catalog returns everything unrated, still sorted.
-  auto everything = recommender.TopK(0, ds.num_cols + 50);
-  EXPECT_TRUE(everything.ok());
-  EXPECT_EQ(everything->size(),
-            static_cast<size_t>(ds.num_cols) -
-                static_cast<size_t>(recommender.NumRated(0)));
+  const serve::TopKQuery everything_query{0, ds.num_cols + 50};
+  auto everything = serve::BatchTopK(**snap, &everything_query, 1);
+  EXPECT_TRUE(everything[0].ok());
+  if (everything[0].ok()) {
+    EXPECT_EQ(everything[0]->size(),
+              static_cast<size_t>(ds.num_cols) -
+                  static_cast<size_t>((*snap)->NumRated(0)));
+  }
 
   // Invalid queries are errors, not crashes.
-  EXPECT_FALSE(recommender.TopK(-1, k).ok());
-  EXPECT_FALSE(recommender.TopK(ds.num_rows, k).ok());
-  EXPECT_FALSE(recommender.TopK(0, 0).ok());
+  const serve::TopKQuery invalid[] = {{-1, k}, {ds.num_rows, k}, {0, 0}};
+  for (const auto& result : serve::BatchTopK(**snap, invalid, 3)) {
+    EXPECT_FALSE(result.ok());
+  }
 }
 
 // (e) Online append: warm and cold ratings grow the session in place,
@@ -676,7 +638,7 @@ void RunAllTests() {
   TestCheckpointCorruptionRejected();
   TestObservers();
   TestCreateValidation();
-  TestRecommenderTopK();
+  TestBatchTopKOverTrainedFactors();
   TestAppendAndIncrementalEpoch();
   TestModelGrowAlignment();
   TestGrownCheckpointRoundTrip();

@@ -79,20 +79,6 @@ void TestSgdReturnsSquaredError() {
   EXPECT_NEAR(Rmse(model, ds.train, nullptr), pre_rmse, 1e-12);
 }
 
-void TestHogwildConverges() {
-  Dataset ds = TinyDataset();
-  Model model(ds.num_rows, ds.num_cols, ds.params.k);
-  Rng rng(1);
-  model.InitRandom(&rng, ComputeStats(ds.train).mean_rating);
-  SgdHyper hyper{0.01f, 0.05f, 0.05f};
-  ThreadPool pool(4);
-  double before = Rmse(model, ds.train, &pool);
-  for (int epoch = 0; epoch < 10; ++epoch) {
-    SgdUpdateBlockHogwild(&model, ds.train, hyper, &pool);
-  }
-  EXPECT_LT(Rmse(model, ds.train, &pool), before * 0.7);
-}
-
 void TestModelInitDeterministic() {
   Model a(50, 40, 8), b(50, 40, 8);
   Rng ra(9), rb(9);
@@ -133,7 +119,6 @@ void RunAllTests() {
   TestRmseHandComputed();
   TestSgdConverges();
   TestSgdReturnsSquaredError();
-  TestHogwildConverges();
   TestModelInitDeterministic();
   TestShuffleAndStats();
 }

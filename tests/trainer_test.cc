@@ -1,42 +1,30 @@
+// One-shot training through Session::Create + RunToCompletion: every
+// algorithm trains and learns, runs are deterministic per seed, the RMSE
+// target stops training early, HSGD* splits work between the devices and
+// its dynamic phase pays off, and invalid configs fail instead of
+// training.
+
 #include <cmath>
 
 #include "core/hsgd.h"
 #include "test_main.h"
+#include "train_fixture.h"
 
 namespace hsgd {
 namespace {
 
-Dataset SmallDataset(uint64_t seed = 5) {
-  SyntheticSpec spec;
-  spec.num_rows = 600;
-  spec.num_cols = 500;
-  spec.train_nnz = 40000;
-  spec.test_nnz = 4000;
-  spec.params.k = 16;
-  spec.params.learning_rate = 0.01f;
-  spec.noise_stddev = 0.3;
-  auto ds = GenerateSynthetic(spec, seed);
-  EXPECT_TRUE(ds.ok());
-  return std::move(ds).value();
-}
-
-TrainConfig SmallConfig(Algorithm algorithm) {
-  TrainConfig cfg;
-  cfg.algorithm = algorithm;
-  cfg.hardware.num_cpu_threads = 4;
-  cfg.hardware.num_gpus = 1;
-  cfg.max_epochs = 5;
-  cfg.use_dataset_target = false;
-  cfg.eval_threads = 2;
-  return cfg;
-}
+using testing::ExpectStatsEqual;
+using testing::ExpectTracePointsEqual;
+using testing::SmallConfig;
+using testing::SmallDataset;
+using testing::Train;
 
 void TestAllAlgorithmsRun() {
   Dataset ds = SmallDataset();
   for (Algorithm algorithm :
        {Algorithm::kCpuOnly, Algorithm::kGpuOnly, Algorithm::kHsgd,
         Algorithm::kHsgdStar}) {
-    auto result = Trainer::Train(ds, SmallConfig(algorithm));
+    auto result = Train(ds, SmallConfig(algorithm));
     EXPECT_TRUE(result.ok());
     if (!result.ok()) continue;
     EXPECT_EQ(result->trace.points.size(), 5u);
@@ -56,29 +44,25 @@ void TestAllAlgorithmsRun() {
 void TestDeterminism() {
   Dataset ds = SmallDataset();
   TrainConfig cfg = SmallConfig(Algorithm::kHsgdStar);
-  auto a = Trainer::Train(ds, cfg);
-  auto b = Trainer::Train(ds, cfg);
+  auto a = Train(ds, cfg);
+  auto b = Train(ds, cfg);
   EXPECT_TRUE(a.ok());
   EXPECT_TRUE(b.ok());
+  if (!a.ok() || !b.ok()) return;
   EXPECT_EQ(a->trace.points.size(), b->trace.points.size());
   for (size_t i = 0; i < a->trace.points.size(); ++i) {
     // Bit-exact: same seed, same virtual schedule, same arithmetic.
-    EXPECT_EQ(a->trace.points[i].time, b->trace.points[i].time);
-    EXPECT_EQ(a->trace.points[i].test_rmse, b->trace.points[i].test_rmse);
-    EXPECT_EQ(a->trace.points[i].train_rmse,
-              b->trace.points[i].train_rmse);
+    ExpectTracePointsEqual(a->trace.points[i], b->trace.points[i]);
   }
-  EXPECT_EQ(a->stats.sim.seconds, b->stats.sim.seconds);
-  EXPECT_EQ(a->stats.sim.stolen_by_gpus, b->stats.sim.stolen_by_gpus);
-  EXPECT_EQ(a->stats.sim.stolen_by_cpus, b->stats.sim.stolen_by_cpus);
+  ExpectStatsEqual(a->stats, b->stats);
 
   TrainConfig other = cfg;
   other.seed = cfg.seed + 1;
-  auto c = Trainer::Train(ds, other);
+  auto c = Train(ds, other);
   EXPECT_TRUE(c.ok());
   // A different seed draws different device speeds and shuffles: the
   // virtual clock will not match bit-for-bit.
-  EXPECT_TRUE(c->stats.sim.seconds != a->stats.sim.seconds);
+  if (c.ok()) EXPECT_TRUE(c->stats.sim.seconds != a->stats.sim.seconds);
 }
 
 void TestTargetStopsEarly() {
@@ -86,30 +70,34 @@ void TestTargetStopsEarly() {
   ds.target_rmse = 100.0;  // trivially reachable after one epoch
   TrainConfig cfg = SmallConfig(Algorithm::kCpuOnly);
   cfg.use_dataset_target = true;
-  auto result = Trainer::Train(ds, cfg);
+  auto result = Train(ds, cfg);
   EXPECT_TRUE(result.ok());
+  if (!result.ok()) return;
   EXPECT_TRUE(result->stats.sim.reached_target);
   EXPECT_EQ(result->trace.points.size(), 1u);
   EXPECT_EQ(result->trace.TimeToReach(100.0),
             result->trace.points[0].time);
 
   ds.target_rmse = 1e-9;  // unreachable
-  auto never = Trainer::Train(ds, cfg);
+  auto never = Train(ds, cfg);
   EXPECT_TRUE(never.ok());
+  if (!never.ok()) return;
   EXPECT_FALSE(never->stats.sim.reached_target);
   EXPECT_TRUE(never->trace.TimeToReach(1e-9) >= kSimTimeNever);
 }
 
 void TestStarAlphaAndStats() {
   Dataset ds = SmallDataset();
-  auto result = Trainer::Train(ds, SmallConfig(Algorithm::kHsgdStar));
+  auto result = Train(ds, SmallConfig(Algorithm::kHsgdStar));
+  auto cpu_only = Train(ds, SmallConfig(Algorithm::kCpuOnly));
+  auto gpu_only = Train(ds, SmallConfig(Algorithm::kGpuOnly));
   EXPECT_TRUE(result.ok());
+  EXPECT_TRUE(cpu_only.ok());
+  EXPECT_TRUE(gpu_only.ok());
+  if (!result.ok() || !cpu_only.ok() || !gpu_only.ok()) return;
   EXPECT_TRUE(result->stats.sim.alpha > 0.0 && result->stats.sim.alpha < 1.0);
   EXPECT_TRUE(result->stats.sim.update_rate_cv >= 0.0);
-
-  auto cpu_only = Trainer::Train(ds, SmallConfig(Algorithm::kCpuOnly));
   EXPECT_NEAR(cpu_only->stats.sim.alpha, 0.0, 1e-12);
-  auto gpu_only = Trainer::Train(ds, SmallConfig(Algorithm::kGpuOnly));
   EXPECT_NEAR(gpu_only->stats.sim.alpha, 1.0, 1e-12);
 }
 
@@ -129,8 +117,9 @@ void TestDynamicNoSlowerThanStatic() {
       cfg.hardware.speed_variability = 0.5;
       cfg.dynamic_scheduling = dynamic;
       cfg.seed = seed;
-      auto result = Trainer::Train(ds, cfg);
+      auto result = Train(ds, cfg);
       EXPECT_TRUE(result.ok());
+      if (!result.ok()) continue;
       (dynamic ? dynamic_total : static_total) +=
           result->stats.sim.seconds;
       if (dynamic) {
@@ -150,17 +139,17 @@ void TestInvalidConfigs() {
   Dataset ds = SmallDataset();
   TrainConfig cfg = SmallConfig(Algorithm::kCpuOnly);
   cfg.hardware.num_cpu_threads = 0;
-  EXPECT_FALSE(Trainer::Train(ds, cfg).ok());
+  EXPECT_FALSE(Train(ds, cfg).ok());
   cfg = SmallConfig(Algorithm::kGpuOnly);
   cfg.hardware.num_gpus = 0;
-  EXPECT_FALSE(Trainer::Train(ds, cfg).ok());
+  EXPECT_FALSE(Train(ds, cfg).ok());
   cfg = SmallConfig(Algorithm::kHsgd);
   cfg.max_epochs = 0;
-  EXPECT_FALSE(Trainer::Train(ds, cfg).ok());
+  EXPECT_FALSE(Train(ds, cfg).ok());
   Dataset empty;
   empty.num_rows = 10;
   empty.num_cols = 10;
-  EXPECT_FALSE(Trainer::Train(empty, SmallConfig(Algorithm::kHsgd)).ok());
+  EXPECT_FALSE(Train(empty, SmallConfig(Algorithm::kHsgd)).ok());
 }
 
 }  // namespace
