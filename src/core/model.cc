@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <functional>
+#include <mutex>
+#include <queue>
 #include <utility>
 
+#include "sched/blocked_matrix.h"
 #include "util/logging.h"
 #include "util/parallel_reduce.h"
 
@@ -142,6 +147,73 @@ double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
                           static_cast<int64_t>(block.size()),
                           hyper.learning_rate, hyper.lambda_p,
                           hyper.lambda_q);
+}
+
+void SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
+                     const std::vector<int>& blocks, SgdHyper hyper,
+                     const KernelOps* ops, ThreadPool* pool) {
+  const int n = static_cast<int>(blocks.size());
+  if (n == 0) return;
+  // The dependency DAG over list positions. A block waits for its row
+  // predecessor and its column predecessor, so every block has at most
+  // one successor of each kind (a repeated block is both of them).
+  const Grid& grid = matrix.grid();
+  const int col_strata = grid.num_col_strata();
+  std::vector<int> last_in_row(grid.num_row_strata(), -1);
+  std::vector<int> last_in_col(col_strata, -1);
+  std::vector<int> row_next(n, -1), col_next(n, -1), waits(n, 0);
+  for (int i = 0; i < n; ++i) {
+    int& row_prev = last_in_row[blocks[i] / col_strata];
+    int& col_prev = last_in_col[blocks[i] % col_strata];
+    if (row_prev >= 0) {
+      row_next[row_prev] = i;
+      ++waits[i];
+    }
+    if (col_prev >= 0) {
+      col_next[col_prev] = i;
+      ++waits[i];
+    }
+    row_prev = col_prev = i;
+  }
+
+  // Lanes take the earliest ready position, so execution stays close to
+  // list order. `mu` guards `ready`, `waits` and `done`.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
+  for (int i = 0; i < n; ++i) {
+    if (waits[i] == 0) ready.push(i);
+  }
+  int done = 0;
+  auto lane = [&](int64_t, int64_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      cv.wait(lock, [&] { return !ready.empty() || done == n; });
+      if (ready.empty()) return;
+      const int i = ready.top();
+      ready.pop();
+      lock.unlock();
+      SgdUpdateBlock(model, matrix.BlockRatings(blocks[i]), hyper, ops);
+      lock.lock();
+      ++done;
+      bool wake = done == n;
+      for (int next : {row_next[i], col_next[i]}) {
+        if (next >= 0 && --waits[next] == 0) {
+          ready.push(next);
+          wake = true;
+        }
+      }
+      if (wake) cv.notify_all();
+    }
+  };
+  // One lane per pool thread plus one for the caller, which ParallelFor
+  // also runs lanes on: if no pool thread ever joins, the caller's lane
+  // still applies every block.
+  if (pool == nullptr) {
+    lane(0, 1);
+    return;
+  }
+  pool->ParallelFor(0, static_cast<int64_t>(pool->size()) + 1, 1, lane);
 }
 
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,

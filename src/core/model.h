@@ -23,6 +23,8 @@
 
 namespace hsgd {
 
+class BlockedMatrix;  // sched/blocked_matrix.h
+
 class Model {
  public:
   Model(int32_t num_rows, int32_t num_cols, int k);
@@ -118,6 +120,19 @@ struct SgdHyper {
 /// kernel variant; null means the auto-dispatched default.
 double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
                       const KernelOps* ops = nullptr);
+
+/// Apply `blocks` (block ids of `matrix`, repeats allowed) on `pool`'s
+/// threads plus the calling thread. Contract: the factors end with the
+/// same bits as calling SgdUpdateBlock on each listed block, in list
+/// order, for any pool size (null = the caller alone). Block b covers
+/// row stratum b / num_col_strata() and column stratum
+/// b % num_col_strata(); each block waits only for the last earlier
+/// listed block in its row stratum and the last in its column stratum.
+/// Any two blocks left unordered share neither stratum, so they update
+/// disjoint rows of P and of Q and commute exactly.
+void SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
+                     const std::vector<int>& blocks, SgdHyper hyper,
+                     const KernelOps* ops, ThreadPool* pool);
 
 /// Root mean squared prediction error over `ratings`. Deterministic for a
 /// given input regardless of pool size (fixed-grain chunking, in-order

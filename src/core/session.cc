@@ -770,13 +770,12 @@ StatusOr<TracePoint> Session::RunEpochImpl(
       if (!scheduler_->EpochDone()) waiting[static_cast<size_t>(w)] = 1;
       return;
     }
-    // Note the SGD arithmetic is NOT applied here: it runs when the
-    // block's release event commits, so a lease revoked in between
-    // leaves the model untouched and the requeued block applies exactly
-    // once. For conflicting blocks release order equals acquire order
-    // (strata serialization), and non-conflicting blocks touch disjoint
-    // factors, so the commit-at-release numbers are bit-identical to
-    // the old apply-at-acquire ones.
+    // Note the SGD arithmetic is NOT applied here: the block joins the
+    // epoch's commit list when its release event commits, so a lease
+    // revoked in between never reaches the model and the requeued block
+    // applies exactly once. For conflicting blocks release order equals
+    // acquire order (strata serialization), and SgdUpdateBlocks keeps
+    // that order while running non-conflicting blocks side by side.
 
     SimTime finish, next_free, proc;
     // Extra seconds faults added to this block (slowdown, failed
@@ -909,102 +908,113 @@ StatusOr<TracePoint> Session::RunEpochImpl(
     }
   };
 
-  while (!scheduler_->EpochDone()) {
-    if (pq.empty()) {
-      // Blocks are pending but nobody is left (or able) to run them.
-      failed_ = true;
-      return Status::Internal(
-          "simulation stalled: pending blocks but no live workers");
-    }
-    Event e = pq.top();
-    pq.pop();
-    if (e.kind == 0) {
-      // A release whose lease was revoked (holder died or blew the
-      // deadline) is dropped wholesale: its updates are never applied,
-      // so the requeued copy of the block applies exactly once.
-      if (!scheduler_->LeaseOutstanding(e.task.lease)) continue;
-      // The real update: the simulator decided *when*, the kernel does
-      // the arithmetic.
-      SgdUpdateBlock(model_.get(), matrix_.BlockRatings(e.task.block),
-                     hyper, kernel_ops_);
-      held.erase(e.task.lease);
-      scheduler_->Release(workers_[e.worker].info, e.task, e.time);
-      epoch_end = std::max(epoch_end, e.time);
-      // Freed strata may unblock starved workers.
-      wake_waiters(e.time);
-      ++released;
-      if (injector_ != nullptr) {
-        handle_faults(injector_->Poll(static_cast<int>(released)),
-                      e.time);
+  // The event loop only records committed blocks, in commit order.
+  // SgdUpdateBlocks then applies them on the eval pool with the same bits
+  // as applying each at its release, also after a stall or abort exit,
+  // so a failed epoch keeps what committed before the failure. The epoch
+  // barrier is still held, so no reader sees the factors mid-write.
+  std::vector<int> committed;
+  const Status simulated = [&]() -> Status {
+    while (!scheduler_->EpochDone()) {
+      if (pq.empty()) {
+        // Blocks are pending but nobody is left (or able) to run them.
+        failed_ = true;
+        return Status::Internal(
+            "simulation stalled: pending blocks but no live workers");
       }
-    } else if (e.kind == 2) {
-      // Watchdog: the lease's deadline passed. If its release already
-      // committed this is stale — ignore; otherwise revoke and requeue
-      // so a survivor picks the block up.
-      if (!scheduler_->LeaseOutstanding(e.task.lease)) continue;
-      held.erase(e.task.lease);
-      ++fault_stats_.leases_revoked;
-      obs::Increment(metric_.leases_revoked);
-      if (scheduler_->RevokeLease(e.task)) {
-        ++fault_stats_.blocks_requeued;
-        obs::Increment(metric_.blocks_requeued);
-      } else {
-        ++fault_stats_.blocks_lost;
-        obs::Increment(metric_.blocks_lost);
-      }
-      if (obs_.trace != nullptr) {
-        obs_.trace->Instant("fault", "lease_expired", TraceTidFault(),
-                            e.time,
-                            {obs::TraceArg::Int("block", e.task.block),
-                             obs::TraceArg::Int("worker", e.worker)});
-      }
-      HSGD_LOG(Warning) << "lease on block " << e.task.block
-                        << " expired at t=" << e.time
-                        << " (worker " << e.worker << "); requeued";
-      wake_waiters(e.time);
-    } else {
-      const int w = e.worker;
-      if (worker_dead_[static_cast<size_t>(w)]) continue;
-      // Degraded-mode scheduling: a worker wedged by at least the
-      // deadline factor would blow the deadline of every block it
-      // takes, so bench it — until the degradation window closes
-      // (transient straggler), or permanently, in which case the
-      // watchdog declares it dead.
-      if (deadline_factor > 0.0) {
-        const DeviceHealth& health = workers_[w].gpu != nullptr
-                                         ? workers_[w].gpu->health()
-                                         : workers_[w].cpu->health();
-        if (health.state == HealthState::kDegraded &&
-            health.SlowdownAt(e.time) >= deadline_factor) {
-          if (health.degraded_until < kSimTimeNever) {
-            Event retry;
-            retry.time = health.degraded_until;
-            retry.kind = 1;
-            retry.seq = seq++;
-            retry.worker = w;
-            pq.push(retry);
-          } else {
-            kill_worker(workers_[w].info.device_class,
-                        workers_[w].info.device_index, e.time);
-          }
-          if (failed_) {
-            return Status::Internal(
-                workers_alive_ == 0
-                    ? "all workers dead; training cannot continue"
-                    : "device lost under DegradePolicy::kAbort");
-          }
-          continue;
+      Event e = pq.top();
+      pq.pop();
+      if (e.kind == 0) {
+        // A release whose lease was revoked (holder died or blew the
+        // deadline) is dropped wholesale: its updates are never applied,
+        // so the requeued copy of the block applies exactly once.
+        if (!scheduler_->LeaseOutstanding(e.task.lease)) continue;
+        // The real update: the simulator decided *when*, the kernel does
+        // the arithmetic once the loop is over.
+        committed.push_back(e.task.block);
+        held.erase(e.task.lease);
+        scheduler_->Release(workers_[e.worker].info, e.task, e.time);
+        epoch_end = std::max(epoch_end, e.time);
+        // Freed strata may unblock starved workers.
+        wake_waiters(e.time);
+        ++released;
+        if (injector_ != nullptr) {
+          handle_faults(injector_->Poll(static_cast<int>(released)),
+                        e.time);
         }
+      } else if (e.kind == 2) {
+        // Watchdog: the lease's deadline passed. If its release already
+        // committed this is stale — ignore; otherwise revoke and requeue
+        // so a survivor picks the block up.
+        if (!scheduler_->LeaseOutstanding(e.task.lease)) continue;
+        held.erase(e.task.lease);
+        ++fault_stats_.leases_revoked;
+        obs::Increment(metric_.leases_revoked);
+        if (scheduler_->RevokeLease(e.task)) {
+          ++fault_stats_.blocks_requeued;
+          obs::Increment(metric_.blocks_requeued);
+        } else {
+          ++fault_stats_.blocks_lost;
+          obs::Increment(metric_.blocks_lost);
+        }
+        if (obs_.trace != nullptr) {
+          obs_.trace->Instant("fault", "lease_expired", TraceTidFault(),
+                              e.time,
+                              {obs::TraceArg::Int("block", e.task.block),
+                               obs::TraceArg::Int("worker", e.worker)});
+        }
+        HSGD_LOG(Warning) << "lease on block " << e.task.block
+                          << " expired at t=" << e.time
+                          << " (worker " << e.worker << "); requeued";
+        wake_waiters(e.time);
+      } else {
+        const int w = e.worker;
+        if (worker_dead_[static_cast<size_t>(w)]) continue;
+        // Degraded-mode scheduling: a worker wedged by at least the
+        // deadline factor would blow the deadline of every block it
+        // takes, so bench it — until the degradation window closes
+        // (transient straggler), or permanently, in which case the
+        // watchdog declares it dead.
+        if (deadline_factor > 0.0) {
+          const DeviceHealth& health = workers_[w].gpu != nullptr
+                                           ? workers_[w].gpu->health()
+                                           : workers_[w].cpu->health();
+          if (health.state == HealthState::kDegraded &&
+              health.SlowdownAt(e.time) >= deadline_factor) {
+            if (health.degraded_until < kSimTimeNever) {
+              Event retry;
+              retry.time = health.degraded_until;
+              retry.kind = 1;
+              retry.seq = seq++;
+              retry.worker = w;
+              pq.push(retry);
+            } else {
+              kill_worker(workers_[w].info.device_class,
+                          workers_[w].info.device_index, e.time);
+            }
+            if (failed_) {
+              return Status::Internal(
+                  workers_alive_ == 0
+                      ? "all workers dead; training cannot continue"
+                      : "device lost under DegradePolicy::kAbort");
+            }
+            continue;
+          }
+        }
+        try_acquire(w, e.time);
       }
-      try_acquire(w, e.time);
+      if (failed_) {
+        return Status::Internal(
+            workers_alive_ == 0
+                ? "all workers dead; training cannot continue"
+                : "device lost under DegradePolicy::kAbort");
+      }
     }
-    if (failed_) {
-      return Status::Internal(
-          workers_alive_ == 0
-              ? "all workers dead; training cannot continue"
-              : "device lost under DegradePolicy::kAbort");
-    }
-  }
+    return Status::Ok();
+  }();
+  SgdUpdateBlocks(model_.get(), matrix_, committed, hyper, kernel_ops_,
+                  eval_pool_.get());
+  HSGD_RETURN_IF_ERROR(simulated);
   clock_ = epoch_end;  // epoch barrier: evaluate, then start together
   if (obs_.trace != nullptr) {
     obs_.trace->Span("session", StrFormat("epoch %d", epoch), 0,

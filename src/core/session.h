@@ -13,9 +13,12 @@
 //
 // Real SGD arithmetic updates the factors (honest RMSE curves); a
 // discrete-event loop over simulated CPU threads and GPUs decides when
-// each block runs and what the virtual clock reads. Same seed + same
-// config => bit-identical traces, whether the epochs were run in one
-// process or across a checkpoint boundary.
+// each block runs and what the virtual clock reads. The loop records the
+// blocks each epoch commits, and SgdUpdateBlocks then applies them on
+// real threads, running blocks that share no row or column stratum at
+// the same time. Same seed + same config => bit-identical traces,
+// whether the epochs were run in one process or across a checkpoint
+// boundary, and at any `eval_threads`.
 
 #pragma once
 
@@ -140,7 +143,10 @@ struct TrainConfig {
   CostModelKind cost_model = CostModelKind::kOurs;
   /// HSGD*'s dynamic work-stealing phase (off = HSGD*-M).
   bool dynamic_scheduling = true;
-  /// Real threads used for RMSE evaluation (not simulated).
+  /// Real (not simulated) threads of the session's pool, capped at 16.
+  /// The pool and the calling thread run RMSE evaluation and apply each
+  /// epoch's SGD blocks; factors, traces and stats are bit-identical for
+  /// any value.
   int eval_threads = 8;
   /// Compute-kernel variant for the real SGD/RMSE arithmetic. kAuto is
   /// resolved to the best usable variant at Create time and the RESOLVED

@@ -171,14 +171,20 @@ void TestPlanParsing() {
 
 // The heart of the double-apply-safety story: attaching the fault
 // subsystem without any firing fault must reproduce the disabled run
-// bit for bit — traces, factors, stats, everything.
+// bit for bit — traces, factors, stats, everything. The pool that runs
+// the epoch's SGD blocks must not leak in either: every eval_threads
+// count gives the same run.
 void TestZeroFaultBitIdentity() {
   Dataset ds = SmallDataset();
-  for (Algorithm algorithm : {Algorithm::kHsgd, Algorithm::kHsgdStar}) {
+  for (Algorithm algorithm : {Algorithm::kCpuOnly, Algorithm::kGpuOnly,
+                              Algorithm::kHsgd, Algorithm::kHsgdStar}) {
     TrainConfig cfg = SmallConfig(algorithm);
     RunResult disabled = RunWithPlan(ds, cfg, nullptr);
     RunResult empty = RunWithPlan(ds, cfg, "");
-    RunResult silent = RunWithPlan(ds, cfg, "crash:gpu0@e99");
+    // A plan may only name devices of the session's fleet.
+    RunResult silent = RunWithPlan(
+        ds, cfg,
+        algorithm == Algorithm::kCpuOnly ? "crash:cpu0@e99" : "crash:gpu0@e99");
     EXPECT_TRUE(disabled.status.ok());
     EXPECT_TRUE(empty.status.ok());
     EXPECT_TRUE(silent.status.ok());
@@ -186,6 +192,13 @@ void TestZeroFaultBitIdentity() {
     ExpectRunsBitIdentical(disabled, silent);
     ExpectFaultStatsZero(empty.fault);
     ExpectFaultStatsZero(silent.fault);
+    for (int eval_threads : {1, 7}) {
+      TrainConfig alt = cfg;
+      alt.eval_threads = eval_threads;
+      RunResult other = RunWithPlan(ds, alt, nullptr);
+      EXPECT_TRUE(other.status.ok());
+      ExpectRunsBitIdentical(disabled, other);
+    }
   }
 }
 
@@ -291,26 +304,39 @@ void TestLinkFaults() {
 }
 
 // DegradePolicy::kAbort: the first device loss fails the session
-// permanently instead of degrading.
+// permanently instead of degrading. The blocks committed before the
+// crash still reach the model, the same way at every eval_threads count.
 void TestAbortPolicy() {
   Dataset ds = SmallDataset();
-  TrainConfig cfg = SmallConfig(Algorithm::kHsgd);
-  cfg.fault.on_device_loss = DegradePolicy::kAbort;
-  auto session = Session::Create(ds, cfg);
-  EXPECT_TRUE(session.ok());
-  if (!session.ok()) return;
-  auto plan = FaultPlan::Parse("crash:cpu0@e1+0.3");
-  EXPECT_TRUE(plan.ok());
-  EXPECT_TRUE((*session)->SetFaultPlan(*plan).ok());
-  auto point = (*session)->RunEpoch();
-  EXPECT_FALSE(point.ok());
-  EXPECT_TRUE((*session)->failed());
-  EXPECT_TRUE((*session)->Done());
-  auto again = (*session)->RunEpoch();
-  EXPECT_FALSE(again.ok());
-  if (!again.ok()) {
-    EXPECT_TRUE(again.status().code() == StatusCode::kFailedPrecondition);
+  std::vector<std::vector<float>> failed_p, failed_q;
+  for (int eval_threads : {1, 7}) {
+    TrainConfig cfg = SmallConfig(Algorithm::kHsgd);
+    cfg.fault.on_device_loss = DegradePolicy::kAbort;
+    cfg.eval_threads = eval_threads;
+    auto session = Session::Create(ds, cfg);
+    EXPECT_TRUE(session.ok());
+    if (!session.ok()) return;
+    const std::vector<float> init_p = (*session)->model().DenseP();
+    const std::vector<float> init_q = (*session)->model().DenseQ();
+    auto plan = FaultPlan::Parse("crash:cpu0@e1+0.3");
+    EXPECT_TRUE(plan.ok());
+    EXPECT_TRUE((*session)->SetFaultPlan(*plan).ok());
+    auto point = (*session)->RunEpoch();
+    EXPECT_FALSE(point.ok());
+    EXPECT_TRUE((*session)->failed());
+    EXPECT_TRUE((*session)->Done());
+    failed_p.push_back((*session)->model().DenseP());
+    failed_q.push_back((*session)->model().DenseQ());
+    EXPECT_FALSE(failed_p.back() == init_p);
+    EXPECT_FALSE(failed_q.back() == init_q);
+    auto again = (*session)->RunEpoch();
+    EXPECT_FALSE(again.ok());
+    if (!again.ok()) {
+      EXPECT_TRUE(again.status().code() == StatusCode::kFailedPrecondition);
+    }
   }
+  EXPECT_TRUE(failed_p[0] == failed_p[1]);  // bitwise factor equality
+  EXPECT_TRUE(failed_q[0] == failed_q[1]);
 }
 
 // Losing every worker is unrecoverable under any policy.

@@ -417,13 +417,15 @@ void TestBatchTopKOverTrainedFactors() {
 
 // (e) Online append: warm and cold ratings grow the session in place,
 // incremental epochs sweep only the dirty blocks, and the error paths
-// are typed.
-void TestAppendAndIncrementalEpoch() {
+// are typed. Leaves the final factors in `p` and `q`.
+void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
+                                  std::vector<float>* q) {
   Dataset ds = SmallDataset();
   const int32_t rows = ds.num_rows;
   const int32_t cols = ds.num_cols;
   TrainConfig cfg = SmallConfig(Algorithm::kHsgdStar);
   cfg.max_epochs = 50;  // headroom: incremental epochs consume budget too
+  cfg.eval_threads = eval_threads;
   auto session = Session::Create(ds, cfg);
   EXPECT_TRUE(session.ok());
   if (!session.ok()) return;
@@ -480,6 +482,24 @@ void TestAppendAndIncrementalEpoch() {
 
   // A full epoch still runs on the grown session.
   EXPECT_TRUE(s->RunEpoch().ok());
+  *p = s->model().DenseP();
+  *q = s->model().DenseQ();
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The same append sequence gives the same factor bits whatever the size
+// of the pool that runs the epochs' SGD blocks.
+void TestAppendAndIncrementalEpoch() {
+  std::vector<float> p1, q1, p7, q7;
+  RunAppendAndIncrementalEpoch(1, &p1, &q1);
+  RunAppendAndIncrementalEpoch(7, &p7, &q7);
+  EXPECT_FALSE(p1.empty());
+  EXPECT_TRUE(SameBits(p1, p7));
+  EXPECT_TRUE(SameBits(q1, q7));
 }
 
 // (f) Model::Grow: same stride, old factor bits untouched, new rows in

@@ -1,7 +1,13 @@
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "core/dataset.h"
 #include "core/model.h"
+#include "sched/blocked_matrix.h"
 #include "test_main.h"
 
 namespace hsgd {
@@ -79,6 +85,77 @@ void TestSgdReturnsSquaredError() {
   EXPECT_NEAR(Rmse(model, ds.train, nullptr), pre_rmse, 1e-12);
 }
 
+Model InitModel(const Dataset& ds) {
+  Model model(ds.num_rows, ds.num_cols, ds.params.k);
+  Rng rng(1);
+  model.InitRandom(&rng, ComputeStats(ds.train).mean_rating);
+  return model;
+}
+
+bool SameFactors(const Model& a, const Model& b) {
+  const size_t p_bytes = sizeof(float) * a.p_size();
+  const size_t q_bytes = sizeof(float) * a.q_size();
+  return a.p_size() == b.p_size() && a.q_size() == b.q_size() &&
+         std::memcmp(a.p_data(), b.p_data(), p_bytes) == 0 &&
+         std::memcmp(a.q_data(), b.q_data(), q_bytes) == 0;
+}
+
+// SgdUpdateBlocks against a plain in-order SgdUpdateBlock loop: the
+// factors must match bit for bit for every order and pool size.
+void TestParallelBlocksMatchSerialOrder() {
+  Dataset ds = TinyDataset();
+  auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols, 6, 5);
+  EXPECT_TRUE(grid.ok());
+  if (!grid.ok()) return;
+  Rng bucket_rng(2);
+  auto matrix = BlockedMatrix::Build(ds.train, *grid, &bucket_rng);
+  EXPECT_TRUE(matrix.ok());
+  if (!matrix.ok()) return;
+  EXPECT_EQ(matrix->num_blocks(), 30);
+
+  std::vector<int> ids(static_cast<size_t>(matrix->num_blocks()));
+  std::iota(ids.begin(), ids.end(), 0);
+  std::vector<std::vector<int>> orders;
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    std::vector<int> order = ids;
+    Rng rng(seed);
+    for (size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[static_cast<size_t>(
+                              rng.UniformInt(static_cast<int64_t>(i) + 1))]);
+    }
+    orders.push_back(order);
+  }
+  // A GPU pipelines two blocks of its column stripe back to back.
+  std::vector<int> pipelined = {grid->BlockIndex(0, 2),
+                                grid->BlockIndex(3, 2)};
+  for (int b : orders[0]) {
+    if (b != pipelined[0] && b != pipelined[1]) pipelined.push_back(b);
+  }
+  orders.push_back(pipelined);
+  // Two sweeps in one list: every block appears twice.
+  std::vector<int> twice = orders[1];
+  twice.insert(twice.end(), orders[2].begin(), orders[2].end());
+  orders.push_back(twice);
+  orders.push_back({});
+
+  const SgdHyper hyper{0.01f, 0.05f, 0.05f};
+  for (const std::vector<int>& order : orders) {
+    Model reference = InitModel(ds);
+    for (int b : order) {
+      SgdUpdateBlock(&reference, matrix->BlockRatings(b), hyper);
+    }
+    // Only the empty list leaves the factors as initialized.
+    EXPECT_EQ(SameFactors(reference, InitModel(ds)), order.empty());
+    for (int threads : {0, 1, 3, 7}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      Model model = InitModel(ds);
+      SgdUpdateBlocks(&model, *matrix, order, hyper, nullptr, pool.get());
+      EXPECT_TRUE(SameFactors(reference, model));
+    }
+  }
+}
+
 void TestModelInitDeterministic() {
   Model a(50, 40, 8), b(50, 40, 8);
   Rng ra(9), rb(9);
@@ -119,6 +196,7 @@ void RunAllTests() {
   TestRmseHandComputed();
   TestSgdConverges();
   TestSgdReturnsSquaredError();
+  TestParallelBlocksMatchSerialOrder();
   TestModelInitDeterministic();
   TestShuffleAndStats();
 }
