@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: the SGD
 // inner loop per kernel variant (scalar/avx2/avx512/auto — the kernel
-// dispatch suite CI uploads as BENCH_kernels.json), RMSE evaluation,
-// top-k scoring, simulator cost functions, and scheduler acquire/release
-// throughput. Kernel-variant benches are registered at runtime so
-// unsupported variants are simply absent rather than failing.
+// dispatch suite CI uploads as BENCH_kernels.json), RMSE evaluation in
+// stored and in block order, top-k scoring, simulator cost functions, and
+// scheduler acquire/release throughput. Kernel-variant benches are
+// registered at runtime so unsupported variants are simply absent rather
+// than failing.
 
 #include <benchmark/benchmark.h>
 
@@ -63,7 +64,10 @@ void BM_SgdUpdateBlock(benchmark::State& state, KernelKind kind, int k) {
   state.SetLabel(ops.name);
 }
 
-void BM_RmseKernel(benchmark::State& state, KernelKind kind) {
+/// Serial RMSE at k=128, over the ratings in stored order or, `blocked`,
+/// bucketed on a 16x16 balanced grid and read block by block the way the
+/// session evaluates its training split.
+void BM_RmseKernel(benchmark::State& state, KernelKind kind, bool blocked) {
   auto resolved = ResolveKernelKind(kind);
   HSGD_CHECK_OK(resolved.status());
   const KernelOps& ops = GetKernelOps(*resolved);
@@ -71,8 +75,13 @@ void BM_RmseKernel(benchmark::State& state, KernelKind kind) {
   Model model(ds.num_rows, ds.num_cols, 128);
   Rng rng(1);
   model.InitRandom(&rng, 3.0);
+  auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols, 16, 16);
+  HSGD_CHECK_OK(grid.status());
+  auto matrix = BlockedMatrix::Build(ds.train, *grid, &rng);
+  HSGD_CHECK_OK(matrix.status());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Rmse(model, ds.train, nullptr, &ops));
+    benchmark::DoNotOptimize(blocked ? Rmse(model, *matrix, nullptr, &ops)
+                                     : Rmse(model, ds.train, nullptr, &ops));
   }
   const int64_t items =
       state.iterations() * static_cast<int64_t>(ds.train.size());
@@ -230,9 +239,13 @@ void RegisterKernelVariantBenches() {
             BM_SgdUpdateBlock(state, kind, k);
           });
     }
-    benchmark::RegisterBenchmark(
-        ("BM_Rmse/" + variant).c_str(),
-        [kind](benchmark::State& state) { BM_RmseKernel(state, kind); });
+    for (bool blocked : {false, true}) {
+      benchmark::RegisterBenchmark(
+          ((blocked ? "BM_RmseBlocked/" : "BM_Rmse/") + variant).c_str(),
+          [kind, blocked](benchmark::State& state) {
+            BM_RmseKernel(state, kind, blocked);
+          });
+    }
     benchmark::RegisterBenchmark(
         ("BM_BatchTopK/" + variant + "/100").c_str(),
         [kind](benchmark::State& state) { BM_BatchTopK(state, kind); });

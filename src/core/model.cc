@@ -216,18 +216,60 @@ void SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
   pool->ParallelFor(0, static_cast<int64_t>(pool->size()) + 1, 1, lane);
 }
 
-double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
-            const KernelOps* ops) {
+namespace {
+
+/// Most ratings summed into one RMSE partial.
+constexpr int64_t kRmseGrain = 65536;
+
+struct RatingChunk {
+  const Rating* data = nullptr;
+  int64_t size = 0;
+};
+
+/// Append `ratings` to `chunks` as consecutive runs of at most kRmseGrain.
+void AppendChunks(const Ratings& ratings, std::vector<RatingChunk>* chunks) {
   const int64_t n = static_cast<int64_t>(ratings.size());
+  for (int64_t lo = 0; lo < n; lo += kRmseGrain) {
+    chunks->push_back({ratings.data() + lo, std::min(kRmseGrain, n - lo)});
+  }
+}
+
+/// RMSE over `n` ratings split into `chunks`: one partial per chunk,
+/// added in list order, so the bits depend on the list and not the pool.
+double ChunkedRmse(const Model& model, const std::vector<RatingChunk>& chunks,
+                   int64_t n, ThreadPool* pool, const KernelOps* ops) {
   if (n == 0) return 0.0;
   const KernelOps& kernel = Resolve(ops);
-  const double sq_err =
-      ParallelReduce(pool, n, /*grain=*/65536, [&](int64_t lo, int64_t hi) {
+  const double sq_err = ParallelReduce(
+      pool, static_cast<int64_t>(chunks.size()), /*grain=*/1,
+      [&](int64_t i, int64_t) {
+        const RatingChunk& chunk = chunks[static_cast<size_t>(i)];
         return kernel.sq_err_block(model.p_data(), model.q_data(),
-                                   model.stride(), model.k(),
-                                   ratings.data() + lo, hi - lo);
+                                   model.stride(), model.k(), chunk.data,
+                                   chunk.size);
       });
   return std::sqrt(sq_err / static_cast<double>(n));
+}
+
+}  // namespace
+
+double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
+            const KernelOps* ops) {
+  std::vector<RatingChunk> chunks;
+  AppendChunks(ratings, &chunks);
+  return ChunkedRmse(model, chunks, static_cast<int64_t>(ratings.size()),
+                     pool, ops);
+}
+
+double Rmse(const Model& model, const BlockedMatrix& matrix, ThreadPool* pool,
+            const KernelOps* ops) {
+  // Chunks never span two blocks, so each partial reads the P rows of one
+  // row stratum and the Q rows of one column stratum.
+  std::vector<RatingChunk> chunks;
+  for (int b = 0; b < matrix.num_blocks(); ++b) {
+    AppendChunks(matrix.BlockRatings(b), &chunks);
+  }
+  return ChunkedRmse(model, chunks, matrix.total_nnz(), pool, ops);
 }
 
 }  // namespace hsgd

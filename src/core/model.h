@@ -141,4 +141,14 @@ void SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
             const KernelOps* ops = nullptr);
 
+/// Root mean squared prediction error over every rating of `matrix`,
+/// evaluated block by block in block-id order, so each partial sum reads
+/// one block's factor rows (cache-local like the SGD sweep). Contract:
+/// equals the ratings-list Rmse over the matrix's ratings up to float
+/// summation order, and has the same bits for any pool size (null = the
+/// caller alone). A block larger than the ratings-list grain splits into
+/// several partials, so a 1x1 grid still spreads over the pool.
+double Rmse(const Model& model, const BlockedMatrix& matrix, ThreadPool* pool,
+            const KernelOps* ops = nullptr);
+
 }  // namespace hsgd

@@ -1023,8 +1023,11 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   }
   obs::Observe(metric_.epoch_seconds, epoch_end - epoch_start);
 
-  double train_rmse =
-      Rmse(*model_, dataset_.train, eval_pool_.get(), kernel_ops_);
+  // The blocked matrix holds exactly the training ratings (Build rejects
+  // out-of-extent ratings, appends land on block tails), so evaluating it
+  // block by block covers the same multiset with cache-local reads.
+  assert(matrix_.total_nnz() == dataset_.train_size());
+  double train_rmse = Rmse(*model_, matrix_, eval_pool_.get(), kernel_ops_);
   double test_rmse =
       dataset_.test.empty()
           ? train_rmse
@@ -1132,6 +1135,10 @@ Status Session::AppendRatings(const Ratings& ratings) {
                rating_sum_ / static_cast<double>(rating_count_));
   HSGD_RETURN_IF_ERROR(
       matrix_.AppendGrown(ratings, new_rows, new_cols, &dirty_));
+  {
+    std::lock_guard<std::mutex> lock(fingerprint_mu_);
+    fingerprint_.reset();
+  }
   dataset_.train.insert(dataset_.train.end(), ratings.begin(),
                         ratings.end());
   dataset_.num_rows = new_rows;
@@ -1204,7 +1211,14 @@ Status Session::SaveCheckpoint(const std::string& path,
                                uint64_t wal_seq) const {
   SessionCheckpoint ckpt;
   ckpt.config = config_;
-  ckpt.dataset = FingerprintDataset(dataset_);
+  {
+    std::lock_guard<std::mutex> lock(fingerprint_mu_);
+    if (fingerprint_ == nullptr) {
+      fingerprint_ =
+          std::make_unique<DatasetFingerprint>(FingerprintDataset(dataset_));
+    }
+    ckpt.dataset = *fingerprint_;
+  }
   ckpt.epochs_run = epochs_run_;
   ckpt.reached_target = reached_target_;
   ckpt.sim_clock = clock_;

@@ -172,6 +172,10 @@ struct TracePoint {
   int epoch = 0;
   SimTime time = 0.0;
   double test_rmse = 0.0;
+  /// RMSE over the whole training split, summed block by block in grid
+  /// order over the session's blocked matrix (see the BlockedMatrix
+  /// overload of Rmse). It equals the ratings-list Rmse over
+  /// dataset().train up to float summation order.
   double train_rmse = 0.0;
 };
 
@@ -231,7 +235,8 @@ struct TrainResult {
 };
 
 class Session;
-struct SessionCheckpoint;  // core/checkpoint.h
+struct DatasetFingerprint;  // core/checkpoint.h
+struct SessionCheckpoint;   // core/checkpoint.h
 
 /// Callback interface for watching a session's progress without owning
 /// the epoch loop (bench output, serving-side refresh hooks, progress
@@ -561,6 +566,11 @@ class Session {
   /// must exclude epochs) and by AppendRatings; try-locked by
   /// VisitQuiesced.
   mutable std::mutex epoch_mu_;
+  /// FingerprintDataset(dataset_), filled by the first SaveCheckpoint and
+  /// dropped by AppendRatings, the only code that mutates dataset_. Lock
+  /// order: epoch_mu_, then fingerprint_mu_.
+  mutable std::mutex fingerprint_mu_;
+  mutable std::unique_ptr<DatasetFingerprint> fingerprint_;
   /// Per-block dirty bits set by AppendRatings, cleared by any
   /// successful epoch (a full sweep covers every dirty block too).
   std::vector<uint8_t> dirty_;

@@ -1,7 +1,8 @@
 // Session API tests: stepwise epochs must be bit-identical to a one-shot
 // run, checkpoint/restore must reproduce an uninterrupted run exactly,
-// observers must see every epoch, and BatchTopK over the trained factors
-// must agree with a brute-force scorer.
+// observers must see every epoch, train RMSE must cover exactly the
+// training split, and BatchTopK over the trained factors must agree with
+// a brute-force scorer.
 
 #include <cmath>
 #include <cstdio>
@@ -296,6 +297,56 @@ class CountingObserver : public EpochObserver {
   int target_epoch = 0;
 };
 
+// Checks each epoch's train_rmse against the ratings-list Rmse over the
+// session's whole training split. The session evaluates its blocked
+// matrix instead, so only the summation order may differ; a dropped or
+// doubled block moves the value by far more than the tolerance.
+class TrainRmseObserver : public EpochObserver {
+ public:
+  void OnEpochEnd(const Session& session, const TracePoint& point) override {
+    const double reference =
+        Rmse(session.model(), session.dataset().train, nullptr,
+             &GetKernelOps(session.kernel()));
+    EXPECT_NEAR(point.train_rmse, reference, 1e-12 * reference);
+    ++checked;
+  }
+  int checked = 0;
+};
+
+// Every algorithm's train_rmse covers exactly the training split, at
+// eval_threads 1 and 7. The data has SmallDataset's shape but more
+// ratings than one RMSE partial sum holds, so GPU-Only's single block is
+// evaluated in several chunks.
+void TestTrainRmseCoversTrainingSet() {
+  SyntheticSpec spec;
+  spec.num_rows = 600;
+  spec.num_cols = 500;
+  spec.train_nnz = 100000;
+  spec.test_nnz = 4000;
+  spec.params.k = 16;
+  spec.params.learning_rate = 0.01f;
+  spec.noise_stddev = 0.3;
+  auto ds = GenerateSynthetic(spec, 5);
+  EXPECT_TRUE(ds.ok());
+  if (!ds.ok()) return;
+  for (Algorithm algorithm :
+       {Algorithm::kCpuOnly, Algorithm::kGpuOnly, Algorithm::kHsgd,
+        Algorithm::kHsgdStar}) {
+    for (int eval_threads : {1, 7}) {
+      TrainConfig cfg = SmallConfig(algorithm);
+      cfg.max_epochs = 3;
+      cfg.eval_threads = eval_threads;
+      TrainRmseObserver observer;
+      auto session = Session::Create(*ds, cfg);
+      EXPECT_TRUE(session.ok());
+      if (!session.ok()) continue;
+      (*session)->AddObserver(&observer);
+      EXPECT_TRUE((*session)->RunToCompletion().ok());
+      EXPECT_EQ(observer.checked, cfg.max_epochs);
+    }
+  }
+}
+
 void TestObservers() {
   Dataset ds = SmallDataset();
   TrainConfig cfg = SmallConfig(Algorithm::kHsgdStar);
@@ -426,10 +477,12 @@ void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
   TrainConfig cfg = SmallConfig(Algorithm::kHsgdStar);
   cfg.max_epochs = 50;  // headroom: incremental epochs consume budget too
   cfg.eval_threads = eval_threads;
+  TrainRmseObserver train_rmse;
   auto session = Session::Create(ds, cfg);
   EXPECT_TRUE(session.ok());
   if (!session.ok()) return;
   Session* s = session->get();
+  s->AddObserver(&train_rmse);
   EXPECT_TRUE(s->RunEpoch().ok());
 
   // Nothing pending: the incremental epoch refuses, typed.
@@ -482,6 +535,7 @@ void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
 
   // A full epoch still runs on the grown session.
   EXPECT_TRUE(s->RunEpoch().ok());
+  EXPECT_EQ(train_rmse.checked, s->epochs_run());
   *p = s->model().DenseP();
   *q = s->model().DenseQ();
 }
@@ -567,6 +621,9 @@ void TestGrownCheckpointRoundTrip() {
   if (!session.ok()) return;
   Session* s = session->get();
   EXPECT_TRUE(s->RunEpoch().ok());
+  // A save before the append, so the append lands on a cached dataset
+  // fingerprint that it must drop.
+  EXPECT_TRUE(s->SaveCheckpoint(path).ok());
   Ratings grow = {{rows, 10, 4.0f}, {rows + 1, cols + 2, 3.0f},
                   {5, cols, 2.0f}};
   EXPECT_TRUE(s->AppendRatings(grow).ok());
@@ -657,6 +714,7 @@ void RunAllTests() {
   TestRestoreRejectsWrongDataset();
   TestCheckpointCorruptionRejected();
   TestObservers();
+  TestTrainRmseCoversTrainingSet();
   TestCreateValidation();
   TestBatchTopKOverTrainedFactors();
   TestAppendAndIncrementalEpoch();
