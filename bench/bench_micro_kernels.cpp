@@ -155,7 +155,7 @@ void BM_UniformSchedulerAcquireRelease(benchmark::State& state) {
   Rng rng(3);
   auto matrix = BlockedMatrix::Build(ds.train, *grid, &rng);
   HSGD_CHECK_OK(matrix.status());
-  UniformScheduler scheduler(&*matrix, &*grid, {}, Rng(5));
+  UniformScheduler scheduler(&*matrix, &*grid, Rng(5));
   WorkerInfo worker{DeviceClass::kCpuThread, 0, 0};
   scheduler.BeginEpoch();
   for (auto _ : state) {

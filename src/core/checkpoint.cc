@@ -370,13 +370,10 @@ Status WriteCheckpoint(const std::string& path,
 
 namespace {
 
-/// Shared reader behind ReadCheckpoint and ReadFactorSnapshot. With
-/// `factors_only` the GPU pipeline state and the accumulated trace are
-/// fseek'd over instead of materialized (their lengths are validated
-/// either way); everything else — header, config, fingerprint, factor
-/// sizes — gets the identical loud validation.
+/// ReadCheckpoint's body over an open file: header, config, fingerprint,
+/// session state and factors, each validated loudly.
 Status ReadCheckpointBody(FILE* f, const std::string& path,
-                          bool factors_only, SessionCheckpoint* out) {
+                          SessionCheckpoint* out) {
   Reader r(f);
   SessionCheckpoint& ckpt = *out;
   Status error = Status::Ok();
@@ -422,8 +419,7 @@ Status ReadCheckpointBody(FILE* f, const std::string& path,
     ckpt.scheduler_rng.spare = r.F64();
     ckpt.stolen_by_gpus = r.I64();
     ckpt.stolen_by_cpus = r.I64();
-    // v5 growth state (fixed size, so the factors-only fast path reads
-    // it too rather than special-casing a seek).
+    // v5 growth state.
     for (int i = 0; i < 4; ++i) ckpt.growth_rng.s[i] = r.U64();
     ckpt.growth_rng.has_spare = r.U8() != 0;
     ckpt.growth_rng.spare = r.F64();
@@ -432,19 +428,11 @@ Status ReadCheckpointBody(FILE* f, const std::string& path,
     ckpt.wal_seq = r.U64();
     const uint64_t num_gpus = r.U64();
     if (r.ok() && num_gpus <= 4096) {
-      if (factors_only) {
-        // 3 doubles of stream state per GPU; serving has no use for them.
-        if (std::fseek(f, static_cast<long>(num_gpus * 3 * sizeof(double)),
-                       SEEK_CUR) != 0) {
-          r.Fail();
-        }
-      } else {
-        ckpt.gpu_streams.resize(num_gpus);
-        for (GpuStreamState& s : ckpt.gpu_streams) {
-          s.h2d_free = r.F64();
-          s.kernel_free = r.F64();
-          s.d2h_free = r.F64();
-        }
+      ckpt.gpu_streams.resize(num_gpus);
+      for (GpuStreamState& s : ckpt.gpu_streams) {
+        s.h2d_free = r.F64();
+        s.kernel_free = r.F64();
+        s.d2h_free = r.F64();
       }
     } else {
       error = Status::InvalidArgument(
@@ -466,21 +454,12 @@ Status ReadCheckpointBody(FILE* f, const std::string& path,
     const uint64_t num_points = r.U64();
     if (r.ok() &&
         num_points == static_cast<uint64_t>(ckpt.epochs_run)) {
-      // One I32 + three F64 per serialized TracePoint.
-      constexpr uint64_t kPointBytes = 4 + 3 * sizeof(double);
-      if (factors_only) {
-        if (std::fseek(f, static_cast<long>(num_points * kPointBytes),
-                       SEEK_CUR) != 0) {
-          r.Fail();
-        }
-      } else {
-        ckpt.trace.resize(num_points);
-        for (TracePoint& p : ckpt.trace) {
-          p.epoch = r.I32();
-          p.time = r.F64();
-          p.test_rmse = r.F64();
-          p.train_rmse = r.F64();
-        }
+      ckpt.trace.resize(num_points);
+      for (TracePoint& p : ckpt.trace) {
+        p.epoch = r.I32();
+        p.time = r.F64();
+        p.test_rmse = r.F64();
+        p.train_rmse = r.F64();
       }
     } else {
       error = Status::InvalidArgument(StrFormat(
@@ -522,31 +501,10 @@ StatusOr<SessionCheckpoint> ReadCheckpoint(const std::string& path) {
         StrFormat("checkpoint '%s' does not exist", path.c_str()));
   }
   SessionCheckpoint ckpt;
-  const Status status =
-      ReadCheckpointBody(f, path, /*factors_only=*/false, &ckpt);
+  const Status status = ReadCheckpointBody(f, path, &ckpt);
   std::fclose(f);
   if (!status.ok()) return status;
   return ckpt;
-}
-
-StatusOr<FactorCheckpoint> ReadFactorSnapshot(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound(
-        StrFormat("checkpoint '%s' does not exist", path.c_str()));
-  }
-  SessionCheckpoint ckpt;
-  const Status status =
-      ReadCheckpointBody(f, path, /*factors_only=*/true, &ckpt);
-  std::fclose(f);
-  if (!status.ok()) return status;
-  FactorCheckpoint factors;
-  factors.config = std::move(ckpt.config);
-  factors.dataset = ckpt.dataset;
-  factors.epochs_run = ckpt.epochs_run;
-  factors.p = std::move(ckpt.p);
-  factors.q = std::move(ckpt.q);
-  return factors;
 }
 
 }  // namespace hsgd

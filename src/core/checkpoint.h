@@ -136,28 +136,6 @@ Status WriteCheckpoint(const std::string& path,
 /// version-mismatched one.
 StatusOr<SessionCheckpoint> ReadCheckpoint(const std::string& path);
 
-/// What serving needs out of a checkpoint: the trained factors, the
-/// identity of the data they came from, and the config they were trained
-/// under (notably the resolved kernel, for bitwise score parity with the
-/// training-time predictions).
-struct FactorCheckpoint {
-  TrainConfig config;
-  DatasetFingerprint dataset;
-  int32_t epochs_run = 0;
-  /// Row-major dense factors (num_rows*k / num_cols*k floats).
-  std::vector<float> p;
-  std::vector<float> q;
-};
-
-/// Factors-only fast path over the same file format: validates the
-/// header, config and structural sizes exactly like ReadCheckpoint
-/// (magic/version/fingerprint mismatches fail just as loudly), but seeks
-/// past the resumable session state — RNG streams, GPU pipeline state,
-/// the accumulated trace — instead of materializing it, and needs no
-/// Dataset or Session rebuild afterwards. This is what a serving restart
-/// pays: read the factors, build a FactorSnapshot, done.
-StatusOr<FactorCheckpoint> ReadFactorSnapshot(const std::string& path);
-
 /// Test-only failpoint simulating a short write / ENOSPC: subsequent
 /// WriteCheckpoint calls fail once they have written `bytes` bytes of
 /// the temp file (0 fails immediately). The write error surfaces as an

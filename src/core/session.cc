@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <queue>
 #include <utility>
 
@@ -47,27 +46,28 @@ SimTime Trace::TimeToReach(double rmse) const {
 
 namespace {
 
-/// Heap events: a worker's task completing (kind 0, releases strata), a
-/// worker becoming ready to acquire (kind 1), or a lease deadline
-/// expiring (kind 2). At equal times releases sort first so freed strata
-/// are visible, then deadlines (a lease that completes exactly at its
-/// deadline wins), then acquires; seq keeps the order fully
-/// deterministic. Deadline events are pushed lazily — only when a
-/// block's actual finish already overshoots the deadline — so a
-/// fault-free epoch's event sequence is exactly the pre-fault one.
+/// Heap event kinds, declared in the order they are handled at equal
+/// times: a worker's task completing releases its strata first, so freed
+/// strata are visible; then a lease deadline expires (a lease that
+/// completes exactly at its deadline wins); then a worker becomes ready
+/// to acquire. Deadline events are pushed lazily — only when a block's
+/// actual finish already overshoots the deadline — so a fault-free
+/// epoch's event sequence is exactly the pre-fault one.
+enum class EventKind { kRelease, kExpire, kReady };
+
+/// `seq` keeps the heap order fully deterministic.
 struct Event {
   SimTime time = 0.0;
-  int kind = 1;
+  EventKind kind = EventKind::kReady;
   int64_t seq = 0;
   int worker = 0;
   BlockTask task;
 };
 
 struct EventLater {
-  static int Rank(int kind) { return kind == 0 ? 0 : kind == 2 ? 1 : 2; }
   bool operator()(const Event& a, const Event& b) const {
     if (a.time != b.time) return a.time > b.time;
-    if (a.kind != b.kind) return Rank(a.kind) > Rank(b.kind);
+    if (a.kind != b.kind) return a.kind > b.kind;
     return a.seq > b.seq;
   }
 };
@@ -291,8 +291,7 @@ Status Session::Init() {
         &matrix_, &matrix_.grid(), opts, Rng(config_.seed, 3));
   } else {
     scheduler_ = std::make_unique<UniformScheduler>(
-        &matrix_, &matrix_.grid(), UniformSchedulerOptions{},
-        Rng(config_.seed, 3));
+        &matrix_, &matrix_.grid(), Rng(config_.seed, 3));
   }
 
   // ---- Simulated workers -------------------------------------------------
@@ -333,7 +332,6 @@ Status Session::Init() {
   eval_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(
       std::min(16, std::max(1, config_.eval_threads))));
 
-  worker_dead_.assign(workers_.size(), 0);
   workers_alive_ = static_cast<int>(workers_.size());
   retry_rng_ = Rng(config_.seed, 23);
   growth_rng_ = Rng(config_.seed, 29);
@@ -542,93 +540,95 @@ StatusOr<TracePoint> Session::RunEpochImpl(
 
   std::priority_queue<Event, std::vector<Event>, EventLater> pq;
   int64_t seq = 0;
+  auto push = [&](SimTime time, EventKind kind, int worker,
+                  const BlockTask& task = BlockTask()) {
+    pq.push(Event{time, kind, seq++, worker, task});
+  };
   std::vector<char> waiting(static_cast<size_t>(num_workers), 0);
   SimTime epoch_end = epoch_start;
-  /// Leases currently held: lease id -> (task, worker). Ordered so that
-  /// a device death revokes its leases in issue order, deterministically.
-  std::map<int64_t, std::pair<BlockTask, int>> held;
   int64_t released = 0;
 
+  // Only live workers wait: kill_worker clears a dead worker's flag.
   auto wake_waiters = [&](SimTime now) {
     for (int w = 0; w < num_workers; ++w) {
-      if (!waiting[static_cast<size_t>(w)] ||
-          worker_dead_[static_cast<size_t>(w)]) {
-        continue;
-      }
+      if (!waiting[static_cast<size_t>(w)]) continue;
       waiting[static_cast<size_t>(w)] = 0;
-      Event retry;
-      retry.time = now;
-      retry.kind = 1;
-      retry.seq = seq++;
-      retry.worker = w;
-      pq.push(retry);
+      push(now, EventKind::kReady, w);
     }
   };
 
-  auto kill_worker = [&](DeviceClass cls, int index, SimTime now) {
-    for (int w = 0; w < num_workers; ++w) {
-      Worker& worker = workers_[w];
-      if (worker.info.device_class != cls ||
-          worker.info.device_index != index) {
-        continue;
-      }
-      if (worker_dead_[static_cast<size_t>(w)]) return;
-      worker_dead_[static_cast<size_t>(w)] = 1;
-      waiting[static_cast<size_t>(w)] = 0;
-      --workers_alive_;
-      ++fault_stats_.devices_lost;
-      fault_stats_.degraded = true;
-      obs::Increment(metric_.devices_lost);
-      if (obs_.trace != nullptr) {
-        obs_.trace->Instant(
-            "fault", "device_lost", TraceTidFault(), now,
-            {obs::TraceArg::Str(
-                 "device",
-                 StrFormat("%s%d", cls == DeviceClass::kGpu ? "gpu" : "cpu",
-                           index)),
-             obs::TraceArg::Int("workers_alive", workers_alive_)});
-      }
-      if (worker.gpu != nullptr) worker.gpu->set_health(MakeDead());
-      if (worker.cpu != nullptr) worker.cpu->set_health(MakeDead());
-      scheduler_->MarkWorkerDead(worker.info);
-      // Revoke the dead worker's in-flight leases in issue order; their
-      // pending release events turn into no-ops (LeaseOutstanding is
-      // checked before any update is applied), so nothing the dead
-      // device "finished" after this instant reaches the model.
-      std::vector<int64_t> revoke;
-      for (const auto& [lease, rec] : held) {
-        if (rec.second == w) revoke.push_back(lease);
-      }
-      for (int64_t lease : revoke) {
-        const BlockTask task = held[lease].first;
-        held.erase(lease);
-        ++fault_stats_.leases_revoked;
-        obs::Increment(metric_.leases_revoked);
-        if (scheduler_->RevokeLease(task)) {
-          ++fault_stats_.blocks_requeued;
-          obs::Increment(metric_.blocks_requeued);
-        } else {
-          ++fault_stats_.blocks_lost;
-          obs::Increment(metric_.blocks_lost);
-        }
-        if (obs_.trace != nullptr) {
-          obs_.trace->Instant("fault", "lease_revoked", TraceTidFault(),
-                              now,
-                              {obs::TraceArg::Int("block", task.block)});
-        }
-      }
-      HSGD_LOG(Warning) << (cls == DeviceClass::kGpu ? "gpu" : "cpu")
-                        << index << " died at t=" << now << " (epoch "
-                        << epoch << "): revoked " << revoke.size()
-                        << " leases, " << workers_alive_
-                        << " workers remain";
-      if (config_.fault.on_device_loss == DegradePolicy::kAbort ||
-          workers_alive_ == 0) {
-        failed_ = true;
-      }
-      wake_waiters(now);
-      return;
+  auto failure = [&] {
+    return Status::Internal(workers_alive_ == 0
+                                ? "all workers dead; training cannot continue"
+                                : "device lost under DegradePolicy::kAbort");
+  };
+
+  // Take back an outstanding lease whose holder died or blew its
+  // deadline; true when its block was requeued, false when dropped. The
+  // lease's pending release turns into a no-op (the event loop drops
+  // events of leases no longer outstanding), so nothing the holder
+  // "finished" after `now` reaches the model.
+  auto revoke = [&](const BlockTask& task, SimTime now, const char* why) {
+    ++fault_stats_.leases_revoked;
+    obs::Increment(metric_.leases_revoked);
+    const bool requeued = scheduler_->RevokeLease(task);
+    if (requeued) {
+      ++fault_stats_.blocks_requeued;
+      obs::Increment(metric_.blocks_requeued);
+    } else {
+      ++fault_stats_.blocks_lost;
+      obs::Increment(metric_.blocks_lost);
     }
+    if (obs_.trace != nullptr) {
+      obs_.trace->Instant("fault", why, TraceTidFault(), now,
+                          {obs::TraceArg::Int("block", task.block),
+                           obs::TraceArg::Int("worker", task.worker)});
+    }
+    return requeued;
+  };
+
+  auto kill_worker = [&](int w, SimTime now) {
+    Worker& worker = workers_[w];
+    if (worker.health().dead()) return;
+    worker.set_health(MakeDead());
+    waiting[static_cast<size_t>(w)] = 0;
+    --workers_alive_;
+    ++fault_stats_.devices_lost;
+    fault_stats_.degraded = true;
+    obs::Increment(metric_.devices_lost);
+    const std::string device = StrFormat(
+        "%s%d", worker.info.device_class == DeviceClass::kGpu ? "gpu" : "cpu",
+        worker.info.device_index);
+    if (obs_.trace != nullptr) {
+      obs_.trace->Instant(
+          "fault", "device_lost", TraceTidFault(), now,
+          {obs::TraceArg::Str("device", device),
+           obs::TraceArg::Int("workers_alive", workers_alive_)});
+    }
+    scheduler_->MarkWorkerDead(worker.info);
+    const std::vector<BlockTask> leases = scheduler_->LeasesHeldBy(w);
+    for (const BlockTask& task : leases) revoke(task, now, "lease_revoked");
+    HSGD_LOG(Warning) << device << " died at t=" << now << " (epoch "
+                      << epoch << "): revoked " << leases.size()
+                      << " leases, " << workers_alive_ << " workers remain";
+    if (config_.fault.on_device_loss == DegradePolicy::kAbort ||
+        workers_alive_ == 0) {
+      failed_ = true;
+    }
+    wake_waiters(now);
+  };
+
+  // The worker running the device a fault names. SetFaultPlan rejects
+  // faults naming a device outside the fleet.
+  auto worker_of = [&](const FaultSpec& spec) {
+    int w = 0;
+    while (w < num_workers &&
+           (workers_[w].info.device_class != spec.device_class ||
+            workers_[w].info.device_index != spec.device_index)) {
+      ++w;
+    }
+    HSGD_CHECK(w < num_workers) << "no worker runs " << spec.ToString();
+    return w;
   };
 
   auto handle_faults = [&](const std::vector<const FaultSpec*>& fired,
@@ -637,40 +637,28 @@ StatusOr<TracePoint> Session::RunEpochImpl(
       switch (spec->kind) {
         case FaultKind::kGpuCrash:
         case FaultKind::kCpuCrash:
-          kill_worker(spec->device_class, spec->device_index, now);
+          kill_worker(worker_of(*spec), now);
           break;
         case FaultKind::kStraggler: {
           fault_stats_.degraded = true;
-          const DeviceHealth health =
-              MakeDegraded(spec->slowdown, now, spec->duration);
-          for (int w = 0; w < num_workers; ++w) {
-            if (workers_[w].info.device_class != spec->device_class ||
-                workers_[w].info.device_index != spec->device_index ||
-                worker_dead_[static_cast<size_t>(w)]) {
-              continue;
-            }
-            if (workers_[w].gpu != nullptr) {
-              workers_[w].gpu->set_health(health);
-            }
-            if (workers_[w].cpu != nullptr) {
-              workers_[w].cpu->set_health(health);
-            }
-            HSGD_LOG(Warning)
-                << "straggler fault: " << spec->ToString() << " at t="
-                << now;
-            if (obs_.trace != nullptr) {
-              // A bounded degradation window renders as a span over its
-              // duration; an open-ended one as an instant marker.
-              const int tid = TraceTidForWorker(workers_[w].info.worker_index);
-              std::vector<obs::TraceArg> args = {
-                  obs::TraceArg::Double("slowdown", spec->slowdown)};
-              if (spec->duration < kSimTimeNever) {
-                obs_.trace->Span("fault", "straggler", tid, now,
-                                 now + spec->duration, std::move(args));
-              } else {
-                obs_.trace->Instant("fault", "straggler", tid, now,
-                                    std::move(args));
-              }
+          const int w = worker_of(*spec);
+          if (workers_[w].health().dead()) break;
+          workers_[w].set_health(
+              MakeDegraded(spec->slowdown, now, spec->duration));
+          HSGD_LOG(Warning) << "straggler fault: " << spec->ToString()
+                            << " at t=" << now;
+          if (obs_.trace != nullptr) {
+            // A bounded degradation window renders as a span over its
+            // duration; an open-ended one as an instant marker.
+            const int tid = TraceTidForWorker(w);
+            std::vector<obs::TraceArg> args = {
+                obs::TraceArg::Double("slowdown", spec->slowdown)};
+            if (spec->duration < kSimTimeNever) {
+              obs_.trace->Span("fault", "straggler", tid, now,
+                               now + spec->duration, std::move(args));
+            } else {
+              obs_.trace->Instant("fault", "straggler", tid, now,
+                                  std::move(args));
             }
           }
           break;
@@ -710,12 +698,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   if (injector_ != nullptr) {
     injector_->BeginEpoch(epoch, scheduler_->remaining_blocks());
     handle_faults(injector_->Poll(0), epoch_start);
-    if (failed_) {
-      return Status::Internal(
-          workers_alive_ == 0
-              ? "all workers dead; training cannot continue"
-              : "device lost under DegradePolicy::kAbort");
-    }
+    if (failed_) return failure();
   }
 
   // Resident-factor uploads. GPU-Only keeps everything in device memory
@@ -747,13 +730,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   hyper.lambda_q = dataset_.params.lambda_q;
 
   for (int w = 0; w < num_workers; ++w) {
-    if (worker_dead_[static_cast<size_t>(w)]) continue;
-    Event e;
-    e.time = epoch_start;
-    e.kind = 1;
-    e.seq = seq++;
-    e.worker = w;
-    pq.push(e);
+    if (!workers_[w].health().dead()) push(epoch_start, EventKind::kReady, w);
   }
   // Cross-device column-stripe coherence during the dynamic phase:
   // the first CPU steal from a GPU stripe pulls its resident column
@@ -872,21 +849,8 @@ StatusOr<TracePoint> Session::RunEpochImpl(
     obs::Add(metric_.nnz, task->nnz);
     obs::Observe(metric_.block_seconds, duration);
 
-    held[task->lease] = {*task, w};
-
-    Event release;
-    release.time = finish;
-    release.kind = 0;
-    release.seq = seq++;
-    release.worker = w;
-    release.task = *task;
-    pq.push(release);
-    Event ready;
-    ready.time = next_free;
-    ready.kind = 1;
-    ready.seq = seq++;
-    ready.worker = w;
-    pq.push(ready);
+    push(finish, EventKind::kRelease, w, *task);
+    push(next_free, EventKind::kReady, w);
 
     // Lease watchdog: arm a deadline only when the block is ALREADY
     // going to overshoot it (a fault is in effect). A healthy block has
@@ -896,15 +860,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
       const SimTime healthy_finish = finish - excess;
       const SimTime deadline =
           now + deadline_factor * std::max(healthy_finish - now, 1e-9);
-      if (finish > deadline) {
-        Event expiry;
-        expiry.time = deadline;
-        expiry.kind = 2;
-        expiry.seq = seq++;
-        expiry.worker = w;
-        expiry.task = *task;
-        pq.push(expiry);
-      }
+      if (finish > deadline) push(deadline, EventKind::kExpire, w, *task);
     }
   };
 
@@ -924,15 +880,18 @@ StatusOr<TracePoint> Session::RunEpochImpl(
       }
       Event e = pq.top();
       pq.pop();
-      if (e.kind == 0) {
-        // A release whose lease was revoked (holder died or blew the
-        // deadline) is dropped wholesale: its updates are never applied,
-        // so the requeued copy of the block applies exactly once.
-        if (!scheduler_->LeaseOutstanding(e.task.lease)) continue;
+      // An event of a lease that is no longer outstanding is dropped. A
+      // revoked lease's release never applies its updates, so the
+      // requeued copy of the block applies exactly once; a deadline that
+      // passes after its release committed is stale.
+      if (e.kind != EventKind::kReady &&
+          !scheduler_->LeaseOutstanding(e.task.lease)) {
+        continue;
+      }
+      if (e.kind == EventKind::kRelease) {
         // The real update: the simulator decided *when*, the kernel does
         // the arithmetic once the loop is over.
         committed.push_back(e.task.block);
-        held.erase(e.task.lease);
         scheduler_->Release(workers_[e.worker].info, e.task, e.time);
         epoch_end = std::max(epoch_end, e.time);
         // Freed strata may unblock starved workers.
@@ -942,73 +901,37 @@ StatusOr<TracePoint> Session::RunEpochImpl(
           handle_faults(injector_->Poll(static_cast<int>(released)),
                         e.time);
         }
-      } else if (e.kind == 2) {
-        // Watchdog: the lease's deadline passed. If its release already
-        // committed this is stale — ignore; otherwise revoke and requeue
-        // so a survivor picks the block up.
-        if (!scheduler_->LeaseOutstanding(e.task.lease)) continue;
-        held.erase(e.task.lease);
-        ++fault_stats_.leases_revoked;
-        obs::Increment(metric_.leases_revoked);
-        if (scheduler_->RevokeLease(e.task)) {
-          ++fault_stats_.blocks_requeued;
-          obs::Increment(metric_.blocks_requeued);
-        } else {
-          ++fault_stats_.blocks_lost;
-          obs::Increment(metric_.blocks_lost);
-        }
-        if (obs_.trace != nullptr) {
-          obs_.trace->Instant("fault", "lease_expired", TraceTidFault(),
-                              e.time,
-                              {obs::TraceArg::Int("block", e.task.block),
-                               obs::TraceArg::Int("worker", e.worker)});
-        }
+      } else if (e.kind == EventKind::kExpire) {
+        // Watchdog: the lease's deadline passed before its release, so
+        // revoke it and let a survivor pick the block up.
+        const bool requeued = revoke(e.task, e.time, "lease_expired");
         HSGD_LOG(Warning) << "lease on block " << e.task.block
-                          << " expired at t=" << e.time
-                          << " (worker " << e.worker << "); requeued";
+                          << " expired at t=" << e.time << " (worker "
+                          << e.worker << "); "
+                          << (requeued ? "requeued" : "dropped");
         wake_waiters(e.time);
       } else {
         const int w = e.worker;
-        if (worker_dead_[static_cast<size_t>(w)]) continue;
+        const DeviceHealth& health = workers_[w].health();
+        if (health.dead()) continue;
         // Degraded-mode scheduling: a worker wedged by at least the
         // deadline factor would blow the deadline of every block it
         // takes, so bench it — until the degradation window closes
         // (transient straggler), or permanently, in which case the
         // watchdog declares it dead.
-        if (deadline_factor > 0.0) {
-          const DeviceHealth& health = workers_[w].gpu != nullptr
-                                           ? workers_[w].gpu->health()
-                                           : workers_[w].cpu->health();
-          if (health.state == HealthState::kDegraded &&
-              health.SlowdownAt(e.time) >= deadline_factor) {
-            if (health.degraded_until < kSimTimeNever) {
-              Event retry;
-              retry.time = health.degraded_until;
-              retry.kind = 1;
-              retry.seq = seq++;
-              retry.worker = w;
-              pq.push(retry);
-            } else {
-              kill_worker(workers_[w].info.device_class,
-                          workers_[w].info.device_index, e.time);
-            }
-            if (failed_) {
-              return Status::Internal(
-                  workers_alive_ == 0
-                      ? "all workers dead; training cannot continue"
-                      : "device lost under DegradePolicy::kAbort");
-            }
-            continue;
+        if (deadline_factor > 0.0 &&
+            health.state == HealthState::kDegraded &&
+            health.SlowdownAt(e.time) >= deadline_factor) {
+          if (health.degraded_until < kSimTimeNever) {
+            push(health.degraded_until, EventKind::kReady, w);
+          } else {
+            kill_worker(w, e.time);
           }
+        } else {
+          try_acquire(w, e.time);
         }
-        try_acquire(w, e.time);
       }
-      if (failed_) {
-        return Status::Internal(
-            workers_alive_ == 0
-                ? "all workers dead; training cannot continue"
-                : "device lost under DegradePolicy::kAbort");
-      }
+      if (failed_) return failure();
     }
     return Status::Ok();
   }();

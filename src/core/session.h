@@ -441,11 +441,25 @@ class Session {
  private:
   /// A simulated worker: one CPU thread (cpu != nullptr) or one GPU
   /// (gpu != nullptr). Each CPU worker carries its own CpuDevice so
-  /// per-thread health (straggler faults) stays per-thread.
+  /// per-thread health (straggler faults) stays per-thread. The device's
+  /// health is the worker's liveness: a device killed by the injector or
+  /// the watchdog stays dead for the session's lifetime, and a restored
+  /// session rebuilds its devices, so everyone starts alive.
   struct Worker {
     WorkerInfo info;
     GpuDevice* gpu = nullptr;
     CpuDevice* cpu = nullptr;
+
+    const DeviceHealth& health() const {
+      return gpu != nullptr ? gpu->health() : cpu->health();
+    }
+    void set_health(const DeviceHealth& health) {
+      if (gpu != nullptr) {
+        gpu->set_health(health);
+      } else {
+        cpu->set_health(health);
+      }
+    }
   };
 
   Session(Dataset dataset, TrainConfig config);
@@ -549,9 +563,6 @@ class Session {
   double wall_seconds_ = 0.0;
 
   // ---- Fault machinery (runtime state, never checkpointed) ------------
-  /// Devices killed by the injector or the watchdog stay dead for the
-  /// session's lifetime; a restored session starts with everyone alive.
-  std::vector<char> worker_dead_;
   int workers_alive_ = 0;
   std::unique_ptr<FaultInjector> injector_;
   FaultStats fault_stats_;

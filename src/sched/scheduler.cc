@@ -60,6 +60,7 @@ BlockTask Scheduler::TakeBlock(const WorkerInfo& worker, int row, int col,
   task.block = grid_->BlockIndex(row, col);
   task.nnz = matrix_->BlockNnz(task.block);
   task.stolen = stolen;
+  task.worker = worker.worker_index;
   ++row_busy_[static_cast<size_t>(row)];
   ++col_busy_[static_cast<size_t>(col)];
   col_owner_[static_cast<size_t>(col)] = worker.worker_index;
@@ -67,7 +68,7 @@ BlockTask Scheduler::TakeBlock(const WorkerInfo& worker, int row, int col,
   --remaining_;
   ++in_flight_;
   task.lease = next_lease_++;
-  outstanding_.insert(task.lease);
+  outstanding_.emplace(task.lease, task);
   if (stolen) {
     if (worker.device_class == DeviceClass::kGpu) {
       stolen_by_gpus_ += task.nnz;
@@ -78,48 +79,44 @@ BlockTask Scheduler::TakeBlock(const WorkerInfo& worker, int row, int col,
   return task;
 }
 
+void Scheduler::Unlock(const BlockTask& task) {
+  HSGD_CHECK(task.row >= 0 && task.col >= 0);
+  HSGD_CHECK(row_busy_[static_cast<size_t>(task.row)] > 0 &&
+             col_busy_[static_cast<size_t>(task.col)] > 0)
+      << "unlock of a task whose strata are not locked";
+  --row_busy_[static_cast<size_t>(task.row)];
+  --col_busy_[static_cast<size_t>(task.col)];
+  if (col_busy_[static_cast<size_t>(task.col)] == 0) {
+    col_owner_[static_cast<size_t>(task.col)] = -1;
+  }
+  --in_flight_;
+  outstanding_.erase(task.lease);
+}
+
 void Scheduler::Release(const WorkerInfo& worker, const BlockTask& task,
                         SimTime now) {
   (void)worker;
   (void)now;
-  HSGD_CHECK(task.row >= 0 && task.col >= 0);
-  HSGD_CHECK(row_busy_[static_cast<size_t>(task.row)] > 0 &&
-             col_busy_[static_cast<size_t>(task.col)] > 0)
-      << "Release of a task whose strata are not locked";
-  --row_busy_[static_cast<size_t>(task.row)];
-  --col_busy_[static_cast<size_t>(task.col)];
-  if (col_busy_[static_cast<size_t>(task.col)] == 0) {
-    col_owner_[static_cast<size_t>(task.col)] = -1;
-  }
-  --in_flight_;
-  if (task.lease >= 0) outstanding_.erase(task.lease);
+  Unlock(task);
 }
 
 bool Scheduler::RevokeLease(const BlockTask& task) {
   if (!LeaseOutstanding(task.lease)) return false;
-  outstanding_.erase(task.lease);
-  HSGD_CHECK(task.row >= 0 && task.col >= 0);
-  HSGD_CHECK(row_busy_[static_cast<size_t>(task.row)] > 0 &&
-             col_busy_[static_cast<size_t>(task.col)] > 0)
-      << "Revoke of a task whose strata are not locked";
-  --row_busy_[static_cast<size_t>(task.row)];
-  --col_busy_[static_cast<size_t>(task.col)];
-  if (col_busy_[static_cast<size_t>(task.col)] == 0) {
-    col_owner_[static_cast<size_t>(task.col)] = -1;
-  }
-  --in_flight_;
+  Unlock(task);
   const size_t b = static_cast<size_t>(task.block);
-  if (!requeued_[b]) {
-    requeued_[b] = 1;
-    done_[b] = 0;  // pending again; any worker may re-acquire it
-    ++remaining_;
-    ++requeued_blocks_;
-    return true;
+  if (requeued_[b]) return false;  // second failure: drop it this epoch
+  requeued_[b] = 1;
+  done_[b] = 0;  // pending again; any worker may re-acquire it
+  ++remaining_;
+  return true;
+}
+
+std::vector<BlockTask> Scheduler::LeasesHeldBy(int worker_index) const {
+  std::vector<BlockTask> held;
+  for (const auto& [lease, task] : outstanding_) {
+    if (task.worker == worker_index) held.push_back(task);
   }
-  // Second failure on the same block: give up on it for this epoch so a
-  // cursed block can't ping-pong between dying devices forever.
-  ++lost_blocks_;
-  return false;
+  return held;
 }
 
 }  // namespace hsgd

@@ -1,4 +1,6 @@
-// Scheduler vocabulary and the shared stratum-locking core.
+// Scheduler vocabulary and the shared stratum-locking core, which is
+// also the epoch's lease ledger: every block is handed out as a lease,
+// recorded with its holder until Release or RevokeLease consumes it.
 //
 // Safety contract (the DSGD exclusivity invariant): between Acquire and
 // Release, a task owns its row stratum and its column stratum; the
@@ -12,8 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <unordered_set>
+#include <vector>
 
 #include "sched/blocked_matrix.h"
 #include "util/rng.h"
@@ -38,6 +41,8 @@ struct BlockTask {
   /// True when the block came from another device class's region
   /// (HSGD*'s dynamic phase).
   bool stolen = false;
+  /// worker_index of the lease's holder, stamped by TakeBlock.
+  int worker = -1;
   /// Monotonically increasing lease id stamped by TakeBlock. A lease
   /// stays outstanding until Release or RevokeLease consumes it; a
   /// revoked lease's later Release must be dropped by the caller
@@ -83,10 +88,15 @@ class Scheduler {
   /// Take back a lease whose holder died or blew its deadline: unlock
   /// the strata and return the block to the pending pool. A block is
   /// requeued at most once — a second revocation drops it for the rest
-  /// of the epoch (tallied in lost_blocks) so a wedged block can't spin
-  /// forever. Returns true when the block was requeued. No-op (false)
-  /// if the lease is no longer outstanding.
+  /// of the epoch, so a wedged block can't spin forever. Returns true
+  /// when the block was requeued, false when it was dropped (the caller
+  /// tallies both). No-op (false) if the lease is no longer outstanding.
   bool RevokeLease(const BlockTask& task);
+
+  /// The outstanding leases `worker_index` holds, in issue order. A dead
+  /// device's leases are revoked in this order, so its recovery replays
+  /// deterministically.
+  std::vector<BlockTask> LeasesHeldBy(int worker_index) const;
 
   /// Tell the scheduler a worker is gone for good; it must stop routing
   /// that worker's home region to it. Base implementation is a no-op —
@@ -102,8 +112,6 @@ class Scheduler {
   int remaining_blocks() const { return remaining_; }
   int64_t stolen_by_gpus() const { return stolen_by_gpus_; }
   int64_t stolen_by_cpus() const { return stolen_by_cpus_; }
-  int64_t requeued_blocks() const { return requeued_blocks_; }
-  int64_t lost_blocks() const { return lost_blocks_; }
 
   /// Checkpoint hooks: the policy RNG and steal tallies are the only
   /// scheduler state that survives an epoch boundary (strata locks and
@@ -120,7 +128,8 @@ class Scheduler {
   Scheduler(const BlockedMatrix* matrix, const Grid* grid, Rng rng);
 
   bool BlockRunnable(int row, int col) const;
-  /// Locks strata, flags `stolen` bookkeeping; returns the filled task.
+  /// Locks strata, flags `stolen` bookkeeping and records the lease with
+  /// its holder; returns the filled task.
   BlockTask TakeBlock(const WorkerInfo& worker, int row, int col,
                       bool stolen);
 
@@ -140,15 +149,17 @@ class Scheduler {
   int in_flight_ = 0;
   int64_t stolen_by_gpus_ = 0;
   int64_t stolen_by_cpus_ = 0;
-  /// Lease bookkeeping. `outstanding_` is only ever membership-tested
-  /// (never iterated), so unordered iteration can't leak into the
-  /// deterministic event order. `requeued_` marks blocks already given
-  /// their one second chance this epoch.
-  std::unordered_set<int64_t> outstanding_;
+  /// Lease bookkeeping: every outstanding lease by id, which is issue
+  /// order. `requeued_` marks blocks already given their one second
+  /// chance this epoch.
+  std::map<int64_t, BlockTask> outstanding_;
   int64_t next_lease_ = 0;
   std::vector<char> requeued_;
-  int64_t requeued_blocks_ = 0;
-  int64_t lost_blocks_ = 0;
+
+ private:
+  /// Shared by Release and RevokeLease: consume the lease and unlock the
+  /// task's strata.
+  void Unlock(const BlockTask& task);
 };
 
 }  // namespace hsgd

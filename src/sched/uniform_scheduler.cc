@@ -3,9 +3,8 @@
 namespace hsgd {
 
 UniformScheduler::UniformScheduler(const BlockedMatrix* matrix,
-                                   const Grid* grid,
-                                   UniformSchedulerOptions options, Rng rng)
-    : Scheduler(matrix, grid, rng), options_(options) {}
+                                   const Grid* grid, Rng rng)
+    : Scheduler(matrix, grid, rng) {}
 
 std::optional<BlockTask> UniformScheduler::Acquire(const WorkerInfo& worker,
                                                    SimTime now) {
@@ -23,17 +22,11 @@ std::optional<BlockTask> UniformScheduler::Acquire(const WorkerInfo& worker,
     for (int col = 0; col < q; ++col) {
       if (!BlockRunnable(row, col)) continue;
       ++seen;
-      if (!options_.random_pick) {
-        pick_row = row;
-        pick_col = col;
-        break;
-      }
       if (rng_.UniformInt(seen) == 0) {
         pick_row = row;
         pick_col = col;
       }
     }
-    if (!options_.random_pick && pick_row >= 0) break;
   }
   if (pick_row < 0) return std::nullopt;
   return TakeBlock(worker, pick_row, pick_col, /*stolen=*/false);

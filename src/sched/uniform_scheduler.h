@@ -8,24 +8,14 @@
 
 namespace hsgd {
 
-struct UniformSchedulerOptions {
-  /// Pick uniformly among runnable blocks (true, HSGD's policy) or take
-  /// the first runnable block in scan order (false, deterministic probes).
-  bool random_pick = true;
-};
-
 class UniformScheduler : public Scheduler {
  public:
-  UniformScheduler(const BlockedMatrix* matrix, const Grid* grid,
-                   UniformSchedulerOptions options, Rng rng);
+  UniformScheduler(const BlockedMatrix* matrix, const Grid* grid, Rng rng);
 
   const char* name() const override { return "uniform"; }
 
   std::optional<BlockTask> Acquire(const WorkerInfo& worker,
                                    SimTime now) override;
-
- private:
-  UniformSchedulerOptions options_;
 };
 
 }  // namespace hsgd

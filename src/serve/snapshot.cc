@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/checkpoint.h"
 #include "core/session.h"
 #include "util/strings.h"
 
@@ -81,45 +80,6 @@ StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromSession(
     return Status::Ok();
   }));
   return result;
-}
-
-StatusOr<std::shared_ptr<const FactorSnapshot>>
-FactorSnapshot::FromDenseFactors(const std::vector<float>& p,
-                                 const std::vector<float>& q,
-                                 int32_t num_users, int32_t num_items,
-                                 int k, const Ratings& rated,
-                                 uint64_t version, const io::IdMap* users,
-                                 const io::IdMap* items) {
-  if (num_users <= 0 || num_items <= 0 || k <= 0) {
-    return Status::InvalidArgument(StrFormat(
-        "non-positive snapshot dimensions (%d x %d, k=%d)", num_users,
-        num_items, k));
-  }
-  if (p.size() != static_cast<size_t>(num_users) * k ||
-      q.size() != static_cast<size_t>(num_items) * k) {
-    return Status::InvalidArgument(StrFormat(
-        "factor sizes (%zu, %zu) do not match %d x %d at rank %d",
-        p.size(), q.size(), num_users, num_items, k));
-  }
-  // Re-pad the dense rows into the aligned SIMD layout (see core/model.h);
-  // AllocateAlignedFloats zero-fills, so the padding-lane invariant the
-  // kernels rely on holds.
-  Model model(num_users, num_items, k);
-  model.SetDense(p, q);
-  return FromModel(model, rated, version, users, items);
-}
-
-StatusOr<std::shared_ptr<const FactorSnapshot>>
-FactorSnapshot::FromCheckpoint(const std::string& path,
-                               const Ratings& rated, uint64_t version,
-                               const io::IdMap* users,
-                               const io::IdMap* items) {
-  auto factors = ReadFactorSnapshot(path);
-  HSGD_RETURN_IF_ERROR(factors.status());
-  return FromDenseFactors(factors->p, factors->q,
-                          factors->dataset.num_rows,
-                          factors->dataset.num_cols, factors->dataset.k,
-                          rated, version, users, items);
 }
 
 namespace {

@@ -5,10 +5,10 @@
 // factors don't carry: the per-user rated-item exclusion lists and, when
 // the ratings came from a real dump, the raw<->dense id maps so results
 // can be translated back to external ids. Snapshots are captured from a
-// live Session between epochs, from a checkpoint file via the
-// factors-only fast path (core/checkpoint.h's ReadFactorSnapshot), or
-// from any Model directly; once built they are never mutated, so any
-// number of threads may score against one without coordination.
+// live Session between epochs or from any Model directly; to serve a
+// checkpoint, Session::Restore it and capture FromSession. Once built
+// they are never mutated, so any number of threads may score against one
+// without coordination.
 //
 // SnapshotHolder is the publication point: one shared_ptr behind a mutex.
 // Readers copy the pointer under the lock (nanoseconds) and then score
@@ -72,25 +72,6 @@ class FactorSnapshot {
   static StatusOr<std::shared_ptr<const FactorSnapshot>> FromSession(
       const Session& session, uint64_t version,
       const io::IdMap* users = nullptr, const io::IdMap* items = nullptr);
-
-  /// Builds a snapshot from a checkpoint file via the factors-only fast
-  /// path — no Dataset, no Session rebuild. The checkpoint stores no
-  /// ratings, so the exclusion set (typically the training ratings) and
-  /// any id maps come from the caller; an empty `rated` serves the full
-  /// catalog to everyone.
-  static StatusOr<std::shared_ptr<const FactorSnapshot>> FromCheckpoint(
-      const std::string& path, const Ratings& rated,
-      uint64_t version, const io::IdMap* users = nullptr,
-      const io::IdMap* items = nullptr);
-
-  /// Core builder: dense row-major factors (num_users*k / num_items*k),
-  /// re-padded into aligned SIMD layout. InvalidArgument on size
-  /// mismatches or non-positive dimensions.
-  static StatusOr<std::shared_ptr<const FactorSnapshot>> FromDenseFactors(
-      const std::vector<float>& p, const std::vector<float>& q,
-      int32_t num_users, int32_t num_items, int k, const Ratings& rated,
-      uint64_t version, const io::IdMap* users = nullptr,
-      const io::IdMap* items = nullptr);
 
   /// Cheap integrity scan gating publication (SnapshotHolder::
   /// PublishValidated): every factor value finite (the padded lanes are

@@ -297,10 +297,37 @@ void TestLinkFaults() {
   EXPECT_TRUE(flaky.status.ok());
   EXPECT_EQ(flaky.fault.transfer_faults, 3);
   EXPECT_EQ(flaky.fault.devices_lost, 0);
+  // The retries push one block past its deadline: the watchdog revokes
+  // that lease and requeues the block.
+  EXPECT_EQ(flaky.fault.leases_revoked, 1);
+  EXPECT_EQ(flaky.fault.blocks_requeued, 1);
   EXPECT_TRUE(flaky.stats.sim.seconds > clean.stats.sim.seconds);
   RunResult replay = RunWithPlan(ds, cfg, "link:gpu0@e1n3");
   EXPECT_TRUE(replay.status.ok());
   ExpectRunsBitIdentical(flaky, replay);
+}
+
+// A flaky link that outlasts the requeue: blocks whose lease expires a
+// second time are dropped for the epoch instead of requeued forever,
+// no device dies, and the run still finishes the same way at every
+// eval_threads count.
+void TestRepeatedExpiryDropsBlock() {
+  Dataset ds = SmallDataset();
+  const char* plan = "link:gpu0@e1+0.2n40";
+  std::vector<RunResult> runs;
+  for (int eval_threads : {1, 7}) {
+    TrainConfig cfg = SmallConfig(Algorithm::kHsgdStar);
+    cfg.eval_threads = eval_threads;
+    runs.push_back(RunWithPlan(ds, cfg, plan));
+    const RunResult& run = runs.back();
+    EXPECT_TRUE(run.status.ok());
+    EXPECT_EQ(run.epochs_run, cfg.max_epochs);
+    EXPECT_EQ(run.fault.devices_lost, 0);
+    EXPECT_TRUE(run.fault.blocks_lost > 0);
+    EXPECT_EQ(run.fault.blocks_requeued + run.fault.blocks_lost,
+              run.fault.leases_revoked);
+  }
+  ExpectRunsBitIdentical(runs[0], runs[1]);
 }
 
 // DegradePolicy::kAbort: the first device loss fails the session
@@ -591,6 +618,7 @@ void RunAllTests() {
   TestTransientStraggler();
   TestWedgedWorkerIsRetired();
   TestLinkFaults();
+  TestRepeatedExpiryDropsBlock();
   TestAbortPolicy();
   TestAllWorkersDead();
   TestCheckpointFaultRetry();

@@ -67,7 +67,7 @@ void TestUniformSchedulerCoverage() {
   auto matrix = BlockedMatrix::Build(ratings, *grid, &rng);
   EXPECT_TRUE(matrix.ok());
 
-  UniformScheduler scheduler(&*matrix, &*grid, {}, Rng(5));
+  UniformScheduler scheduler(&*matrix, &*grid, Rng(5));
   std::vector<WorkerInfo> workers;
   for (int t = 0; t < 4; ++t) {
     workers.push_back({DeviceClass::kCpuThread, t, t});
@@ -89,7 +89,7 @@ void TestSingleWorkerDrain() {
   auto grid = BuildBalancedGrid(ratings, rows, cols, 3, 4);
   auto matrix = BlockedMatrix::Build(ratings, *grid, nullptr);
   EXPECT_TRUE(matrix.ok());
-  UniformScheduler scheduler(&*matrix, &*grid, {}, Rng(1));
+  UniformScheduler scheduler(&*matrix, &*grid, Rng(1));
   WorkerInfo solo{DeviceClass::kCpuThread, 0, 0};
   scheduler.BeginEpoch();
   int drained = 0;
@@ -212,6 +212,72 @@ void TestStarDynamicSteals() {
   EXPECT_TRUE(scheduler.EpochDone());
 }
 
+// The lease ledger without a simulator: a GPU with two leases on its
+// stripe (the pipelined case a GPU crash revokes), revocation that
+// requeues a block once and drops it the second time, and a drained
+// epoch that hands every other block out exactly once.
+void TestLeaseLedger() {
+  StarFixture f;
+  StarScheduler scheduler(&*f.matrix, &*f.grid, f.options, Rng(3));
+  scheduler.BeginEpoch();
+  const WorkerInfo& cpu = f.workers.front();
+  const WorkerInfo& gpu = f.workers.back();
+  std::vector<int> handed(static_cast<size_t>(f.matrix->num_blocks()), 0);
+  auto acquire = [&](const WorkerInfo& w) {
+    auto task = scheduler.Acquire(w, 0.0);
+    if (task.has_value()) ++handed[static_cast<size_t>(task->block)];
+    return task;
+  };
+  auto leases_of = [&](const WorkerInfo& w) {
+    std::vector<int64_t> leases;
+    for (const BlockTask& t : scheduler.LeasesHeldBy(w.worker_index)) {
+      EXPECT_EQ(t.worker, w.worker_index);
+      leases.push_back(t.lease);
+    }
+    return leases;
+  };
+
+  const auto a = acquire(gpu);
+  const auto c = acquire(cpu);
+  const auto b = acquire(gpu);
+  EXPECT_TRUE(a.has_value() && b.has_value() && c.has_value());
+  if (!a.has_value() || !b.has_value() || !c.has_value()) return;
+  EXPECT_EQ(a->col, b->col);  // both on the GPU's resident stripe
+  EXPECT_TRUE(leases_of(gpu) == (std::vector<int64_t>{a->lease, b->lease}));
+  EXPECT_TRUE(leases_of(cpu) == std::vector<int64_t>{c->lease});
+
+  const int remaining = scheduler.remaining_blocks();
+  EXPECT_TRUE(scheduler.RevokeLease(*a));
+  EXPECT_FALSE(scheduler.LeaseOutstanding(a->lease));
+  EXPECT_EQ(scheduler.remaining_blocks(), remaining + 1);
+  EXPECT_FALSE(scheduler.RevokeLease(*a));  // already consumed: a no-op
+  EXPECT_EQ(scheduler.remaining_blocks(), remaining + 1);
+  EXPECT_TRUE(leases_of(gpu) == std::vector<int64_t>{b->lease});
+  scheduler.Release(cpu, *c, 0.0);
+  EXPECT_TRUE(leases_of(cpu).empty());
+  scheduler.Release(gpu, *b, 0.0);
+
+  // Drain with every worker, revoking a's block whenever it comes back.
+  // The cap turns a requeue-forever bug into a failure, not a hang.
+  for (int round = 0;
+       round < f.matrix->num_blocks() && !scheduler.EpochDone(); ++round) {
+    for (const WorkerInfo& w : f.workers) {
+      const auto task = acquire(w);
+      if (!task.has_value()) continue;
+      if (task->block == a->block) {
+        EXPECT_FALSE(scheduler.RevokeLease(*task));  // second failure
+      } else {
+        scheduler.Release(w, *task, 0.0);
+      }
+    }
+  }
+  EXPECT_TRUE(scheduler.EpochDone());
+  for (int blk = 0; blk < f.matrix->num_blocks(); ++blk) {
+    const int once = f.matrix->BlockNnz(blk) > 0 ? 1 : 0;
+    EXPECT_EQ(handed[static_cast<size_t>(blk)], blk == a->block ? 2 : once);
+  }
+}
+
 }  // namespace
 
 void RunAllTests() {
@@ -220,6 +286,7 @@ void RunAllTests() {
   TestStarOwnStripePreference();
   TestStarStaticIdlesWhenDrained();
   TestStarDynamicSteals();
+  TestLeaseLedger();
 }
 
 }  // namespace hsgd

@@ -314,11 +314,10 @@ void TestColdUserIsTypedNotFatal() {
   users.Assign(200);
   users.Assign(300);
   for (int64_t raw = 1000; raw < 1008; ++raw) items.Assign(raw);
-  std::vector<float> p(3 * 4), q(8 * 4);
-  for (size_t i = 0; i < p.size(); ++i) p[i] = 0.5f;
-  for (size_t i = 0; i < q.size(); ++i) q[i] = 0.25f;
-  auto snap = FactorSnapshot::FromDenseFactors(p, q, 3, 8, 4, {}, 1,
-                                               &users, &items);
+  Model model(3, 8, 4);
+  model.SetDense(std::vector<float>(3 * 4, 0.5f),
+                 std::vector<float>(8 * 4, 0.25f));
+  auto snap = FactorSnapshot::FromModel(model, {}, 1, &users, &items);
   EXPECT_TRUE(snap.ok());
   if (!snap.ok()) return;
   EXPECT_TRUE((*snap)->has_id_maps());
