@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: the SGD
 // inner loop per kernel variant (scalar/avx2/avx512/auto — the kernel
 // dispatch suite CI uploads as BENCH_kernels.json), RMSE evaluation in
-// stored and in block order, top-k scoring, simulator cost functions, and
-// scheduler acquire/release throughput. Kernel-variant benches are
+// stored and in block order, top-k scoring, the rated-item index build
+// and merge, simulator cost functions, and scheduler acquire/release
+// throughput. Kernel-variant benches are
 // registered at runtime so unsupported variants are simply absent rather
 // than failing.
 
@@ -111,6 +112,32 @@ void BM_BatchTopK(benchmark::State& state, KernelKind kind) {
   state.SetItemsProcessed(state.iterations() * ds.num_cols);
   state.SetLabel(ops.name);
 }
+
+/// The rated-item index at the end-of-run shape of the benchmark's
+/// `live` workload (14,000 x 6,000, 2 M ratings): a from-scratch Build
+/// of every rating, or a Merge of the last 3,000 (a typical publish
+/// round) into an index of the rest. Both count the ratings the result
+/// indexes, so items/s compare directly.
+void BM_RatedIndex(benchmark::State& state, bool merge) {
+  const Dataset ds = MicroDataset(2000000, 14000, 6000);
+  const auto split = ds.train.end() - 3000;
+  const Ratings added(split, ds.train.end());
+  const RatedIndex base = RatedIndex::Build(Ratings(ds.train.begin(), split),
+                                            ds.num_rows, ds.num_cols);
+  for (auto _ : state) {
+    RatedIndex index =
+        merge ? RatedIndex::Merge(base, added, ds.num_rows, ds.num_cols)
+              : RatedIndex::Build(ds.train, ds.num_rows, ds.num_cols);
+    benchmark::DoNotOptimize(index.items.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(ds.train.size()));
+}
+BENCHMARK_CAPTURE(BM_RatedIndex, build, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RatedIndex, merge, true)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RmseParallel(benchmark::State& state) {
   Dataset ds = MicroDataset(300000);

@@ -20,6 +20,8 @@ Model::Model(int32_t num_rows, int32_t num_cols, int k)
       num_cols_(num_cols),
       k_(k),
       stride_(PaddedStride(k)),
+      row_capacity_(num_rows),
+      col_capacity_(num_cols),
       p_(AllocateAlignedFloats(static_cast<size_t>(num_rows) * stride_)),
       q_(AllocateAlignedFloats(static_cast<size_t>(num_cols) * stride_)) {}
 
@@ -64,33 +66,31 @@ void Model::Grow(int32_t new_rows, int32_t new_cols, Rng* rng,
   HSGD_CHECK(new_rows >= num_rows_ && new_cols >= num_cols_);
   if (new_rows == num_rows_ && new_cols == num_cols_) return;
   const float hi = InitRange(k_, mean_rating);
-  // AllocateAlignedFloats zero-fills, so the padding lanes of the new
-  // rows hold the kernel invariant without an explicit pass; only the k
-  // logical lanes of each cold row are drawn. Rows first, then cols, in
-  // the same order InitRandom fills, so growth consumes the rng stream
-  // deterministically.
-  if (new_rows > num_rows_) {
-    AlignedFloatPtr grown =
-        AllocateAlignedFloats(static_cast<size_t>(new_rows) * stride_);
-    std::memcpy(grown.get(), p_.get(), sizeof(float) * p_size());
-    for (int32_t u = num_rows_; u < new_rows; ++u) {
-      float* row = grown.get() + static_cast<int64_t>(u) * stride_;
+  // AllocateAlignedFloats zero-fills and nothing writes past the rows in
+  // use, so the padding lanes of the new rows hold the kernel invariant
+  // without an explicit pass; only the k logical lanes of each cold row
+  // are drawn. Rows first, then cols, in the same order InitRandom fills,
+  // so growth consumes the rng stream deterministically.
+  auto grow = [&](AlignedFloatPtr* data, int32_t* rows, int32_t* capacity,
+                  int32_t new_count) {
+    if (new_count <= *rows) return;
+    if (new_count > *capacity) {
+      *capacity = static_cast<int32_t>(std::min<int64_t>(
+          INT32_MAX, static_cast<int64_t>(new_count) + new_count / 8));
+      AlignedFloatPtr grown =
+          AllocateAlignedFloats(static_cast<size_t>(*capacity) * stride_);
+      std::memcpy(grown.get(), data->get(),
+                  sizeof(float) * static_cast<size_t>(*rows) * stride_);
+      *data = std::move(grown);
+    }
+    for (int32_t r = *rows; r < new_count; ++r) {
+      float* row = data->get() + static_cast<int64_t>(r) * stride_;
       for (int i = 0; i < k_; ++i) row[i] = rng->NextFloat() * hi;
     }
-    p_ = std::move(grown);
-    num_rows_ = new_rows;
-  }
-  if (new_cols > num_cols_) {
-    AlignedFloatPtr grown =
-        AllocateAlignedFloats(static_cast<size_t>(new_cols) * stride_);
-    std::memcpy(grown.get(), q_.get(), sizeof(float) * q_size());
-    for (int32_t v = num_cols_; v < new_cols; ++v) {
-      float* col = grown.get() + static_cast<int64_t>(v) * stride_;
-      for (int i = 0; i < k_; ++i) col[i] = rng->NextFloat() * hi;
-    }
-    q_ = std::move(grown);
-    num_cols_ = new_cols;
-  }
+    *rows = new_count;
+  };
+  grow(&p_, &num_rows_, &row_capacity_, new_rows);
+  grow(&q_, &num_cols_, &col_capacity_, new_cols);
 }
 
 float Model::Predict(int32_t u, int32_t v, const KernelOps* ops) const {

@@ -37,12 +37,14 @@ class Model {
   void InitRandom(Rng* rng, double mean_rating);
 
   /// Grow to `new_rows` x `new_cols` (each must be >= the current dim).
-  /// Existing factor rows are copied bit-identically into fresh aligned
-  /// storage with the same PaddedStride pitch; new rows/cols are drawn
-  /// from `rng` with the same [0, hi) range InitRandom would use for
-  /// `mean_rating`, so cold entities start statistically like warm ones
-  /// did. Padding lanes of every row — old and new — stay zero. Invalidates
-  /// all Row()/Col()/p_data()/q_data() pointers.
+  /// New rows/cols are drawn from `rng` with the same [0, hi) range
+  /// InitRandom would use for `mean_rating`, so cold entities start
+  /// statistically like warm ones did. A matrix that outgrows its
+  /// storage moves, bit-identically and with the same PaddedStride
+  /// pitch, into a fresh aligned allocation with an eighth of headroom,
+  /// so streaming appends that add a few rows at a time rarely
+  /// reallocate. Padding lanes of every row — old and new — stay zero.
+  /// Invalidates all Row()/Col()/p_data()/q_data() pointers.
   void Grow(int32_t new_rows, int32_t new_cols, Rng* rng,
             double mean_rating);
 
@@ -105,6 +107,10 @@ class Model {
   int32_t num_cols_;
   int k_;
   int stride_;
+  /// Rows p_ / q_ have room for; the rows past num_rows_ / num_cols_ are
+  /// zero.
+  int32_t row_capacity_;
+  int32_t col_capacity_;
   AlignedFloatPtr p_;
   AlignedFloatPtr q_;
 };

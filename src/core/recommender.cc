@@ -1,10 +1,27 @@
 #include "core/recommender.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace hsgd {
+
+namespace {
+
+bool OutOfRange(const Rating& r, int32_t num_users, int32_t num_items) {
+  return r.u < 0 || r.u >= num_users || r.v < 0 || r.v >= num_items;
+}
+
+/// Grow `v`'s capacity to at least `need`: exactly for a fresh buffer,
+/// with an eighth of headroom for a reused one that has to grow.
+template <typename T>
+void ReserveWithHeadroom(std::vector<T>* v, size_t need) {
+  if (v->capacity() >= need) return;
+  v->reserve(v->capacity() == 0 ? need : need + need / 8);
+}
+
+}  // namespace
 
 RatedIndex RatedIndex::Build(const Ratings& rated, int32_t num_users,
                              int32_t num_items) {
@@ -12,9 +29,7 @@ RatedIndex RatedIndex::Build(const Ratings& rated, int32_t num_users,
   // Counting sort into CSR: one pass for per-user counts, one to place.
   index.offsets.assign(static_cast<size_t>(num_users) + 1, 0);
   for (const Rating& r : rated) {
-    if (r.u < 0 || r.u >= num_users || r.v < 0 || r.v >= num_items) {
-      continue;
-    }
+    if (OutOfRange(r, num_users, num_items)) continue;
     ++index.offsets[static_cast<size_t>(r.u) + 1];
   }
   for (size_t u = 1; u < index.offsets.size(); ++u) {
@@ -24,9 +39,7 @@ RatedIndex RatedIndex::Build(const Ratings& rated, int32_t num_users,
   std::vector<int64_t> cursor(index.offsets.begin(),
                               index.offsets.end() - 1);
   for (const Rating& r : rated) {
-    if (r.u < 0 || r.u >= num_users || r.v < 0 || r.v >= num_items) {
-      continue;
-    }
+    if (OutOfRange(r, num_users, num_items)) continue;
     index.items[static_cast<size_t>(cursor[static_cast<size_t>(r.u)]++)] =
         r.v;
   }
@@ -51,6 +64,59 @@ RatedIndex RatedIndex::Build(const Ratings& rated, int32_t num_users,
   }
   index.items.resize(write);
   return index;
+}
+
+RatedIndex RatedIndex::Merge(const RatedIndex& base, Ratings added,
+                             int32_t num_users, int32_t num_items) {
+  RatedIndex index;
+  Merge(base, std::move(added), num_users, num_items, &index);
+  return index;
+}
+
+void RatedIndex::Merge(const RatedIndex& base, Ratings added,
+                       int32_t num_users, int32_t num_items,
+                       RatedIndex* out) {
+  HSGD_CHECK(num_users >= base.num_users());
+  HSGD_CHECK(out != &base);
+  added.erase(std::remove_if(added.begin(), added.end(),
+                             [&](const Rating& r) {
+                               return OutOfRange(r, num_users, num_items);
+                             }),
+              added.end());
+  std::sort(added.begin(), added.end(),
+            [](const Rating& a, const Rating& b) {
+              return a.u != b.u ? a.u < b.u : a.v < b.v;
+            });
+  ReserveWithHeadroom(&out->offsets, static_cast<size_t>(num_users) + 1);
+  out->offsets.assign(static_cast<size_t>(num_users) + 1, 0);
+  out->items.clear();
+  ReserveWithHeadroom(&out->items, base.items.size() + added.size());
+  std::vector<int32_t>& items = out->items;
+  auto next = added.cbegin();
+  for (int32_t u = 0; u < num_users; ++u) {
+    const bool known = u < base.num_users();
+    const int32_t* old = known ? base.Begin(u) : nullptr;
+    const int32_t* old_end = known ? base.End(u) : nullptr;
+    if (next == added.cend() || next->u != u) {
+      // Nothing new for this user: its list is copied in one insert.
+      items.insert(items.end(), old, old_end);
+    } else {
+      // Merge two sorted runs, collapsing equal items into one.
+      const size_t begin = items.size();
+      auto push = [&](int32_t item) {
+        if (items.size() == begin || items.back() != item) {
+          items.push_back(item);
+        }
+      };
+      for (; next != added.cend() && next->u == u; ++next) {
+        while (old != old_end && *old < next->v) push(*old++);
+        push(next->v);
+      }
+      while (old != old_end) push(*old++);
+    }
+    out->offsets[static_cast<size_t>(u) + 1] =
+        static_cast<int64_t>(items.size());
+  }
 }
 
 int64_t RatedIndex::NumRated(int32_t user) const {

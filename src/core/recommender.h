@@ -33,6 +33,22 @@ struct RatedIndex {
   static RatedIndex Build(const Ratings& rated, int32_t num_users,
                           int32_t num_items);
 
+  /// The index of `base`'s ratings plus `added`, in one sequential pass
+  /// over `base`: exactly Build(base's ratings + added, num_users,
+  /// num_items), at the cost of sorting `added` and copying `base`.
+  /// Catalogs only grow: `num_users` must be at least base.num_users()
+  /// (checked), and `base` must index at most `num_items` items.
+  static RatedIndex Merge(const RatedIndex& base, Ratings added,
+                          int32_t num_users, int32_t num_items);
+
+  /// Merge into `out`, overwriting it but keeping its buffers: when
+  /// `out` is a retired index at least as large, nothing is allocated or
+  /// faulted in. A reused buffer that must grow gets an eighth of
+  /// headroom, so an index recycled on every publish reallocates once
+  /// per eighth of growth. `out` must not be `base` (checked).
+  static void Merge(const RatedIndex& base, Ratings added, int32_t num_users,
+                    int32_t num_items, RatedIndex* out);
+
   int32_t num_users() const {
     return static_cast<int32_t>(offsets.empty() ? 0 : offsets.size() - 1);
   }

@@ -11,23 +11,47 @@
 
 namespace hsgd::serve {
 
-namespace {
-
-/// Copy an IdMap by replaying its first-appearance order (IdMap has no
-/// copy interface; Assign in raw order reproduces it exactly).
-io::IdMap CopyIdMap(const io::IdMap& source) {
-  io::IdMap copy;
-  for (int32_t dense = 0; dense < source.size(); ++dense) {
-    copy.Assign(source.Raw(dense));
+void FactorRecycler::Take(size_t p_floats, size_t q_floats, Buffer* p,
+                          Buffer* q) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    *p = std::exchange(p_, Buffer{});
+    *q = std::exchange(q_, Buffer{});
   }
-  return copy;
+  auto fit = [](Buffer* buffer, size_t floats) {
+    if (buffer->data != nullptr && buffer->capacity >= floats) return;
+    buffer->capacity = floats + floats / 8;
+    buffer->data = AllocateAlignedFloats(buffer->capacity);
+  };
+  fit(p, p_floats);
+  fit(q, q_floats);
 }
 
-}  // namespace
+void FactorRecycler::Keep(Buffer p, Buffer q) {
+  Buffer older_p, older_q;  // freed after the lock is released
+  std::lock_guard<std::mutex> lock(mu_);
+  older_p = std::exchange(p_, std::move(p));
+  older_q = std::exchange(q_, std::move(q));
+}
+
+FactorSnapshot::~FactorSnapshot() {
+  if (recycler_ != nullptr) {
+    recycler_->Keep({std::move(p_), p_capacity_}, {std::move(q_), q_capacity_});
+  }
+}
 
 StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromModel(
-    const Model& model, const Ratings& rated, uint64_t version,
-    const io::IdMap* users, const io::IdMap* items) {
+    const Model& model, std::shared_ptr<const RatedIndex> rated,
+    uint64_t version, const io::IdMap* users, const io::IdMap* items,
+    std::shared_ptr<FactorRecycler> recycler) {
+  if (rated == nullptr) {
+    return Status::InvalidArgument("snapshot needs a rated-item index");
+  }
+  if (rated->num_users() != model.num_rows()) {
+    return Status::InvalidArgument(StrFormat(
+        "rated-item index covers %d users, the model has %d",
+        rated->num_users(), model.num_rows()));
+  }
   auto snapshot = std::shared_ptr<FactorSnapshot>(new FactorSnapshot());
   snapshot->num_users_ = model.num_rows();
   snapshot->num_items_ = model.num_cols();
@@ -35,15 +59,25 @@ StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromModel(
   snapshot->stride_ = model.stride();
   snapshot->version_ = version;
   // The model is already in the padded aligned layout the kernels want;
-  // one memcpy per matrix and the snapshot is scoring-ready.
-  snapshot->p_ = AllocateAlignedFloats(model.p_size());
-  snapshot->q_ = AllocateAlignedFloats(model.q_size());
+  // one memcpy per matrix and the snapshot is scoring-ready. A recycled
+  // buffer needs no zero-fill: the copy covers every padded row in use.
+  if (recycler != nullptr) {
+    FactorRecycler::Buffer p, q;
+    recycler->Take(model.p_size(), model.q_size(), &p, &q);
+    snapshot->p_ = std::move(p.data);
+    snapshot->q_ = std::move(q.data);
+    snapshot->p_capacity_ = p.capacity;
+    snapshot->q_capacity_ = q.capacity;
+    snapshot->recycler_ = std::move(recycler);
+  } else {
+    snapshot->p_ = AllocateAlignedFloats(model.p_size());
+    snapshot->q_ = AllocateAlignedFloats(model.q_size());
+  }
   std::memcpy(snapshot->p_.get(), model.p_data(),
               model.p_size() * sizeof(float));
   std::memcpy(snapshot->q_.get(), model.q_data(),
               model.q_size() * sizeof(float));
-  snapshot->rated_ =
-      RatedIndex::Build(rated, model.num_rows(), model.num_cols());
+  snapshot->rated_ = std::move(rated);
   if (users != nullptr && items != nullptr) {
     if (users->size() != model.num_rows() ||
         items->size() != model.num_cols()) {
@@ -53,14 +87,23 @@ StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromModel(
           users->size(), items->size(), model.num_rows(),
           model.num_cols()));
     }
-    snapshot->users_ = CopyIdMap(*users);
-    snapshot->items_ = CopyIdMap(*items);
+    snapshot->users_ = *users;
+    snapshot->items_ = *items;
     snapshot->has_id_maps_ = true;
   } else if (users != nullptr || items != nullptr) {
     return Status::InvalidArgument(
         "id maps must be given for both users and items, or neither");
   }
   return std::shared_ptr<const FactorSnapshot>(std::move(snapshot));
+}
+
+StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromModel(
+    const Model& model, const Ratings& rated, uint64_t version,
+    const io::IdMap* users, const io::IdMap* items) {
+  return FromModel(model,
+                   std::make_shared<const RatedIndex>(RatedIndex::Build(
+                       rated, model.num_rows(), model.num_cols())),
+                   version, users, items);
 }
 
 StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromSession(
@@ -114,6 +157,11 @@ Status FactorSnapshot::Validate() const {
         StrFormat("snapshot v%llu is missing factor buffers",
                   static_cast<unsigned long long>(version_)));
   }
+  if (rated_ == nullptr || rated_->num_users() != num_users_) {
+    return Status::FailedPrecondition(StrFormat(
+        "snapshot v%llu rated-item index does not cover its %d user rows",
+        static_cast<unsigned long long>(version_), num_users_));
+  }
   if (has_id_maps_ &&
       (users_.size() != num_users_ || items_.size() != num_items_)) {
     return Status::FailedPrecondition(StrFormat(
@@ -159,11 +207,9 @@ SnapshotPtr FactorSnapshot::PoisonedCopy(const FactorSnapshot& src) {
   std::memcpy(copy->p_.get(), src.p_.get(), p_n * sizeof(float));
   std::memcpy(copy->q_.get(), src.q_.get(), q_n * sizeof(float));
   copy->rated_ = src.rated_;
-  if (src.has_id_maps_) {
-    copy->users_ = CopyIdMap(src.users_);
-    copy->items_ = CopyIdMap(src.items_);
-    copy->has_id_maps_ = true;
-  }
+  copy->users_ = src.users_;
+  copy->items_ = src.items_;
+  copy->has_id_maps_ = src.has_id_maps_;
   // One NaN in the first live lane — the minimal corruption the publish
   // gate must reject.
   copy->p_.get()[0] = std::numeric_limits<float>::quiet_NaN();

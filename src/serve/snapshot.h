@@ -8,7 +8,11 @@
 // live Session between epochs or from any Model directly; to serve a
 // checkpoint, Session::Restore it and capture FromSession. Once built
 // they are never mutated, so any number of threads may score against one
-// without coordination.
+// without coordination. The exclusion index is held by shared_ptr to
+// const: snapshots built on the same ratings share one index instead of
+// each copying it (stream::OnlineTrainer publishes this way), and a
+// FactorRecycler lets a frequent publisher copy the factors into the
+// buffers of a snapshot already dropped instead of fresh memory.
 //
 // SnapshotHolder is the publication point: one shared_ptr behind a mutex.
 // Readers copy the pointer under the lock (nanoseconds) and then score
@@ -47,21 +51,63 @@ namespace hsgd::serve {
 class FactorSnapshot;
 using SnapshotPtr = std::shared_ptr<const FactorSnapshot>;
 
+/// Factor storage that dropped snapshots hand back for the next FromModel
+/// to copy into, so a publisher that snapshots every few milliseconds
+/// stops allocating, zero-filling and faulting in a fresh pair of
+/// matrices each time. It keeps the buffers of the last snapshot dropped;
+/// one too small for the next model is replaced by a fresh buffer with an
+/// eighth of headroom, since streaming models grow a few rows at a time.
+/// Thread-safe: a snapshot's last holder may drop it on any thread.
+class FactorRecycler {
+ private:
+  friend class FactorSnapshot;
+  struct Buffer {
+    AlignedFloatPtr data;
+    size_t capacity = 0;  // floats
+  };
+
+  /// The kept buffers, each replaced when it holds fewer floats than
+  /// asked for.
+  void Take(size_t p_floats, size_t q_floats, Buffer* p, Buffer* q);
+  /// Keep `p` and `q` for the next Take, freeing any buffers kept before.
+  void Keep(Buffer p, Buffer q);
+
+  std::mutex mu_;
+  Buffer p_;
+  Buffer q_;
+};
+
 class FactorSnapshot {
  public:
   /// Deep-copies `model`'s factors (already stride-padded and aligned)
-  /// and indexes `rated` as the exclusion set. `users`/`items` (optional,
-  /// copied) translate raw external ids; pass the loader's IdMaps when
-  /// the ratings came from a real dump. `version` tags the snapshot for
-  /// observability and swap tests — callers pick any monotonic scheme.
+  /// and shares `rated` as the exclusion set: the index is immutable, so
+  /// any number of snapshots may hold the same one. InvalidArgument when
+  /// `rated` is null or does not index exactly model.num_rows() users.
+  /// `users`/`items` (optional, copied) translate raw external ids; pass
+  /// the loader's IdMaps when the ratings came from a real dump.
+  /// `version` tags the snapshot for observability and swap tests —
+  /// callers pick any monotonic scheme.
+  /// With a `recycler`, the factors are copied into the buffers it kept
+  /// from the last such snapshot dropped (when they are large enough),
+  /// and this snapshot hands its own back to it when dropped.
+  static StatusOr<std::shared_ptr<const FactorSnapshot>> FromModel(
+      const Model& model, std::shared_ptr<const RatedIndex> rated,
+      uint64_t version, const io::IdMap* users = nullptr,
+      const io::IdMap* items = nullptr,
+      std::shared_ptr<FactorRecycler> recycler = nullptr);
+
+  /// FromModel over a fresh RatedIndex::Build of `rated`, so the cost
+  /// grows with every rating, not with what changed since an earlier
+  /// snapshot.
   static StatusOr<std::shared_ptr<const FactorSnapshot>> FromModel(
       const Model& model, const Ratings& rated, uint64_t version,
       const io::IdMap* users = nullptr, const io::IdMap* items = nullptr);
 
   /// FromModel over a live session's current factors and its training
-  /// ratings, gated on the session's epoch barrier: the copy runs only
-  /// while the session is quiescent (no epoch in flight, no append
-  /// mutating — or reallocating — the factor buffers). If training holds
+  /// ratings (indexed from scratch), gated on the session's epoch
+  /// barrier: the copy and the index build run only while the session
+  /// is quiescent (no epoch in flight, no append mutating — or
+  /// reallocating — the factor buffers). If training holds
   /// the barrier this fails fast with kFailedPrecondition instead of
   /// tearing; retry at the next epoch boundary (e.g. from an OnEpochEnd
   /// observer, which fires after the barrier drops). `users`/`items`
@@ -76,19 +122,23 @@ class FactorSnapshot {
   /// Cheap integrity scan gating publication (SnapshotHolder::
   /// PublishValidated): every factor value finite (the padded lanes are
   /// zero-filled, so the whole aligned buffer is scanned), dimensions
-  /// positive, stride >= k, and — when id maps are present — map sizes
-  /// matching the factor row counts. A snapshot that fails here would
+  /// positive, stride >= k, an exclusion index covering exactly the user
+  /// rows, and — when id maps are present — map sizes matching the
+  /// factor row counts. A snapshot that fails here would
   /// serve NaN scores or crash raw-id translation, so a failing publish
   /// is rejected and serving stays on the last-known-good snapshot.
   /// Returns Ok or a FailedPrecondition naming the first defect.
   Status Validate() const;
 
-  /// Chaos/test helper: a deep copy of `src` with one NaN planted in the
-  /// user factors — the smallest corruption Validate() must catch. Keeps
-  /// src's version so a rejected publish is distinguishable from a
-  /// version rollback. Used by the publish-poison fault and tests; never
-  /// by production code.
+  /// Chaos/test helper: a copy of `src`'s factors with one NaN planted in
+  /// the user factors — the smallest corruption Validate() must catch.
+  /// Shares src's exclusion index and keeps its version, so a rejected
+  /// publish is distinguishable from a version rollback. Used by the
+  /// publish-poison fault and tests; never by production code.
   static SnapshotPtr PoisonedCopy(const FactorSnapshot& src);
+
+  /// Hands the factor buffers to the recycler, if built with one.
+  ~FactorSnapshot();
 
   int32_t num_users() const { return num_users_; }
   int32_t num_items() const { return num_items_; }
@@ -102,8 +152,8 @@ class FactorSnapshot {
   }
   const float* q_data() const { return q_.get(); }
 
-  const RatedIndex& rated_index() const { return rated_; }
-  int64_t NumRated(int32_t user) const { return rated_.NumRated(user); }
+  const RatedIndex& rated_index() const { return *rated_; }
+  int64_t NumRated(int32_t user) const { return rated_->NumRated(user); }
 
   /// Raw-id translation. Snapshots built without id maps treat dense ids
   /// as the external vocabulary (identity mapping).
@@ -127,7 +177,12 @@ class FactorSnapshot {
   uint64_t version_ = 0;
   AlignedFloatPtr p_;
   AlignedFloatPtr q_;
-  RatedIndex rated_;
+  /// Set only with recycler_: the floats p_ and q_ hold, which may be
+  /// more than the rows in use.
+  size_t p_capacity_ = 0;
+  size_t q_capacity_ = 0;
+  std::shared_ptr<FactorRecycler> recycler_;
+  std::shared_ptr<const RatedIndex> rated_;
   bool has_id_maps_ = false;
   io::IdMap users_;
   io::IdMap items_;

@@ -1,6 +1,7 @@
 #include "stream/stream.h"
 
 #include <algorithm>
+#include <mutex>
 #include <utility>
 
 #include "core/checkpoint.h"
@@ -54,6 +55,24 @@ std::vector<io::RawRating> SyntheticStream::NextBatch(int64_t n) {
 }
 
 // ---- OnlineTrainer --------------------------------------------------------
+
+struct OnlineTrainer::RetiredIndex {
+  std::mutex mu;
+  std::unique_ptr<RatedIndex> index;
+};
+
+std::shared_ptr<const RatedIndex> OnlineTrainer::ShareIndex(
+    std::unique_ptr<RatedIndex> index) {
+  if (retired_ == nullptr) retired_ = std::make_shared<RetiredIndex>();
+  return std::shared_ptr<const RatedIndex>(
+      index.release(), [retired = retired_](const RatedIndex* dropped) {
+        std::unique_ptr<RatedIndex> older;
+        std::lock_guard<std::mutex> lock(retired->mu);
+        older = std::exchange(retired->index,
+                              std::unique_ptr<RatedIndex>(
+                                  const_cast<RatedIndex*>(dropped)));
+      });
+}
 
 StatusOr<std::unique_ptr<OnlineTrainer>> OnlineTrainer::Create(
     std::unique_ptr<Session> session, io::IdMap users, io::IdMap items,
@@ -189,6 +208,10 @@ StatusOr<IngestResult> OnlineTrainer::ApplyBatch(
   // bug this layer exists to prevent.
   HSGD_CHECK(users_.size() == session_->dataset().num_rows &&
              items_.size() == session_->dataset().num_cols);
+  // Before the first index is built, the build covers these ratings.
+  if (rated_ != nullptr) {
+    unindexed_.insert(unindexed_.end(), dense.begin(), dense.end());
+  }
   IngestResult result;
   result.accepted = static_cast<int64_t>(batch.size());
   result.cold_users = users_.size() - users_before;
@@ -214,10 +237,33 @@ StatusOr<TracePoint> OnlineTrainer::TrainDirty() {
 
 StatusOr<serve::SnapshotPtr> OnlineTrainer::PublishSnapshot() {
   Stopwatch wall;
-  auto snapshot = serve::FactorSnapshot::FromSession(
-      *session_, version_ + 1, &users_, &items_);
-  if (!snapshot.ok()) return snapshot.status();
-  serve::SnapshotPtr outgoing = *snapshot;
+  // The index depends only on the ratings, which change on this thread
+  // alone, so it advances outside the epoch barrier — and stays advanced
+  // whatever happens to this publish.
+  if (rated_ == nullptr) {
+    rated_ = ShareIndex(std::make_unique<RatedIndex>(RatedIndex::Build(
+        session_->dataset().train, users_.size(), items_.size())));
+    unindexed_.clear();
+  } else if (!unindexed_.empty()) {
+    std::unique_ptr<RatedIndex> storage;
+    {
+      std::lock_guard<std::mutex> lock(retired_->mu);
+      storage = std::move(retired_->index);
+    }
+    if (storage == nullptr) storage = std::make_unique<RatedIndex>();
+    RatedIndex::Merge(*rated_, std::exchange(unindexed_, {}), users_.size(),
+                      items_.size(), storage.get());
+    rated_ = ShareIndex(std::move(storage));
+  }
+  serve::SnapshotPtr outgoing;
+  HSGD_RETURN_IF_ERROR(session_->VisitQuiesced([&]() -> Status {
+    auto snapshot = serve::FactorSnapshot::FromModel(
+        session_->model(), rated_, version_ + 1, &users_, &items_,
+        factor_buffers_);
+    if (!snapshot.ok()) return snapshot.status();
+    outgoing = *std::move(snapshot);
+    return Status::Ok();
+  }));
   if (interceptor_) outgoing = interceptor_(std::move(outgoing));
   if (publisher_) {
     Status published = publisher_(outgoing);

@@ -12,11 +12,15 @@
 //                       the touched blocks marked dirty.
 //   TrainDirty()        one incremental SGD epoch over only the dirty
 //                       blocks (Scheduler::BeginEpochSubset).
-//   PublishSnapshot()   a barrier-synchronized factor copy
-//                       (FactorSnapshot::FromSession, which fails with
+//   PublishSnapshot()   merges the ratings applied since the last
+//                       publish into the trainer's rated-item index
+//                       (RatedIndex::Merge, outside the epoch barrier),
+//                       then copies only the factors under the barrier
+//                       (Session::VisitQuiesced, which fails with
 //                       kFailedPrecondition rather than tear mid-epoch)
-//                       carrying THIS publish's id maps, handed to the
-//                       publisher callback (typically
+//                       into a snapshot sharing that index and carrying
+//                       THIS publish's id maps, handed to the publisher
+//                       callback (typically
 //                       SnapshotHolder::PublishValidated /
 //                       RecServer::Publish).
 //
@@ -224,11 +228,20 @@ class OnlineTrainer {
 
   /// Barrier-synchronized snapshot of the session's current factors +
   /// THIS moment's id maps, with a fresh monotonic version, handed
-  /// through the interceptor (if any) to the publisher. A publisher
+  /// through the interceptor (if any) to the publisher. The exclusion
+  /// index is advanced first, outside the barrier: the first publish
+  /// (also the first after Recover) builds it from the training list,
+  /// later ones merge only the ratings applied since, and a publish with
+  /// nothing new shares the previous snapshot's index as is. Only the
+  /// factor copy runs under Session::VisitQuiesced, so a publish costs
+  /// the new ratings plus the factors, not every rating. Both are
+  /// written into storage the server has dropped (the index two publishes
+  /// back, the last dropped snapshot's factor buffers), so a steady
+  /// publish allocates and faults in no memory. A publisher
   /// rejection is returned as-is with version/publish counters
-  /// unadvanced (counted in publish_rejected()); the next attempt
-  /// re-snapshots under the same version. On success returns what was
-  /// actually published.
+  /// unadvanced (counted in publish_rejected()), but the index keeps
+  /// what it merged; the next attempt re-snapshots under the same
+  /// version. On success returns what was actually published.
   StatusOr<serve::SnapshotPtr> PublishSnapshot();
 
   /// Install (or clear, with nullptr) the publish interceptor.
@@ -263,6 +276,10 @@ class OnlineTrainer {
   StatusOr<IngestResult> ApplyBatch(const std::vector<io::RawRating>& batch);
   /// Resolve the stream.* instrument handles (null registry = no-op).
   void AttachMetrics(obs::MetricsRegistry* metrics);
+  /// `index` as a shared index whose deleter hands the storage to
+  /// `retired_` instead of freeing it.
+  std::shared_ptr<const RatedIndex> ShareIndex(
+      std::unique_ptr<RatedIndex> index);
 
   std::unique_ptr<Session> session_;
   io::IdMap users_;
@@ -272,6 +289,21 @@ class OnlineTrainer {
   uint64_t version_ = 0;
   int64_t publishes_ = 0;
   int64_t publish_rejected_ = 0;
+  /// The rated-item index the last publish attempt built (null until
+  /// then), shared with every snapshot built on it, and the dense
+  /// ratings applied since, which the next publish merges into it.
+  std::shared_ptr<const RatedIndex> rated_;
+  Ratings unindexed_;
+  /// Storage of the last index that no snapshot holds any more, left by
+  /// ShareIndex's deleter in whichever thread drops the last snapshot;
+  /// the next merge writes into it, so a steady publish allocates (and
+  /// faults in) no index memory. Shared with the deleters, so snapshots
+  /// may outlive the trainer.
+  struct RetiredIndex;
+  std::shared_ptr<RetiredIndex> retired_;
+  /// Likewise for the snapshots' factor copies.
+  std::shared_ptr<serve::FactorRecycler> factor_buffers_ =
+      std::make_shared<serve::FactorRecycler>();
 
   std::unique_ptr<Wal> wal_;
   WalIngestOptions wal_options_;

@@ -3,7 +3,7 @@
 // with every item rated, invalid queries, deterministic tie-breaking and
 // duplicate or out-of-range exclusion entries — the hand-checkable
 // counterpart of the brute-force agreement checks in serve_test and
-// session_test.
+// session_test. Also checks RatedIndex::Merge against RatedIndex::Build.
 
 #include <utility>
 #include <vector>
@@ -150,6 +150,88 @@ void TestDuplicateAndOutOfRangeExclusions() {
   }
 }
 
+/// Tiny LCG for seeded ratings (no RNG state shared with the library).
+int32_t NextId(uint32_t* state, int32_t bound) {
+  *state = *state * 1664525u + 1013904223u;
+  return static_cast<int32_t>((*state >> 8) % static_cast<uint32_t>(bound));
+}
+
+// Merging deltas one at a time must give exactly the index a single
+// Build over every rating so far gives: same offsets, same items.
+void TestRatedIndexMergeMatchesBuild() {
+  struct Step {
+    int32_t users;  // catalog after this step's growth
+    int32_t items;
+    int fresh;      // seeded in-range ratings in the delta; 0 = empty delta
+  };
+  const Step steps[] = {
+      {0, 12, 0},   {40, 30, 500}, {40, 30, 60},  {40, 30, 0},
+      {55, 30, 200}, {55, 41, 200}, {70, 50, 1},  {70, 50, 3000},
+      {71, 50, 0},  {90, 64, 40},
+  };
+  uint32_t state = 17;
+  Ratings all;  // every in-range rating so far, duplicates included
+  // The first base indexes zero users.
+  RatedIndex merged = RatedIndex::Build(all, 0, 12);
+  EXPECT_EQ(merged.num_users(), 0);
+  // The same chain merged into reused storage, as OnlineTrainer does:
+  // each step overwrites the index from two steps back, which holds no
+  // more entries than the new one.
+  RatedIndex recycled[2] = {merged, RatedIndex{}};
+  // And an unrelated index larger than any step's, so entries past the
+  // new end are left over.
+  Ratings big;
+  for (int i = 0; i < 8000; ++i) {
+    big.push_back({NextId(&state, 150), NextId(&state, 90), 1.0f});
+  }
+  const RatedIndex larger = RatedIndex::Build(big, 150, 90);
+  int step_index = 0;
+  for (const Step& step : steps) {
+    Ratings delta;
+    for (int i = 0; i < step.fresh; ++i) {
+      delta.push_back({NextId(&state, step.users),
+                       NextId(&state, step.items), 1.0f});
+    }
+    if (step.fresh > 0) {
+      // A duplicate inside the delta, with a different rating value.
+      delta.push_back({delta.front().u, delta.front().v, 5.0f});
+      if (!all.empty()) {
+        // A rating the base already indexes.
+        delta.push_back(all[static_cast<size_t>(
+            NextId(&state, static_cast<int32_t>(all.size())))]);
+      }
+    }
+    all.insert(all.end(), delta.begin(), delta.end());
+    if (step.fresh > 0) {
+      // Out-of-range ids are dropped. The ones at the boundary become
+      // valid once the catalog grows, so they stay out of `all`: a
+      // dropped rating must not reappear later.
+      for (const Rating& bad :
+           {Rating{-1, 0, 1.0f}, Rating{0, -2, 1.0f},
+            Rating{step.users, 0, 1.0f}, Rating{0, step.items, 1.0f},
+            Rating{step.users + 7, step.items + 7, 1.0f}}) {
+        delta.push_back(bad);
+      }
+    }
+    RatedIndex& into = recycled[(step_index + 1) % 2];
+    RatedIndex::Merge(recycled[step_index % 2], delta, step.users,
+                      step.items, &into);
+    RatedIndex over_larger = larger;
+    RatedIndex::Merge(merged, delta, step.users, step.items, &over_larger);
+    merged = RatedIndex::Merge(merged, delta, step.users, step.items);
+    const RatedIndex built = RatedIndex::Build(all, step.users, step.items);
+    EXPECT_EQ(merged.num_users(), step.users);
+    EXPECT_TRUE(merged.offsets == built.offsets);
+    EXPECT_TRUE(merged.items == built.items);
+    for (const RatedIndex* reused : {&into, &over_larger}) {
+      EXPECT_TRUE(reused->offsets == built.offsets);
+      EXPECT_TRUE(reused->items == built.items);
+    }
+    ++step_index;
+  }
+  EXPECT_LT(0, static_cast<int64_t>(merged.items.size()));
+}
+
 }  // namespace
 
 void RunAllTests() {
@@ -158,6 +240,7 @@ void RunAllTests() {
   TestInvalidQueries();
   TestDeterministicTieBreaks();
   TestDuplicateAndOutOfRangeExclusions();
+  TestRatedIndexMergeMatchesBuild();
 }
 
 }  // namespace hsgd

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@
 namespace hsgd {
 namespace {
 
+using serve::FactorRecycler;
 using serve::FactorSnapshot;
 using serve::RecServer;
 using serve::ServeConfig;
@@ -41,7 +43,7 @@ SnapshotPtr UniformSnapshot(int32_t num_users, int32_t num_items,
   Model model(num_users, num_items, /*k=*/2);
   for (int32_t u = 0; u < num_users; ++u) model.Row(u)[0] = 1.0f;
   for (int32_t v = 0; v < num_items; ++v) model.Col(v)[0] = weight;
-  auto snap = FactorSnapshot::FromModel(model, {}, version);
+  auto snap = FactorSnapshot::FromModel(model, Ratings{}, version);
   EXPECT_TRUE(snap.ok());
   return snap.ok() ? *snap : nullptr;
 }
@@ -317,7 +319,7 @@ void TestColdUserIsTypedNotFatal() {
   Model model(3, 8, 4);
   model.SetDense(std::vector<float>(3 * 4, 0.5f),
                  std::vector<float>(8 * 4, 0.25f));
-  auto snap = FactorSnapshot::FromModel(model, {}, 1, &users, &items);
+  auto snap = FactorSnapshot::FromModel(model, Ratings{}, 1, &users, &items);
   EXPECT_TRUE(snap.ok());
   if (!snap.ok()) return;
   EXPECT_TRUE((*snap)->has_id_maps());
@@ -430,6 +432,97 @@ void TestFromSessionGatedOnEpochBarrier() {
   }
 }
 
+// FromModel over a prebuilt index: snapshots share the index, and an
+// index that does not cover exactly the model's user rows is refused.
+void TestFromModelSharesAndChecksIndex() {
+  Model model = RandomModel(5, 40, /*k=*/4, /*seed=*/3);
+  const Ratings rated = {{0, 3, 1.0f}, {4, 39, 1.0f}, {4, 0, 1.0f}};
+  auto index = std::make_shared<const RatedIndex>(
+      RatedIndex::Build(rated, 5, 40));
+  auto a = FactorSnapshot::FromModel(model, index, 1);
+  auto b = FactorSnapshot::FromModel(model, index, 2);
+  EXPECT_TRUE(a.ok() && b.ok());
+  if (!a.ok() || !b.ok()) return;
+  EXPECT_TRUE(&(*a)->rated_index() == index.get());
+  EXPECT_TRUE(&(*b)->rated_index() == index.get());
+  EXPECT_TRUE((*a)->Validate().ok());
+  EXPECT_EQ((*a)->NumRated(4), 2);
+  // Same answers as a snapshot that indexes the ratings itself.
+  auto built = FactorSnapshot::FromModel(model, rated, 3);
+  EXPECT_TRUE(built.ok());
+  if (built.ok()) {
+    for (int32_t u = 0; u < 5; ++u) {
+      auto shared = TopK(**a, u, 40);
+      auto own = TopK(**built, u, 40);
+      EXPECT_TRUE(shared.ok() && own.ok());
+      if (shared.ok() && own.ok()) EXPECT_SAME_TOPK(*shared, *own);
+    }
+  }
+
+  EXPECT_TRUE(FactorSnapshot::FromModel(model, nullptr, 1).status().code() ==
+              StatusCode::kInvalidArgument);
+  for (int32_t users : {0, 4, 6}) {
+    auto other = std::make_shared<const RatedIndex>(
+        RatedIndex::Build(rated, users, 40));
+    EXPECT_TRUE(FactorSnapshot::FromModel(model, other, 1).status().code() ==
+                StatusCode::kInvalidArgument);
+  }
+}
+
+// With a recycler, FromModel copies into the buffers of the last
+// snapshot dropped from it: a snapshot still held keeps its own, reused
+// and regrown buffers answer exactly like fresh ones, and a poisoned copy
+// of a recycled snapshot is still caught.
+void TestFactorRecyclerReusesDroppedBuffers() {
+  auto recycler = std::make_shared<FactorRecycler>();
+  auto make = [&](const Model& model, uint64_t version,
+                  std::shared_ptr<FactorRecycler> from) -> SnapshotPtr {
+    auto index = std::make_shared<const RatedIndex>(RatedIndex::Build(
+        {{0, 3, 1.0f}, {4, 39, 1.0f}}, model.num_rows(), model.num_cols()));
+    auto snapshot = FactorSnapshot::FromModel(model, std::move(index),
+                                              version, nullptr, nullptr,
+                                              std::move(from));
+    EXPECT_TRUE(snapshot.ok());
+    return snapshot.ok() ? *snapshot : nullptr;
+  };
+  auto expect_same = [](const SnapshotPtr& got, const SnapshotPtr& want) {
+    EXPECT_TRUE(got != nullptr && want != nullptr);
+    if (got == nullptr || want == nullptr) return;
+    EXPECT_TRUE(got->Validate().ok());
+    for (int32_t u = 0; u < want->num_users(); ++u) {
+      auto a = TopK(*got, u, want->num_items());
+      auto b = TopK(*want, u, want->num_items());
+      EXPECT_TRUE(a.ok() && b.ok());
+      if (a.ok() && b.ok()) EXPECT_SAME_TOPK(*a, *b);
+    }
+  };
+  const Model first = RandomModel(5, 40, /*k=*/4, /*seed=*/3);
+  const Model second = RandomModel(5, 40, /*k=*/4, /*seed=*/4);
+  SnapshotPtr held = make(first, 1, recycler);
+  SnapshotPtr next = make(second, 2, recycler);
+  if (held == nullptr || next == nullptr) return;
+  EXPECT_TRUE(held->q_data() != next->q_data());
+  expect_same(held, make(first, 1, nullptr));
+  expect_same(next, make(second, 2, nullptr));
+
+  // Dropped, its buffers are the next snapshot's.
+  const float* dropped_q = held->q_data();
+  held.reset();
+  SnapshotPtr reused = make(first, 3, recycler);
+  if (reused == nullptr) return;
+  EXPECT_TRUE(reused->q_data() == dropped_q);
+  expect_same(reused, make(first, 3, nullptr));
+  SnapshotPtr poisoned = FactorSnapshot::PoisonedCopy(*reused);
+  EXPECT_FALSE(poisoned->Validate().ok());
+  EXPECT_TRUE(reused->Validate().ok());
+
+  // A grown model outgrows the kept buffers.
+  reused.reset();
+  const Model grown = RandomModel(9, 70, /*k=*/4, /*seed=*/5);
+  expect_same(make(grown, 4, recycler), make(grown, 4, nullptr));
+  expect_same(next, make(second, 2, nullptr));
+}
+
 void TestCreateValidatesConfigAndEmptyHolder() {
   ServeConfig bad_shards;
   bad_shards.shards = 0;
@@ -461,6 +554,8 @@ void TestPublishValidationRejectsPoison() {
   EXPECT_FALSE(poisoned->Validate().ok());
   EXPECT_TRUE(poisoned->Validate().code() ==
               StatusCode::kFailedPrecondition);
+  // The copy shares its source's exclusion index instead of copying it.
+  EXPECT_TRUE(&poisoned->rated_index() == &good->rated_index());
 
   // Holder level: the rejection installs nothing.
   SnapshotHolder holder;
@@ -681,6 +776,8 @@ void RunAllTests() {
   TestDeadlineSheddingCountsExactly();
   TestColdUserIsTypedNotFatal();
   TestFromSessionGatedOnEpochBarrier();
+  TestFromModelSharesAndChecksIndex();
+  TestFactorRecyclerReusesDroppedBuffers();
   TestCreateValidatesConfigAndEmptyHolder();
   TestPublishValidationRejectsPoison();
   TestHeldSnapshotSurvivesPublisherChurn();

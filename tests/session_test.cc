@@ -607,6 +607,46 @@ void TestModelGrowAlignment() {
             0);
 }
 
+// (f2) Streaming growth, a row and a column at a time: every step keeps
+// the old factor bits and the zero padding, draws the new row and column
+// from the rng in order, and the storage moves only when the headroom
+// runs out, not on every step.
+void TestModelGrowInPlace() {
+  const int kRank = 5;
+  Model model(64, 48, kRank);
+  Rng init(5, 1);
+  model.InitRandom(&init, 3.5);
+  Rng growth(5, 29);
+  Rng replay(5, 29);
+  const float hi = 2.0f * std::sqrt(3.5f / kRank);
+  int steps = 0;
+  int moves = 0;
+  for (int32_t rows = 65, cols = 49; rows <= 200; ++rows, ++cols) {
+    const std::vector<float> p_before = model.DenseP();
+    const std::vector<float> q_before = model.DenseQ();
+    const float* p_data = model.p_data();
+    const float* q_data = model.q_data();
+    model.Grow(rows, cols, &growth, 3.5);
+    ++steps;
+    moves += model.p_data() != p_data ? 1 : 0;
+    moves += model.q_data() != q_data ? 1 : 0;
+    EXPECT_EQ(std::memcmp(p_before.data(), model.DenseP().data(),
+                          p_before.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(q_before.data(), model.DenseQ().data(),
+                          q_before.size() * sizeof(float)),
+              0);
+    for (const float* row : {model.Row(rows - 1), model.Col(cols - 1)}) {
+      for (int f = 0; f < kRank; ++f) {
+        EXPECT_EQ(row[f], replay.NextFloat() * hi);
+      }
+      for (int f = kRank; f < model.stride(); ++f) EXPECT_EQ(row[f], 0.0f);
+    }
+  }
+  EXPECT_LT(0, moves);
+  EXPECT_LT(moves, steps / 2);  // two matrices, so at most a quarter each
+}
+
 // (g) A grown session checkpoints and restores with bit-identical
 // factors; the pre-growth dataset no longer passes the fingerprint.
 void TestGrownCheckpointRoundTrip() {
@@ -719,6 +759,7 @@ void RunAllTests() {
   TestBatchTopKOverTrainedFactors();
   TestAppendAndIncrementalEpoch();
   TestModelGrowAlignment();
+  TestModelGrowInPlace();
   TestGrownCheckpointRoundTrip();
   TestVisitQuiescedBarrier();
   TestTraceEmptyAndMonotone();

@@ -1,16 +1,21 @@
 // Stream subsystem tests: the incremental parser must be byte-chunking
 // invariant (records, bad-line tally, and the exact over-budget failure
-// all identical down to 1-byte pushes), and the OnlineTrainer must take a
+// all identical down to 1-byte pushes), the OnlineTrainer must take a
 // cold raw id from ingestion to a servable factor row — with queries in
-// between answered by a typed NotFound, never a stale dense-id aliasing.
+// between answered by a typed NotFound, never a stale dense-id aliasing
+// — and every snapshot it publishes on its merged rated-item index must
+// equal one indexed from scratch.
 
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "brute_force_topk.h"
 #include "core/dataset.h"
+#include "core/recommender.h"
 #include "core/session.h"
 #include "io/loader.h"
 #include "obs/metrics.h"
@@ -484,6 +489,116 @@ std::vector<RawRating> StreamBatch(int round, int32_t rows, int32_t cols) {
   return batch;
 }
 
+/// Expects `published` (a snapshot `trainer` just built) to index
+/// exactly what a from-scratch RatedIndex::Build over the training list
+/// indexes, and to answer a full-catalog TopK for every user bit for bit
+/// like a FromSession snapshot of the same moment.
+void ExpectSameAsFromScratch(const OnlineTrainer& trainer,
+                             const serve::FactorSnapshot& published) {
+  const Dataset& ds = trainer.session().dataset();
+  const RatedIndex built =
+      RatedIndex::Build(ds.train, ds.num_rows, ds.num_cols);
+  EXPECT_TRUE(published.rated_index().offsets == built.offsets);
+  EXPECT_TRUE(published.rated_index().items == built.items);
+
+  auto reference = serve::FactorSnapshot::FromSession(
+      trainer.session(), published.version(), &trainer.users(),
+      &trainer.items());
+  EXPECT_TRUE(reference.ok());
+  if (!reference.ok()) return;
+  std::vector<serve::TopKQuery> queries;
+  for (int32_t u = 0; u < ds.num_rows; ++u) {
+    queries.push_back({u, ds.num_cols});
+  }
+  auto got = serve::BatchTopK(published, queries.data(), queries.size());
+  auto want = serve::BatchTopK(**reference, queries.data(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(got[i].ok() && want[i].ok());
+    if (got[i].ok() && want[i].ok()) EXPECT_SAME_TOPK(*got[i], *want[i]);
+  }
+}
+
+// The publish path merges each round's ratings into the previous index
+// outside the epoch barrier. Across many rounds — ingest before the first
+// publish, empty rounds, duplicate ratings, cold users and items, and a
+// publisher that refuses every fifth snapshot — each candidate must equal
+// a from-scratch snapshot, and a publish with nothing new shares the
+// previous index.
+void TestPublishedIndexMatchesBuild() {
+  const int32_t kRows = 80;
+  const int32_t kCols = 60;
+  const int kRounds = 60;
+  TrainConfig config = StreamConfig();
+  config.max_epochs = 2 + kRounds;  // every incremental epoch counts
+  auto session = Session::Create(WarmDataset(kRows, kCols), config);
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return;
+  EXPECT_TRUE((*session)->RunEpoch().ok());
+
+  // Only the last two candidates stay alive, so the trainer gets older
+  // indexes and factor buffers back and most rounds run on reused
+  // storage.
+  serve::SnapshotPtr previous, last;
+  int64_t attempts = 0;
+  auto trainer = OnlineTrainer::Create(
+      *std::move(session), DenseIdentityMap(kRows), DenseIdentityMap(kCols),
+      [&](serve::SnapshotPtr snap) {
+        previous = std::exchange(last, std::move(snap));
+        return ++attempts % 5 == 0
+                   ? Status::FailedPrecondition("refused by the test")
+                   : Status::Ok();
+      });
+  EXPECT_TRUE(trainer.ok());
+  if (!trainer.ok()) return;
+  OnlineTrainer* ot = trainer->get();
+
+  // Ratings ingested before the first publish are covered by its build.
+  EXPECT_TRUE(ot->Ingest(StreamBatch(0, kRows, kCols)).ok());
+  EXPECT_TRUE(ot->TrainDirty().ok());
+
+  for (int round = 1; round <= kRounds; ++round) {
+    const bool empty = round % 7 == 3;
+    if (!empty) {
+      // Raw ids run past the warm range, further every round, so cold
+      // users and items keep arriving; each batch repeats its first
+      // rating, and every round rates the pair (1, 2) again.
+      std::vector<RawRating> batch;
+      for (int i = 0; i < 5 + round % 4; ++i) {
+        batch.push_back({(round * 13 + 7 * i) % (kRows + round / 2 + 1),
+                         (round * 5 + 11 * i) % (kCols + round / 3 + 1),
+                         1.0f + 0.5f * static_cast<float>(i % 6)});
+      }
+      batch.push_back(batch.front());
+      batch.push_back({1, 2, 4.0f});
+      EXPECT_TRUE(ot->Ingest(batch).ok());
+      EXPECT_TRUE(ot->TrainDirty().ok());
+    }
+    const int64_t before = attempts;
+    const bool refused = (attempts + 1) % 5 == 0;
+    auto published = ot->PublishSnapshot();
+    EXPECT_EQ(published.ok(), !refused);
+    EXPECT_EQ(attempts, before + 1);
+    if (attempts != before + 1) return;
+    ExpectSameAsFromScratch(*ot, *last);
+    if (empty) {
+      // Nothing new since the last attempt: the index is shared.
+      EXPECT_TRUE(&last->rated_index() == &previous->rated_index());
+    }
+  }
+  EXPECT_EQ(ot->publish_rejected(), kRounds / 5);
+  EXPECT_EQ(ot->publishes(), kRounds - kRounds / 5);
+  EXPECT_LT(kRows, ot->users().size());
+  EXPECT_LT(kCols, ot->items().size());
+
+  // Two publishes with no ingest between them share one index.
+  auto first = ot->PublishSnapshot();
+  auto second = ot->PublishSnapshot();
+  EXPECT_TRUE(first.ok() && second.ok());
+  if (first.ok() && second.ok()) {
+    EXPECT_TRUE(&(*first)->rated_index() == &(*second)->rated_index());
+  }
+}
+
 // WAL-armed ingest is bit-transparent: the same warm base and streamed
 // rounds produce identical factors with and without the log, the log
 // holds exactly the acknowledged batches, and re-Creating over a
@@ -629,9 +744,21 @@ void TestWalCheckpointRecoverBitIdentity() {
   EXPECT_TRUE(back->session().model().DenseQ() == q);
   EXPECT_EQ(back->wal_applied_seq(), 5u);
 
+  // The recovered trainer's first publish builds its index from the
+  // whole grown training list...
+  auto rebuilt = back->PublishSnapshot();
+  EXPECT_TRUE(rebuilt.ok());
+  if (rebuilt.ok()) ExpectSameAsFromScratch(*back, **rebuilt);
+
   // The revived log keeps appending where the crash left off.
   EXPECT_TRUE(back->Ingest(StreamBatch(6, kRows, kCols)).ok());
   EXPECT_EQ(back->wal_applied_seq(), 6u);
+
+  // ...and the next one merges what arrived since.
+  EXPECT_TRUE(back->TrainDirty().ok());
+  auto merged = back->PublishSnapshot();
+  EXPECT_TRUE(merged.ok());
+  if (merged.ok()) ExpectSameAsFromScratch(*back, **merged);
 
   std::filesystem::remove_all(dir);
   std::remove(ckpt.c_str());
@@ -646,6 +773,7 @@ void RunAllTests() {
   TestSyntheticStreamDeterministic();
   TestOnlineTrainerColdStartServing();
   TestOnlineTrainerCreateValidation();
+  TestPublishedIndexMatchesBuild();
   TestWalIngestParityAndCreateRefusal();
   TestWalCheckpointRecoverBitIdentity();
 }
