@@ -366,18 +366,16 @@ ChaosResult RunChaos(const BenchContext& ctx, const ChaosShape& shape,
   auto trainer = OnlineTrainer::Create(
       std::move(session), WarmUsers(shape.warm_rows),
       WarmItems(shape.warm_cols),
-      [srv](serve::SnapshotPtr snap) { return srv->Publish(std::move(snap)); },
+      [srv, chaos](serve::SnapshotPtr snap) {
+        if (chaos->PoisonThisPublish()) {
+          snap = serve::FactorSnapshot::PoisonedCopy(*snap);
+        }
+        return srv->Publish(std::move(snap));
+      },
       registry, &wal_options);
   HSGD_CHECK_OK(trainer.status());
   OnlineTrainer* ot = trainer->get();
   ot->wal()->SetIoFaultHook([chaos] { return chaos->ConsumeWalFault(); });
-  ot->SetPublishInterceptor(
-      [chaos](serve::SnapshotPtr snap) -> serve::SnapshotPtr {
-        if (chaos->PoisonThisPublish()) {
-          return serve::FactorSnapshot::PoisonedCopy(*snap);
-        }
-        return snap;
-      });
 
   std::atomic<uint64_t> max_version{1};
   HSGD_CHECK_OK(ot->PublishSnapshot().status());

@@ -1187,49 +1187,30 @@ Status Session::SaveCheckpoint(const std::string& path,
   return status;
 }
 
-StatusOr<std::unique_ptr<Session>> Session::Restore(const std::string& path,
-                                                    Dataset dataset) {
+StatusOr<std::unique_ptr<Session>> Session::Restore(
+    const std::string& path, Dataset dataset,
+    const std::vector<Ratings>& growth) {
   auto ckpt = ReadCheckpoint(path);
   if (!ckpt.ok()) return ckpt.status();
-  DatasetFingerprint fp = FingerprintDataset(dataset);
-  if (fp != ckpt->dataset) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint '%s' was written for a different dataset "
-        "(stored %dx%d k=%d nnz=%lld, got %dx%d k=%d nnz=%lld)",
-        path.c_str(), ckpt->dataset.num_rows, ckpt->dataset.num_cols,
-        ckpt->dataset.k, static_cast<long long>(ckpt->dataset.train_nnz),
-        fp.num_rows, fp.num_cols, fp.k,
-        static_cast<long long>(fp.train_nnz)));
-  }
   auto session = Create(std::move(dataset), ckpt->config);
   if (!session.ok()) return session.status();
-  HSGD_RETURN_IF_ERROR((*session)->InstallCheckpoint(*ckpt));
-  return session;
-}
-
-StatusOr<std::unique_ptr<Session>> Session::RestoreGrown(
-    const std::string& path, Dataset warm_dataset,
-    const std::vector<Ratings>& growth_batches) {
-  auto ckpt = ReadCheckpoint(path);
-  if (!ckpt.ok()) return ckpt.status();
-  auto session = Create(std::move(warm_dataset), ckpt->config);
-  if (!session.ok()) return session.status();
-  for (const Ratings& batch : growth_batches) {
+  for (const Ratings& batch : growth) {
     HSGD_RETURN_IF_ERROR((*session)->AppendRatings(batch));
   }
-  // The fingerprint is the exactness proof: warm data + replayed growth
-  // must reconstruct byte-for-byte the dataset the checkpoint was saved
-  // against, or the factors we are about to install describe different
-  // data.
+  // The fingerprint is the exactness proof: the base data plus the
+  // replayed growth must reconstruct byte-for-byte the dataset the
+  // checkpoint was saved against, or the factors we are about to install
+  // describe different data.
   DatasetFingerprint fp = FingerprintDataset((*session)->dataset_);
   if (fp != ckpt->dataset) {
     return Status::InvalidArgument(StrFormat(
-        "replayed growth does not reconstruct the checkpointed dataset "
-        "(stored %dx%d nnz=%lld, rebuilt %dx%d nnz=%lld) — WAL and "
-        "checkpoint disagree",
-        ckpt->dataset.num_rows, ckpt->dataset.num_cols,
-        static_cast<long long>(ckpt->dataset.train_nnz), fp.num_rows,
-        fp.num_cols, static_cast<long long>(fp.train_nnz)));
+        "checkpoint '%s' was written for a different dataset (stored "
+        "%dx%d k=%d nnz=%lld, rebuilt %dx%d k=%d nnz=%lld from %zu "
+        "replayed growth batches)",
+        path.c_str(), ckpt->dataset.num_rows, ckpt->dataset.num_cols,
+        ckpt->dataset.k, static_cast<long long>(ckpt->dataset.train_nnz),
+        fp.num_rows, fp.num_cols, fp.k,
+        static_cast<long long>(fp.train_nnz), growth.size()));
   }
   HSGD_RETURN_IF_ERROR((*session)->InstallCheckpoint(*ckpt));
   // Replayed appends marked their blocks dirty, but the checkpoint was

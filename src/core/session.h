@@ -278,34 +278,26 @@ class Session {
   static StatusOr<std::unique_ptr<Session>> Create(Dataset dataset,
                                                    TrainConfig config);
 
-  /// Rebuilds a session from a checkpoint written by SaveCheckpoint.
-  /// `dataset` must be the same data the checkpointed session was
-  /// trained on (verified via a stored fingerprint); the TrainConfig is
-  /// restored from the checkpoint. The resumed session reproduces the
-  /// uninterrupted run's remaining TracePoints and final TrainStats
-  /// bit-for-bit (wall_seconds excepted).
-  static StatusOr<std::unique_ptr<Session>> Restore(const std::string& path,
-                                                    Dataset dataset);
-
-  /// Restore for a session that GREW after its warm start (online
-  /// appends). Plain Restore cannot serve this case: Init cuts the block
-  /// grid from the dataset it is handed, so building from the grown data
-  /// yields different stratum boundaries than the crashed session's
-  /// warm-grid-plus-trailing-growth — structurally different, so
-  /// re-driven appends would diverge. This variant rebuilds the exact
-  /// history instead: Create over the WARM dataset (the one the crashed
-  /// session was created with), replay `growth_batches` through
-  /// AppendRatings in their original ingest order (reproducing the
-  /// trailing-stratum growth and block-tail bucketing bit for bit), then
-  /// verify the grown dataset against the checkpoint's fingerprint and
-  /// install the checkpoint. The replayed growth's dirty marks are
-  /// cleared afterwards: the checkpoint contract (see
-  /// stream::OnlineTrainer::Checkpoint) is that saves happen at
-  /// ingest-quiescent points, so every replayed rating was already
-  /// trained into the checkpointed factors.
-  static StatusOr<std::unique_ptr<Session>> RestoreGrown(
-      const std::string& path, Dataset warm_dataset,
-      const std::vector<Ratings>& growth_batches);
+  /// Rebuilds a session from a checkpoint written by SaveCheckpoint; the
+  /// TrainConfig is restored from the checkpoint. `dataset` is the data
+  /// the checkpointed session was CREATED with, and `growth` the batches
+  /// it appended since (AppendRatings), in their original order. Create
+  /// cuts the block grid from the dataset it is handed, so a grown
+  /// session cannot be rebuilt from its grown data: that yields
+  /// different stratum boundaries than warm-grid-plus-trailing-growth,
+  /// and later appends would diverge. Restore instead creates over
+  /// `dataset`, replays `growth` (reproducing the trailing-stratum
+  /// growth and block-tail bucketing bit for bit), verifies the result
+  /// against the checkpoint's dataset fingerprint (InvalidArgument on a
+  /// mismatch) and installs the checkpoint. The replayed growth's dirty
+  /// marks are cleared: checkpoints are taken at ingest-quiescent points
+  /// (see stream::OnlineTrainer::Checkpoint), so every replayed rating
+  /// is already trained into the installed factors. The resumed session
+  /// reproduces the uninterrupted run's remaining TracePoints and final
+  /// TrainStats bit-for-bit (wall_seconds excepted).
+  static StatusOr<std::unique_ptr<Session>> Restore(
+      const std::string& path, Dataset dataset,
+      const std::vector<Ratings>& growth = {});
 
   ~Session();
 
@@ -424,19 +416,14 @@ class Session {
   /// pipeline state, trace, stat accumulators) to `path`. Written via a
   /// temp file + rename so a crash mid-write never corrupts an existing
   /// checkpoint. Only legal between epochs (which is the only time a
-  /// session is observable anyway).
-  Status SaveCheckpoint(const std::string& path) const {
-    return SaveCheckpoint(path, 0);
-  }
-
-  /// SaveCheckpoint recording `wal_seq` as the WAL high-water mark
-  /// applied to this session — the durability contract between the
+  /// session is observable anyway). `wal_seq` records the WAL high-water
+  /// mark applied to this session — the durability contract between the
   /// checkpoint and stream/wal.h's log. Restore carries it back out via
   /// ReadCheckpoint (the session itself has no WAL state); the growth
   /// RNG and exact rating moments ARE session state and round-trip with
   /// every save, so appends after a restore stay bit-identical to the
   /// uninterrupted run.
-  Status SaveCheckpoint(const std::string& path, uint64_t wal_seq) const;
+  Status SaveCheckpoint(const std::string& path, uint64_t wal_seq = 0) const;
 
  private:
   /// A simulated worker: one CPU thread (cpu != nullptr) or one GPU

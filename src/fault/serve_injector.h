@@ -9,9 +9,9 @@
 // == poisons scripted, and so on).
 //
 // Firing surfaces, by kind:
-//   kPublishPoison  PoisonThisPublish() — the trainer's publish
-//                   interceptor swaps in a NaN-poisoned snapshot for the
-//                   next `count` publishes from the armed round on.
+//   kPublishPoison  PoisonThisPublish() — the trainer's publisher
+//                   swaps in a NaN-poisoned snapshot for the next
+//                   `count` publishes from the armed round on.
 //   kWalIo          ConsumeWalFault() — wired to Wal::SetIoFaultHook; the
 //                   next `count` appends fail cleanly (retryable).
 //   kQueryStorm     LoadMultiplier() — client threads scale their offered

@@ -7,10 +7,34 @@
 #include "core/checkpoint.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/retry.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 
 namespace hsgd::stream {
+
+namespace {
+
+/// Wall-clock budget for one batch's WAL append retries.
+constexpr double kWalRetryBudgetS = 0.25;
+
+/// Raw ids -> dense through `users` / `items`, assigning the next dense
+/// id to each entity seen for the first time.
+Ratings Resolve(const std::vector<io::RawRating>& batch, io::IdMap* users,
+                io::IdMap* items) {
+  Ratings dense;
+  dense.reserve(batch.size());
+  for (const io::RawRating& rec : batch) {
+    Rating r;
+    r.u = users->Assign(rec.user);
+    r.v = items->Assign(rec.item);
+    r.r = rec.rating;
+    dense.push_back(r);
+  }
+  return dense;
+}
+
+}  // namespace
 
 io::IdMap DenseIdentityMap(int32_t size) {
   io::IdMap map;
@@ -74,10 +98,10 @@ std::shared_ptr<const RatedIndex> OnlineTrainer::ShareIndex(
       });
 }
 
-StatusOr<std::unique_ptr<OnlineTrainer>> OnlineTrainer::Create(
+StatusOr<std::unique_ptr<OnlineTrainer>> OnlineTrainer::Open(
     std::unique_ptr<Session> session, io::IdMap users, io::IdMap items,
     Publisher publisher, obs::MetricsRegistry* metrics,
-    const WalIngestOptions* wal) {
+    const WalIngestOptions* wal, uint64_t applied_seq) {
   if (session == nullptr) {
     return Status::InvalidArgument("OnlineTrainer needs a live session");
   }
@@ -96,23 +120,35 @@ StatusOr<std::unique_ptr<OnlineTrainer>> OnlineTrainer::Create(
   trainer->items_ = std::move(items);
   trainer->publisher_ = std::move(publisher);
   if (wal != nullptr) {
+    // Wal::Open truncates any torn tail in place.
     auto log = Wal::Open(wal->wal, metrics);
     if (!log.ok()) return log.status();
     trainer->wal_ = *std::move(log);
-    trainer->wal_options_ = *wal;
-    // A fresh trainer over a non-empty log: the caller wants Recover(),
-    // not Create() — silently appending after unreplayed records would
-    // desync the mark from the session.
-    if (trainer->wal_->last_seq() != 0) {
-      return Status::FailedPrecondition(StrFormat(
-          "WAL at '%s' already holds %llu records; use "
-          "OnlineTrainer::Recover to rebuild from it (or point Create at "
-          "a fresh directory)",
-          wal->wal.dir.c_str(),
-          static_cast<unsigned long long>(trainer->wal_->last_seq())));
-    }
   }
   trainer->AttachMetrics(metrics);
+  trainer->wal_applied_seq_ = applied_seq;
+  obs::Set(trainer->metric_.wal_applied_seq, static_cast<double>(applied_seq));
+  return trainer;
+}
+
+StatusOr<std::unique_ptr<OnlineTrainer>> OnlineTrainer::Create(
+    std::unique_ptr<Session> session, io::IdMap users, io::IdMap items,
+    Publisher publisher, obs::MetricsRegistry* metrics,
+    const WalIngestOptions* wal) {
+  auto trainer = Open(std::move(session), std::move(users), std::move(items),
+                      std::move(publisher), metrics, wal, 0);
+  if (!trainer.ok()) return trainer.status();
+  // A fresh trainer over a non-empty log: the caller wants Recover(),
+  // not Create() — silently appending after unreplayed records would
+  // desync the mark from the session.
+  if (wal != nullptr && (*trainer)->wal_->last_seq() != 0) {
+    return Status::FailedPrecondition(StrFormat(
+        "WAL at '%s' already holds %llu records; use "
+        "OnlineTrainer::Recover to rebuild from it (or point Create at "
+        "a fresh directory)",
+        wal->wal.dir.c_str(),
+        static_cast<unsigned long long>((*trainer)->wal_->last_seq())));
+  }
   return trainer;
 }
 
@@ -151,8 +187,8 @@ StatusOr<IngestResult> OnlineTrainer::Ingest(
     // applied, or a crash after apply would lose an acknowledged ingest.
     // Transient IO errors retry under the deadline; exhaustion fails the
     // Ingest with nothing applied (and nothing acknowledged).
-    Status logged = RetryWithBackoffUntil(
-        wal_options_.retry, &retry_rng_, wal_options_.retry_budget_s,
+    Status logged = RetryWithBackoff(
+        RetryOptions{}, &retry_rng_,
         [&]() -> Status {
           auto appended = wal_->Append(batch);
           if (!appended.ok()) return appended.status();
@@ -162,7 +198,8 @@ StatusOr<IngestResult> OnlineTrainer::Ingest(
         [&](int, const Status&) {
           ++wal_retries_;
           obs::Increment(metric_.wal_retries);
-        });
+        },
+        kWalRetryBudgetS);
     if (!logged.ok()) return logged;
   }
   auto result = ApplyBatch(batch);
@@ -193,15 +230,7 @@ StatusOr<IngestResult> OnlineTrainer::ApplyBatch(
     const std::vector<io::RawRating>& batch) {
   const int32_t users_before = users_.size();
   const int32_t items_before = items_.size();
-  Ratings dense;
-  dense.reserve(batch.size());
-  for (const io::RawRating& rec : batch) {
-    Rating r;
-    r.u = users_.Assign(rec.user);
-    r.v = items_.Assign(rec.item);
-    r.r = rec.rating;
-    dense.push_back(r);
-  }
+  const Ratings dense = Resolve(batch, &users_, &items_);
   HSGD_RETURN_IF_ERROR(session_->AppendRatings(dense));
   // The maps and the grown session must agree — the next publish copies
   // both, and a divergence here is exactly the stale-dense-id aliasing
@@ -264,7 +293,6 @@ StatusOr<serve::SnapshotPtr> OnlineTrainer::PublishSnapshot() {
     outgoing = *std::move(snapshot);
     return Status::Ok();
   }));
-  if (interceptor_) outgoing = interceptor_(std::move(outgoing));
   if (publisher_) {
     Status published = publisher_(outgoing);
     if (!published.ok()) {
@@ -328,55 +356,26 @@ StatusOr<OnlineTrainer::RecoverResult> OnlineTrainer::Recover(
 
   // Dense-resolve the covered records (seq <= mark) through the warm id
   // maps, growing them exactly as the crashed trainer's Ingest did; the
-  // grown batches feed RestoreGrown's bit-exact history replay.
+  // grown batches feed Restore's bit-exact history replay.
   std::vector<Ratings> growth;
-  std::vector<WalRecord> unapplied;
-  int64_t replayed = 0;
+  RecoverResult result;
   for (WalRecord& record : replay->records) {
     if (record.seq > mark) {
-      unapplied.push_back(std::move(record));
-      continue;
+      result.unapplied.push_back(std::move(record));
+    } else {
+      growth.push_back(Resolve(record.batch, &users, &items));
     }
-    Ratings dense;
-    dense.reserve(record.batch.size());
-    for (const io::RawRating& rec : record.batch) {
-      Rating r;
-      r.u = users.Assign(rec.user);
-      r.v = items.Assign(rec.item);
-      r.r = rec.rating;
-      dense.push_back(r);
-    }
-    growth.push_back(std::move(dense));
-    ++replayed;
   }
 
-  auto session =
-      Session::RestoreGrown(checkpoint_path, std::move(warm), growth);
+  auto session = Session::Restore(checkpoint_path, std::move(warm), growth);
   if (!session.ok()) return session.status();
-
-  RecoverResult result;
-  // Create() refuses a non-empty WAL, so wire the trainer by hand: same
-  // fields, plus the replayed mark. Wal::Open re-truncates any torn
-  // tail (idempotent — Replay above already measured it).
-  std::unique_ptr<OnlineTrainer> trainer(new OnlineTrainer());
-  trainer->retry_rng_ = Rng((*session)->config().seed, 37);
-  trainer->session_ = *std::move(session);
-  trainer->users_ = std::move(users);
-  trainer->items_ = std::move(items);
-  trainer->publisher_ = std::move(publisher);
-  auto log = Wal::Open(wal.wal, metrics);
-  if (!log.ok()) return log.status();
-  trainer->wal_ = *std::move(log);
-  trainer->wal_options_ = wal;
-  trainer->wal_applied_seq_ = mark;
-  trainer->AttachMetrics(metrics);
-  obs::Add(trainer->metric_.wal_replayed, replayed);
-  obs::Set(trainer->metric_.wal_applied_seq, static_cast<double>(mark));
-
-  result.trainer = std::move(trainer);
-  result.unapplied = std::move(unapplied);
+  auto trainer = Open(*std::move(session), std::move(users), std::move(items),
+                      std::move(publisher), metrics, &wal, mark);
+  if (!trainer.ok()) return trainer.status();
+  result.replayed_batches = static_cast<int64_t>(growth.size());
+  obs::Add((*trainer)->metric_.wal_replayed, result.replayed_batches);
+  result.trainer = *std::move(trainer);
   result.checkpoint_seq = mark;
-  result.replayed_batches = replayed;
   result.truncated_bytes = replay->truncated_bytes;
   return result;
 }

@@ -36,13 +36,14 @@
 // applied to the session, so an acknowledged ingest survives a crash.
 // Checkpoint() records the WAL sequence applied so far as the
 // checkpoint's high-water mark; Recover() reopens the log, rebuilds the
-// grown session bit-exactly (Session::RestoreGrown + the checkpoint's
-// dataset fingerprint as the proof), and hands back the unapplied
-// records (seq > mark) for the driver to re-drive through ReplayIngest
-// with its original ingest/train cadence. The WAL is never auto-pruned:
-// checkpoints store factors, not ratings, so the whole streamed tail
-// since the warm base must stay replayable (Wal::TruncateBefore is an
-// operator decision, taken only when the warm base itself is re-snapshotted).
+// grown session bit-exactly (Session::Restore over the warm base plus
+// the replayed growth, with the checkpoint's dataset fingerprint as the
+// proof), and hands back the unapplied records (seq > mark) for the
+// driver to re-drive through ReplayIngest with its original
+// ingest/train cadence. The WAL is never auto-pruned: checkpoints store
+// factors, not ratings, so the whole streamed tail since the warm base
+// must stay replayable (Wal::TruncateBefore is an operator decision,
+// taken only when the warm base itself is re-snapshotted).
 //
 // Publish rejection: the publisher returns Status; a rejection (e.g.
 // RecServer refusing a corrupt snapshot) leaves version/publish counters
@@ -64,7 +65,6 @@
 #include "io/loader.h"
 #include "serve/snapshot.h"
 #include "stream/wal.h"
-#include "util/retry.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -139,23 +139,14 @@ class OnlineTrainer {
   /// unadvanced and surfaces the status.
   using Publisher = std::function<Status(serve::SnapshotPtr)>;
 
-  /// Chaos/test hook: maps the about-to-be-published snapshot to what is
-  /// actually handed to the publisher (e.g. FactorSnapshot::PoisonedCopy
-  /// under a publish-poison fault). Identity when unset.
-  using PublishInterceptor =
-      std::function<serve::SnapshotPtr(serve::SnapshotPtr)>;
-
-  /// WAL ingest policy bundled with the log location (Create takes a
-  /// pointer; null = no WAL, PR-9 behavior bit for bit).
+  /// The WAL that arms durable ingest (Create takes a pointer; null = no
+  /// WAL, PR-9 behavior bit for bit). Transient append failures
+  /// (injected IO faults, EINTR-ish) are retried under the default
+  /// RetryOptions, bounded by a quarter second of wall clock — the
+  /// ingest path has latency obligations, so a sick log fails the Ingest
+  /// (typed, nothing applied) rather than stalling the driver loop.
   struct WalIngestOptions {
     WalOptions wal;
-    /// Transient append failures (injected IO faults, EINTR-ish) are
-    /// retried under this envelope, bounded by `retry_budget_s` seconds
-    /// of wall clock — the ingest path has latency obligations, so a
-    /// sick log fails the Ingest (typed, nothing applied) rather than
-    /// stalling the driver loop.
-    RetryOptions retry;
-    double retry_budget_s = 0.25;
   };
 
   /// Everything Recover() rebuilt, plus the work left for the driver.
@@ -188,12 +179,13 @@ class OnlineTrainer {
 
   /// Crash recovery for a WAL-armed trainer. Reads the checkpoint's WAL
   /// mark, replays the log (truncating a torn tail), rebuilds the grown
-  /// session bit-exactly via Session::RestoreGrown (the checkpoint's
-  /// dataset fingerprint proves warm + replayed growth reconstruct the
-  /// crashed session's data), reopens the WAL for appending, and
-  /// returns the unapplied tail for the driver to re-drive. `warm` /
-  /// `users` / `items` describe the WARM base (pre-stream), exactly as
-  /// first handed to Create. Requires an existing checkpoint: a WAL
+  /// session bit-exactly via Session::Restore over `warm` plus the
+  /// replayed growth (the checkpoint's dataset fingerprint proves they
+  /// reconstruct the crashed session's data), reopens the WAL for
+  /// appending, and returns the unapplied tail for the driver to
+  /// re-drive. `warm` / `users` / `items` describe the WARM base
+  /// (pre-stream), exactly as first handed to Create; the map sizes are
+  /// checked as Create checks them. Requires an existing checkpoint: a WAL
   /// with no checkpoint means re-running the warm bootstrap + full
   /// replay from scratch, which is the driver's call, not this helper's.
   static StatusOr<RecoverResult> Recover(
@@ -202,7 +194,7 @@ class OnlineTrainer {
       Publisher publisher, obs::MetricsRegistry* metrics = nullptr);
 
   /// Append a raw batch: when a WAL is armed the batch is made durable
-  /// first (retried within the options' deadline; a final failure
+  /// first (retried within a quarter-second deadline; a final failure
   /// returns the error with NOTHING applied), then ids are resolved
   /// (growing the trainer's maps for cold entities) and the dense
   /// ratings appended to the session. InvalidArgument on negative raw
@@ -217,8 +209,9 @@ class OnlineTrainer {
   /// Durable save: fsyncs the WAL (when armed), then writes the session
   /// checkpoint stamped with the WAL sequence applied so far. Refused
   /// (FailedPrecondition) while ratings are ingested-but-untrained —
-  /// recovery's dirty-state reconstruction (Session::RestoreGrown)
-  /// relies on checkpoints being taken at ingest-quiescent points.
+  /// recovery's dirty-state reconstruction (Session::Restore with
+  /// growth) relies on checkpoints being taken at ingest-quiescent
+  /// points.
   Status Checkpoint(const std::string& path);
 
   /// One incremental epoch over the blocks dirtied since the last epoch.
@@ -227,8 +220,9 @@ class OnlineTrainer {
   StatusOr<TracePoint> TrainDirty();
 
   /// Barrier-synchronized snapshot of the session's current factors +
-  /// THIS moment's id maps, with a fresh monotonic version, handed
-  /// through the interceptor (if any) to the publisher. The exclusion
+  /// THIS moment's id maps, with a fresh monotonic version, handed to
+  /// the publisher, which sees every snapshot before it is installed
+  /// (a chaos driver can swap in a poisoned copy there). The exclusion
   /// index is advanced first, outside the barrier: the first publish
   /// (also the first after Recover) builds it from the training list,
   /// later ones merge only the ratings applied since, and a publish with
@@ -243,11 +237,6 @@ class OnlineTrainer {
   /// what it merged; the next attempt re-snapshots under the same
   /// version. On success returns what was actually published.
   StatusOr<serve::SnapshotPtr> PublishSnapshot();
-
-  /// Install (or clear, with nullptr) the publish interceptor.
-  void SetPublishInterceptor(PublishInterceptor interceptor) {
-    interceptor_ = std::move(interceptor);
-  }
 
   const Session& session() const { return *session_; }
   Session* mutable_session() { return session_.get(); }
@@ -272,6 +261,13 @@ class OnlineTrainer {
  private:
   OnlineTrainer() = default;
 
+  /// The one place a trainer is wired, for Create and Recover: checks
+  /// the id maps against the session, opens `wal` (when given), attaches
+  /// `metrics` and starts the applied WAL mark at `applied_seq`.
+  static StatusOr<std::unique_ptr<OnlineTrainer>> Open(
+      std::unique_ptr<Session> session, io::IdMap users, io::IdMap items,
+      Publisher publisher, obs::MetricsRegistry* metrics,
+      const WalIngestOptions* wal, uint64_t applied_seq);
   /// Shared dense-resolve + append body of Ingest/ReplayIngest.
   StatusOr<IngestResult> ApplyBatch(const std::vector<io::RawRating>& batch);
   /// Resolve the stream.* instrument handles (null registry = no-op).
@@ -285,7 +281,6 @@ class OnlineTrainer {
   io::IdMap users_;
   io::IdMap items_;
   Publisher publisher_;
-  PublishInterceptor interceptor_;
   uint64_t version_ = 0;
   int64_t publishes_ = 0;
   int64_t publish_rejected_ = 0;
@@ -306,7 +301,6 @@ class OnlineTrainer {
       std::make_shared<serve::FactorRecycler>();
 
   std::unique_ptr<Wal> wal_;
-  WalIngestOptions wal_options_;
   uint64_t wal_applied_seq_ = 0;
   int64_t wal_retries_ = 0;
   /// Jitter source for WAL append backoff (stream 37; only consumed

@@ -1,9 +1,10 @@
 // Bounded retry with exponential backoff and jitter, for real-world IO
-// (checkpoint writes) — not simulated time.
+// (checkpoint writes, WAL appends) — not simulated time.
 
 #pragma once
 
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "util/rng.h"
@@ -24,56 +25,27 @@ struct RetryOptions {
   double max_backoff = 0.25;
 };
 
-/// Runs `fn` (returning Status) until it succeeds or the attempt budget
-/// is exhausted; returns the final Status. `on_retry(attempt, status)`
-/// is invoked before each sleep — pass a no-op lambda if uninterested.
+/// Runs `fn` (returning Status) until it succeeds, the attempt budget
+/// is exhausted, OR `budget_s` wall-clock seconds have elapsed since
+/// entry — whichever comes first; returns the final Status.
+/// `on_retry(attempt, status)` is invoked before each sleep — pass a
+/// no-op lambda if uninterested. The wall-clock budget is what callers
+/// on a latency path (WAL appends) need: max-attempts alone can
+/// oversleep arbitrarily under backoff growth. Each sleep is clamped to
+/// the remaining budget; a retry whose sleep would land past the
+/// deadline still gets its final attempt at the boundary (the deadline
+/// bounds waiting, not work). `budget_s <= 0` allows the first attempt
+/// only. The default budget is unbounded: no sleep is clamped and the
+/// loop never stops early.
 template <typename Fn, typename OnRetry>
-Status RetryWithBackoff(const RetryOptions& options, Rng* rng, Fn&& fn,
-                        OnRetry&& on_retry) {
+Status RetryWithBackoff(
+    const RetryOptions& options, Rng* rng, Fn&& fn, OnRetry&& on_retry,
+    double budget_s = std::numeric_limits<double>::infinity()) {
   const int attempts = options.max_attempts < 1 ? 1 : options.max_attempts;
-  double backoff = options.initial_backoff;
-  Status status;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    status = fn();
-    if (status.ok()) return status;
-    if (attempt == attempts) break;
-    on_retry(attempt, status);
-    double sleep_s = backoff;
-    if (rng != nullptr && options.jitter > 0.0) {
-      sleep_s *= 1.0 + options.jitter * (2.0 * rng->NextDouble() - 1.0);
-    }
-    if (sleep_s > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(sleep_s));
-    }
-    backoff *= options.multiplier;
-    if (backoff > options.max_backoff) backoff = options.max_backoff;
-  }
-  return status;
-}
-
-template <typename Fn>
-Status RetryWithBackoff(const RetryOptions& options, Rng* rng, Fn&& fn) {
-  return RetryWithBackoff(options, rng, static_cast<Fn&&>(fn),
-                          [](int, const Status&) {});
-}
-
-/// Deadline-aware variant: retries until `fn` succeeds, the attempt
-/// budget runs out, OR `budget_s` wall-clock seconds have elapsed since
-/// entry — whichever comes first. The absolute budget is what callers on
-/// a latency path (WAL appends, autosaves racing a serving deadline)
-/// need: max-attempts alone can oversleep arbitrarily under backoff
-/// growth. Each sleep is clamped to the remaining budget; a retry whose
-/// sleep would land past the deadline still gets its final attempt at
-/// the boundary (the deadline bounds waiting, not work). `budget_s <= 0`
-/// allows the first attempt only. Returns the last failing Status on
-/// exhaustion.
-template <typename Fn, typename OnRetry>
-Status RetryWithBackoffUntil(const RetryOptions& options, Rng* rng,
-                             double budget_s, Fn&& fn, OnRetry&& on_retry) {
-  const int attempts = options.max_attempts < 1 ? 1 : options.max_attempts;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(budget_s);
+  // Elapsed time is subtracted from the budget in double seconds, so an
+  // infinite budget stays infinite instead of overflowing a clock
+  // duration.
+  const auto start = std::chrono::steady_clock::now();
   double backoff = options.initial_backoff;
   Status status;
   for (int attempt = 1; attempt <= attempts; ++attempt) {
@@ -81,9 +53,9 @@ Status RetryWithBackoffUntil(const RetryOptions& options, Rng* rng,
     if (status.ok()) return status;
     if (attempt == attempts) break;
     const double remaining =
-        std::chrono::duration<double>(deadline -
-                                      std::chrono::steady_clock::now())
-            .count();
+        budget_s - std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
     if (remaining <= 0.0) break;
     on_retry(attempt, status);
     double sleep_s = backoff;
@@ -98,14 +70,6 @@ Status RetryWithBackoffUntil(const RetryOptions& options, Rng* rng,
     if (backoff > options.max_backoff) backoff = options.max_backoff;
   }
   return status;
-}
-
-template <typename Fn>
-Status RetryWithBackoffUntil(const RetryOptions& options, Rng* rng,
-                             double budget_s, Fn&& fn) {
-  return RetryWithBackoffUntil(options, rng, budget_s,
-                               static_cast<Fn&&>(fn),
-                               [](int, const Status&) {});
 }
 
 }  // namespace hsgd

@@ -649,6 +649,9 @@ void TestModelGrowInPlace() {
 
 // (g) A grown session checkpoints and restores with bit-identical
 // factors; the pre-growth dataset no longer passes the fingerprint.
+// Restoring over the warm base plus the growth rebuilds the original's
+// grid, so the next epoch matches it bit for bit; growth that is not
+// what the session appended is refused.
 void TestGrownCheckpointRoundTrip() {
   const std::string path = "session_test_ckpt_grown.bin";
   Dataset ds = SmallDataset();
@@ -693,6 +696,28 @@ void TestGrownCheckpointRoundTrip() {
     }
   }
   EXPECT_FALSE(Session::Restore(path, ds).ok());
+
+  auto rebuilt = Session::Restore(path, ds, {grow});
+  EXPECT_TRUE(rebuilt.ok());
+  if (rebuilt.ok()) {
+    Session* r = rebuilt->get();
+    EXPECT_EQ(r->pending_nnz(), 0);
+    EXPECT_EQ(r->pending_dirty_blocks(), 0);
+    auto next = s->RunEpoch();
+    auto next_rebuilt = r->RunEpoch();
+    EXPECT_TRUE(next.ok() && next_rebuilt.ok());
+    if (next.ok() && next_rebuilt.ok()) {
+      ExpectTracePointsEqual(*next, *next_rebuilt);
+    }
+    EXPECT_TRUE(SameBits(s->model().DenseP(), r->model().DenseP()));
+    EXPECT_TRUE(SameBits(s->model().DenseQ(), r->model().DenseQ()));
+  }
+  Ratings changed = grow;
+  changed[1].r = 5.0f;
+  EXPECT_TRUE(Session::Restore(path, ds, {changed}).status().code() ==
+              StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Session::Restore(path, ds, {grow, grow}).status().code() ==
+              StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

@@ -163,16 +163,19 @@ void TestStopwatch() {
   EXPECT_TRUE(sw.Seconds() >= 0.0);
 }
 
-// The deadline-aware retry must stop at the wall-clock boundary even
-// when attempts remain, grant exactly one attempt on a spent budget,
-// and still use the full attempt budget when the deadline is far away.
-void TestRetryWithBackoffUntilDeadline() {
+// With a budget the retry loop must stop at the wall-clock boundary even
+// when attempts remain, grant exactly one attempt on a spent budget, and
+// still use the full attempt budget when the deadline is far away.
+// Without one it runs every attempt and draws one jitter value per
+// retry, nothing more.
+void TestRetryWithBackoffDeadline() {
   RetryOptions options;
   options.max_attempts = 50;
   options.initial_backoff = 0.02;
   options.multiplier = 1.0;  // flat 20ms sleeps: predictable attempt math
   options.jitter = 0.0;
   Rng rng(1, 23);
+  auto no_op = [](int, const Status&) {};
 
   // A 50ms budget fits the first attempt plus roughly two 20ms sleeps:
   // far fewer than 50 attempts, and the final attempt fires AT the
@@ -181,13 +184,13 @@ void TestRetryWithBackoffUntilDeadline() {
   int calls = 0;
   int retries = 0;
   Stopwatch wall;
-  Status exhausted = RetryWithBackoffUntil(
-      options, &rng, 0.05,
+  Status exhausted = RetryWithBackoff(
+      options, &rng,
       [&calls]() -> Status {
         ++calls;
         return Status::Internal("still failing");
       },
-      [&retries](int, const Status&) { ++retries; });
+      [&retries](int, const Status&) { ++retries; }, 0.05);
   const double took = wall.Seconds();
   EXPECT_FALSE(exhausted.ok());
   EXPECT_TRUE(exhausted.code() == StatusCode::kInternal);
@@ -198,11 +201,13 @@ void TestRetryWithBackoffUntilDeadline() {
 
   // Spent budget: exactly one attempt, no sleeping.
   calls = 0;
-  Status one_shot = RetryWithBackoffUntil(
-      options, &rng, 0.0, [&calls]() -> Status {
+  Status one_shot = RetryWithBackoff(
+      options, &rng,
+      [&calls]() -> Status {
         ++calls;
         return Status::Internal("no time to retry");
-      });
+      },
+      no_op, 0.0);
   EXPECT_FALSE(one_shot.ok());
   EXPECT_EQ(calls, 1);
 
@@ -211,21 +216,57 @@ void TestRetryWithBackoffUntilDeadline() {
   options.max_attempts = 3;
   options.initial_backoff = 0.001;
   calls = 0;
-  Status all_attempts = RetryWithBackoffUntil(
-      options, &rng, 10.0, [&calls]() -> Status {
+  Status all_attempts = RetryWithBackoff(
+      options, &rng,
+      [&calls]() -> Status {
         ++calls;
         return Status::Internal("permanent");
-      });
+      },
+      no_op, 10.0);
   EXPECT_FALSE(all_attempts.ok());
   EXPECT_EQ(calls, 3);
   calls = 0;
-  Status recovered = RetryWithBackoffUntil(
-      options, &rng, 10.0, [&calls]() -> Status {
+  Status recovered = RetryWithBackoff(
+      options, &rng,
+      [&calls]() -> Status {
         ++calls;
         return calls < 2 ? Status::Internal("transient") : Status::Ok();
-      });
+      },
+      no_op, 10.0);
   EXPECT_TRUE(recovered.ok());
   EXPECT_EQ(calls, 2);
+
+  // No budget: all four default attempts run, each of the three retries
+  // draws exactly one jitter value, and a first-try success draws none.
+  RetryOptions unbounded;
+  unbounded.initial_backoff = 0.001;
+  Rng jitter(7, 23);
+  Rng expected(7, 23);
+  calls = 0;
+  retries = 0;
+  Status permanent = RetryWithBackoff(
+      unbounded, &jitter,
+      [&calls]() -> Status {
+        ++calls;
+        return Status::Internal("permanent");
+      },
+      [&retries](int, const Status&) { ++retries; });
+  EXPECT_FALSE(permanent.ok());
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(retries, 3);
+  for (int i = 0; i < 3; ++i) expected.NextDouble();
+  EXPECT_EQ(jitter.NextU64(), expected.NextU64());
+  calls = 0;
+  Status first_try = RetryWithBackoff(
+      unbounded, &jitter,
+      [&calls]() -> Status {
+        ++calls;
+        return Status::Ok();
+      },
+      no_op);
+  EXPECT_TRUE(first_try.ok());
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(jitter.NextU64(), expected.NextU64());
 }
 
 }  // namespace
@@ -238,7 +279,7 @@ void RunAllTests() {
   TestRng();
   TestThreadPool();
   TestStopwatch();
-  TestRetryWithBackoffUntilDeadline();
+  TestRetryWithBackoffDeadline();
 }
 
 }  // namespace hsgd
