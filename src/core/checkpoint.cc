@@ -2,8 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <utility>
+#include <type_traits>
 
 #include "util/strings.h"
 
@@ -54,11 +53,46 @@ namespace {
 /// Write failpoint (tests): fail after this many bytes; < 0 disabled.
 int64_t g_write_failpoint = -1;
 
+static_assert(sizeof(int) == 4, "checkpoint ints are 32-bit");
+
+/// Caps on counts that no field read before them bounds.
+constexpr uint64_t kMaxAutosavePath = 1u << 16;
+constexpr uint64_t kMaxGpuStreams = 4096;
+
+/// Scalars go through `operator()`; enums (`Enum`, stored as i32) and
+/// bools (`Flag`, stored as u8) never go out as raw bytes, so a corrupt
+/// file cannot load an out-of-range bool. `Vector` and `Array` store a
+/// u64 count first; the Reader refuses a count above `limit`.
 class Writer {
  public:
   explicit Writer(FILE* f) : f_(f) {}
   bool ok() const { return ok_; }
+  int64_t written() const { return written_; }
 
+  template <typename T>
+  void operator()(const T& v) {
+    static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>);
+    Bytes(&v, sizeof(v));
+  }
+  template <typename E>
+  void Enum(E e) {
+    (*this)(static_cast<int32_t>(e));
+  }
+  void Flag(bool b) { (*this)(static_cast<uint8_t>(b ? 1 : 0)); }
+  template <typename T, typename PerElement>
+  void Vector(const std::vector<T>& v, uint64_t /*limit*/,
+              PerElement per_element) {
+    (*this)(static_cast<uint64_t>(v.size()));
+    for (const T& e : v) per_element(e);
+  }
+  /// The raw elements of a float vector or a string.
+  template <typename Container>
+  void Array(const Container& v, uint64_t /*limit*/) {
+    (*this)(static_cast<uint64_t>(v.size()));
+    Bytes(v.data(), v.size() * sizeof(v[0]));
+  }
+
+ private:
   void Bytes(const void* data, size_t bytes) {
     if (!ok_) return;
     if (g_write_failpoint >= 0) {
@@ -80,16 +114,7 @@ class Writer {
     }
     written_ += static_cast<int64_t>(bytes);
   }
-  void U8(uint8_t v) { Bytes(&v, sizeof(v)); }
-  void I32(int32_t v) { Bytes(&v, sizeof(v)); }
-  void U32(uint32_t v) { Bytes(&v, sizeof(v)); }
-  void I64(int64_t v) { Bytes(&v, sizeof(v)); }
-  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
-  void F64(double v) { Bytes(&v, sizeof(v)); }
 
-  int64_t written() const { return written_; }
-
- private:
   FILE* f_;
   bool ok_ = true;
   int64_t written_ = 0;
@@ -98,67 +123,154 @@ class Writer {
 class Reader {
  public:
   explicit Reader(FILE* f) : f_(f) {}
-  bool ok() const { return ok_; }
+  bool ok() const { return error_ == nullptr; }
+  /// Why reading stopped, as a predicate of the file; null while ok.
+  const char* error() const { return error_; }
 
-  void Bytes(void* data, size_t bytes) {
-    if (ok_ && std::fread(data, 1, bytes, f_) != bytes) ok_ = false;
+  template <typename T>
+  void operator()(T& v) {
+    static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>);
+    Bytes(&v, sizeof(v));
   }
-  /// Poison the stream on a semantic error (e.g. an absurd length).
-  void Fail() { ok_ = false; }
-  uint8_t U8() { return Get<uint8_t>(); }
-  int32_t I32() { return Get<int32_t>(); }
-  uint32_t U32() { return Get<uint32_t>(); }
-  int64_t I64() { return Get<int64_t>(); }
-  uint64_t U64() { return Get<uint64_t>(); }
-  double F64() { return Get<double>(); }
+  template <typename E>
+  void Enum(E& e) {
+    int32_t v = 0;
+    (*this)(v);
+    e = static_cast<E>(v);
+  }
+  void Flag(bool& b) {
+    uint8_t v = 0;
+    (*this)(v);
+    b = v != 0;
+  }
+  template <typename T, typename PerElement>
+  void Vector(std::vector<T>& v, uint64_t limit, PerElement per_element) {
+    v.resize(Count(limit));
+    for (T& e : v) per_element(e);
+  }
+  template <typename Container>
+  void Array(Container& v, uint64_t limit) {
+    v.resize(Count(limit));
+    Bytes(v.data(), v.size() * sizeof(v[0]));
+  }
 
  private:
-  template <typename T>
-  T Get() {
-    T v{};
-    Bytes(&v, sizeof(v));
-    return v;
+  void Bytes(void* data, size_t bytes) {
+    if (ok() && std::fread(data, 1, bytes, f_) != bytes) {
+      error_ = "is truncated";
+    }
   }
+  /// A stored count, or 0 once reading has failed. A count above
+  /// `limit` fails the read before anything is allocated for it.
+  uint64_t Count(uint64_t limit) {
+    uint64_t n = 0;
+    (*this)(n);
+    if (ok() && n > limit) error_ = "is corrupt (length over limit)";
+    return ok() ? n : 0;
+  }
+
   FILE* f_;
-  bool ok_ = true;
+  const char* error_ = nullptr;
 };
 
-void WriteConfig(Writer* w, const TrainConfig& config) {
-  w->I32(static_cast<int32_t>(config.algorithm));
-  w->I32(config.max_epochs);
-  w->U64(config.seed);
-  w->U8(config.use_dataset_target ? 1 : 0);
-  w->I32(static_cast<int32_t>(config.cost_model));
-  w->U8(config.dynamic_scheduling ? 1 : 0);
-  w->I32(config.eval_threads);
-  w->I32(static_cast<int32_t>(config.kernel));
-  w->U8(config.calibrate ? 1 : 0);
-  w->I32(config.hardware.num_cpu_threads);
-  w->I32(config.hardware.num_gpus);
-  w->F64(config.hardware.speed_variability);
-  w->F64(config.hardware.cpu.updates_per_sec_k128);
-  w->F64(config.hardware.cpu.warmup_nnz);
-  w->F64(config.hardware.cpu.speed_factor);
-  w->I32(config.hardware.gpu.parallel_workers);
-  w->F64(config.hardware.gpu.worker_point_rate_k128);
-  w->F64(config.hardware.gpu.kernel_launch_overhead);
-  w->F64(config.hardware.gpu.device_mem_bw);
-  w->F64(config.hardware.gpu.pcie_h2d_peak_gbps);
-  w->F64(config.hardware.gpu.pcie_d2h_peak_gbps);
-  w->F64(config.hardware.gpu.pcie_latency);
-  w->F64(config.hardware.gpu.speed_factor);
-  // v4: fault-tolerance policy.
-  w->I32(config.fault.autosave_every);
-  w->U64(config.fault.autosave_path.size());
-  w->Bytes(config.fault.autosave_path.data(),
-           config.fault.autosave_path.size());
-  w->I32(config.fault.checkpoint_retry.max_attempts);
-  w->F64(config.fault.checkpoint_retry.initial_backoff);
-  w->F64(config.fault.checkpoint_retry.multiplier);
-  w->F64(config.fault.checkpoint_retry.jitter);
-  w->F64(config.fault.checkpoint_retry.max_backoff);
-  w->F64(config.fault.lease_deadline_factor);
-  w->I32(static_cast<int32_t>(config.fault.on_device_loss));
+// ---- The file layout, named once ----------------------------------------
+//
+// Each function lists its fields in file order and is walked by a Writer
+// (over a const struct) or a Reader. A new field goes here once, with a
+// kCheckpointVersion bump.
+
+template <typename IO, typename State>
+void RngFields(IO& io, State& rng) {
+  for (auto& word : rng.s) io(word);
+  io.Flag(rng.has_spare);
+  io(rng.spare);
+}
+
+template <typename IO, typename Config>
+void ConfigFields(IO& io, Config& c) {
+  io.Enum(c.algorithm);
+  io(c.max_epochs);
+  io(c.seed);
+  io.Flag(c.use_dataset_target);
+  io.Enum(c.cost_model);
+  io.Flag(c.dynamic_scheduling);
+  io(c.eval_threads);
+  io.Enum(c.kernel);
+  io.Flag(c.calibrate);
+  io(c.hardware.num_cpu_threads);
+  io(c.hardware.num_gpus);
+  io(c.hardware.speed_variability);
+  io(c.hardware.cpu.updates_per_sec_k128);
+  io(c.hardware.cpu.warmup_nnz);
+  io(c.hardware.cpu.speed_factor);
+  io(c.hardware.gpu.parallel_workers);
+  io(c.hardware.gpu.worker_point_rate_k128);
+  io(c.hardware.gpu.kernel_launch_overhead);
+  io(c.hardware.gpu.device_mem_bw);
+  io(c.hardware.gpu.pcie_h2d_peak_gbps);
+  io(c.hardware.gpu.pcie_d2h_peak_gbps);
+  io(c.hardware.gpu.pcie_latency);
+  io(c.hardware.gpu.speed_factor);
+  // v4: autosave policy.
+  io(c.fault.autosave_every);
+  io.Array(c.fault.autosave_path, kMaxAutosavePath);
+}
+
+/// Header fields every later count is checked against.
+bool HeaderSane(const SessionCheckpoint& c) {
+  return c.dataset.num_rows > 0 && c.dataset.num_cols > 0 &&
+         c.dataset.k > 0 && c.epochs_run >= 0 &&
+         c.epochs_run <= c.config.max_epochs &&
+         c.config.max_epochs <= (1 << 24);
+}
+
+template <typename IO, typename Checkpoint>
+void CheckpointFields(IO& io, Checkpoint& c) {
+  ConfigFields(io, c.config);
+  io(c.dataset.num_rows);
+  io(c.dataset.num_cols);
+  io(c.dataset.k);
+  io(c.dataset.train_nnz);
+  io(c.dataset.test_nnz);
+  io(c.dataset.train_hash);
+  io(c.dataset.test_hash);
+  io(c.epochs_run);
+  io.Flag(c.reached_target);
+  io(c.sim_clock);
+  io(c.wall_seconds);
+  io(c.block_tasks);
+  io(c.gpu_nnz);
+  io(c.total_nnz_processed);
+  io(c.duration_count);
+  io(c.duration_sum);
+  io(c.duration_sumsq);
+  RngFields(io, c.scheduler_rng);
+  io(c.stolen_by_gpus);
+  io(c.stolen_by_cpus);
+  // v5: growth state + WAL high-water mark.
+  RngFields(io, c.growth_rng);
+  io(c.rating_sum);
+  io(c.rating_count);
+  io(c.wal_seq);
+  io.Vector(c.gpu_streams, kMaxGpuStreams, [&io](auto& s) {
+    io(s.h2d_free);
+    io(s.kernel_free);
+    io(s.d2h_free);
+  });
+  // Every later count is implied by the header just read, so a corrupt
+  // count fails in the Reader instead of attempting a multi-GB
+  // allocation. ReadCheckpoint then demands the exact counts.
+  const bool sane = HeaderSane(c);
+  const auto k = static_cast<uint64_t>(c.dataset.k);
+  io.Vector(c.trace, sane ? static_cast<uint64_t>(c.epochs_run) : 0,
+            [&io](auto& p) {
+              io(p.epoch);
+              io(p.time);
+              io(p.test_rmse);
+              io(p.train_rmse);
+            });
+  io.Array(c.p, sane ? static_cast<uint64_t>(c.dataset.num_rows) * k : 0);
+  io.Array(c.q, sane ? static_cast<uint64_t>(c.dataset.num_cols) * k : 0);
 }
 
 /// Range/finiteness checks on a config read back from disk. The fields
@@ -217,73 +329,10 @@ Status ValidateStoredConfig(const TrainConfig& c) {
       c.hardware.gpu.parallel_workers > (1 << 20)) {
     return Status::InvalidArgument("GPU worker count");
   }
-  // v4 fault-policy fields.
-  const int32_t policy = static_cast<int32_t>(c.fault.on_device_loss);
-  if (policy < static_cast<int32_t>(DegradePolicy::kContinueDegraded) ||
-      policy > static_cast<int32_t>(DegradePolicy::kAbort)) {
-    return Status::InvalidArgument("degradation policy");
-  }
-  if (c.fault.autosave_every < 0 || c.fault.autosave_every > (1 << 24) ||
-      c.fault.checkpoint_retry.max_attempts < 1 ||
-      c.fault.checkpoint_retry.max_attempts > 1000) {
-    return Status::InvalidArgument("fault policy counters");
-  }
-  if (!std::isfinite(c.fault.lease_deadline_factor) ||
-      !std::isfinite(c.fault.checkpoint_retry.initial_backoff) ||
-      c.fault.checkpoint_retry.initial_backoff < 0.0 ||
-      !std::isfinite(c.fault.checkpoint_retry.multiplier) ||
-      c.fault.checkpoint_retry.multiplier < 1.0 ||
-      !std::isfinite(c.fault.checkpoint_retry.jitter) ||
-      c.fault.checkpoint_retry.jitter < 0.0 ||
-      c.fault.checkpoint_retry.jitter > 1.0 ||
-      !std::isfinite(c.fault.checkpoint_retry.max_backoff) ||
-      c.fault.checkpoint_retry.max_backoff < 0.0) {
-    return Status::InvalidArgument("fault policy values");
+  if (c.fault.autosave_every < 0 || c.fault.autosave_every > (1 << 24)) {
+    return Status::InvalidArgument("autosave cadence");
   }
   return Status::Ok();
-}
-
-TrainConfig ReadConfig(Reader* r) {
-  TrainConfig config;
-  config.algorithm = static_cast<Algorithm>(r->I32());
-  config.max_epochs = r->I32();
-  config.seed = r->U64();
-  config.use_dataset_target = r->U8() != 0;
-  config.cost_model = static_cast<CostModelKind>(r->I32());
-  config.dynamic_scheduling = r->U8() != 0;
-  config.eval_threads = r->I32();
-  config.kernel = static_cast<KernelKind>(r->I32());
-  config.calibrate = r->U8() != 0;
-  config.hardware.num_cpu_threads = r->I32();
-  config.hardware.num_gpus = r->I32();
-  config.hardware.speed_variability = r->F64();
-  config.hardware.cpu.updates_per_sec_k128 = r->F64();
-  config.hardware.cpu.warmup_nnz = r->F64();
-  config.hardware.cpu.speed_factor = r->F64();
-  config.hardware.gpu.parallel_workers = r->I32();
-  config.hardware.gpu.worker_point_rate_k128 = r->F64();
-  config.hardware.gpu.kernel_launch_overhead = r->F64();
-  config.hardware.gpu.device_mem_bw = r->F64();
-  config.hardware.gpu.pcie_h2d_peak_gbps = r->F64();
-  config.hardware.gpu.pcie_d2h_peak_gbps = r->F64();
-  config.hardware.gpu.pcie_latency = r->F64();
-  config.hardware.gpu.speed_factor = r->F64();
-  config.fault.autosave_every = r->I32();
-  const uint64_t path_len = r->U64();
-  if (path_len <= (1u << 16)) {
-    config.fault.autosave_path.resize(path_len);
-    r->Bytes(config.fault.autosave_path.data(), path_len);
-  } else {
-    r->Fail();  // absurd path length: corrupt file
-  }
-  config.fault.checkpoint_retry.max_attempts = r->I32();
-  config.fault.checkpoint_retry.initial_backoff = r->F64();
-  config.fault.checkpoint_retry.multiplier = r->F64();
-  config.fault.checkpoint_retry.jitter = r->F64();
-  config.fault.checkpoint_retry.max_backoff = r->F64();
-  config.fault.lease_deadline_factor = r->F64();
-  config.fault.on_device_loss = static_cast<DegradePolicy>(r->I32());
-  return config;
 }
 
 }  // namespace
@@ -303,55 +352,9 @@ Status WriteCheckpoint(const std::string& path,
         StrFormat("cannot open '%s' for writing", tmp.c_str()));
   }
   Writer w(f);
-  w.U64(kCheckpointMagic);
-  w.U32(kCheckpointVersion);
-  WriteConfig(&w, ckpt.config);
-  w.I32(ckpt.dataset.num_rows);
-  w.I32(ckpt.dataset.num_cols);
-  w.I32(ckpt.dataset.k);
-  w.I64(ckpt.dataset.train_nnz);
-  w.I64(ckpt.dataset.test_nnz);
-  w.U64(ckpt.dataset.train_hash);
-  w.U64(ckpt.dataset.test_hash);
-  w.I32(ckpt.epochs_run);
-  w.U8(ckpt.reached_target ? 1 : 0);
-  w.F64(ckpt.sim_clock);
-  w.F64(ckpt.wall_seconds);
-  w.I64(ckpt.block_tasks);
-  w.I64(ckpt.gpu_nnz);
-  w.I64(ckpt.total_nnz_processed);
-  w.I64(ckpt.duration_count);
-  w.F64(ckpt.duration_sum);
-  w.F64(ckpt.duration_sumsq);
-  for (int i = 0; i < 4; ++i) w.U64(ckpt.scheduler_rng.s[i]);
-  w.U8(ckpt.scheduler_rng.has_spare ? 1 : 0);
-  w.F64(ckpt.scheduler_rng.spare);
-  w.I64(ckpt.stolen_by_gpus);
-  w.I64(ckpt.stolen_by_cpus);
-  // v5: growth state + WAL high-water mark.
-  for (int i = 0; i < 4; ++i) w.U64(ckpt.growth_rng.s[i]);
-  w.U8(ckpt.growth_rng.has_spare ? 1 : 0);
-  w.F64(ckpt.growth_rng.spare);
-  w.F64(ckpt.rating_sum);
-  w.I64(ckpt.rating_count);
-  w.U64(ckpt.wal_seq);
-  w.U64(ckpt.gpu_streams.size());
-  for (const GpuStreamState& s : ckpt.gpu_streams) {
-    w.F64(s.h2d_free);
-    w.F64(s.kernel_free);
-    w.F64(s.d2h_free);
-  }
-  w.U64(ckpt.trace.size());
-  for (const TracePoint& p : ckpt.trace) {
-    w.I32(p.epoch);
-    w.F64(p.time);
-    w.F64(p.test_rmse);
-    w.F64(p.train_rmse);
-  }
-  w.U64(ckpt.p.size());
-  w.Bytes(ckpt.p.data(), ckpt.p.size() * sizeof(float));
-  w.U64(ckpt.q.size());
-  w.Bytes(ckpt.q.data(), ckpt.q.size() * sizeof(float));
+  w(kCheckpointMagic);
+  w(kCheckpointVersion);
+  CheckpointFields(w, ckpt);
   const bool write_ok = w.ok();
   const bool close_ok = std::fclose(f) == 0;
   if (!write_ok || !close_ok) {
@@ -368,142 +371,51 @@ Status WriteCheckpoint(const std::string& path,
   return Status::Ok();
 }
 
-namespace {
-
-/// ReadCheckpoint's body over an open file: header, config, fingerprint,
-/// session state and factors, each validated loudly.
-Status ReadCheckpointBody(FILE* f, const std::string& path,
-                          SessionCheckpoint* out) {
-  Reader r(f);
-  SessionCheckpoint& ckpt = *out;
-  Status error = Status::Ok();
-  const uint64_t magic = r.U64();
-  const uint32_t version = r.U32();
-  if (!r.ok() || magic != kCheckpointMagic) {
-    error = Status::InvalidArgument(
-        StrFormat("'%s' is not an hsgd checkpoint", path.c_str()));
-  } else if (version != kCheckpointVersion) {
-    error = Status::InvalidArgument(
-        StrFormat("checkpoint '%s' has version %u, expected %u",
-                  path.c_str(), version, kCheckpointVersion));
-  }
-  if (error.ok()) {
-    ckpt.config = ReadConfig(&r);
-    if (r.ok()) {
-      const Status config_ok = ValidateStoredConfig(ckpt.config);
-      if (!config_ok.ok()) {
-        error = Status::InvalidArgument(
-            StrFormat("checkpoint '%s' is corrupt (%s)", path.c_str(),
-                      config_ok.message().c_str()));
-      }
-    }
-    ckpt.dataset.num_rows = r.I32();
-    ckpt.dataset.num_cols = r.I32();
-    ckpt.dataset.k = r.I32();
-    ckpt.dataset.train_nnz = r.I64();
-    ckpt.dataset.test_nnz = r.I64();
-    ckpt.dataset.train_hash = r.U64();
-    ckpt.dataset.test_hash = r.U64();
-    ckpt.epochs_run = r.I32();
-    ckpt.reached_target = r.U8() != 0;
-    ckpt.sim_clock = r.F64();
-    ckpt.wall_seconds = r.F64();
-    ckpt.block_tasks = r.I64();
-    ckpt.gpu_nnz = r.I64();
-    ckpt.total_nnz_processed = r.I64();
-    ckpt.duration_count = r.I64();
-    ckpt.duration_sum = r.F64();
-    ckpt.duration_sumsq = r.F64();
-    for (int i = 0; i < 4; ++i) ckpt.scheduler_rng.s[i] = r.U64();
-    ckpt.scheduler_rng.has_spare = r.U8() != 0;
-    ckpt.scheduler_rng.spare = r.F64();
-    ckpt.stolen_by_gpus = r.I64();
-    ckpt.stolen_by_cpus = r.I64();
-    // v5 growth state.
-    for (int i = 0; i < 4; ++i) ckpt.growth_rng.s[i] = r.U64();
-    ckpt.growth_rng.has_spare = r.U8() != 0;
-    ckpt.growth_rng.spare = r.F64();
-    ckpt.rating_sum = r.F64();
-    ckpt.rating_count = r.I64();
-    ckpt.wal_seq = r.U64();
-    const uint64_t num_gpus = r.U64();
-    if (r.ok() && num_gpus <= 4096) {
-      ckpt.gpu_streams.resize(num_gpus);
-      for (GpuStreamState& s : ckpt.gpu_streams) {
-        s.h2d_free = r.F64();
-        s.kernel_free = r.F64();
-        s.d2h_free = r.F64();
-      }
-    } else {
-      error = Status::InvalidArgument(
-          StrFormat("checkpoint '%s' is corrupt (GPU count)", path.c_str()));
-    }
-  }
-  // Every serialized length is implied by fields already read, so a
-  // corrupt or bit-flipped length fails here with a Status instead of
-  // attempting a multi-GB allocation.
-  if (error.ok() &&
-      (ckpt.dataset.num_rows <= 0 || ckpt.dataset.num_cols <= 0 ||
-       ckpt.dataset.k <= 0 || ckpt.epochs_run < 0 ||
-       ckpt.epochs_run > ckpt.config.max_epochs ||
-       ckpt.config.max_epochs > (1 << 24))) {
-    error = Status::InvalidArgument(StrFormat(
-        "checkpoint '%s' is corrupt (header fields)", path.c_str()));
-  }
-  if (error.ok()) {
-    const uint64_t num_points = r.U64();
-    if (r.ok() &&
-        num_points == static_cast<uint64_t>(ckpt.epochs_run)) {
-      ckpt.trace.resize(num_points);
-      for (TracePoint& p : ckpt.trace) {
-        p.epoch = r.I32();
-        p.time = r.F64();
-        p.test_rmse = r.F64();
-        p.train_rmse = r.F64();
-      }
-    } else {
-      error = Status::InvalidArgument(StrFormat(
-          "checkpoint '%s' is corrupt (trace length)", path.c_str()));
-    }
-  }
-  const uint64_t expected_p =
-      static_cast<uint64_t>(ckpt.dataset.num_rows) *
-      static_cast<uint64_t>(ckpt.dataset.k);
-  const uint64_t expected_q =
-      static_cast<uint64_t>(ckpt.dataset.num_cols) *
-      static_cast<uint64_t>(ckpt.dataset.k);
-  for (const auto& [factors, expected] :
-       {std::pair<std::vector<float>*, uint64_t>{&ckpt.p, expected_p},
-        {&ckpt.q, expected_q}}) {
-    if (!error.ok()) break;
-    const uint64_t count = r.U64();
-    if (r.ok() && count == expected) {
-      factors->resize(count);
-      r.Bytes(factors->data(), count * sizeof(float));
-    } else {
-      error = Status::InvalidArgument(StrFormat(
-          "checkpoint '%s' is corrupt (factor length)", path.c_str()));
-    }
-  }
-  if (error.ok() && !r.ok()) {
-    error = Status::InvalidArgument(
-        StrFormat("checkpoint '%s' is truncated", path.c_str()));
-  }
-  return error;
-}
-
-}  // namespace
-
 StatusOr<SessionCheckpoint> ReadCheckpoint(const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::NotFound(
         StrFormat("checkpoint '%s' does not exist", path.c_str()));
   }
+  Reader r(f);
+  uint64_t magic = 0;
+  uint32_t version = 0;
+  r(magic);
+  r(version);
+  const bool is_checkpoint = r.ok() && magic == kCheckpointMagic;
   SessionCheckpoint ckpt;
-  const Status status = ReadCheckpointBody(f, path, &ckpt);
+  if (is_checkpoint && version == kCheckpointVersion) {
+    CheckpointFields(r, ckpt);
+  }
   std::fclose(f);
-  if (!status.ok()) return status;
+  if (!is_checkpoint) {
+    return Status::InvalidArgument(
+        StrFormat("'%s' is not an hsgd checkpoint", path.c_str()));
+  }
+  if (version != kCheckpointVersion) {
+    return Status::InvalidArgument(
+        StrFormat("checkpoint '%s' has version %u, expected %u",
+                  path.c_str(), version, kCheckpointVersion));
+  }
+  if (!r.ok()) {
+    return Status::InvalidArgument(
+        StrFormat("checkpoint '%s' %s", path.c_str(), r.error()));
+  }
+  auto corrupt = [&path](const std::string& what) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint '%s' is corrupt (%s)", path.c_str(), what.c_str()));
+  };
+  const Status config_ok = ValidateStoredConfig(ckpt.config);
+  if (!config_ok.ok()) return corrupt(config_ok.message());
+  if (!HeaderSane(ckpt)) return corrupt("header fields");
+  if (ckpt.trace.size() != static_cast<size_t>(ckpt.epochs_run)) {
+    return corrupt("trace length");
+  }
+  const auto k = static_cast<size_t>(ckpt.dataset.k);
+  if (ckpt.p.size() != static_cast<size_t>(ckpt.dataset.num_rows) * k ||
+      ckpt.q.size() != static_cast<size_t>(ckpt.dataset.num_cols) * k) {
+    return corrupt("factor length");
+  }
   return ckpt;
 }
 

@@ -55,7 +55,10 @@ inline constexpr uint64_t kCheckpointMagic = 0x485347444348504Bull;  // "HSGDCHP
 // crash. The wal_seq mark is what stream recovery uses to split the WAL
 // into already-applied records (rebuild the dataset only) and unapplied
 // ones (re-drive through training).
-inline constexpr uint32_t kCheckpointVersion = 5;
+// v6: v5 minus the fault policy's checkpoint retry, lease deadline factor
+// and degradation policy (48 bytes), which became constants: the config
+// keeps only the autosave cadence and path.
+inline constexpr uint32_t kCheckpointVersion = 6;
 
 /// Cheap identity of the data a session was trained on. Restore refuses
 /// a dataset whose fingerprint differs — resuming on different ratings

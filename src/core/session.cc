@@ -85,6 +85,12 @@ constexpr int kStripesPerGpu = 2;
 /// Simulated timeout that flags a failed PCIe transfer before its retry.
 constexpr SimTime kFaultDetectLatency = 1e-3;
 
+/// A block lease expires when its completion takes longer than this
+/// multiple of the healthy-device estimate; the block is then revoked and
+/// requeued on a survivor. A device degraded by at least this factor is
+/// benched instead of leased new work.
+constexpr double kLeaseDeadlineFactor = 8.0;
+
 Status ValidateConfig(const Dataset& ds, const TrainConfig& config) {
   if (ds.train.empty()) {
     return Status::InvalidArgument("dataset has no training ratings");
@@ -536,7 +542,6 @@ StatusOr<TracePoint> Session::RunEpochImpl(
     scheduler_->BeginEpochSubset(*subset);
   }
   const SimTime epoch_start = clock_;
-  const double deadline_factor = config_.fault.lease_deadline_factor;
 
   std::priority_queue<Event, std::vector<Event>, EventLater> pq;
   int64_t seq = 0;
@@ -557,10 +562,8 @@ StatusOr<TracePoint> Session::RunEpochImpl(
     }
   };
 
-  auto failure = [&] {
-    return Status::Internal(workers_alive_ == 0
-                                ? "all workers dead; training cannot continue"
-                                : "device lost under DegradePolicy::kAbort");
+  auto failure = [] {
+    return Status::Internal("all workers dead; training cannot continue");
   };
 
   // Take back an outstanding lease whose holder died or blew its
@@ -611,10 +614,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
     HSGD_LOG(Warning) << device << " died at t=" << now << " (epoch "
                       << epoch << "): revoked " << leases.size()
                       << " leases, " << workers_alive_ << " workers remain";
-    if (config_.fault.on_device_loss == DegradePolicy::kAbort ||
-        workers_alive_ == 0) {
-      failed_ = true;
-    }
+    if (workers_alive_ == 0) failed_ = true;
     wake_waiters(now);
   };
 
@@ -856,12 +856,10 @@ StatusOr<TracePoint> Session::RunEpochImpl(
     // going to overshoot it (a fault is in effect). A healthy block has
     // excess == 0, so finish == healthy finish and no event is pushed —
     // fault-free epochs keep the exact pre-fault event sequence.
-    if (deadline_factor > 0.0) {
-      const SimTime healthy_finish = finish - excess;
-      const SimTime deadline =
-          now + deadline_factor * std::max(healthy_finish - now, 1e-9);
-      if (finish > deadline) push(deadline, EventKind::kExpire, w, *task);
-    }
+    const SimTime healthy_finish = finish - excess;
+    const SimTime deadline =
+        now + kLeaseDeadlineFactor * std::max(healthy_finish - now, 1e-9);
+    if (finish > deadline) push(deadline, EventKind::kExpire, w, *task);
   };
 
   // The event loop only records committed blocks, in commit order.
@@ -919,9 +917,8 @@ StatusOr<TracePoint> Session::RunEpochImpl(
         // takes, so bench it — until the degradation window closes
         // (transient straggler), or permanently, in which case the
         // watchdog declares it dead.
-        if (deadline_factor > 0.0 &&
-            health.state == HealthState::kDegraded &&
-            health.SlowdownAt(e.time) >= deadline_factor) {
+        if (health.state == HealthState::kDegraded &&
+            health.SlowdownAt(e.time) >= kLeaseDeadlineFactor) {
           if (health.degraded_until < kSimTimeNever) {
             push(health.degraded_until, EventKind::kReady, w);
           } else {
@@ -987,7 +984,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
       return status;
     };
     const Status saved = RetryWithBackoff(
-        config_.fault.checkpoint_retry, &retry_rng_, attempt,
+        RetryOptions{}, &retry_rng_, attempt,
         [&](int attempt_no, const Status& status) {
           ++fault_stats_.checkpoint_retries;
           obs::Increment(metric_.ckpt_retries);

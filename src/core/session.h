@@ -41,7 +41,7 @@
 #include "sim/gpu_device.h"
 #include "sim/pcie_link.h"
 #include "sim/profiler.h"
-#include "util/retry.h"
+#include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -88,32 +88,16 @@ struct HardwareConfig {
   double speed_variability = 0.25;
 };
 
-/// What a session does when a device dies mid-run.
-enum class DegradePolicy {
-  /// Requeue the dead device's in-flight blocks, redistribute its work
-  /// to the survivors, and keep training (default).
-  kContinueDegraded = 0,
-  /// Fail the epoch with a Status; the caller decides (e.g. restore the
-  /// last autosave on a bigger fleet).
-  kAbort = 1,
-};
-
-/// Fault-tolerance policy knobs. All defaults are inert: no autosave,
-/// and the lease watchdog arms only when a block runs slower than a
-/// healthy device could — a fault-free run never pays anything.
+/// Fault-tolerance policy: the autosave cadence (default: none). The rest
+/// is fixed: a failed autosave retries with the default RetryOptions
+/// (util/retry.h); a block lease expires at 8x its healthy span and its
+/// block is requeued on a survivor; only the loss of every worker fails
+/// the run. The lease watchdog arms only when a block runs slower than a
+/// healthy device could, so a fault-free run never pays anything.
 struct FaultPolicy {
   /// Autosave a checkpoint every N completed epochs (0 disables).
   int autosave_every = 0;
   std::string autosave_path;
-  /// Retry-with-backoff for (auto)checkpoint IO failures.
-  RetryOptions checkpoint_retry;
-  /// A block lease expires when its completion takes longer than this
-  /// multiple of the healthy-device estimate; the block is then revoked
-  /// and requeued on a survivor. A device degraded by at least this
-  /// factor is benched instead of leased new work. <= 0 disables the
-  /// watchdog.
-  double lease_deadline_factor = 8.0;
-  DegradePolicy on_device_loss = DegradePolicy::kContinueDegraded;
 };
 
 /// Counters the fault machinery accumulates over a session's lifetime.
@@ -162,9 +146,8 @@ struct TrainConfig {
   /// paper's testbed rate. The measured value (not the flag) is what
   /// checkpoints persist; a restored session never re-measures.
   bool calibrate = false;
-  /// Fault-tolerance policy (autosave, checkpoint retry, lease
-  /// watchdog, degradation). Scripted faults themselves are attached at
-  /// runtime via Session::SetFaultPlan, not configured here.
+  /// Fault-tolerance policy (autosave). Scripted faults themselves are
+  /// attached at runtime via Session::SetFaultPlan, not configured here.
   FaultPolicy fault;
 };
 
@@ -406,9 +389,8 @@ class Session {
   /// Read-only from the caller's perspective: snapshot it, don't feed it.
   const obs::MetricsRegistry* metrics() const { return obs_.metrics; }
 
-  /// True when a device loss under DegradePolicy::kAbort (or the loss
-  /// of every worker) permanently failed the run. Done() reports true
-  /// and RunEpoch refuses with FailedPrecondition.
+  /// True when the loss of every worker permanently failed the run.
+  /// Done() reports true and RunEpoch refuses with FailedPrecondition.
   bool failed() const { return failed_; }
 
   /// Serialize the complete resumable state (config, dataset

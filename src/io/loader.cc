@@ -178,26 +178,15 @@ struct ParseContext {
   int64_t max_bad = 0;
 };
 
-/// Resolve LoadOptions' rating bounds against the format defaults. NaN
-/// counts as "unset" too — a NaN bound would otherwise make every range
-/// comparison false and silently disable validation.
-void ResolveRatingRange(DataFormat format, const LoadOptions& options,
-                        double* min_rating, double* max_rating) {
-  *min_rating = options.min_rating;
-  *max_rating = options.max_rating;
-  if (*min_rating == LoadOptions::kFormatDefault ||
-      std::isnan(*min_rating)) {
-    *min_rating = format == DataFormat::kMovieLens ? 0.0
-                  : format == DataFormat::kNetflix
-                      ? 1.0
-                      : -std::numeric_limits<double>::infinity();
-  }
-  if (*max_rating == LoadOptions::kFormatDefault ||
-      std::isnan(*max_rating)) {
-    *max_rating = format == DataFormat::kCsv
-                      ? std::numeric_limits<double>::infinity()
-                      : 5.0;
-  }
+/// The ratings a format accepts: movielens [0, 5], netflix [1, 5], csv
+/// unbounded.
+void FormatRatingRange(DataFormat format, double* min_rating,
+                       double* max_rating) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  *min_rating = format == DataFormat::kMovieLens ? 0.0
+                : format == DataFormat::kNetflix ? 1.0
+                                                  : -kInf;
+  *max_rating = format == DataFormat::kCsv ? kInf : 5.0;
 }
 
 /// Record a malformed line, honoring the per-shard cap (see
@@ -391,7 +380,7 @@ Status ParseFile(const std::string& path, DataFormat format,
   ctx.path = path;
   ctx.format = format;
   ctx.max_bad = std::max<int64_t>(0, options.max_bad_lines);
-  ResolveRatingRange(format, options, &ctx.min_rating, &ctx.max_rating);
+  FormatRatingRange(format, &ctx.min_rating, &ctx.max_rating);
 
   size_t offset = 0;
   int64_t start_line = 1;
@@ -631,7 +620,7 @@ StreamParser::StreamParser(DataFormat format, const LoadOptions& options,
     : format_(format),
       source_(std::move(source)),
       max_bad_(std::max<int64_t>(0, options.max_bad_lines)) {
-  ResolveRatingRange(format, options, &min_rating_, &max_rating_);
+  FormatRatingRange(format, &min_rating_, &max_rating_);
   // Netflix dumps never carry CSV headers; skip the first-line check so a
   // leading "123:" section header is not misread as one.
   if (format_ == DataFormat::kNetflix) header_pending_ = false;

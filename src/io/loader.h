@@ -73,12 +73,6 @@ struct LoadOptions {
   /// Worker threads for chunked parsing (1 = serial; results are
   /// identical either way).
   int threads = 4;
-  /// Accepted rating range. Leave at kFormatDefault (NaN also works) to
-  /// get the format's default: movielens [0, 5], netflix [1, 5], csv
-  /// unbounded. A rating outside the range fails the load naming the
-  /// offending line.
-  double min_rating = kFormatDefault;
-  double max_rating = kFormatDefault;
   /// Error budget: up to this many malformed lines (parse failures,
   /// out-of-range ratings, duplicates, netflix ratings before any
   /// section header) are quarantined into LoadedData::bad_lines instead
@@ -94,9 +88,6 @@ struct LoadOptions {
   /// Null — the default — records nothing; the parse itself is
   /// unaffected either way.
   obs::MetricsRegistry* metrics = nullptr;
-
-  static constexpr double kFormatDefault =
-      -1.7976931348623157e308;  // sentinel: use the format's range
 };
 
 /// One quarantined input line.
@@ -129,7 +120,8 @@ struct LoadedData {
 /// Parse `path` (a file; for netflix, a file or a directory of per-movie
 /// files) as `format`. Fails with NotFound for a missing path and
 /// InvalidArgument naming "<path>:<line>" for malformed content:
-/// non-numeric or negative ids, out-of-range ratings, wrong field counts
+/// non-numeric or negative ids, ratings outside the format's range
+/// (movielens [0, 5], netflix [1, 5], csv unbounded), wrong field counts
 /// (including a truncated last line), duplicate (user, item) entries, and
 /// rating lines before any section header (netflix). An empty file (or
 /// one holding only a header) is an error. CRLF endings and blank lines
@@ -182,8 +174,8 @@ struct RawRating {
 /// error.
 class StreamParser {
  public:
-  /// `options` supplies the rating range (format defaults apply, as in
-  /// LoadRatings) and the error budget; threads/metrics are ignored.
+  /// `options` supplies the error budget; threads/metrics are ignored.
+  /// The rating range is the format's, as in LoadRatings.
   /// `source` names the stream in error messages and the bad-line report.
   explicit StreamParser(DataFormat format, const LoadOptions& options = {},
                         std::string source = "<stream>");

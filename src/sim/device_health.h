@@ -22,8 +22,8 @@ enum class HealthState {
   kHealthy = 0,
   /// Running, but slower than its spec (straggler / thermal throttle /
   /// flaky link retries). Work keeps flowing unless the slowdown is bad
-  /// enough that the scheduler benches the device (see
-  /// FaultPolicy::lease_deadline_factor).
+  /// enough that the scheduler benches the device (at 8x, the lease
+  /// deadline factor; see FaultPolicy).
   kDegraded = 1,
   /// Crashed or declared dead by the watchdog. Never scheduled again.
   kDead = 2,

@@ -2,9 +2,11 @@
 // contract under injected short writes (SetCheckpointWriteFailpoint).
 // Whatever byte the "device" dies at, the previous checkpoint at the
 // destination path must stay byte-identical and readable, and no *.tmp
-// litter may survive. Also covers the v4 FaultPolicy config round-trip.
+// litter may survive. Also covers the autosave policy's config round-trip
+// and the reader and writer agreeing byte for byte.
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -122,20 +124,12 @@ void TestFailpointOnFreshPathLeavesNothing() {
 }
 
 // v4: the FaultPolicy travels with the config, so a restored run keeps
-// autosaving (cadence, path, retry envelope, watchdog, policy) the way
-// the original did.
+// autosaving (cadence and path) the way the original did.
 void TestFaultPolicyRoundTrip() {
   Dataset ds = SmallDataset();
   TrainConfig cfg = SmallConfig();
   cfg.fault.autosave_every = 3;
   cfg.fault.autosave_path = "checkpoint_test_auto.ckpt";
-  cfg.fault.checkpoint_retry.max_attempts = 7;
-  cfg.fault.checkpoint_retry.initial_backoff = 0.001;
-  cfg.fault.checkpoint_retry.multiplier = 3.0;
-  cfg.fault.checkpoint_retry.jitter = 0.5;
-  cfg.fault.checkpoint_retry.max_backoff = 0.125;
-  cfg.fault.lease_deadline_factor = 5.5;
-  cfg.fault.on_device_loss = DegradePolicy::kAbort;
 
   auto session = Session::Create(ds, cfg);
   EXPECT_TRUE(session.ok());
@@ -150,26 +144,76 @@ void TestFaultPolicyRoundTrip() {
     const FaultPolicy& fault = ckpt->config.fault;
     EXPECT_EQ(fault.autosave_every, 3);
     EXPECT_TRUE(fault.autosave_path == cfg.fault.autosave_path);
-    EXPECT_EQ(fault.checkpoint_retry.max_attempts, 7);
-    EXPECT_EQ(fault.checkpoint_retry.initial_backoff, 0.001);
-    EXPECT_EQ(fault.checkpoint_retry.multiplier, 3.0);
-    EXPECT_EQ(fault.checkpoint_retry.jitter, 0.5);
-    EXPECT_EQ(fault.checkpoint_retry.max_backoff, 0.125);
-    EXPECT_EQ(fault.lease_deadline_factor, 5.5);
-    EXPECT_TRUE(fault.on_device_loss == DegradePolicy::kAbort);
   }
   EXPECT_TRUE(Session::Restore(path, ds).ok());
 
   // A corrupt policy must be rejected structurally, not trusted: write
-  // back a checkpoint whose retry envelope is nonsense.
+  // back a checkpoint whose autosave cadence is nonsense.
   if (ckpt.ok()) {
     SessionCheckpoint bad = *ckpt;
-    bad.config.fault.checkpoint_retry.max_attempts = -3;
+    bad.config.fault.autosave_every = -3;
     const std::string tmp = "checkpoint_test_policy_bad.ckpt";
     EXPECT_TRUE(WriteCheckpoint(tmp, bad).ok());
     EXPECT_FALSE(Session::Restore(tmp, ds).ok());
     std::remove(tmp.c_str());
   }
+  std::remove(path.c_str());
+}
+
+// One field list drives both ReadCheckpoint and WriteCheckpoint, so a
+// checkpoint read and written back is the same file byte for byte. The
+// HSGD* session stores GPU stream state, an autosave path and two trace
+// points; the CPU-only one stores no GPU streams.
+void TestReadWriteRoundTripIsByteExact() {
+  Dataset ds = SmallDataset();
+  TrainConfig star = SmallConfig();
+  star.algorithm = Algorithm::kHsgdStar;
+  star.fault.autosave_every = 3;  // never due within the two epochs run
+  star.fault.autosave_path = "checkpoint_test_never_written.ckpt";
+  TrainConfig cpu = SmallConfig();
+  cpu.algorithm = Algorithm::kCpuOnly;
+  cpu.hardware.num_gpus = 0;
+  const std::string path = "checkpoint_test_roundtrip.ckpt";
+  const std::string copy = "checkpoint_test_roundtrip_copy.ckpt";
+  for (const TrainConfig& cfg : {star, cpu}) {
+    auto session = Session::Create(ds, cfg);
+    EXPECT_TRUE(session.ok());
+    if (!session.ok()) return;
+    EXPECT_TRUE((*session)->RunEpoch().ok());
+    EXPECT_TRUE((*session)->RunEpoch().ok());
+    EXPECT_TRUE((*session)->SaveCheckpoint(path).ok());
+    auto ckpt = ReadCheckpoint(path);
+    EXPECT_TRUE(ckpt.ok());
+    if (!ckpt.ok()) return;
+    EXPECT_EQ(ckpt->gpu_streams.size(),
+              static_cast<size_t>(cfg.hardware.num_gpus));
+    EXPECT_EQ(ckpt->trace.size(), 2u);
+    EXPECT_TRUE(ckpt->config.fault.autosave_path ==
+                cfg.fault.autosave_path);
+    EXPECT_TRUE(WriteCheckpoint(copy, *ckpt).ok());
+    EXPECT_TRUE(ReadFileBytes(copy) == ReadFileBytes(path));
+  }
+
+  // A v5 file is refused by its version word.
+  std::string bytes = ReadFileBytes(path);
+  const uint32_t v5 = 5;
+  std::memcpy(&bytes[sizeof(kCheckpointMagic)], &v5, sizeof(v5));
+  FILE* out = std::fopen(copy.c_str(), "wb");
+  EXPECT_TRUE(out != nullptr);
+  if (out != nullptr) {
+    std::fwrite(bytes.data(), 1, bytes.size(), out);
+    std::fclose(out);
+  }
+  auto old = ReadCheckpoint(copy);
+  EXPECT_FALSE(old.ok());
+  if (!old.ok()) {
+    EXPECT_TRUE(old.status().code() == StatusCode::kInvalidArgument);
+    const std::string want =
+        "has version 5, expected " + std::to_string(kCheckpointVersion);
+    EXPECT_TRUE(old.status().message().find(want) != std::string::npos);
+  }
+  EXPECT_FALSE(fs::exists(star.fault.autosave_path));
+  std::remove(copy.c_str());
   std::remove(path.c_str());
 }
 
@@ -179,6 +223,7 @@ void RunAllTests() {
   TestFailpointPreservesPreviousCheckpoint();
   TestFailpointOnFreshPathLeavesNothing();
   TestFaultPolicyRoundTrip();
+  TestReadWriteRoundTripIsByteExact();
 }
 
 }  // namespace hsgd

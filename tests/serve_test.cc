@@ -116,11 +116,13 @@ void TestSnapshotSwapUnderConcurrentReaders() {
     });
   }
 
+  // Publish only once a reader has completed a read (good or bad): on a
+  // loaded host the publisher could otherwise finish all 2000 publishes
+  // before any reader thread starts. Yielding inside the loop lets the
+  // readers interleave with the swaps on a single core too.
+  while (reads.load() + bad.load() == 0) std::this_thread::yield();
   for (int i = 0; i < 2000; ++i) {
     EXPECT_TRUE(holder.PublishValidated(snaps[i % kVersions]).ok());
-    // On a single core (notably under sanitizers) the publisher can
-    // finish all 2000 publishes before any reader gets a time slice;
-    // yield so the reads-happened assertion below is meaningful.
     if (i % 16 == 0) std::this_thread::yield();
   }
   stop.store(true);
@@ -662,7 +664,7 @@ void TestShutdownRacesInFlightSubmits() {
     if (!server.ok()) return;
 
     std::atomic<bool> stop{false};
-    std::atomic<int64_t> resolved{0}, unexpected{0};
+    std::atomic<int64_t> issued{0}, resolved{0}, unexpected{0};
     std::vector<std::thread> submitters;
     for (int t = 0; t < 3; ++t) {
       submitters.emplace_back([&, t] {
@@ -670,6 +672,7 @@ void TestShutdownRacesInFlightSubmits() {
         int i = 0;
         while (!stop.load(std::memory_order_relaxed)) {
           futures.push_back((*server)->Submit({(t + i++) % 8, false, 5}));
+          issued.fetch_add(1);
           if (futures.size() >= 16) {
             for (auto& future : futures) {
               auto response = future.get();
@@ -693,8 +696,10 @@ void TestShutdownRacesInFlightSubmits() {
       });
     }
 
-    // Let traffic build, then shut down mid-flight.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Let traffic build, then shut down mid-flight. Waiting on a count,
+    // not a sleep, keeps a loaded host from shutting down before any
+    // submitter has started.
+    while (issued.load() < 48) std::this_thread::yield();
     (*server)->Shutdown();
     stop.store(true);
     for (auto& thread : submitters) thread.join();
