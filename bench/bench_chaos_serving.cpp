@@ -340,10 +340,6 @@ ChaosResult RunChaos(const BenchContext& ctx, const ChaosShape& shape,
   serve_config.latency_budget_s = budget_s;
   serve_config.kernel = ctx.kernel;
   serve_config.breaker_enabled = true;
-  serve_config.breaker_window = 16;
-  serve_config.breaker_miss_ratio = 0.5;
-  serve_config.breaker_open_s = 0.02;
-  serve_config.breaker_probes = 4;
 
   auto injector = ServeFaultInjector::Create(plan, serve_config.shards);
   HSGD_CHECK_OK(injector.status());

@@ -14,8 +14,8 @@
 //   --calibrate       feed the measured kernel rate into the simulator
 //
 // Training benches run through the Session API (RunSession below); the
-// RMSE-curve and dynamic-scheduling benches attach EpochObservers
-// directly to stream progress as epochs complete.
+// RMSE-curve and dynamic-scheduling benches loop over RunEpoch
+// themselves to print each epoch as it completes.
 
 #pragma once
 
@@ -259,15 +259,12 @@ inline TrainConfig MakeConfig(Algorithm algorithm, const BenchContext& ctx) {
 
 /// \brief Run a full training session (aborting on any error) and return
 /// its trace + stats. The context's observability sinks (when any were
-/// requested) are attached to the session; `observer` (optional,
-/// borrowed) watches the epochs as they complete.
+/// requested) are attached to the session.
 inline TrainResult RunSession(const BenchContext& ctx, const Dataset& ds,
-                              const TrainConfig& cfg,
-                              EpochObserver* observer = nullptr) {
+                              const TrainConfig& cfg) {
   auto session = Session::Create(ds, cfg);
   HSGD_CHECK_OK(session.status());
   (*session)->SetObservability(ctx.obs.Sinks());
-  if (observer != nullptr) (*session)->AddObserver(observer);
   HSGD_CHECK_OK((*session)->RunToCompletion());
   return {(*session)->trace(), (*session)->stats()};
 }

@@ -4,7 +4,7 @@
 // Expected shape (paper): all three converge to a similar loss value;
 // HSGD*'s curve drops fastest and reaches every loss level first.
 //
-// This bench drives the Session API stepwise: an EpochObserver streams
+// This bench drives the Session API stepwise: its RunEpoch loop prints
 // each trace point as its epoch completes (no waiting for the full run),
 // and the checkpoint flags exercise save/kill/resume:
 //
@@ -28,21 +28,6 @@ using namespace hsgd;
 using namespace hsgd::bench;
 
 namespace {
-
-/// Streams one formatted trace line per completed epoch.
-class CurvePrinter : public EpochObserver {
- public:
-  explicit CurvePrinter(const char* algorithm) : algorithm_(algorithm) {}
-
-  void OnEpochEnd(const Session& session, const TracePoint& p) override {
-    (void)session;
-    std::printf("%-10s %8d %12.3f %12.4f %12.4f\n", algorithm_, p.epoch,
-                p.time, p.test_rmse, p.train_rmse);
-  }
-
- private:
-  const char* algorithm_;
-};
 
 std::vector<Algorithm> ParseAlgos(const std::string& list) {
   std::vector<Algorithm> algos;
@@ -102,15 +87,18 @@ int main(int argc, char** argv) {
            "binds to one session)";
   }
 
-  // Drives one session to completion (or --stop-after), checkpointing as
-  // requested. Returns false when --stop-after cut the run short.
+  // Drives one session to completion (or --stop-after), printing each
+  // epoch's trace line and checkpointing as requested. Returns false when
+  // --stop-after cut the run short.
   auto drive = [&](Session* session) {
     session->SetObservability(ctx.obs.Sinks());
-    CurvePrinter printer(AlgorithmName(session->config().algorithm));
-    session->AddObserver(&printer);
+    const char* algorithm = AlgorithmName(session->config().algorithm);
     while (!session->Done()) {
-      HSGD_CHECK_OK(session->RunEpoch().status());
-      const int epoch = session->epochs_run();
+      auto p = session->RunEpoch();
+      HSGD_CHECK_OK(p.status());
+      std::printf("%-10s %8d %12.3f %12.4f %12.4f\n", algorithm, p->epoch,
+                  p->time, p->test_rmse, p->train_rmse);
+      const int epoch = p->epoch;
       if (checkpoint_every > 0 && !checkpoint_path.empty() &&
           epoch % checkpoint_every == 0) {
         HSGD_CHECK_OK(session->SaveCheckpoint(checkpoint_path));
@@ -122,7 +110,6 @@ int main(int argc, char** argv) {
         return false;
       }
     }
-    session->RemoveObserver(&printer);
     return true;
   };
 

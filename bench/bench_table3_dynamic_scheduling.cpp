@@ -6,11 +6,9 @@
 // smallest on MovieLens (the GPU is never saturated there, so stealing
 // helps least).
 //
-// Runs through the Session API with an EpochObserver wired into every
-// session: it reads per-epoch durations and steal deltas from the
-// session's metrics registry (the sched.steals_by_* counters the event
-// loop exports at each epoch barrier — no bespoke stat plumbing), and
-// --verbose streams them as the epochs complete.
+// Each session runs through its own RunEpoch loop; --verbose prints every
+// epoch's simulated duration and the elements the dynamic phase stole
+// during it (the change in stats().sim.stolen_by_*) as it completes.
 
 #include <cstdio>
 
@@ -21,50 +19,31 @@ using namespace hsgd::bench;
 
 namespace {
 
-/// Watches a session's epochs: per-epoch simulated duration and how many
-/// elements the dynamic phase stole during that epoch, read from the
-/// session's attached metrics registry. The registry may be shared
-/// across sessions (counters keep growing), so the watcher baselines at
-/// its first callback and reports deltas from there.
-class EpochWatcher : public EpochObserver {
- public:
-  explicit EpochWatcher(bool verbose) : verbose_(verbose) {}
-
-  void OnEpochBegin(const Session& session, int epoch) override {
-    (void)epoch;
-    if (!baselined_) {
-      last_stolen_ = StolenCounter(session);
-      baselined_ = true;
-    }
-  }
-
-  void OnEpochEnd(const Session& session, const TracePoint& p) override {
-    const int64_t stolen_now = StolenCounter(session);
-    const double epoch_seconds = p.time - last_clock_;
-    if (verbose_) {
+/// Trains one session to completion and returns its stats; `verbose`
+/// prints each epoch as RunEpoch returns it.
+TrainStats Run(const BenchContext& ctx, const Dataset& ds,
+               const TrainConfig& cfg, bool verbose) {
+  auto session = Session::Create(ds, cfg);
+  HSGD_CHECK_OK(session.status());
+  (*session)->SetObservability(ctx.obs.Sinks());
+  SimTime last_clock = 0.0;
+  int64_t last_stolen = 0;
+  while (!(*session)->Done()) {
+    auto p = (*session)->RunEpoch();
+    HSGD_CHECK_OK(p.status());
+    const SimStats sim = (*session)->stats().sim;
+    const int64_t stolen = sim.stolen_by_gpus + sim.stolen_by_cpus;
+    if (verbose) {
       std::printf("#   %-7s epoch %2d: %7.3fs  +%s stolen\n",
-                  AlgorithmName(session.config().algorithm), p.epoch,
-                  epoch_seconds,
-                  WithThousandsSep(stolen_now - last_stolen_).c_str());
+                  AlgorithmName(cfg.algorithm), p->epoch,
+                  p->time - last_clock,
+                  WithThousandsSep(stolen - last_stolen).c_str());
     }
-    last_clock_ = p.time;
-    last_stolen_ = stolen_now;
+    last_clock = p->time;
+    last_stolen = stolen;
   }
-
- private:
-  static int64_t StolenCounter(const Session& session) {
-    const obs::MetricsRegistry* metrics = session.metrics();
-    if (metrics == nullptr) return 0;
-    const obs::MetricsSnapshot snap = metrics->Snapshot();
-    return snap.CounterValue("sched.steals_by_gpu") +
-           snap.CounterValue("sched.steals_by_cpu");
-  }
-
-  bool verbose_;
-  bool baselined_ = false;
-  SimTime last_clock_ = 0.0;
-  int64_t last_stolen_ = 0;
-};
+  return (*session)->stats();
+}
 
 }  // namespace
 
@@ -75,12 +54,6 @@ int main(int argc, char** argv) {
        {"verbose", "", "stream per-epoch timings and steal deltas"}});
   int runs = static_cast<int>(ctx.flags.GetInt("runs", 3));
   const bool verbose = ctx.flags.GetBool("verbose", false);
-
-  // The watcher reads steals through session.metrics(), so make sure a
-  // registry rides along even when no --metrics flag asked for one.
-  if (ctx.obs.registry == nullptr) {
-    ctx.obs.registry = std::make_shared<obs::MetricsRegistry>();
-  }
 
   PrintHeader(StrFormat(
       "Table III: dynamic scheduling (%d iterations, mean of %d runs "
@@ -102,12 +75,10 @@ int main(int argc, char** argv) {
         cfg.dynamic_scheduling = dynamic;
         cfg.use_dataset_target = false;
         cfg.seed = ctx.seed + static_cast<uint64_t>(run);
-        EpochWatcher watcher(verbose);
-        TrainResult result = RunSession(ctx, ds, cfg, &watcher);
-        times[i++] += result.stats.sim.seconds / runs;
+        const TrainStats stats = Run(ctx, ds, cfg, verbose);
+        times[i++] += stats.sim.seconds / runs;
         if (dynamic) {
-          stolen += (result.stats.sim.stolen_by_gpus +
-                     result.stats.sim.stolen_by_cpus) /
+          stolen += (stats.sim.stolen_by_gpus + stats.sim.stolen_by_cpus) /
                     runs;
         }
       }

@@ -46,7 +46,8 @@ inline constexpr uint64_t kCheckpointMagic = 0x485347444348504Bull;  // "HSGDCHP
 // and path, checkpoint retry, lease deadline factor, degradation
 // policy), so a restored run keeps autosaving the way the original did.
 // Runtime fault state (dead devices, attached FaultPlan) is NOT stored —
-// like observers, plans are re-attached by the caller after Restore.
+// like observability sinks, plans are re-attached by the caller after
+// Restore.
 // v5: the online-append growth state (cold-row init RNG, exact running
 // rating moments) and the WAL high-water mark. A grown session restored
 // WITHOUT these would re-seed the growth stream and recompute the rating

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <utility>
 
@@ -471,41 +472,13 @@ void Session::ExportBarrierMetrics(const TracePoint& point) {
   }
 }
 
-void Session::AddObserver(EpochObserver* observer) {
-  HSGD_CHECK(observer != nullptr);
-  observers_.push_back(observer);
-}
-
-void Session::RemoveObserver(EpochObserver* observer) {
-  observers_.erase(
-      std::remove(observers_.begin(), observers_.end(), observer),
-      observers_.end());
-}
-
-// Notifications iterate a snapshot so a callback may add or remove
-// observers (including itself) without invalidating the live iteration.
-void Session::NotifyEpochBegin(int epoch) {
-  const std::vector<EpochObserver*> snapshot = observers_;
-  for (EpochObserver* o : snapshot) o->OnEpochBegin(*this, epoch);
-}
-
-void Session::NotifyEpochEnd(const TracePoint& point) {
-  const std::vector<EpochObserver*> snapshot = observers_;
-  for (EpochObserver* o : snapshot) o->OnEpochEnd(*this, point);
-}
-
-void Session::NotifyTargetReached(const TracePoint& point) {
-  const std::vector<EpochObserver*> snapshot = observers_;
-  for (EpochObserver* o : snapshot) o->OnTargetReached(*this, point);
-}
-
 StatusOr<TracePoint> Session::RunEpoch() {
-  std::unique_lock<std::mutex> quiesce(epoch_mu_);
-  return RunEpochImpl(std::move(quiesce), nullptr);
+  std::lock_guard<std::mutex> quiesce(epoch_mu_);
+  return RunEpochImpl(nullptr);
 }
 
 StatusOr<TracePoint> Session::RunIncrementalEpoch() {
-  std::unique_lock<std::mutex> quiesce(epoch_mu_);
+  std::lock_guard<std::mutex> quiesce(epoch_mu_);
   std::vector<int> blocks;
   for (size_t b = 0; b < dirty_.size(); ++b) {
     if (dirty_[b]) blocks.push_back(static_cast<int>(b));
@@ -514,12 +487,10 @@ StatusOr<TracePoint> Session::RunIncrementalEpoch() {
     return Status::FailedPrecondition(
         "no appended ratings pending an incremental epoch");
   }
-  return RunEpochImpl(std::move(quiesce), &blocks);
+  return RunEpochImpl(&blocks);
 }
 
-StatusOr<TracePoint> Session::RunEpochImpl(
-    std::unique_lock<std::mutex> quiesce, const std::vector<int>* subset) {
-  HSGD_CHECK(quiesce.owns_lock());
+StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   if (Done()) {
     return Status::FailedPrecondition(
         failed_ ? "session permanently failed after device loss"
@@ -535,7 +506,6 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   const int num_workers = static_cast<int>(workers_.size());
   const Grid& grid = matrix_.grid();
 
-  NotifyEpochBegin(epoch);
   if (subset == nullptr) {
     scheduler_->BeginEpoch();
   } else {
@@ -960,9 +930,9 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   assert(trace_.points.empty() || trace_.points.back().epoch < point.epoch);
   trace_.points.push_back(point);
   epochs_run_ = epoch;
-  const bool reached_now =
-      config_.use_dataset_target && test_rmse <= dataset_.target_rmse;
-  if (reached_now) reached_target_ = true;
+  if (config_.use_dataset_target && test_rmse <= dataset_.target_rmse) {
+    reached_target_ = true;
+  }
 
   // Periodic autosave with bounded retry. Failures are survivable by
   // design: training continues on a warning, one stale autosave behind.
@@ -984,7 +954,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
       return status;
     };
     const Status saved = RetryWithBackoff(
-        RetryOptions{}, &retry_rng_, attempt,
+        &retry_rng_, attempt,
         [&](int attempt_no, const Status& status) {
           ++fault_stats_.checkpoint_retries;
           obs::Increment(metric_.ckpt_retries);
@@ -1015,15 +985,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   pending_nnz_ = 0;
 
   wall_seconds_ += wall.Seconds();
-  // The barrier drops before observers fire: the factors are settled for
-  // this epoch, so an OnEpochEnd callback may VisitQuiesced (e.g. publish
-  // a serving snapshot) without deadlocking or tearing.
-  quiesce.unlock();
-  // Metrics are current before observers fire, so an OnEpochEnd callback
-  // reading session.metrics() sees this epoch, not the previous one.
   ExportBarrierMetrics(point);
-  NotifyEpochEnd(point);
-  if (reached_now) NotifyTargetReached(point);
   return point;
 }
 
@@ -1034,13 +996,15 @@ Status Session::AppendRatings(const Ratings& ratings) {
     return Status::FailedPrecondition(
         "session permanently failed after device loss");
   }
+  // An id of INT32_MAX would need an extent of INT32_MAX + 1.
+  constexpr int32_t kMaxId = std::numeric_limits<int32_t>::max();
   int32_t new_rows = dataset_.num_rows;
   int32_t new_cols = dataset_.num_cols;
   for (const Rating& rt : ratings) {
-    if (rt.u < 0 || rt.v < 0) {
+    if (rt.u < 0 || rt.v < 0 || rt.u == kMaxId || rt.v == kMaxId) {
       return Status::InvalidArgument(
-          StrFormat("appended rating has negative id (%d, %d)", rt.u,
-                    rt.v));
+          StrFormat("appended rating has an id outside [0, %d): (%d, %d)",
+                    kMaxId, rt.u, rt.v));
     }
     new_rows = std::max(new_rows, rt.u + 1);
     new_cols = std::max(new_cols, rt.v + 1);

@@ -4,8 +4,7 @@
 // streams, factor model — alive across epochs, so callers can:
 //
 //   - drive training stepwise (`RunEpoch()` advances one simulated epoch
-//     and returns its TracePoint),
-//   - watch progress without owning the loop (`EpochObserver`),
+//     and returns its TracePoint, so the caller's loop sees each epoch),
 //   - inspect mid-run state (`Done()`, `stats()`, `model()`, `trace()`),
 //   - persist and resume long runs (`SaveCheckpoint()` / `Restore()`,
 //     bit-identical to an uninterrupted run — see core/checkpoint.h),
@@ -58,10 +57,10 @@ class Histogram;
 }  // namespace obs
 
 /// Borrowed observability sinks, attached at runtime via
-/// Session::SetObservability. Like observers and fault plans they are
-/// runtime state — never checkpointed, re-attach after Restore — and
-/// strictly passive: attaching them (or not) leaves the simulation
-/// bit-identical; they only record what happened.
+/// Session::SetObservability. Like fault plans they are runtime state —
+/// never checkpointed, re-attach after Restore — and strictly passive:
+/// attaching them (or not) leaves the simulation bit-identical; they only
+/// record what happened.
 struct Observability {
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* trace = nullptr;
@@ -89,8 +88,8 @@ struct HardwareConfig {
 };
 
 /// Fault-tolerance policy: the autosave cadence (default: none). The rest
-/// is fixed: a failed autosave retries with the default RetryOptions
-/// (util/retry.h); a block lease expires at 8x its healthy span and its
+/// is fixed: a failed autosave retries on util/retry.h's backoff
+/// schedule; a block lease expires at 8x its healthy span and its
 /// block is requeued on a survivor; only the loss of every worker fails
 /// the run. The lease watchdog arms only when a block runs slower than a
 /// healthy device could, so a fault-free run never pays anything.
@@ -217,38 +216,8 @@ struct TrainResult {
   TrainStats stats;
 };
 
-class Session;
 struct DatasetFingerprint;  // core/checkpoint.h
 struct SessionCheckpoint;   // core/checkpoint.h
-
-/// Callback interface for watching a session's progress without owning
-/// the epoch loop (bench output, serving-side refresh hooks, progress
-/// bars). Observers are borrowed, not owned, and are invoked synchronously
-/// from inside RunEpoch on the calling thread. They are not serialized
-/// into checkpoints — re-attach after Restore.
-class EpochObserver {
- public:
-  virtual ~EpochObserver() = default;
-  /// Fired before epoch `epoch` (1-based) starts simulating.
-  virtual void OnEpochBegin(const Session& session, int epoch) {
-    (void)session;
-    (void)epoch;
-  }
-  /// Fired after the epoch's barrier + RMSE evaluation, with its trace
-  /// point. The session's trace/stats already include this epoch.
-  virtual void OnEpochEnd(const Session& session, const TracePoint& point) {
-    (void)session;
-    (void)point;
-  }
-  /// Fired at most once, when test RMSE first reaches the dataset target
-  /// (only under config.use_dataset_target). Follows OnEpochEnd for the
-  /// same epoch.
-  virtual void OnTargetReached(const Session& session,
-                               const TracePoint& point) {
-    (void)session;
-    (void)point;
-  }
-};
 
 class Session {
  public:
@@ -286,7 +255,9 @@ class Session {
 
   /// Advance one simulated epoch: schedule and run every block through
   /// the device fleet in virtual time, apply the real SGD updates, then
-  /// evaluate RMSE at the epoch barrier. Returns the epoch's TracePoint.
+  /// evaluate RMSE at the epoch barrier. Returns the epoch's TracePoint;
+  /// the session's trace and stats already include it, and the barrier
+  /// is free again, so the caller may VisitQuiesced right away.
   /// FailedPrecondition once Done().
   StatusOr<TracePoint> RunEpoch();
 
@@ -306,8 +277,9 @@ class Session {
   /// Append ratings (dense ids, as produced by io::IdMap::Assign) to the
   /// training set. Ids beyond the current dimensions grow the model and
   /// grid; ratings land at their block's tail in arrival order. Blocks
-  /// while an epoch is in flight on another thread. InvalidArgument on
-  /// negative ids (nothing is mutated).
+  /// while an epoch is in flight on another thread. InvalidArgument on an
+  /// id outside [0, INT32_MAX), whose extent would not fit an int32_t
+  /// (nothing is mutated).
   Status AppendRatings(const Ratings& ratings);
 
   /// Advance one incremental epoch over ONLY the blocks dirtied by
@@ -342,8 +314,6 @@ class Session {
 
   /// Completed epochs so far (also the `epoch` of the latest TracePoint).
   int epochs_run() const { return epochs_run_; }
-  /// Virtual clock after the last completed epoch barrier.
-  SimTime sim_clock() const { return clock_; }
   const Trace& trace() const { return trace_; }
   /// Aggregate statistics over the epochs run so far; callable mid-run.
   TrainStats stats() const;
@@ -358,20 +328,14 @@ class Session {
   const TrainConfig& config() const { return config_; }
   /// The resolved compute-kernel variant this session runs with.
   KernelKind kernel() const { return config_.kernel; }
-  /// The cost model's planned GPU work share (HSGD* only; 0 otherwise).
-  double planned_alpha() const { return planned_alpha_; }
-
-  /// Observers are borrowed; callers keep them alive while attached.
-  void AddObserver(EpochObserver* observer);
-  void RemoveObserver(EpochObserver* observer);
 
   /// Attach a scripted fault plan (validated against this session's
   /// fleet). Replaces any previous plan; un-fired specs of the old plan
-  /// are forgotten. Like observers, plans are runtime state: they are
-  /// NOT serialized into checkpoints — re-attach after Restore (specs
-  /// whose trigger point is already past fire at the next epoch start).
-  /// An empty (or never-firing) plan leaves the run bit-identical to a
-  /// session with no plan at all.
+  /// are forgotten. Like observability sinks, plans are runtime state:
+  /// they are NOT serialized into checkpoints — re-attach after Restore
+  /// (specs whose trigger point is already past fire at the next epoch
+  /// start). An empty (or never-firing) plan leaves the run bit-identical
+  /// to a session with no plan at all.
   Status SetFaultPlan(const FaultPlan& plan);
 
   /// Fault-machinery counters accumulated so far (all zero, with
@@ -384,10 +348,6 @@ class Session {
   /// with sinks attached produces bit-identical training results to one
   /// without. Not checkpointed; re-attach after Restore.
   void SetObservability(const Observability& obs);
-
-  /// The attached metrics registry, or nullptr when none is attached.
-  /// Read-only from the caller's perspective: snapshot it, don't feed it.
-  const obs::MetricsRegistry* metrics() const { return obs_.metrics; }
 
   /// True when the loss of every worker permanently failed the run.
   /// Done() reports true and RunEpoch refuses with FailedPrecondition.
@@ -441,16 +401,9 @@ class Session {
   Status Init();
   Status InstallCheckpoint(const SessionCheckpoint& checkpoint);
 
-  /// Shared epoch body. `subset` selects the pending blocks (null = all,
-  /// the classic RunEpoch). Takes ownership of the held epoch barrier;
-  /// releases it after the trace point is recorded but before observers
-  /// fire, so an OnEpochEnd callback may legally VisitQuiesced.
-  StatusOr<TracePoint> RunEpochImpl(std::unique_lock<std::mutex> quiesce,
-                                    const std::vector<int>* subset);
-
-  void NotifyEpochBegin(int epoch);
-  void NotifyEpochEnd(const TracePoint& point);
-  void NotifyTargetReached(const TracePoint& point);
+  /// Shared epoch body; the caller holds the epoch barrier. `subset`
+  /// selects the pending blocks (null = all, the classic RunEpoch).
+  StatusOr<TracePoint> RunEpochImpl(const std::vector<int>* subset);
 
   /// Pre-resolved registry handles, filled in SetObservability so the
   /// event loop pays one null check per record — no name lookups on the
@@ -563,8 +516,6 @@ class Session {
   /// Cold-row init stream (stream 29), disjoint from the model-init
   /// stream so appends never perturb the base initialization.
   Rng growth_rng_{0, 29};
-
-  std::vector<EpochObserver*> observers_;
 
   // ---- Observability (runtime state, never checkpointed) --------------
   Observability obs_;

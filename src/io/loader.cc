@@ -613,108 +613,4 @@ StatusOr<Dataset> LoadDataset(const std::string& path, DataFormat format,
                      data->items.size(), params, options.target_rmse);
 }
 
-// ---- StreamParser ---------------------------------------------------------
-
-StreamParser::StreamParser(DataFormat format, const LoadOptions& options,
-                           std::string source)
-    : format_(format),
-      source_(std::move(source)),
-      max_bad_(std::max<int64_t>(0, options.max_bad_lines)) {
-  FormatRatingRange(format, &min_rating_, &max_rating_);
-  // Netflix dumps never carry CSV headers; skip the first-line check so a
-  // leading "123:" section header is not misread as one.
-  if (format_ == DataFormat::kNetflix) header_pending_ = false;
-}
-
-Status StreamParser::ChargeBadLine(int64_t line, std::string detail) {
-  // Budget charged strictly in line order — a stream sees lines in order
-  // by construction, so this matches ParseFile's sorted-merge accounting
-  // exactly: the (max_bad + 1)-th bad line is the one that fails.
-  if (report_.total >= max_bad_) {
-    failed_ = LineError(source_, line, detail);
-    return failed_;
-  }
-  ++report_.total;
-  if (static_cast<int>(report_.sample.size()) < BadLineReport::kMaxSample) {
-    report_.sample.push_back({source_, line, std::move(detail)});
-  }
-  return Status::Ok();
-}
-
-Status StreamParser::ConsumeLine(const char* begin, const char* end,
-                                 std::vector<RawRating>* out) {
-  const int64_t line = line_++;
-  TrimLine(&begin, &end);
-  if (header_pending_) {
-    header_pending_ = false;
-    if (FirstLineIsHeader(std::string(begin, end))) return Status::Ok();
-  }
-  if (begin == end) return Status::Ok();
-  int64_t item;
-  if (format_ == DataFormat::kNetflix &&
-      ParseSectionHeader(begin, end, &item)) {
-    carry_item_ = item;
-    return Status::Ok();
-  }
-
-  // One-line shard through the shared grammar: identical field splitting,
-  // id/rating parsing and range checks as the batch loader's shards.
-  ParseContext ctx;
-  ctx.text = nullptr;
-  ctx.path = source_;
-  ctx.format = format_;
-  ctx.min_rating = min_rating_;
-  ctx.max_rating = max_rating_;
-  ctx.max_bad = max_bad_;
-  ShardResult shard;
-  shard.last_item = carry_item_;
-  ParseRecordLine(ctx, begin, end, line, &shard);
-  if (!shard.bad.empty()) {
-    return ChargeBadLine(line, std::move(shard.bad.front().detail));
-  }
-  if (shard.recs.empty()) return Status::Ok();
-  const ParsedRec& rec = shard.recs.front();
-  if (rec.item == kPendingItem) {
-    return ChargeBadLine(line,
-                         "rating before any 'movie_id:' section header");
-  }
-  out->push_back({rec.user, rec.item, rec.rating});
-  return Status::Ok();
-}
-
-Status StreamParser::Push(const std::string& chunk,
-                          std::vector<RawRating>* out) {
-  if (!failed_.ok()) return failed_;
-  if (finished_) {
-    return Status::FailedPrecondition("StreamParser::Push after Finish");
-  }
-  buffer_.append(chunk);
-  size_t pos = 0;
-  for (;;) {
-    const size_t nl = buffer_.find('\n', pos);
-    if (nl == std::string::npos) break;
-    HSGD_RETURN_IF_ERROR(
-        ConsumeLine(buffer_.data() + pos, buffer_.data() + nl, out));
-    pos = nl + 1;
-  }
-  buffer_.erase(0, pos);
-  return Status::Ok();
-}
-
-Status StreamParser::Finish(std::vector<RawRating>* out) {
-  if (!failed_.ok()) return failed_;
-  if (finished_) {
-    return Status::FailedPrecondition("StreamParser::Finish called twice");
-  }
-  finished_ = true;
-  if (!buffer_.empty()) {
-    // An unterminated final line parses exactly like a file's last line.
-    const Status status =
-        ConsumeLine(buffer_.data(), buffer_.data() + buffer_.size(), out);
-    buffer_.clear();
-    HSGD_RETURN_IF_ERROR(status);
-  }
-  return Status::Ok();
-}
-
 }  // namespace hsgd::io

@@ -156,62 +156,4 @@ struct RawRating {
   float rating = 0.0f;
 };
 
-/// Incremental line-oriented parser for rating streams: the same grammar,
-/// rating-range validation and `max_bad_lines` error budget as
-/// LoadRatings, fed chunk by chunk instead of from one file. Chunks may
-/// split lines (and netflix section headers) at any byte boundary — the
-/// parser carries the partial tail — so for a fixed input the records,
-/// bad-line tally, and the exact first-over-budget failure are identical
-/// for ANY chunking, down to pushing one byte at a time.
-///
-/// Differences from the batch loader, both inherent to streaming: ids
-/// stay raw (callers own the IdMap so its growth can be observed), and
-/// duplicates are NOT rejected — a stream legitimately re-rates pairs,
-/// and the appenders treat later entries as fresher signal.
-///
-/// Not thread-safe; one parser per stream. After a Status failure (budget
-/// exceeded) the parser is poisoned and every later call returns the same
-/// error.
-class StreamParser {
- public:
-  /// `options` supplies the error budget; threads/metrics are ignored.
-  /// The rating range is the format's, as in LoadRatings.
-  /// `source` names the stream in error messages and the bad-line report.
-  explicit StreamParser(DataFormat format, const LoadOptions& options = {},
-                        std::string source = "<stream>");
-
-  /// Feed the next chunk; complete lines are parsed and appended to
-  /// `out`, a trailing partial line is carried until more bytes arrive.
-  Status Push(const std::string& chunk, std::vector<RawRating>* out);
-
-  /// Flush the carried partial line (an unterminated final line parses
-  /// like LoadRatings' last line). The parser is then closed: further
-  /// Push/Finish calls fail.
-  Status Finish(std::vector<RawRating>* out);
-
-  /// Quarantined lines so far (same counting as LoadedData::bad_lines).
-  const BadLineReport& bad_lines() const { return report_; }
-  /// Complete lines consumed so far (headers and blanks included).
-  int64_t lines_consumed() const { return line_ - 1; }
-  bool failed() const { return !failed_.ok(); }
-
- private:
-  Status ConsumeLine(const char* begin, const char* end,
-                     std::vector<RawRating>* out);
-  Status ChargeBadLine(int64_t line, std::string detail);
-
-  DataFormat format_;
-  std::string source_;
-  double min_rating_ = 0.0;
-  double max_rating_ = 0.0;
-  int64_t max_bad_ = 0;
-  std::string buffer_;      // carried partial line
-  int64_t line_ = 1;        // next line number (1-based, file convention)
-  int64_t carry_item_ = -1; // netflix section header in effect
-  bool header_pending_ = true;
-  bool finished_ = false;
-  BadLineReport report_;
-  Status failed_ = Status::Ok();
-};
-
 }  // namespace hsgd::io

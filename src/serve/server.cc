@@ -12,6 +12,21 @@
 
 namespace hsgd::serve {
 
+namespace {
+
+// Breaker tuning (ServeConfig::breaker_enabled switches it on).
+/// Completions per miss-ratio evaluation window.
+constexpr int kBreakerWindow = 16;
+/// Deadline-miss ratio (shed + late completions) that opens the breaker.
+constexpr double kBreakerMissRatio = 0.5;
+/// Fail-fast cooldown after opening, in seconds, before half-opening.
+constexpr double kBreakerOpenS = 0.02;
+/// Probe requests admitted half-open; all must hit the deadline to close
+/// the breaker, one miss re-opens it.
+constexpr int kBreakerProbes = 4;
+
+}  // namespace
+
 RecServer::RecServer(const ServeConfig& config) : config_(config) {}
 
 StatusOr<std::unique_ptr<RecServer>> RecServer::Create(
@@ -28,24 +43,6 @@ StatusOr<std::unique_ptr<RecServer>> RecServer::Create(
   if (config.max_queue < 0) {
     return Status::InvalidArgument(
         StrFormat("max_queue must be >= 0, got %d", config.max_queue));
-  }
-  if (config.breaker_enabled) {
-    if (config.breaker_window < 1 || config.breaker_probes < 1) {
-      return Status::InvalidArgument(StrFormat(
-          "breaker window/probes must be positive, got %d/%d",
-          config.breaker_window, config.breaker_probes));
-    }
-    if (config.breaker_miss_ratio <= 0.0 ||
-        config.breaker_miss_ratio > 1.0) {
-      return Status::InvalidArgument(
-          StrFormat("breaker_miss_ratio must be in (0, 1], got %g",
-                    config.breaker_miss_ratio));
-    }
-    if (config.breaker_open_s <= 0.0) {
-      return Status::InvalidArgument(
-          StrFormat("breaker_open_s must be positive, got %g",
-                    config.breaker_open_s));
-    }
   }
   auto resolved = ResolveKernelKind(config.kernel);
   HSGD_RETURN_IF_ERROR(resolved.status());
@@ -190,7 +187,7 @@ Status RecServer::AdmitUnderControl(Shard& shard, double now_s) {
   // Half-open: admit exactly the probe budget, reject the rest until the
   // probes resolve one way or the other.
   if (shard.breaker == BreakerState::kHalfOpen) {
-    if (shard.probes_admitted >= config_.breaker_probes) {
+    if (shard.probes_admitted >= kBreakerProbes) {
       counts_.breaker_rejected.fetch_add(1, std::memory_order_relaxed);
       obs::Increment(m_breaker_rejected_);
       return Status::Unavailable(
@@ -235,11 +232,11 @@ void RecServer::UpdateControlAfterBatch(Shard& shard, double now_s,
     if (shard.probe_missed) {
       // A probe missed its deadline: back to open for another cooldown.
       shard.breaker = BreakerState::kOpen;
-      shard.open_until_s = now_s + config_.breaker_open_s;
+      shard.open_until_s = now_s + kBreakerOpenS;
       counts_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
       obs::Increment(m_breaker_opens_);
       NoteShardOpened();
-    } else if (shard.probes_resolved >= config_.breaker_probes) {
+    } else if (shard.probes_resolved >= kBreakerProbes) {
       // Every probe hit: the shard has recovered.
       shard.breaker = BreakerState::kClosed;
       shard.window_total = 0;
@@ -252,12 +249,11 @@ void RecServer::UpdateControlAfterBatch(Shard& shard, double now_s,
   if (shard.breaker == BreakerState::kClosed) {
     shard.window_total += total;
     shard.window_miss += miss;
-    if (shard.window_total >= config_.breaker_window) {
+    if (shard.window_total >= kBreakerWindow) {
       if (static_cast<double>(shard.window_miss) >=
-          config_.breaker_miss_ratio *
-              static_cast<double>(shard.window_total)) {
+          kBreakerMissRatio * static_cast<double>(shard.window_total)) {
         shard.breaker = BreakerState::kOpen;
-        shard.open_until_s = now_s + config_.breaker_open_s;
+        shard.open_until_s = now_s + kBreakerOpenS;
         counts_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
         obs::Increment(m_breaker_opens_);
         NoteShardOpened();

@@ -40,13 +40,13 @@
 //                        ((queued+1) * ewma); a projection past the
 //                        budget rejects at Submit — cheaper than
 //                        admitting and shedding at dequeue.
-//   circuit breaker      a sliding window of completions tracks the
-//                        deadline-miss ratio. Sustained misses OPEN the
-//                        shard's breaker: admission fails fast for a
-//                        cooldown, letting the queue clear. After the
-//                        cooldown the breaker HALF-OPENS and admits a
-//                        probe budget; an all-hit probe set closes it,
-//                        any probe miss re-opens. The hysteresis
+//   circuit breaker      a window of 16 completions tracks the
+//                        deadline-miss ratio. Half or more missed OPENS
+//                        the shard's breaker: admission fails fast for a
+//                        20 ms cooldown, letting the queue clear. After
+//                        the cooldown the breaker HALF-OPENS and admits
+//                        4 probes; an all-hit probe set closes it, any
+//                        probe miss re-opens. The hysteresis
 //                        (windowed open, probed close) keeps the breaker
 //                        from flapping on noise.
 //
@@ -105,21 +105,11 @@ struct ServeConfig {
   /// Scoring kernel (resolved at Create; kAuto = best supported).
   KernelKind kernel = KernelKind::kAuto;
 
-  // Adaptive overload control (file comment). Requires a positive
-  // latency_budget_s; without one there is no deadline to adapt to and
-  // the flag is ignored.
-  /// Master switch for the per-shard breaker + predictive shedding.
+  /// Adaptive overload control (file comment): the per-shard breaker +
+  /// predictive shedding, tuned by the constants in server.cc. Requires
+  /// a positive latency_budget_s; without one there is no deadline to
+  /// adapt to and the flag is ignored.
   bool breaker_enabled = false;
-  /// Completions per miss-ratio evaluation window.
-  int breaker_window = 64;
-  /// Deadline-miss ratio (shed + late completions) that opens the
-  /// breaker, in (0, 1].
-  double breaker_miss_ratio = 0.5;
-  /// Fail-fast cooldown after opening, in seconds, before half-opening.
-  double breaker_open_s = 0.05;
-  /// Probe requests admitted half-open; all must hit the deadline to
-  /// close the breaker, one miss re-opens it.
-  int breaker_probes = 8;
 };
 
 struct TopKRequest {

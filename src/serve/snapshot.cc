@@ -310,31 +310,16 @@ SnapshotPtr SnapshotHolder::Acquire() const {
 }
 
 Status SnapshotHolder::PublishValidated(SnapshotPtr snapshot) {
-  const Status valid =
-      snapshot == nullptr
-          ? Status::InvalidArgument("refusing to publish a null snapshot")
-          : snapshot->Validate();
+  // Reject without touching snap_: the last-known-good snapshot keeps
+  // serving, which is the entire rollback policy.
+  if (snapshot == nullptr) {
+    return Status::InvalidArgument("refusing to publish a null snapshot");
+  }
+  HSGD_RETURN_IF_ERROR(snapshot->Validate());
   SnapshotPtr replaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
-  if (!valid.ok()) {
-    // Reject without touching snap_: the last-known-good snapshot keeps
-    // serving, which is the entire rollback policy.
-    ++rejected_publishes_;
-    return valid;
-  }
   replaced = std::exchange(snap_, std::move(snapshot));
-  ++publishes_;
   return Status::Ok();
-}
-
-int64_t SnapshotHolder::publishes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return publishes_;
-}
-
-int64_t SnapshotHolder::rejected_publishes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_publishes_;
 }
 
 }  // namespace hsgd::serve

@@ -109,8 +109,8 @@ class FactorSnapshot {
   /// is quiescent (no epoch in flight, no append mutating — or
   /// reallocating — the factor buffers). If training holds
   /// the barrier this fails fast with kFailedPrecondition instead of
-  /// tearing; retry at the next epoch boundary (e.g. from an OnEpochEnd
-  /// observer, which fires after the barrier drops). `users`/`items`
+  /// tearing; retry at the next epoch boundary (e.g. after RunEpoch
+  /// returns, which is after the barrier drops). `users`/`items`
   /// (optional, both or neither) are copied in so raw-id lookups resolve
   /// against the vocabulary as of THIS snapshot — a stream-grown session
   /// passes its current maps and cold raw ids stay typed NotFound until
@@ -216,9 +216,8 @@ std::vector<StatusOr<std::vector<ScoredItem>>> BatchTopK(
 class SnapshotHolder {
  public:
   SnapshotHolder() = default;
-  /// Installs `initial` unvalidated, counted as the first publish.
-  explicit SnapshotHolder(SnapshotPtr initial)
-      : snap_(std::move(initial)), publishes_(1) {}
+  /// Installs `initial` unvalidated.
+  explicit SnapshotHolder(SnapshotPtr initial) : snap_(std::move(initial)) {}
 
   SnapshotHolder(const SnapshotHolder&) = delete;
   SnapshotHolder& operator=(const SnapshotHolder&) = delete;
@@ -230,25 +229,17 @@ class SnapshotHolder {
 
   /// Replace the served snapshot after a validity gate: a null snapshot
   /// is InvalidArgument and one failing FactorSnapshot::Validate() is
-  /// FailedPrecondition; both are counted in rejected_publishes() and
-  /// install NOTHING — the previously published snapshot keeps serving
-  /// untouched, which is the whole rollback policy (last-known-good is
-  /// simply never replaced by a bad candidate). Ok means the snapshot is
-  /// live. Validation runs before the lock and the replaced snapshot is
-  /// released after it, so readers never wait on either.
+  /// FailedPrecondition; both install NOTHING — the previously published
+  /// snapshot keeps serving untouched, which is the whole rollback policy
+  /// (last-known-good is simply never replaced by a bad candidate). Ok
+  /// means the snapshot is live. Validation runs before the lock and the
+  /// replaced snapshot is released after it, so readers never wait on
+  /// either. RecServer and OnlineTrainer count publishes and rejections.
   Status PublishValidated(SnapshotPtr snapshot);
-
-  /// Publishes so far (0 = Acquire still returns null).
-  int64_t publishes() const;
-
-  /// Candidates PublishValidated refused (never installed).
-  int64_t rejected_publishes() const;
 
  private:
   mutable std::mutex mu_;
   SnapshotPtr snap_;
-  int64_t publishes_ = 0;
-  int64_t rejected_publishes_ = 0;
 };
 
 }  // namespace hsgd::serve

@@ -188,7 +188,7 @@ StatusOr<IngestResult> OnlineTrainer::Ingest(
     // Transient IO errors retry under the deadline; exhaustion fails the
     // Ingest with nothing applied (and nothing acknowledged).
     Status logged = RetryWithBackoff(
-        RetryOptions{}, &retry_rng_,
+        &retry_rng_,
         [&]() -> Status {
           auto appended = wal_->Append(batch);
           if (!appended.ok()) return appended.status();

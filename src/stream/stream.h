@@ -141,8 +141,8 @@ class OnlineTrainer {
 
   /// The WAL that arms durable ingest (Create takes a pointer; null = no
   /// WAL, PR-9 behavior bit for bit). Transient append failures
-  /// (injected IO faults, EINTR-ish) are retried under the default
-  /// RetryOptions, bounded by a quarter second of wall clock — the
+  /// (injected IO faults, EINTR-ish) are retried on util/retry.h's
+  /// backoff schedule, bounded by a quarter second of wall clock — the
   /// ingest path has latency obligations, so a sick log fails the Ingest
   /// (typed, nothing applied) rather than stalling the driver loop.
   struct WalIngestOptions {
@@ -239,7 +239,6 @@ class OnlineTrainer {
   StatusOr<serve::SnapshotPtr> PublishSnapshot();
 
   const Session& session() const { return *session_; }
-  Session* mutable_session() { return session_.get(); }
   const io::IdMap& users() const { return users_; }
   const io::IdMap& items() const { return items_; }
   /// Version of the last successful publish (0 = none yet).

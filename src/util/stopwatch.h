@@ -11,8 +11,6 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   double Seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

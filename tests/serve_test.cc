@@ -130,8 +130,6 @@ void TestSnapshotSwapUnderConcurrentReaders() {
 
   EXPECT_EQ(bad.load(), 0);
   EXPECT_LT(0, reads.load());
-  // 1 initial + 2000 in the loop.
-  EXPECT_EQ(holder.publishes(), 2001);
   // The last published snapshot is the one served now.
   SnapshotPtr last = holder.Acquire();
   EXPECT_TRUE(last != nullptr);
@@ -566,8 +564,6 @@ void TestPublishValidationRejectsPoison() {
               StatusCode::kInvalidArgument);
   EXPECT_TRUE(holder.PublishValidated(poisoned).code() ==
               StatusCode::kFailedPrecondition);
-  EXPECT_EQ(holder.rejected_publishes(), 2);
-  EXPECT_EQ(holder.publishes(), 1);
   SnapshotPtr served = holder.Acquire();
   EXPECT_TRUE(served == good);
 
@@ -646,7 +642,6 @@ void TestHeldSnapshotSurvivesPublisherChurn() {
   SnapshotPtr current = holder.Acquire();
   EXPECT_TRUE(current != nullptr);
   if (current != nullptr) EXPECT_EQ(current->version(), 5u);
-  EXPECT_EQ(holder.publishes(), 5);
 }
 
 // Shutdown racing a submitter (run under TSan in CI): every future must
@@ -724,10 +719,6 @@ void TestBreakerOpensAndRecovers() {
   config.max_batch = 8;
   config.latency_budget_s = 0.002;
   config.breaker_enabled = true;
-  config.breaker_window = 8;
-  config.breaker_miss_ratio = 0.5;
-  config.breaker_open_s = 0.02;
-  config.breaker_probes = 2;
   auto server = RecServer::Create(config, snap);
   EXPECT_TRUE(server.ok());
   if (!server.ok()) return;
@@ -752,8 +743,8 @@ void TestBreakerOpensAndRecovers() {
   EXPECT_LT(0, breaker_rejected);
 
   // Phase 2: heal the shard, wait out the cooldown, and trickle probes.
-  // The first submit after the cooldown half-opens the breaker; once
-  // `breaker_probes` probes complete within budget it closes again.
+  // The first submit after the cooldown half-opens the breaker; once its
+  // probes (four) complete within budget it closes again.
   degraded.store(false);
   bool closed = false;
   for (int attempt = 0; attempt < 50 && !closed; ++attempt) {

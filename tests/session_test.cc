@@ -1,14 +1,15 @@
 // Session API tests: stepwise epochs must be bit-identical to a one-shot
 // run, checkpoint/restore must reproduce an uninterrupted run exactly,
-// observers must see every epoch, train RMSE must cover exactly the
-// training split, and BatchTopK over the trained factors must agree with
-// a brute-force scorer.
+// each epoch RunEpoch returns must already be in the session's state,
+// train RMSE must cover exactly the training split, and BatchTopK over
+// the trained factors must agree with a brute-force scorer.
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "brute_force_topk.h"
@@ -98,7 +99,6 @@ void TestCheckpointResumeBitIdentical() {
       EXPECT_EQ((*resumed)->trace().points.size(),
                 reference->trace.points.size());
       ExpectStatsEqual((*resumed)->stats(), reference->stats);
-      EXPECT_EQ((*resumed)->sim_clock(), reference->stats.sim.seconds);
     }
   }
   std::remove(path.c_str());
@@ -268,50 +268,17 @@ void TestCheckpointCorruptionRejected() {
   std::remove(path.c_str());
 }
 
-class CountingObserver : public EpochObserver {
- public:
-  void OnEpochBegin(const Session& session, int epoch) override {
-    (void)session;
-    ++begins;
-    last_begin_epoch = epoch;
-  }
-  void OnEpochEnd(const Session& session, const TracePoint& point) override {
-    // The session already includes this epoch when the callback fires.
-    EXPECT_EQ(session.epochs_run(), point.epoch);
-    EXPECT_EQ(session.trace().points.back().epoch, point.epoch);
-    ++ends;
-    last_end_epoch = point.epoch;
-  }
-  void OnTargetReached(const Session& session,
-                       const TracePoint& point) override {
-    (void)session;
-    ++target_hits;
-    target_epoch = point.epoch;
-  }
-
-  int begins = 0;
-  int ends = 0;
-  int target_hits = 0;
-  int last_begin_epoch = 0;
-  int last_end_epoch = 0;
-  int target_epoch = 0;
-};
-
-// Checks each epoch's train_rmse against the ratings-list Rmse over the
+// Checks an epoch's train_rmse against the ratings-list Rmse over the
 // session's whole training split. The session evaluates its blocked
 // matrix instead, so only the summation order may differ; a dropped or
 // doubled block moves the value by far more than the tolerance.
-class TrainRmseObserver : public EpochObserver {
- public:
-  void OnEpochEnd(const Session& session, const TracePoint& point) override {
-    const double reference =
-        Rmse(session.model(), session.dataset().train, nullptr,
-             &GetKernelOps(session.kernel()));
-    EXPECT_NEAR(point.train_rmse, reference, 1e-12 * reference);
-    ++checked;
-  }
-  int checked = 0;
-};
+void ExpectTrainRmseCoversTrainingSet(const Session& session,
+                                      const TracePoint& point) {
+  const double reference =
+      Rmse(session.model(), session.dataset().train, nullptr,
+           &GetKernelOps(session.kernel()));
+  EXPECT_NEAR(point.train_rmse, reference, 1e-12 * reference);
+}
 
 // Every algorithm's train_rmse covers exactly the training split, at
 // eval_threads 1 and 7. The data has SmallDataset's shape but more
@@ -336,48 +303,55 @@ void TestTrainRmseCoversTrainingSet() {
       TrainConfig cfg = SmallConfig(algorithm);
       cfg.max_epochs = 3;
       cfg.eval_threads = eval_threads;
-      TrainRmseObserver observer;
       auto session = Session::Create(*ds, cfg);
       EXPECT_TRUE(session.ok());
       if (!session.ok()) continue;
-      (*session)->AddObserver(&observer);
-      EXPECT_TRUE((*session)->RunToCompletion().ok());
-      EXPECT_EQ(observer.checked, cfg.max_epochs);
+      int checked = 0;
+      while (!(*session)->Done()) {
+        auto point = (*session)->RunEpoch();
+        EXPECT_TRUE(point.ok());
+        if (!point.ok()) break;
+        ExpectTrainRmseCoversTrainingSet(**session, *point);
+        ++checked;
+      }
+      EXPECT_EQ(checked, cfg.max_epochs);
     }
   }
 }
 
-void TestObservers() {
+// The TracePoint RunEpoch returns is already the session's latest state,
+// and a trivially reachable target stops the session after one epoch.
+void TestRunEpochLoop() {
   Dataset ds = SmallDataset();
   TrainConfig cfg = SmallConfig(Algorithm::kHsgdStar);
   auto session = Session::Create(ds, cfg);
   EXPECT_TRUE(session.ok());
-  CountingObserver counter;
-  (*session)->AddObserver(&counter);
-  EXPECT_TRUE((*session)->RunToCompletion().ok());
-  EXPECT_EQ(counter.begins, cfg.max_epochs);
-  EXPECT_EQ(counter.ends, cfg.max_epochs);
-  EXPECT_EQ(counter.last_begin_epoch, cfg.max_epochs);
-  EXPECT_EQ(counter.last_end_epoch, cfg.max_epochs);
-  EXPECT_EQ(counter.target_hits, 0);  // use_dataset_target is off
-  (*session)->RemoveObserver(&counter);
+  if (!session.ok()) return;
+  while (!(*session)->Done()) {
+    auto point = (*session)->RunEpoch();
+    EXPECT_TRUE(point.ok());
+    if (!point.ok()) break;
+    EXPECT_EQ((*session)->epochs_run(), point->epoch);
+    EXPECT_EQ((*session)->trace().points.back().epoch, point->epoch);
+    EXPECT_EQ((*session)->stats().sim.seconds, point->time);
+  }
+  EXPECT_EQ((*session)->epochs_run(), cfg.max_epochs);
+  EXPECT_FALSE((*session)->stats().sim.reached_target);  // target is off
 
-  // A trivially reachable target fires OnTargetReached exactly once and
-  // stops the session after one epoch.
   Dataset easy = SmallDataset();
   easy.target_rmse = 100.0;
   TrainConfig easy_cfg = SmallConfig(Algorithm::kCpuOnly);
   easy_cfg.use_dataset_target = true;
   auto easy_session = Session::Create(easy, easy_cfg);
   EXPECT_TRUE(easy_session.ok());
-  CountingObserver easy_counter;
-  (*easy_session)->AddObserver(&easy_counter);
-  EXPECT_TRUE((*easy_session)->RunToCompletion().ok());
+  if (!easy_session.ok()) return;
+  EXPECT_FALSE((*easy_session)->Done());
+  EXPECT_TRUE((*easy_session)->RunEpoch().ok());
   EXPECT_TRUE((*easy_session)->Done());
-  EXPECT_EQ(easy_counter.ends, 1);
-  EXPECT_EQ(easy_counter.target_hits, 1);
-  EXPECT_EQ(easy_counter.target_epoch, 1);
   EXPECT_TRUE((*easy_session)->stats().sim.reached_target);
+  EXPECT_EQ((*easy_session)->epochs_run(), 1);
+  EXPECT_TRUE((*easy_session)->RunEpoch().status().code() ==
+              StatusCode::kFailedPrecondition);
 }
 
 // Invalid fleets, an empty epoch budget or eval pool, and an empty
@@ -477,25 +451,51 @@ void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
   TrainConfig cfg = SmallConfig(Algorithm::kHsgdStar);
   cfg.max_epochs = 50;  // headroom: incremental epochs consume budget too
   cfg.eval_threads = eval_threads;
-  TrainRmseObserver train_rmse;
   auto session = Session::Create(ds, cfg);
   EXPECT_TRUE(session.ok());
   if (!session.ok()) return;
   Session* s = session->get();
-  s->AddObserver(&train_rmse);
-  EXPECT_TRUE(s->RunEpoch().ok());
+  int checked = 0;
+  auto check_epoch = [&](const StatusOr<TracePoint>& point) {
+    EXPECT_TRUE(point.ok());
+    if (!point.ok()) return;
+    ExpectTrainRmseCoversTrainingSet(*s, *point);
+    ++checked;
+  };
+  check_epoch(s->RunEpoch());
 
   // Nothing pending: the incremental epoch refuses, typed.
   EXPECT_TRUE(s->RunIncrementalEpoch().status().code() ==
               StatusCode::kFailedPrecondition);
 
-  // Negative ids: InvalidArgument with nothing mutated.
-  Ratings negative = {{-1, 0, 3.0f}};
-  EXPECT_TRUE(s->AppendRatings(negative).code() ==
-              StatusCode::kInvalidArgument);
+  // Ids outside [0, INT32_MAX): InvalidArgument with nothing mutated,
+  // also when a valid rating precedes the bad one in its batch. The
+  // rating moments feed cold-row init and every checkpoint.
+  const std::string path = "session_test_append_moments.bin";
+  auto moments = [&]() {
+    EXPECT_TRUE(s->SaveCheckpoint(path).ok());
+    auto ckpt = ReadCheckpoint(path);
+    EXPECT_TRUE(ckpt.ok());
+    return ckpt.ok() ? std::make_pair(ckpt->rating_sum, ckpt->rating_count)
+                     : std::make_pair(0.0, int64_t{0});
+  };
+  const auto moments_before = moments();
+  constexpr int32_t kMaxId = std::numeric_limits<int32_t>::max();
+  const Ratings out_of_range[] = {{{-1, 0, 3.0f}},
+                                  {{0, 0, 4.0f}, {kMaxId, 0, 5.0f}},
+                                  {{0, kMaxId, 5.0f}}};
+  for (const Ratings& batch : out_of_range) {
+    EXPECT_TRUE(s->AppendRatings(batch).code() ==
+                StatusCode::kInvalidArgument);
+  }
   EXPECT_EQ(s->pending_nnz(), 0);
+  EXPECT_EQ(s->appended_nnz(), 0);
   EXPECT_EQ(s->pending_dirty_blocks(), 0);
   EXPECT_EQ(s->dataset().num_rows, rows);
+  EXPECT_EQ(s->dataset().num_cols, cols);
+  EXPECT_EQ(s->dataset().train_size(), ds.train_size());
+  EXPECT_TRUE(moments() == moments_before);
+  std::remove(path.c_str());
 
   // Warm append: ids inside the current extent dirty their blocks only.
   Ratings warm = {{0, 0, 4.0f}, {rows - 1, cols - 1, 2.5f}, {10, 20, 3.0f}};
@@ -508,7 +508,7 @@ void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
   const int epochs_before = s->epochs_run();
   const int64_t nnz_before = s->stats().sim.nnz_processed;
   auto inc = s->RunIncrementalEpoch();
-  EXPECT_TRUE(inc.ok());
+  check_epoch(inc);
   EXPECT_EQ(s->epochs_run(), epochs_before + 1);
   EXPECT_EQ(s->pending_nnz(), 0);
   EXPECT_EQ(s->pending_dirty_blocks(), 0);
@@ -529,13 +529,13 @@ void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
   EXPECT_EQ(s->dataset().num_cols, cols + 2);
   EXPECT_EQ(s->model().num_rows(), rows + 5);
   EXPECT_EQ(s->model().num_cols(), cols + 2);
-  EXPECT_TRUE(s->RunIncrementalEpoch().ok());
+  check_epoch(s->RunIncrementalEpoch());
   // The grown corner is scoreable right away.
   EXPECT_TRUE(std::isfinite(s->model().Predict(rows + 4, cols + 1)));
 
   // A full epoch still runs on the grown session.
-  EXPECT_TRUE(s->RunEpoch().ok());
-  EXPECT_EQ(train_rmse.checked, s->epochs_run());
+  check_epoch(s->RunEpoch());
+  EXPECT_EQ(checked, s->epochs_run());
   *p = s->model().DenseP();
   *q = s->model().DenseQ();
 }
@@ -722,9 +722,9 @@ void TestGrownCheckpointRoundTrip() {
 }
 
 // (h) VisitQuiesced: runs the callback between epochs (propagating its
-// Status) and is legal from inside OnEpochEnd — the barrier is released
-// before observers fire, which is what lets an observer publish a
-// snapshot.
+// Status), and the barrier is free again as soon as RunEpoch or
+// RunIncrementalEpoch returns, which is what lets the caller's loop
+// publish a snapshot after each epoch.
 void TestVisitQuiescedBarrier() {
   Dataset ds = SmallDataset();
   auto session = Session::Create(ds, SmallConfig(Algorithm::kCpuOnly));
@@ -742,16 +742,15 @@ void TestVisitQuiescedBarrier() {
       s->VisitQuiesced([]() { return Status::Internal("boom"); });
   EXPECT_TRUE(propagated.code() == StatusCode::kInternal);
 
-  class VisitingObserver : public EpochObserver {
-   public:
-    void OnEpochEnd(const Session& session, const TracePoint&) override {
-      visited = session.VisitQuiesced([]() { return Status::Ok(); }).ok();
-    }
-    bool visited = false;
-  } observer;
-  s->AddObserver(&observer);
+  auto visit = [s]() {
+    return s->VisitQuiesced([]() { return Status::Ok(); }).ok();
+  };
   EXPECT_TRUE(s->RunEpoch().ok());
-  EXPECT_TRUE(observer.visited);
+  EXPECT_TRUE(visit());
+  EXPECT_TRUE(s->AppendRatings({{0, 0, 4.0f}}).ok());
+  EXPECT_TRUE(visit());
+  EXPECT_TRUE(s->RunIncrementalEpoch().ok());
+  EXPECT_TRUE(visit());
 }
 
 void TestTraceEmptyAndMonotone() {
@@ -778,7 +777,7 @@ void RunAllTests() {
   TestCheckpointResumeBitIdentical();
   TestRestoreRejectsWrongDataset();
   TestCheckpointCorruptionRejected();
-  TestObservers();
+  TestRunEpochLoop();
   TestTrainRmseCoversTrainingSet();
   TestCreateValidation();
   TestBatchTopKOverTrainedFactors();

@@ -1,10 +1,8 @@
-// Stream subsystem tests: the incremental parser must be byte-chunking
-// invariant (records, bad-line tally, and the exact over-budget failure
-// all identical down to 1-byte pushes), the OnlineTrainer must take a
-// cold raw id from ingestion to a servable factor row — with queries in
-// between answered by a typed NotFound, never a stale dense-id aliasing
-// — and every snapshot it publishes on its merged rated-item index must
-// equal one indexed from scratch.
+// Stream subsystem tests: the OnlineTrainer must take a cold raw id from
+// ingestion to a servable factor row — with queries in between answered
+// by a typed NotFound, never a stale dense-id aliasing — and every
+// snapshot it publishes on its merged rated-item index must equal one
+// indexed from scratch.
 
 #include <cstdint>
 #include <cstdio>
@@ -28,34 +26,11 @@
 namespace hsgd {
 namespace {
 
-using io::DataFormat;
-using io::LoadOptions;
 using io::RawRating;
-using io::StreamParser;
 using stream::DenseIdentityMap;
 using stream::OnlineTrainer;
 using stream::SyntheticStream;
 using stream::SyntheticStreamSpec;
-
-/// Feed `text` in fixed-size chunks and Finish; returns the records.
-/// Failures (budget exhaustion) surface through `status`.
-std::vector<RawRating> ParseChunked(const std::string& text,
-                                    DataFormat format,
-                                    const LoadOptions& options,
-                                    size_t chunk_size, Status* status,
-                                    StreamParser* parser_out = nullptr) {
-  StreamParser parser(format, options, "stream_test");
-  std::vector<RawRating> out;
-  Status last = Status::Ok();
-  for (size_t pos = 0; pos < text.size(); pos += chunk_size) {
-    last = parser.Push(text.substr(pos, chunk_size), &out);
-    if (!last.ok()) break;
-  }
-  if (last.ok()) last = parser.Finish(&out);
-  if (status != nullptr) *status = last;
-  if (parser_out != nullptr) *parser_out = parser;
-  return out;
-}
 
 void ExpectSameRecords(const std::vector<RawRating>& a,
                        const std::vector<RawRating>& b) {
@@ -66,212 +41,6 @@ void ExpectSameRecords(const std::vector<RawRating>& a,
     EXPECT_EQ(a[i].item, b[i].item);
     EXPECT_EQ(a[i].rating, b[i].rating);
   }
-}
-
-void TestParserChunkingInvariance() {
-  // CRLF, blank lines, an unterminated last line — every edge the batch
-  // loader tolerates, split at every possible byte boundary.
-  const std::string movielens =
-      "7::100::4.5\r\n"
-      "\n"
-      "8::200::3.0\n"
-      "7::300::5.0\n"
-      "9::100::0.5";
-  Status status;
-  const auto whole = ParseChunked(movielens, DataFormat::kMovieLens, {},
-                                  movielens.size(), &status);
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(whole.size(), 4u);
-  if (whole.size() == 4u) {
-    EXPECT_EQ(whole[0].user, 7);
-    EXPECT_EQ(whole[0].item, 100);
-    EXPECT_EQ(whole[0].rating, 4.5f);
-    EXPECT_EQ(whole[3].user, 9);
-    EXPECT_EQ(whole[3].rating, 0.5f);
-  }
-  for (size_t chunk : {1u, 2u, 3u, 7u, 64u}) {
-    const auto parsed = ParseChunked(movielens, DataFormat::kMovieLens, {},
-                                     chunk, &status);
-    EXPECT_TRUE(status.ok());
-    ExpectSameRecords(parsed, whole);
-  }
-
-  // Netflix: section headers carry across chunk boundaries, and a
-  // re-rated (user, item) pair is NOT a duplicate for a stream.
-  const std::string netflix =
-      "12:\n"
-      "100,4,2005-09-06\n"
-      "101,3\n"
-      "34:\n"
-      "100,5\n"
-      "100,2\n";
-  const auto nf_whole = ParseChunked(netflix, DataFormat::kNetflix, {},
-                                     netflix.size(), &status);
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(nf_whole.size(), 4u);
-  if (nf_whole.size() == 4u) {
-    EXPECT_EQ(nf_whole[0].user, 100);
-    EXPECT_EQ(nf_whole[0].item, 12);
-    EXPECT_EQ(nf_whole[2].item, 34);
-    EXPECT_EQ(nf_whole[3].user, 100);
-    EXPECT_EQ(nf_whole[3].rating, 2.0f);
-  }
-  for (size_t chunk : {1u, 5u, 13u}) {
-    const auto parsed = ParseChunked(netflix, DataFormat::kNetflix, {},
-                                     chunk, &status);
-    EXPECT_TRUE(status.ok());
-    ExpectSameRecords(parsed, nf_whole);
-  }
-
-  // CSV headers (the only format that carries them) are skipped even
-  // when the header line itself is split across chunks.
-  const std::string csv =
-      "user,item,rating\n"
-      "1,10,2.5\n"
-      "2,20,-1.0\n";
-  const auto csv_whole =
-      ParseChunked(csv, DataFormat::kCsv, {}, csv.size(), &status);
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(csv_whole.size(), 2u);
-  if (csv_whole.size() == 2u) {
-    EXPECT_EQ(csv_whole[0].user, 1);
-    EXPECT_EQ(csv_whole[1].rating, -1.0f);  // csv range is unbounded
-  }
-  for (size_t chunk : {1u, 3u, 9u}) {
-    const auto parsed =
-        ParseChunked(csv, DataFormat::kCsv, {}, chunk, &status);
-    EXPECT_TRUE(status.ok());
-    ExpectSameRecords(parsed, csv_whole);
-  }
-}
-
-void TestParserErrorBudgetDeterministic() {
-  // Lines 3 and 5 are bad (garbage fields, out-of-range rating).
-  const std::string text =
-      "1::10::4.0\n"
-      "2::20::3.0\n"
-      "oops::not::a-line\n"
-      "3::30::2.0\n"
-      "4::40::9.5\n"
-      "5::50::1.0\n";
-
-  // Budget 2: both bad lines quarantined, load order preserved.
-  LoadOptions lenient;
-  lenient.max_bad_lines = 2;
-  for (size_t chunk : std::vector<size_t>{1, 4, text.size()}) {
-    Status status;
-    StreamParser parser(DataFormat::kMovieLens, lenient, "stream_test");
-    const auto parsed = ParseChunked(text, DataFormat::kMovieLens, lenient,
-                                     chunk, &status, &parser);
-    EXPECT_TRUE(status.ok());
-    EXPECT_EQ(parsed.size(), 4u);
-    EXPECT_EQ(parser.bad_lines().total, 2);
-    EXPECT_EQ(parser.bad_lines().sample.size(), 2u);
-    if (parser.bad_lines().sample.size() == 2u) {
-      EXPECT_EQ(parser.bad_lines().sample[0].line, 3);
-      EXPECT_EQ(parser.bad_lines().sample[1].line, 5);
-    }
-    EXPECT_EQ(parser.lines_consumed(), 6);
-  }
-
-  // Budget 1: the SECOND bad line fails, naming line 5 — the identical
-  // first-over-budget failure for every chunking — and the parser is
-  // poisoned afterwards.
-  LoadOptions strict;
-  strict.max_bad_lines = 1;
-  std::string first_message;
-  for (size_t chunk : std::vector<size_t>{1, 4, text.size()}) {
-    StreamParser parser(DataFormat::kMovieLens, strict, "stream_test");
-    std::vector<RawRating> out;
-    Status failed = Status::Ok();
-    for (size_t pos = 0; pos < text.size() && failed.ok();
-         pos += chunk) {
-      failed = parser.Push(text.substr(pos, chunk), &out);
-    }
-    EXPECT_FALSE(failed.ok());
-    EXPECT_TRUE(failed.code() == StatusCode::kInvalidArgument);
-    EXPECT_TRUE(failed.message().find("stream_test:5") !=
-                std::string::npos);
-    if (first_message.empty()) {
-      first_message = failed.message();
-    } else {
-      EXPECT_EQ(failed.message(), first_message);
-    }
-    EXPECT_TRUE(parser.failed());
-    // Poisoned: the same error, forever, from both entry points.
-    std::vector<RawRating> ignored;
-    EXPECT_EQ(parser.Push("6::60::2.0\n", &ignored).message(),
-              failed.message());
-    EXPECT_EQ(parser.Finish(&ignored).message(), failed.message());
-    EXPECT_TRUE(ignored.empty());
-  }
-
-  // Finish is once-only, and negative ids are malformed.
-  StreamParser done(DataFormat::kMovieLens, {}, "stream_test");
-  std::vector<RawRating> out;
-  EXPECT_TRUE(done.Push("1::10::4.0\n", &out).ok());
-  EXPECT_TRUE(done.Finish(&out).ok());
-  EXPECT_TRUE(done.Finish(&out).code() == StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(done.Push("2::20::3.0\n", &out).code() ==
-              StatusCode::kFailedPrecondition);
-
-  StreamParser negative(DataFormat::kCsv, {}, "stream_test");
-  EXPECT_FALSE(negative.Push("-3,10,4.0\n", &out).ok());
-}
-
-// The stream grammar IS the batch grammar: the same dirty text run
-// through LoadRatings and through 1-byte Pushes yields the same records
-// (modulo the dense remap the batch side applies) and the same bad-line
-// accounting.
-void TestParserAgreesWithBatchLoader() {
-  const std::string text =
-      "1::10::4.0\n"
-      "11::21::3.0\n"
-      "broken line\n"
-      "12::22::2.0\n"
-      "13::23::1.5\n";
-  const std::string path = "stream_test_loader_cmp.dat";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  EXPECT_TRUE(f != nullptr);
-  if (f == nullptr) return;
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-
-  LoadOptions options;
-  options.max_bad_lines = 2;
-  auto loaded = io::LoadRatings(path, DataFormat::kMovieLens, options);
-  EXPECT_TRUE(loaded.ok());
-
-  Status status;
-  StreamParser parser(DataFormat::kMovieLens, options, path);
-  const auto streamed =
-      ParseChunked(text, DataFormat::kMovieLens, options, 1, &status,
-                   &parser);
-  EXPECT_TRUE(status.ok());
-
-  if (loaded.ok()) {
-    EXPECT_EQ(loaded->ratings.size(), streamed.size());
-    if (loaded->ratings.size() == streamed.size()) {
-      for (size_t i = 0; i < streamed.size(); ++i) {
-        // The batch loader's dense id for this record's raw id must be
-        // the id it stored — the streams agree record by record.
-        EXPECT_EQ(loaded->users.Lookup(streamed[i].user),
-                  loaded->ratings[i].u);
-        EXPECT_EQ(loaded->items.Lookup(streamed[i].item),
-                  loaded->ratings[i].v);
-        EXPECT_EQ(loaded->ratings[i].r, streamed[i].rating);
-      }
-    }
-    EXPECT_EQ(loaded->bad_lines.total, parser.bad_lines().total);
-    EXPECT_EQ(loaded->bad_lines.sample.size(),
-              parser.bad_lines().sample.size());
-    if (!loaded->bad_lines.sample.empty() &&
-        !parser.bad_lines().sample.empty()) {
-      EXPECT_EQ(loaded->bad_lines.sample[0].line,
-                parser.bad_lines().sample[0].line);
-    }
-  }
-  std::remove(path.c_str());
 }
 
 void TestSyntheticStreamDeterministic() {
@@ -767,9 +536,6 @@ void TestWalCheckpointRecoverBitIdentity() {
 }  // namespace
 
 void RunAllTests() {
-  TestParserChunkingInvariance();
-  TestParserErrorBudgetDeterministic();
-  TestParserAgreesWithBatchLoader();
   TestSyntheticStreamDeterministic();
   TestOnlineTrainerColdStartServing();
   TestOnlineTrainerCreateValidation();

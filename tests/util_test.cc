@@ -163,46 +163,41 @@ void TestStopwatch() {
   EXPECT_TRUE(sw.Seconds() >= 0.0);
 }
 
-// With a budget the retry loop must stop at the wall-clock boundary even
-// when attempts remain, grant exactly one attempt on a spent budget, and
-// still use the full attempt budget when the deadline is far away.
-// Without one it runs every attempt and draws one jitter value per
-// retry, nothing more.
+// The fixed schedule (util/retry.h): four attempts with 5, 10 and 20 ms
+// sleeps, each scaled by up to +-20% jitter. A budget must stop the loop
+// at the wall-clock boundary even when attempts remain, grant exactly
+// one attempt when spent, and run all four attempts when far away; a
+// success stops the loop, and each retry draws exactly one jitter value.
 void TestRetryWithBackoffDeadline() {
-  RetryOptions options;
-  options.max_attempts = 50;
-  options.initial_backoff = 0.02;
-  options.multiplier = 1.0;  // flat 20ms sleeps: predictable attempt math
-  options.jitter = 0.0;
   Rng rng(1, 23);
   auto no_op = [](int, const Status&) {};
 
-  // A 50ms budget fits the first attempt plus roughly two 20ms sleeps:
-  // far fewer than 50 attempts, and the final attempt fires AT the
-  // boundary (the clamped last sleep ends on the deadline) rather than
-  // being skipped.
+  // A 10 ms budget outlasts the first sleep (at most 6 ms) but not the
+  // first two (at least 12 ms unclamped): the second sleep is clamped to
+  // the deadline, the third attempt fires AT the boundary rather than
+  // being skipped, and the fourth never runs.
   int calls = 0;
   int retries = 0;
   Stopwatch wall;
   Status exhausted = RetryWithBackoff(
-      options, &rng,
+      &rng,
       [&calls]() -> Status {
         ++calls;
         return Status::Internal("still failing");
       },
-      [&retries](int, const Status&) { ++retries; }, 0.05);
+      [&retries](int, const Status&) { ++retries; }, 0.01);
   const double took = wall.Seconds();
   EXPECT_FALSE(exhausted.ok());
   EXPECT_TRUE(exhausted.code() == StatusCode::kInternal);
-  EXPECT_TRUE(calls >= 2);              // the deadline bounded waiting...
-  EXPECT_LT(calls, options.max_attempts);  // ...not the attempt budget
+  EXPECT_TRUE(calls >= 2);                // the deadline bounded waiting...
+  EXPECT_LT(calls, kRetryMaxAttempts);    // ...not the attempt budget
   EXPECT_EQ(retries, calls - 1);
-  EXPECT_TRUE(took < 0.5);  // nowhere near 49 full sleeps
+  EXPECT_TRUE(took < 0.5);
 
   // Spent budget: exactly one attempt, no sleeping.
   calls = 0;
   Status one_shot = RetryWithBackoff(
-      options, &rng,
+      &rng,
       [&calls]() -> Status {
         ++calls;
         return Status::Internal("no time to retry");
@@ -211,23 +206,21 @@ void TestRetryWithBackoffDeadline() {
   EXPECT_FALSE(one_shot.ok());
   EXPECT_EQ(calls, 1);
 
-  // Generous budget: failures burn the whole attempt budget, and a
-  // success stops the loop immediately.
-  options.max_attempts = 3;
-  options.initial_backoff = 0.001;
+  // Generous budget: failures burn all four attempts, and a success
+  // stops the loop immediately.
   calls = 0;
   Status all_attempts = RetryWithBackoff(
-      options, &rng,
+      &rng,
       [&calls]() -> Status {
         ++calls;
         return Status::Internal("permanent");
       },
       no_op, 10.0);
   EXPECT_FALSE(all_attempts.ok());
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls, kRetryMaxAttempts);
   calls = 0;
   Status recovered = RetryWithBackoff(
-      options, &rng,
+      &rng,
       [&calls]() -> Status {
         ++calls;
         return calls < 2 ? Status::Internal("transient") : Status::Ok();
@@ -236,16 +229,14 @@ void TestRetryWithBackoffDeadline() {
   EXPECT_TRUE(recovered.ok());
   EXPECT_EQ(calls, 2);
 
-  // No budget: all four default attempts run, each of the three retries
-  // draws exactly one jitter value, and a first-try success draws none.
-  RetryOptions unbounded;
-  unbounded.initial_backoff = 0.001;
+  // No budget: all four attempts run, each of the three retries draws
+  // exactly one jitter value, and a first-try success draws none.
   Rng jitter(7, 23);
   Rng expected(7, 23);
   calls = 0;
   retries = 0;
   Status permanent = RetryWithBackoff(
-      unbounded, &jitter,
+      &jitter,
       [&calls]() -> Status {
         ++calls;
         return Status::Internal("permanent");
@@ -258,7 +249,7 @@ void TestRetryWithBackoffDeadline() {
   EXPECT_EQ(jitter.NextU64(), expected.NextU64());
   calls = 0;
   Status first_try = RetryWithBackoff(
-      unbounded, &jitter,
+      &jitter,
       [&calls]() -> Status {
         ++calls;
         return Status::Ok();
