@@ -2,10 +2,10 @@
 // inner loop per kernel variant (scalar/avx2/avx512/auto — the kernel
 // dispatch suite CI uploads as BENCH_kernels.json), RMSE evaluation in
 // stored and in block order, top-k scoring, the rated-item index build
-// and merge, simulator cost functions, and scheduler acquire/release
-// throughput. Kernel-variant benches are
-// registered at runtime so unsupported variants are simply absent rather
-// than failing.
+// and merge, the block bucketing behind session set-up, simulator cost
+// functions, and scheduler acquire/release throughput. Kernel-variant
+// benches are registered at runtime so unsupported variants are simply
+// absent rather than failing.
 
 #include <benchmark/benchmark.h>
 
@@ -137,6 +137,29 @@ void BM_RatedIndex(benchmark::State& state, bool merge) {
 BENCHMARK_CAPTURE(BM_RatedIndex, build, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RatedIndex, merge, true)
+    ->Unit(benchmark::kMillisecond);
+
+/// BlockedMatrix::Build, the block bucketing in Session::Create and
+/// Restore: 1 M ratings on the 34 x 34 column-share grid HSGD* builds
+/// for 16 CPU threads + 1 GPU (2 GPU stripes holding `gpu_share` of the
+/// mass, 32 CPU stripes sharing the rest), with the per-block shuffle.
+void BM_BlockedMatrix(benchmark::State& state, double gpu_share) {
+  const Dataset ds = MicroDataset(1000000);
+  std::vector<double> shares(2, gpu_share / 2);
+  shares.resize(34, (1.0 - gpu_share) / 32);
+  auto grid =
+      BuildGridWithColShares(ds.train, ds.num_rows, ds.num_cols, 34, shares);
+  HSGD_CHECK_OK(grid.status());
+  for (auto _ : state) {
+    Rng rng(2);
+    auto matrix = BlockedMatrix::Build(ds.train, *grid, &rng);
+    HSGD_CHECK_OK(matrix.status());
+    benchmark::DoNotOptimize(matrix);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(ds.train.size()));
+}
+BENCHMARK_CAPTURE(BM_BlockedMatrix, build, 0.5)
     ->Unit(benchmark::kMillisecond);
 
 void BM_RmseParallel(benchmark::State& state) {

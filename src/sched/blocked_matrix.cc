@@ -1,7 +1,8 @@
 #include "sched/blocked_matrix.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -71,22 +72,40 @@ Status ValidateGridArgs(const Ratings& ratings, int64_t num_rows,
   return Status::Ok();
 }
 
+/// Index -> segment table over [0, bounds.back()).
+std::vector<int32_t> StratumTable(const std::vector<int32_t>& bounds) {
+  std::vector<int32_t> table(static_cast<size_t>(bounds.back()));
+  for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+    std::fill(table.begin() + bounds[s], table.begin() + bounds[s + 1],
+              static_cast<int32_t>(s));
+  }
+  return table;
+}
+
+/// Assembles a grid from its cuts; the one place the lookup tables are
+/// filled.
+Grid MakeGrid(std::vector<int32_t> row_bounds,
+              std::vector<int32_t> col_bounds) {
+  Grid grid;
+  grid.row_stratum = StratumTable(row_bounds);
+  grid.col_stratum = StratumTable(col_bounds);
+  grid.row_bounds = std::move(row_bounds);
+  grid.col_bounds = std::move(col_bounds);
+  return grid;
+}
+
 }  // namespace
-
-int Grid::RowOf(int32_t u) const {
-  auto it = std::upper_bound(row_bounds.begin(), row_bounds.end(), u);
-  return static_cast<int>(it - row_bounds.begin()) - 1;
-}
-
-int Grid::ColOf(int32_t v) const {
-  auto it = std::upper_bound(col_bounds.begin(), col_bounds.end(), v);
-  return static_cast<int>(it - col_bounds.begin()) - 1;
-}
 
 void Grid::ExtendTo(int32_t num_rows, int32_t num_cols) {
   HSGD_CHECK(!row_bounds.empty() && !col_bounds.empty());
-  if (num_rows > row_bounds.back()) row_bounds.back() = num_rows;
-  if (num_cols > col_bounds.back()) col_bounds.back() = num_cols;
+  if (num_rows > row_bounds.back()) {
+    row_bounds.back() = num_rows;
+    row_stratum.resize(static_cast<size_t>(num_rows), num_row_strata() - 1);
+  }
+  if (num_cols > col_bounds.back()) {
+    col_bounds.back() = num_cols;
+    col_stratum.resize(static_cast<size_t>(num_cols), num_col_strata() - 1);
+  }
 }
 
 StatusOr<Grid> BuildBalancedGrid(const Ratings& ratings, int64_t num_rows,
@@ -113,10 +132,8 @@ StatusOr<Grid> BuildBalancedGrid(const Ratings& ratings, int64_t num_rows,
     return cum;
   };
 
-  Grid grid;
-  grid.row_bounds = CutByMass(row_hist, cum_targets(row_shares));
-  grid.col_bounds = CutByMass(col_hist, cum_targets(col_shares));
-  return grid;
+  return MakeGrid(CutByMass(row_hist, cum_targets(row_shares)),
+                  CutByMass(col_hist, cum_targets(col_shares)));
 }
 
 StatusOr<Grid> BuildGridWithColShares(
@@ -124,12 +141,15 @@ StatusOr<Grid> BuildGridWithColShares(
     const std::vector<double>& col_shares) {
   const int q = static_cast<int>(col_shares.size());
   HSGD_RETURN_IF_ERROR(ValidateGridArgs(ratings, num_rows, num_cols, p, q));
+  // `!(s > 0.0)` also refuses NaN; an infinite share, or finite ones
+  // whose sum overflows, would normalise every other share to zero.
   double share_sum = 0.0;
   for (double s : col_shares) {
-    if (s <= 0.0) {
-      return Status::InvalidArgument("column shares must be positive");
-    }
     share_sum += s;
+    if (!(s > 0.0) || !std::isfinite(share_sum)) {
+      return Status::InvalidArgument(
+          "column shares must be positive with a finite sum");
+    }
   }
 
   std::vector<int64_t> row_hist(static_cast<size_t>(num_rows), 0);
@@ -149,10 +169,7 @@ StatusOr<Grid> BuildGridWithColShares(
     col_cum[i] = acc * total;
   }
 
-  Grid grid;
-  grid.row_bounds = CutByMass(row_hist, row_cum);
-  grid.col_bounds = CutByMass(col_hist, col_cum);
-  return grid;
+  return MakeGrid(CutByMass(row_hist, row_cum), CutByMass(col_hist, col_cum));
 }
 
 StatusOr<BlockedMatrix> BlockedMatrix::Build(const Ratings& ratings,

@@ -22,6 +22,12 @@ struct Grid {
   /// row_bounds[i+1]); strictly increasing, covering [0, num_rows).
   std::vector<int32_t> row_bounds;
   std::vector<int32_t> col_bounds;
+  /// Dense lookup tables derived from the bounds: row_stratum[u] is the
+  /// stratum of row u, one entry per row of the extent (likewise
+  /// col_stratum per column). The grid builders fill them and ExtendTo
+  /// keeps them covering the extent.
+  std::vector<int32_t> row_stratum;
+  std::vector<int32_t> col_stratum;
 
   int num_row_strata() const {
     return static_cast<int>(row_bounds.size()) - 1;
@@ -40,14 +46,16 @@ struct Grid {
     return col_bounds[col + 1] - col_bounds[col];
   }
 
-  /// Stratum containing row index u / column index v (binary search).
-  int RowOf(int32_t u) const;
-  int ColOf(int32_t v) const;
+  /// Stratum containing row index u / column index v (table lookup); the
+  /// index must lie inside the extent.
+  int RowOf(int32_t u) const { return row_stratum[static_cast<size_t>(u)]; }
+  int ColOf(int32_t v) const { return col_stratum[static_cast<size_t>(v)]; }
 
   /// Extend the grid extent to cover `num_rows` x `num_cols` by widening
   /// the LAST row/column stratum. The strata counts — and therefore every
   /// BlockIndex — are unchanged, so schedulers sized off this grid stay
-  /// valid; new (cold) indices all land in the trailing stratum.
+  /// valid; new (cold) indices all land in the trailing stratum. A
+  /// smaller extent leaves the grid as it is.
   void ExtendTo(int32_t num_rows, int32_t num_cols);
 };
 
