@@ -141,12 +141,12 @@ BENCHMARK_CAPTURE(BM_RatedIndex, merge, true)
 
 /// BlockedMatrix::Build, the block bucketing in Session::Create and
 /// Restore: 1 M ratings on the 34 x 34 column-share grid HSGD* builds
-/// for 16 CPU threads + 1 GPU (2 GPU stripes holding `gpu_share` of the
-/// mass, 32 CPU stripes sharing the rest), with the per-block shuffle.
-void BM_BlockedMatrix(benchmark::State& state, double gpu_share) {
+/// for 16 CPU threads + 1 GPU (2 GPU stripes holding half the mass, 32
+/// CPU stripes sharing the rest), with the per-block shuffle.
+void BM_BlockedMatrix(benchmark::State& state) {
   const Dataset ds = MicroDataset(1000000);
-  std::vector<double> shares(2, gpu_share / 2);
-  shares.resize(34, (1.0 - gpu_share) / 32);
+  std::vector<double> shares(2, 0.5 / 2);
+  shares.resize(34, 0.5 / 32);
   auto grid =
       BuildGridWithColShares(ds.train, ds.num_rows, ds.num_cols, 34, shares);
   HSGD_CHECK_OK(grid.status());
@@ -159,7 +159,8 @@ void BM_BlockedMatrix(benchmark::State& state, double gpu_share) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds.train.size()));
 }
-BENCHMARK_CAPTURE(BM_BlockedMatrix, build, 0.5)
+BENCHMARK(BM_BlockedMatrix)
+    ->Name("BM_BlockedMatrix/build")
     ->Unit(benchmark::kMillisecond);
 
 void BM_RmseParallel(benchmark::State& state) {

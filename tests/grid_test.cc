@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sched/blocked_matrix.h"
@@ -130,6 +131,33 @@ void TestColShares() {
   }
 }
 
+void TestBlockedMatrix() {
+  const int32_t rows = 200, cols = 150;
+  Ratings ratings = RandomRatings(10000, rows, cols, 3);
+  auto grid = BuildBalancedGrid(ratings, rows, cols, 4, 3);
+  EXPECT_TRUE(grid.ok());
+  Rng rng(5);
+  auto matrix = BlockedMatrix::Build(ratings, *grid, &rng);
+  EXPECT_TRUE(matrix.ok());
+  EXPECT_EQ(matrix->num_blocks(), 12);
+  EXPECT_EQ(matrix->total_nnz(), 10000);
+
+  // Conservation: block sizes sum to the input size, and every block's
+  // ratings live inside the block's strata.
+  int64_t sum = 0;
+  for (int b = 0; b < matrix->num_blocks(); ++b) {
+    sum += matrix->BlockNnz(b);
+    int row = b / 3, col = b % 3;
+    for (const Rating& rt : matrix->BlockRatings(b)) {
+      EXPECT_TRUE(grid->row_bounds[row] <= rt.u &&
+                  rt.u < grid->row_bounds[row + 1]);
+      EXPECT_TRUE(grid->col_bounds[col] <= rt.v &&
+                  rt.v < grid->col_bounds[col + 1]);
+    }
+  }
+  EXPECT_EQ(sum, 10000);
+}
+
 /// Reference stratum of index i: a binary search over the bounds,
 /// independent of the grid's lookup tables.
 int ReferenceStratum(const std::vector<int32_t>& bounds, int32_t i) {
@@ -237,17 +265,20 @@ void TestBuildMatchesReferenceBucketing() {
   const int32_t rows = 300, cols = 200;
   const uint64_t seed = 17;
   Ratings ratings = RandomRatings(12000, rows, cols, 5, /*skewed=*/true);
-  std::vector<Grid> grids;
-  grids.push_back(*BuildBalancedGrid(ratings, rows, cols, 5, 4));
-  grids.push_back(
-      *BuildGridWithColShares(ratings, rows, cols, 6, {0.5, 0.25, 0.25}));
-  for (const Grid& grid : grids) {
+  // Each grid with the block count its builder was asked for.
+  std::vector<std::pair<Grid, int>> grids;
+  grids.emplace_back(*BuildBalancedGrid(ratings, rows, cols, 5, 4), 5 * 4);
+  grids.emplace_back(
+      *BuildGridWithColShares(ratings, rows, cols, 6, {0.5, 0.25, 0.25}),
+      6 * 3);
+  for (const auto& [grid, requested_blocks] : grids) {
     const std::vector<Ratings> buckets =
         ReferenceBuckets(ratings, grid.row_bounds, grid.col_bounds);
 
     auto unshuffled = BlockedMatrix::Build(ratings, grid, nullptr);
     EXPECT_TRUE(unshuffled.ok());
     if (!unshuffled.ok()) return;
+    EXPECT_EQ(unshuffled->num_blocks(), requested_blocks);
     ExpectBlocksEqual(*unshuffled, buckets);
 
     std::vector<Ratings> shuffled = buckets;
@@ -331,6 +362,7 @@ void RunAllTests() {
   TestBalancedGrid();
   TestGridErrors();
   TestColShares();
+  TestBlockedMatrix();
   TestLookupsMatchBinarySearch();
   TestBuildMatchesReferenceBucketing();
   TestAppendGrownMatchesReferenceBucketing();
