@@ -65,10 +65,9 @@ void BM_SgdUpdateBlock(benchmark::State& state, KernelKind kind, int k) {
   state.SetLabel(ops.name);
 }
 
-/// Serial RMSE at k=128, over the ratings in stored order or, `blocked`,
-/// bucketed on a 16x16 balanced grid and read block by block the way the
-/// session evaluates its training split.
-void BM_RmseKernel(benchmark::State& state, KernelKind kind, bool blocked) {
+/// Serial RMSE at k=128 over the ratings in stored order, the way the
+/// session evaluates its test split.
+void BM_RmseKernel(benchmark::State& state, KernelKind kind) {
   auto resolved = ResolveKernelKind(kind);
   HSGD_CHECK_OK(resolved.status());
   const KernelOps& ops = GetKernelOps(*resolved);
@@ -76,13 +75,8 @@ void BM_RmseKernel(benchmark::State& state, KernelKind kind, bool blocked) {
   Model model(ds.num_rows, ds.num_cols, 128);
   Rng rng(1);
   model.InitRandom(&rng, 3.0);
-  auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols, 16, 16);
-  HSGD_CHECK_OK(grid.status());
-  auto matrix = BlockedMatrix::Build(ds.train, *grid, &rng);
-  HSGD_CHECK_OK(matrix.status());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(blocked ? Rmse(model, *matrix, nullptr, &ops)
-                                     : Rmse(model, ds.train, nullptr, &ops));
+    benchmark::DoNotOptimize(Rmse(model, ds.train, nullptr, &ops));
   }
   const int64_t items =
       state.iterations() * static_cast<int64_t>(ds.train.size());
@@ -290,13 +284,9 @@ void RegisterKernelVariantBenches() {
             BM_SgdUpdateBlock(state, kind, k);
           });
     }
-    for (bool blocked : {false, true}) {
-      benchmark::RegisterBenchmark(
-          ((blocked ? "BM_RmseBlocked/" : "BM_Rmse/") + variant).c_str(),
-          [kind, blocked](benchmark::State& state) {
-            BM_RmseKernel(state, kind, blocked);
-          });
-    }
+    benchmark::RegisterBenchmark(
+        ("BM_Rmse/" + variant).c_str(),
+        [kind](benchmark::State& state) { BM_RmseKernel(state, kind); });
     benchmark::RegisterBenchmark(
         ("BM_BatchTopK/" + variant + "/100").c_str(),
         [kind](benchmark::State& state) { BM_BatchTopK(state, kind); });

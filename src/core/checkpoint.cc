@@ -1,6 +1,5 @@
 #include "core/checkpoint.h"
 
-#include <cmath>
 #include <cstdio>
 #include <type_traits>
 
@@ -299,40 +298,7 @@ Status ValidateStoredConfig(const TrainConfig& c) {
   if (c.calibrate) {
     return Status::InvalidArgument("calibrate flag set");
   }
-  if (c.max_epochs < 1 || c.max_epochs > (1 << 24) ||
-      c.eval_threads < 1 || c.eval_threads > (1 << 20) ||
-      c.hardware.num_cpu_threads < 0 ||
-      c.hardware.num_cpu_threads > (1 << 20) ||
-      c.hardware.num_gpus < 0 || c.hardware.num_gpus > 4096) {
-    return Status::InvalidArgument("worker counts");
-  }
-  // Physical quantities: rates, bandwidths and speed factors must be
-  // positive and finite; overheads and latencies nonnegative and finite.
-  for (double positive :
-       {c.hardware.cpu.updates_per_sec_k128, c.hardware.cpu.speed_factor,
-        c.hardware.gpu.worker_point_rate_k128, c.hardware.gpu.device_mem_bw,
-        c.hardware.gpu.pcie_h2d_peak_gbps, c.hardware.gpu.pcie_d2h_peak_gbps,
-        c.hardware.gpu.speed_factor}) {
-    if (!std::isfinite(positive) || positive <= 0.0) {
-      return Status::InvalidArgument("device rates");
-    }
-  }
-  for (double nonnegative :
-       {c.hardware.speed_variability, c.hardware.cpu.warmup_nnz,
-        c.hardware.gpu.kernel_launch_overhead,
-        c.hardware.gpu.pcie_latency}) {
-    if (!std::isfinite(nonnegative) || nonnegative < 0.0) {
-      return Status::InvalidArgument("device overheads");
-    }
-  }
-  if (c.hardware.gpu.parallel_workers < 1 ||
-      c.hardware.gpu.parallel_workers > (1 << 20)) {
-    return Status::InvalidArgument("GPU worker count");
-  }
-  if (c.fault.autosave_every < 0 || c.fault.autosave_every > (1 << 24)) {
-    return Status::InvalidArgument("autosave cadence");
-  }
-  return Status::Ok();
+  return ValidateConfigRanges(c);
 }
 
 }  // namespace

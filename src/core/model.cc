@@ -137,6 +137,9 @@ inline const KernelOps& Resolve(const KernelOps* ops) {
   return ops != nullptr ? *ops : DefaultKernelOps();
 }
 
+/// Most ratings summed into one RMSE partial.
+constexpr int64_t kRmseGrain = 65536;
+
 }  // namespace
 
 double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
@@ -149,11 +152,11 @@ double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
                           hyper.lambda_q);
 }
 
-void SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
-                     const std::vector<int>& blocks, SgdHyper hyper,
-                     const KernelOps* ops, ThreadPool* pool) {
+double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
+                       const std::vector<int>& blocks, SgdHyper hyper,
+                       const KernelOps* ops, ThreadPool* pool) {
   const int n = static_cast<int>(blocks.size());
-  if (n == 0) return;
+  if (n == 0) return 0.0;
   // The dependency DAG over list positions. A block waits for its row
   // predecessor and its column predecessor, so every block has at most
   // one successor of each kind (a repeated block is both of them).
@@ -177,7 +180,9 @@ void SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
   }
 
   // Lanes take the earliest ready position, so execution stays close to
-  // list order. `mu` guards `ready`, `waits` and `done`.
+  // list order. `mu` guards `ready`, `waits` and `done`; each position's
+  // squared error has its own slot, written by the lane that ran it.
+  std::vector<double> sq_err(static_cast<size_t>(n), 0.0);
   std::mutex mu;
   std::condition_variable cv;
   std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
@@ -193,7 +198,8 @@ void SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
       const int i = ready.top();
       ready.pop();
       lock.unlock();
-      SgdUpdateBlock(model, matrix.BlockRatings(blocks[i]), hyper, ops);
+      sq_err[static_cast<size_t>(i)] =
+          SgdUpdateBlock(model, matrix.BlockRatings(blocks[i]), hyper, ops);
       lock.lock();
       ++done;
       bool wake = done == n;
@@ -211,65 +217,27 @@ void SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
   // still applies every block.
   if (pool == nullptr) {
     lane(0, 1);
-    return;
+  } else {
+    pool->ParallelFor(0, static_cast<int64_t>(pool->size()) + 1, 1, lane);
   }
-  pool->ParallelFor(0, static_cast<int64_t>(pool->size()) + 1, 1, lane);
+  // List order, not completion order, so the bits match a serial loop.
+  double sum = 0.0;
+  for (double e : sq_err) sum += e;
+  return sum;
 }
-
-namespace {
-
-/// Most ratings summed into one RMSE partial.
-constexpr int64_t kRmseGrain = 65536;
-
-struct RatingChunk {
-  const Rating* data = nullptr;
-  int64_t size = 0;
-};
-
-/// Append `ratings` to `chunks` as consecutive runs of at most kRmseGrain.
-void AppendChunks(const Ratings& ratings, std::vector<RatingChunk>* chunks) {
-  const int64_t n = static_cast<int64_t>(ratings.size());
-  for (int64_t lo = 0; lo < n; lo += kRmseGrain) {
-    chunks->push_back({ratings.data() + lo, std::min(kRmseGrain, n - lo)});
-  }
-}
-
-/// RMSE over `n` ratings split into `chunks`: one partial per chunk,
-/// added in list order, so the bits depend on the list and not the pool.
-double ChunkedRmse(const Model& model, const std::vector<RatingChunk>& chunks,
-                   int64_t n, ThreadPool* pool, const KernelOps* ops) {
-  if (n == 0) return 0.0;
-  const KernelOps& kernel = Resolve(ops);
-  const double sq_err = ParallelReduce(
-      pool, static_cast<int64_t>(chunks.size()), /*grain=*/1,
-      [&](int64_t i, int64_t) {
-        const RatingChunk& chunk = chunks[static_cast<size_t>(i)];
-        return kernel.sq_err_block(model.p_data(), model.q_data(),
-                                   model.stride(), model.k(), chunk.data,
-                                   chunk.size);
-      });
-  return std::sqrt(sq_err / static_cast<double>(n));
-}
-
-}  // namespace
 
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
             const KernelOps* ops) {
-  std::vector<RatingChunk> chunks;
-  AppendChunks(ratings, &chunks);
-  return ChunkedRmse(model, chunks, static_cast<int64_t>(ratings.size()),
-                     pool, ops);
-}
-
-double Rmse(const Model& model, const BlockedMatrix& matrix, ThreadPool* pool,
-            const KernelOps* ops) {
-  // Chunks never span two blocks, so each partial reads the P rows of one
-  // row stratum and the Q rows of one column stratum.
-  std::vector<RatingChunk> chunks;
-  for (int b = 0; b < matrix.num_blocks(); ++b) {
-    AppendChunks(matrix.BlockRatings(b), &chunks);
-  }
-  return ChunkedRmse(model, chunks, matrix.total_nnz(), pool, ops);
+  const int64_t n = static_cast<int64_t>(ratings.size());
+  if (n == 0) return 0.0;
+  const KernelOps& kernel = Resolve(ops);
+  const double sq_err = ParallelReduce(
+      pool, n, kRmseGrain, [&](int64_t lo, int64_t hi) {
+        return kernel.sq_err_block(model.p_data(), model.q_data(),
+                                   model.stride(), model.k(),
+                                   ratings.data() + lo, hi - lo);
+      });
+  return std::sqrt(sq_err / static_cast<double>(n));
 }
 
 }  // namespace hsgd

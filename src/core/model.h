@@ -136,25 +136,21 @@ double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
 /// listed block in its row stratum and the last in its column stratum.
 /// Any two blocks left unordered share neither stratum, so they update
 /// disjoint rows of P and of Q and commute exactly.
-void SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
-                     const std::vector<int>& blocks, SgdHyper hyper,
-                     const KernelOps* ops, ThreadPool* pool);
+///
+/// Returns the sum of the listed blocks' SgdUpdateBlock returns: each
+/// is kept for its list position and the sum is taken in list order
+/// after the lanes join, so it has the same bits for any pool size and
+/// equals the in-order sum of a serial SgdUpdateBlock loop. 0.0 for an
+/// empty list.
+double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
+                       const std::vector<int>& blocks, SgdHyper hyper,
+                       const KernelOps* ops, ThreadPool* pool);
 
 /// Root mean squared prediction error over `ratings`. Deterministic for a
-/// given input regardless of pool size (fixed-grain chunking, in-order
-/// reduction via util::ParallelReduce). `pool` may be null for serial
-/// evaluation.
+/// given input regardless of pool size: one partial per run of 65,536
+/// ratings, added in order by util::ParallelReduce. `pool` may be null
+/// for serial evaluation.
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
-            const KernelOps* ops = nullptr);
-
-/// Root mean squared prediction error over every rating of `matrix`,
-/// evaluated block by block in block-id order, so each partial sum reads
-/// one block's factor rows (cache-local like the SGD sweep). Contract:
-/// equals the ratings-list Rmse over the matrix's ratings up to float
-/// summation order, and has the same bits for any pool size (null = the
-/// caller alone). A block larger than the ratings-list grain splits into
-/// several partials, so a 1x1 grid still spreads over the pool.
-double Rmse(const Model& model, const BlockedMatrix& matrix, ThreadPool* pool,
             const KernelOps* ops = nullptr);
 
 }  // namespace hsgd

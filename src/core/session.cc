@@ -102,14 +102,14 @@ Status ValidateConfig(const Dataset& ds, const TrainConfig& config) {
   if (ds.params.k <= 0) {
     return Status::InvalidArgument("params.k must be positive");
   }
-  if (config.max_epochs < 1) {
-    return Status::InvalidArgument("max_epochs must be >= 1");
-  }
-  if (config.eval_threads < 1) {
-    return Status::InvalidArgument("eval_threads must be >= 1");
-  }
-  if (config.hardware.speed_variability < 0.0) {
-    return Status::InvalidArgument("speed_variability must be >= 0");
+  HSGD_RETURN_IF_ERROR(ValidateConfigRanges(config));
+  // A rate of 0 is legal: the factors then stay as initialized.
+  for (float hyper : {ds.params.learning_rate, ds.params.lambda_p,
+                      ds.params.lambda_q}) {
+    if (!std::isfinite(hyper) || hyper < 0.0f) {
+      return Status::InvalidArgument(
+          "learning_rate, lambda_p and lambda_q must be finite and >= 0");
+    }
   }
   const Algorithm algo = config.algorithm;
   const int nc = config.hardware.num_cpu_threads;
@@ -129,6 +129,48 @@ Status ValidateConfig(const Dataset& ds, const TrainConfig& config) {
 }
 
 }  // namespace
+
+Status ValidateConfigRanges(const TrainConfig& config) {
+  if (config.max_epochs < 1 || config.max_epochs > (1 << 24)) {
+    return Status::InvalidArgument("max_epochs must be in [1, 2^24]");
+  }
+  if (config.eval_threads < 1 || config.eval_threads > (1 << 20)) {
+    return Status::InvalidArgument("eval_threads must be in [1, 2^20]");
+  }
+  if (config.fault.autosave_every < 0 ||
+      config.fault.autosave_every > (1 << 24)) {
+    return Status::InvalidArgument(
+        "fault.autosave_every must be in [0, 2^24]");
+  }
+  const HardwareConfig& hardware = config.hardware;
+  if (hardware.num_cpu_threads < 0 || hardware.num_cpu_threads > (1 << 20) ||
+      hardware.num_gpus < 0 || hardware.num_gpus > 4096 ||
+      hardware.gpu.parallel_workers < 1 ||
+      hardware.gpu.parallel_workers > (1 << 20)) {
+    return Status::InvalidArgument("hardware fleet size out of range");
+  }
+  const CpuDeviceSpec& cpu = hardware.cpu;
+  const GpuDeviceSpec& gpu = hardware.gpu;
+  for (double positive :
+       {cpu.updates_per_sec_k128, cpu.speed_factor, gpu.worker_point_rate_k128,
+        gpu.device_mem_bw, gpu.pcie_h2d_peak_gbps, gpu.pcie_d2h_peak_gbps,
+        gpu.speed_factor}) {
+    if (!std::isfinite(positive) || positive <= 0.0) {
+      return Status::InvalidArgument(
+          "hardware rates and speed factors must be finite and > 0");
+    }
+  }
+  for (double nonnegative :
+       {hardware.speed_variability, cpu.warmup_nnz,
+        gpu.kernel_launch_overhead, gpu.pcie_latency}) {
+    if (!std::isfinite(nonnegative) || nonnegative < 0.0) {
+      return Status::InvalidArgument(
+          "hardware overheads and speed_variability must be finite and "
+          ">= 0");
+    }
+  }
+  return Status::Ok();
+}
 
 Session::Session(Dataset dataset, TrainConfig config)
     : dataset_(std::move(dataset)), config_(config) {}
@@ -902,8 +944,8 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
     }
     return Status::Ok();
   }();
-  SgdUpdateBlocks(model_.get(), matrix_, committed, hyper, kernel_ops_,
-                  eval_pool_.get());
+  const double sq_err = SgdUpdateBlocks(model_.get(), matrix_, committed,
+                                        hyper, kernel_ops_, eval_pool_.get());
   HSGD_RETURN_IF_ERROR(simulated);
   clock_ = epoch_end;  // epoch barrier: evaluate, then start together
   if (obs_.trace != nullptr) {
@@ -913,12 +955,16 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   }
   obs::Observe(metric_.epoch_seconds, epoch_end - epoch_start);
 
-  // The blocked matrix holds exactly the training ratings (Build rejects
-  // out-of-extent ratings, appends land on block tails), so evaluating it
-  // block by block covers the same multiset with cache-local reads.
-  assert(matrix_.total_nnz() == dataset_.train_size());
-  double train_rmse = Rmse(*model_, matrix_, eval_pool_.get(), kernel_ops_);
-  double test_rmse =
+  // The training loss is the sweep's own: each visited rating's error
+  // just before its update, over every rating the committed blocks hold.
+  int64_t swept = 0;
+  for (int b : committed) {
+    swept += static_cast<int64_t>(matrix_.BlockRatings(b).size());
+  }
+  const double train_rmse =
+      swept > 0 ? std::sqrt(sq_err / static_cast<double>(swept))
+                : std::numeric_limits<double>::quiet_NaN();
+  const double test_rmse =
       dataset_.test.empty()
           ? train_rmse
           : Rmse(*model_, dataset_.test, eval_pool_.get(), kernel_ops_);

@@ -87,6 +87,7 @@ struct HardwareConfig {
   double speed_variability = 0.25;
 };
 
+
 /// Fault-tolerance policy: the autosave cadence (default: none). The rest
 /// is fixed: a failed autosave retries on util/retry.h's backoff
 /// schedule; a block lease expires at 8x its healthy span and its
@@ -127,8 +128,8 @@ struct TrainConfig {
   /// HSGD*'s dynamic work-stealing phase (off = HSGD*-M).
   bool dynamic_scheduling = true;
   /// Real (not simulated) threads of the session's pool, capped at 16.
-  /// The pool and the calling thread run RMSE evaluation and apply each
-  /// epoch's SGD blocks; factors, traces and stats are bit-identical for
+  /// The pool and the calling thread apply each epoch's SGD blocks and
+  /// evaluate test RMSE; factors, traces and stats are bit-identical for
   /// any value.
   int eval_threads = 8;
   /// Compute-kernel variant for the real SGD/RMSE arithmetic. kAuto is
@@ -150,14 +151,28 @@ struct TrainConfig {
   FaultPolicy fault;
 };
 
+/// The ranges every TrainConfig must lie in: max_epochs in [1, 2^24],
+/// eval_threads in [1, 2^20], fault.autosave_every in [0, 2^24]; at most
+/// 2^20 CPU threads and 4,096 GPUs (neither negative) and 1 to 2^20 GPU
+/// workers; device rates, bandwidths and speed factors finite and > 0;
+/// overheads, latencies and speed_variability finite and >= 0.
+/// Session::Create checks a new config with it and the checkpoint reader
+/// a stored one, so every session that trains and saves also restores.
+Status ValidateConfigRanges(const TrainConfig& config);
+
 struct TracePoint {
   int epoch = 0;
   SimTime time = 0.0;
+  /// RMSE over the test split after the epoch's updates; the stop rule
+  /// and Trace::TimeToReach read it. With an empty test split it is a
+  /// copy of train_rmse, the sweep loss below.
   double test_rmse = 0.0;
-  /// RMSE over the whole training split, summed block by block in grid
-  /// order over the session's blocked matrix (see the BlockedMatrix
-  /// overload of Rmse). It equals the ratings-list Rmse over
-  /// dataset().train up to float summation order.
+  /// The SGD sweep's own loss: root mean squared error over the ratings
+  /// the epoch swept, each taken just before its update (SgdUpdateBlocks'
+  /// return over the swept count), so it trails the epoch's final
+  /// factors. A fault-free full epoch sweeps every training rating, an
+  /// incremental epoch its dirty blocks; blocks a fault dropped are not
+  /// swept. NaN when the epoch swept no rating.
   double train_rmse = 0.0;
 };
 
@@ -254,8 +269,9 @@ class Session {
   ~Session();
 
   /// Advance one simulated epoch: schedule and run every block through
-  /// the device fleet in virtual time, apply the real SGD updates, then
-  /// evaluate RMSE at the epoch barrier. Returns the epoch's TracePoint;
+  /// the device fleet in virtual time, apply the real SGD updates (their
+  /// pre-update errors give train_rmse), then evaluate test RMSE at the
+  /// epoch barrier. Returns the epoch's TracePoint;
   /// the session's trace and stats already include it, and the barrier
   /// is free again, so the caller may VisitQuiesced right away.
   /// FailedPrecondition once Done().
@@ -284,9 +300,10 @@ class Session {
 
   /// Advance one incremental epoch over ONLY the blocks dirtied by
   /// AppendRatings since the last epoch. Counts as a normal epoch: it
-  /// consumes epoch budget, pushes a TracePoint (RMSE over the full
-  /// grown dataset), and decays the learning rate on the shared
-  /// schedule. FailedPrecondition when nothing is pending or Done().
+  /// consumes epoch budget, pushes a TracePoint (test RMSE over the test
+  /// split, train_rmse over the dirty blocks' ratings it swept), and
+  /// decays the learning rate on the shared schedule. FailedPrecondition
+  /// when nothing is pending or Done().
   StatusOr<TracePoint> RunIncrementalEpoch();
 
   /// Run `fn` while the session is guaranteed quiescent (no epoch in

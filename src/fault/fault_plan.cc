@@ -1,6 +1,8 @@
 #include "fault/fault_plan.h"
 
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,6 +10,9 @@ namespace hsgd {
 namespace {
 
 // Small cursor over one clause; all Eat* helpers advance on success.
+// Numbers are plain decimal: digits, then for a double an optional
+// `.digits` fraction and an optional `e[+-]digits` exponent. No sign,
+// space, hex, inf or nan, all of which strtol/strtod would take.
 struct Cursor {
   const char* p;
   const char* end;
@@ -21,20 +26,47 @@ struct Cursor {
     p = q;
     return true;
   }
+  /// Advances past a run of digits; false when there is none.
+  bool EatDigits() {
+    const char* q = p;
+    while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
+    return p > q;
+  }
+  /// An integer that fits in int.
   bool EatInt(int* out) {
-    char* after = nullptr;
-    long v = std::strtol(p, &after, 10);
-    if (after == p || after > end) return false;
+    const char* start = p;
+    if (!EatDigits()) return false;
+    long long v = 0;
+    for (const char* q = start; q < p; ++q) {
+      v = v * 10 + (*q - '0');
+      if (v > INT_MAX) {
+        p = start;
+        return false;
+      }
+    }
     *out = static_cast<int>(v);
-    p = after;
     return true;
   }
+  /// A finite double.
   bool EatDouble(double* out) {
-    char* after = nullptr;
-    double v = std::strtod(p, &after);
-    if (after == p || after > end) return false;
+    const char* start = p;
+    bool ok = EatDigits();
+    if (ok && p < end && *p == '.') {
+      ++p;
+      ok = EatDigits();
+    }
+    if (ok && p < end && *p == 'e') {
+      const char* exponent = p++;
+      if (p < end && (*p == '+' || *p == '-')) ++p;
+      if (!EatDigits()) p = exponent;  // an `e` not followed by digits
+    }
+    const double v = ok ? std::strtod(std::string(start, p).c_str(), nullptr)
+                        : 0.0;
+    if (!ok || !std::isfinite(v)) {
+      p = start;
+      return false;
+    }
     *out = v;
-    p = after;
     return true;
   }
 };
@@ -78,7 +110,7 @@ Status ParseTail(Cursor* c, const std::string& clause, FaultSpec* spec) {
                          "x<factor> only applies to slow:/storm/slowshard:");
     }
     if (!c->EatDouble(&spec->slowdown) || spec->slowdown <= 1.0) {
-      return ClauseError(clause, "slowdown must be > 1");
+      return ClauseError(clause, "slowdown must be a finite number > 1");
     }
   }
   if (c->EatLiteral("for")) {
@@ -89,7 +121,7 @@ Status ParseTail(Cursor* c, const std::string& clause, FaultSpec* spec) {
           clause, "for<duration> only applies to slow:/storm/slowshard:");
     }
     if (!c->EatDouble(&spec->duration) || spec->duration <= 0.0) {
-      return ClauseError(clause, "duration must be > 0");
+      return ClauseError(clause, "duration must be a finite number > 0");
     }
   }
   if (c->EatLiteral("n")) {
@@ -117,7 +149,7 @@ Status ParseDevice(Cursor* c, const std::string& clause, FaultSpec* spec) {
     return ClauseError(clause, "expected gpu<i> or cpu<i> target");
   }
   if (!c->EatInt(&spec->device_index) || spec->device_index < 0) {
-    return ClauseError(clause, "device index must be >= 0");
+    return ClauseError(clause, "device index must be an integer >= 0");
   }
   return Status::Ok();
 }
@@ -151,7 +183,7 @@ StatusOr<FaultSpec> ParseClause(const std::string& clause) {
     spec.kind = FaultKind::kSlowShard;
     spec.device_class = DeviceClass::kCpuThread;  // shard index, not a device
     if (!c.EatInt(&spec.device_index) || spec.device_index < 0) {
-      return ClauseError(clause, "shard index must be >= 0");
+      return ClauseError(clause, "shard index must be an integer >= 0");
     }
   } else {
     return ClauseError(clause,
@@ -162,11 +194,26 @@ StatusOr<FaultSpec> ParseClause(const std::string& clause) {
   return spec;
 }
 
+// The shortest %g form that reads back as exactly `v`, so Parse gets
+// every field of ToString's output back bit for bit.
+std::string FormatDouble(double v) {
+  char buf[32];
+  for (int precision = 6; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
 void AppendFraction(std::string* out, double frac) {
   if (frac <= 0.0) return;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "+%g", frac);
-  *out += buf;
+  *out += "+" + FormatDouble(frac);
+}
+
+// `x<factor>`, then `for<duration>` unless the window is permanent.
+void AppendSlowdown(std::string* out, double slowdown, double duration) {
+  *out += "x" + FormatDouble(slowdown);
+  if (duration > 0.0) *out += "for" + FormatDouble(duration);
 }
 
 }  // namespace
@@ -224,12 +271,7 @@ std::string FaultSpec::ToString() const {
                     epoch);
       out = buf;
       AppendFraction(&out, at_fraction);
-      std::snprintf(buf, sizeof(buf), "x%g", slowdown);
-      out += buf;
-      if (duration > 0.0) {
-        std::snprintf(buf, sizeof(buf), "for%g", duration);
-        out += buf;
-      }
+      AppendSlowdown(&out, slowdown, duration);
       break;
     case FaultKind::kLinkFault:
       std::snprintf(buf, sizeof(buf), "link:gpu%d@e%d", device_index,
@@ -255,21 +297,15 @@ std::string FaultSpec::ToString() const {
       out = buf;
       break;
     case FaultKind::kQueryStorm:
-      std::snprintf(buf, sizeof(buf), "storm@r%dx%g", epoch, slowdown);
+      std::snprintf(buf, sizeof(buf), "storm@r%d", epoch);
       out = buf;
-      if (duration > 0.0) {
-        std::snprintf(buf, sizeof(buf), "for%g", duration);
-        out += buf;
-      }
+      AppendSlowdown(&out, slowdown, duration);
       break;
     case FaultKind::kSlowShard:
-      std::snprintf(buf, sizeof(buf), "slowshard:%d@r%dx%g", device_index,
-                    epoch, slowdown);
+      std::snprintf(buf, sizeof(buf), "slowshard:%d@r%d", device_index,
+                    epoch);
       out = buf;
-      if (duration > 0.0) {
-        std::snprintf(buf, sizeof(buf), "for%g", duration);
-        out += buf;
-      }
+      AppendSlowdown(&out, slowdown, duration);
       break;
   }
   return out;

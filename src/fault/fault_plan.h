@@ -15,7 +15,9 @@
 // `@eN` is the 1-based epoch, `+F` the release fraction within it
 // (default 0 = epoch start). `x` is the slowdown factor, `for` the
 // degraded window in simulated seconds (omitted = permanent), `n` a
-// count of transfers/writes to fail.
+// count of transfers/writes to fail. Numbers are plain decimal (`3`,
+// `0.25`, `1e-3`) with no sign, space, hex, inf or nan; doubles must be
+// finite and integers must fit in an int.
 //
 // Serve/stream kinds extend the grammar to the online path. Their
 // trigger clock is the PUBLISH ROUND of the serve loop (`@rN`, 1-based —

@@ -162,11 +162,131 @@ void TestPlanParsing() {
            "ckpt@e1n0",           // counts start at 1
            "crash:gpu0@e1 trailing",
            "wibble",
+           // Numbers are plain decimal, finite, and integers fit in an
+           // int: what strtol/strtod would also take is refused, not read
+           // as NaN, infinity, a wrapped integer or a hex value.
+           "crash:cpu0@e1+nan",       // NaN fraction
+           "slow:cpu0@e1xinf",        // infinite slowdown
+           "slow:cpu0@e1x2for1e400",  // overflows to infinity
+           "slow:cpu0@e1x2fornan",    // would print as permanent
+           "crash:gpu4294967296@e1",  // would wrap to gpu0
+           "crash:gpu0@e4294967297",  // would wrap to e1
+           "link:gpu0@e1n4294967297", // would wrap to n1
+           "crash:cpu 0@e1",          // space inside a clause
+           "crash:cpu+0@e+1",         // signs
+           "slow:cpu0@e1x0x10",       // hex: 0x10 is not 16
+           "slow:cpu0@e1x.5e1",       // no digits before the point
+           "slow:cpu0@e1x2.",         // no digits after it
        }) {
     auto parsed = FaultPlan::Parse(bad);
     EXPECT_FALSE(parsed.ok());
     if (parsed.ok()) std::fprintf(stderr, "  (accepted: %s)\n", bad);
   }
+
+  // `0x2` is the fraction 0 followed by a 2x slowdown, not hex 2.0.
+  auto hex_like = FaultPlan::Parse("slow:cpu0@e1+0x2");
+  EXPECT_TRUE(hex_like.ok());
+  if (hex_like.ok()) {
+    EXPECT_EQ(hex_like->specs[0].at_fraction, 0.0);
+    EXPECT_EQ(hex_like->specs[0].slowdown, 2.0);
+  }
+  // The largest int still parses; exponents are decimal.
+  auto edge = FaultPlan::Parse("link:gpu2147483647@e2147483647n2147483647;"
+                               "slow:cpu0@e1+2.5e-1x1.5e1for1e-3");
+  EXPECT_TRUE(edge.ok());
+  if (edge.ok()) {
+    EXPECT_EQ(edge->specs[0].device_index, 2147483647);
+    EXPECT_EQ(edge->specs[0].epoch, 2147483647);
+    EXPECT_EQ(edge->specs[0].count, 2147483647);
+    EXPECT_EQ(edge->specs[1].at_fraction, 0.25);
+    EXPECT_EQ(edge->specs[1].slowdown, 15.0);
+    EXPECT_EQ(edge->specs[1].duration, 1e-3);
+  }
+}
+
+// Inside the ranges the header documents, for every field of `spec`.
+bool SpecInRange(const FaultSpec& spec) {
+  return spec.device_index >= 0 && spec.epoch >= 1 &&
+         std::isfinite(spec.at_fraction) && spec.at_fraction >= 0.0 &&
+         spec.at_fraction <= 1.0 && std::isfinite(spec.slowdown) &&
+         spec.slowdown > 1.0 && std::isfinite(spec.duration) &&
+         spec.duration >= 0.0 && spec.count >= 1;
+}
+
+bool SameSpec(const FaultSpec& a, const FaultSpec& b) {
+  return a.kind == b.kind && a.device_class == b.device_class &&
+         a.device_index == b.device_index && a.epoch == b.epoch &&
+         a.at_fraction == b.at_fraction && a.slowdown == b.slowdown &&
+         a.duration == b.duration && a.count == b.count;
+}
+
+// Seeded mutants of the header's example clauses: each one is refused,
+// or parses to specs inside the documented ranges whose ToString parses
+// back to the same specs and prints the same text again.
+void TestPlanParseMutants() {
+  const std::vector<std::string> examples = {
+      "crash:gpu0@e3+0.5", "crash:cpu2@e2",
+      "slow:gpu1@e2+0.25x8for0.5", "slow:cpu0@e1x16",
+      "link:gpu0@e2+0.1n4", "ckpt@e2n3",
+      "poison@r3n2", "walio@r2n4",
+      "storm@r4x8for2", "slowshard:1@r5x16for3"};
+  auto pick = [](Rng* rng, size_t n) {
+    return static_cast<size_t>(rng->UniformInt(static_cast<int64_t>(n)));
+  };
+  // Single characters of the grammar, and tokens that strtol/strtod
+  // would read as numbers.
+  const std::string chars = "0123456789.+-exnfor@:; ";
+  const std::vector<std::string> tokens = {
+      "nan", "inf", "0x1", "4294967296", "2147483648", "1e400", "1e-400",
+      "1.0000001", "0.9999999", " ", "-", "+", "e+", "9e9"};
+  Rng rng(26);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string text = examples[pick(&rng, examples.size())];
+    const int edits = 1 + static_cast<int>(rng.UniformInt(3));
+    for (int e = 0; e < edits; ++e) {
+      const size_t pos = pick(&rng, text.size() + 1);
+      const char c = chars[pick(&rng, chars.size())];
+      switch (rng.UniformInt(4)) {
+        case 0:
+          if (pos < text.size()) text[pos] = c;
+          break;
+        case 1:
+          text.insert(pos, 1, c);
+          break;
+        case 2:
+          if (pos < text.size()) text.erase(pos, 1);
+          break;
+        default:
+          text.insert(pos, tokens[pick(&rng, tokens.size())]);
+          break;
+      }
+    }
+    auto plan = FaultPlan::Parse(text);
+    if (!plan.ok()) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    bool ok = true;
+    for (const FaultSpec& spec : plan->specs) ok = ok && SpecInRange(spec);
+    const std::string once = plan->ToString();
+    auto again = FaultPlan::Parse(once);
+    ok = ok && again.ok() && again->ToString() == once &&
+         again->specs.size() == plan->specs.size();
+    for (size_t s = 0; ok && s < plan->specs.size(); ++s) {
+      ok = SameSpec(plan->specs[s], again->specs[s]);
+    }
+    EXPECT_TRUE(ok);
+    if (!ok) {
+      std::fprintf(stderr, "  (mutant \"%s\" printed as \"%s\")\n",
+                   text.c_str(), once.c_str());
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_LT(1000, accepted);
+  EXPECT_LT(1000, refused);
 }
 
 // The heart of the double-apply-safety story: attaching the fault
@@ -327,6 +447,29 @@ void TestRepeatedExpiryDropsBlock() {
               run.fault.leases_revoked);
   }
   ExpectRunsBitIdentical(runs[0], runs[1]);
+}
+
+// GPU-Only has one block. When its lease expires twice the epoch still
+// succeeds but sweeps no rating, so it reports no training loss (NaN)
+// and its test RMSE is the previous epoch's, the factors unchanged.
+void TestEpochWithoutSweepHasNoTrainLoss() {
+  Dataset ds = SmallDataset();
+  TrainConfig cfg = SmallConfig(Algorithm::kGpuOnly);
+  cfg.hardware.num_gpus = 1;
+  auto session = Session::Create(ds, cfg);
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return;
+  auto plan = FaultPlan::Parse("link:gpu0@e1n8");
+  EXPECT_TRUE(plan.ok());
+  EXPECT_TRUE((*session)->SetFaultPlan(*plan).ok());
+  auto first = (*session)->RunEpoch();
+  auto dropped = (*session)->RunEpoch();
+  EXPECT_TRUE(first.ok() && dropped.ok());
+  if (!first.ok() || !dropped.ok()) return;
+  EXPECT_TRUE(std::isfinite(first->train_rmse));
+  EXPECT_EQ((*session)->fault_stats().blocks_lost, 1);
+  EXPECT_TRUE(std::isnan(dropped->train_rmse));
+  EXPECT_EQ(dropped->test_rmse, first->test_rmse);
 }
 
 // Losing every worker fails the session permanently. The blocks
@@ -592,6 +735,7 @@ void TestPlanValidation() {
 
 void RunAllTests() {
   TestPlanParsing();
+  TestPlanParseMutants();
   TestZeroFaultBitIdentity();
   TestGpuCrashRecovery();
   TestCpuCrashRecovery();
@@ -599,6 +743,7 @@ void RunAllTests() {
   TestWedgedWorkerIsRetired();
   TestLinkFaults();
   TestRepeatedExpiryDropsBlock();
+  TestEpochWithoutSweepHasNoTrainLoss();
   TestAllWorkersDead();
   TestCheckpointFaultRetry();
   TestServePlanParsing();

@@ -1,8 +1,9 @@
 // Session API tests: stepwise epochs must be bit-identical to a one-shot
 // run, checkpoint/restore must reproduce an uninterrupted run exactly,
 // each epoch RunEpoch returns must already be in the session's state,
-// train RMSE must cover exactly the training split, and BatchTopK over
-// the trained factors must agree with a brute-force scorer.
+// the sweep's train RMSE must cover exactly the ratings it swept, and
+// BatchTopK over the trained factors must agree with a brute-force
+// scorer.
 
 #include <cmath>
 #include <cstdio>
@@ -269,54 +270,117 @@ void TestCheckpointCorruptionRejected() {
 }
 
 // Checks an epoch's train_rmse against the ratings-list Rmse over the
-// session's whole training split. The session evaluates its blocked
-// matrix instead, so only the summation order may differ; a dropped or
-// doubled block moves the value by far more than the tolerance.
+// session's whole training split. Only valid at learning rate 0, where
+// the sweep never moves the factors, so its pre-update errors are the
+// errors of the session's current model and only the summation order
+// differs; a dropped or doubled block moves the value by far more than
+// the tolerance.
 void ExpectTrainRmseCoversTrainingSet(const Session& session,
                                       const TracePoint& point) {
   const double reference =
       Rmse(session.model(), session.dataset().train, nullptr,
            &GetKernelOps(session.kernel()));
+  EXPECT_TRUE(reference > 0.0);
   EXPECT_NEAR(point.train_rmse, reference, 1e-12 * reference);
 }
 
-// Every algorithm's train_rmse covers exactly the training split, at
-// eval_threads 1 and 7. The data has SmallDataset's shape but more
-// ratings than one RMSE partial sum holds, so GPU-Only's single block is
-// evaluated in several chunks.
+Dataset FrozenDataset() {
+  Dataset ds = SmallDataset();
+  ds.params.learning_rate = 0.0f;
+  return ds;
+}
+
+// Every algorithm's full epoch sweeps exactly the training split, at
+// eval_threads 1 and 7, and its train_rmse has the same bits at both.
 void TestTrainRmseCoversTrainingSet() {
-  SyntheticSpec spec;
-  spec.num_rows = 600;
-  spec.num_cols = 500;
-  spec.train_nnz = 100000;
-  spec.test_nnz = 4000;
-  spec.params.k = 16;
-  spec.params.learning_rate = 0.01f;
-  spec.noise_stddev = 0.3;
-  auto ds = GenerateSynthetic(spec, 5);
-  EXPECT_TRUE(ds.ok());
-  if (!ds.ok()) return;
+  const Dataset ds = FrozenDataset();
   for (Algorithm algorithm :
        {Algorithm::kCpuOnly, Algorithm::kGpuOnly, Algorithm::kHsgd,
         Algorithm::kHsgdStar}) {
+    std::vector<std::vector<double>> losses;
     for (int eval_threads : {1, 7}) {
       TrainConfig cfg = SmallConfig(algorithm);
       cfg.max_epochs = 3;
       cfg.eval_threads = eval_threads;
-      auto session = Session::Create(*ds, cfg);
+      auto session = Session::Create(ds, cfg);
       EXPECT_TRUE(session.ok());
       if (!session.ok()) continue;
-      int checked = 0;
+      const std::vector<float> init_p = (*session)->model().DenseP();
+      losses.emplace_back();
       while (!(*session)->Done()) {
         auto point = (*session)->RunEpoch();
         EXPECT_TRUE(point.ok());
         if (!point.ok()) break;
         ExpectTrainRmseCoversTrainingSet(**session, *point);
-        ++checked;
+        losses.back().push_back(point->train_rmse);
       }
-      EXPECT_EQ(checked, cfg.max_epochs);
+      EXPECT_EQ(losses.back().size(), static_cast<size_t>(cfg.max_epochs));
+      // The reference's premise: rate 0 leaves the factors as created.
+      EXPECT_TRUE((*session)->model().DenseP() == init_p);
     }
+    EXPECT_EQ(losses.size(), 2u);
+    if (losses.size() == 2) EXPECT_TRUE(losses[0] == losses[1]);
   }
+}
+
+// GPU-Only has a single block, so an incremental epoch's dirty block is
+// the whole grown training set: after a warm append and after a cold one
+// that grows the model, train_rmse covers every rating.
+void TestIncrementalTrainRmseCoversGrownSet() {
+  const Dataset ds = FrozenDataset();
+  const int32_t rows = ds.num_rows;
+  const int32_t cols = ds.num_cols;
+  for (int eval_threads : {1, 7}) {
+    TrainConfig cfg = SmallConfig(Algorithm::kGpuOnly);
+    cfg.eval_threads = eval_threads;
+    auto session = Session::Create(ds, cfg);
+    EXPECT_TRUE(session.ok());
+    if (!session.ok()) continue;
+    Session* s = session->get();
+    auto check_epoch = [s](const StatusOr<TracePoint>& point) {
+      EXPECT_TRUE(point.ok());
+      if (point.ok()) ExpectTrainRmseCoversTrainingSet(*s, *point);
+    };
+    check_epoch(s->RunEpoch());
+    EXPECT_TRUE(
+        s->AppendRatings({{0, 0, 4.0f}, {rows - 1, cols - 1, 2.5f}}).ok());
+    EXPECT_EQ(s->pending_dirty_blocks(), 1);
+    check_epoch(s->RunIncrementalEpoch());
+    EXPECT_TRUE(
+        s->AppendRatings({{rows + 4, 2, 5.0f}, {3, cols + 1, 1.5f}}).ok());
+    EXPECT_EQ(s->model().num_rows(), rows + 5);
+    EXPECT_EQ(s->pending_dirty_blocks(), 1);
+    check_epoch(s->RunIncrementalEpoch());
+    EXPECT_EQ(s->dataset().train_size(), ds.train_size() + 4);
+  }
+}
+
+// Without a test split, test_rmse falls back to train_rmse, the sweep
+// loss, on full and incremental epochs alike.
+void TestEmptyTestSplitReportsSweepLoss() {
+  const Dataset base = SmallDataset();
+  auto ds = MakeDataset(base.train, {}, base.num_rows, base.num_cols,
+                        base.params);
+  EXPECT_TRUE(ds.ok());
+  if (!ds.ok()) return;
+  auto session = Session::Create(*ds, SmallConfig(Algorithm::kHsgdStar));
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return;
+  Session* s = session->get();
+  int checked = 0;
+  auto check_epoch = [&](const StatusOr<TracePoint>& point) {
+    EXPECT_TRUE(point.ok());
+    if (!point.ok()) return;
+    EXPECT_TRUE(std::isfinite(point->train_rmse));
+    EXPECT_EQ(point->test_rmse, point->train_rmse);
+    ++checked;
+  };
+  check_epoch(s->RunEpoch());
+  check_epoch(s->RunEpoch());
+  EXPECT_TRUE(s->AppendRatings({{0, 0, 4.0f}, {10, 20, 3.0f}}).ok());
+  check_epoch(s->RunIncrementalEpoch());
+  check_epoch(s->RunEpoch());
+  EXPECT_EQ(checked, s->epochs_run());
 }
 
 // The TracePoint RunEpoch returns is already the session's latest state,
@@ -459,7 +523,7 @@ void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
   auto check_epoch = [&](const StatusOr<TracePoint>& point) {
     EXPECT_TRUE(point.ok());
     if (!point.ok()) return;
-    ExpectTrainRmseCoversTrainingSet(*s, *point);
+    EXPECT_TRUE(std::isfinite(point->train_rmse) && point->train_rmse > 0.0);
     ++checked;
   };
   check_epoch(s->RunEpoch());
@@ -779,6 +843,8 @@ void RunAllTests() {
   TestCheckpointCorruptionRejected();
   TestRunEpochLoop();
   TestTrainRmseCoversTrainingSet();
+  TestIncrementalTrainRmseCoversGrownSet();
+  TestEmptyTestSplitReportsSweepLoss();
   TestCreateValidation();
   TestBatchTopKOverTrainedFactors();
   TestAppendAndIncrementalEpoch();

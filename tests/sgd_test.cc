@@ -101,7 +101,8 @@ bool SameFactors(const Model& a, const Model& b) {
 }
 
 // SgdUpdateBlocks against a plain in-order SgdUpdateBlock loop: the
-// factors must match bit for bit for every order and pool size.
+// factors and the returned squared error (the in-order sum of the loop's
+// returns) must match bit for bit for every order and pool size.
 void TestParallelBlocksMatchSerialOrder() {
   Dataset ds = TinyDataset();
   auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols, 6, 5);
@@ -141,84 +142,24 @@ void TestParallelBlocksMatchSerialOrder() {
   const SgdHyper hyper{0.01f, 0.05f, 0.05f};
   for (const std::vector<int>& order : orders) {
     Model reference = InitModel(ds);
+    double reference_sq_err = 0.0;
     for (int b : order) {
-      SgdUpdateBlock(&reference, matrix->BlockRatings(b), hyper);
+      reference_sq_err +=
+          SgdUpdateBlock(&reference, matrix->BlockRatings(b), hyper);
     }
     // Only the empty list leaves the factors as initialized.
     EXPECT_EQ(SameFactors(reference, InitModel(ds)), order.empty());
+    EXPECT_EQ(reference_sq_err > 0.0, !order.empty());
     for (int threads : {0, 1, 3, 7}) {
       std::unique_ptr<ThreadPool> pool;
       if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
       Model model = InitModel(ds);
-      SgdUpdateBlocks(&model, *matrix, order, hyper, nullptr, pool.get());
+      const double sq_err = SgdUpdateBlocks(&model, *matrix, order, hyper,
+                                            nullptr, pool.get());
       EXPECT_TRUE(SameFactors(reference, model));
+      EXPECT_EQ(std::memcmp(&sq_err, &reference_sq_err, sizeof(double)), 0);
     }
   }
-}
-
-// Rmse over every block of `matrix` must have the same bits at every pool
-// size and match the ratings-list Rmse over `ratings` (the matrix's
-// ratings in another order) up to summation order.
-void ExpectBlockedRmseMatches(const Model& model, const BlockedMatrix& matrix,
-                              const Ratings& ratings) {
-  EXPECT_EQ(matrix.total_nnz(), static_cast<int64_t>(ratings.size()));
-  const double serial = Rmse(model, matrix, nullptr);
-  for (int threads : {1, 3, 7}) {
-    ThreadPool pool(static_cast<size_t>(threads));
-    const double pooled = Rmse(model, matrix, &pool);
-    EXPECT_EQ(std::memcmp(&pooled, &serial, sizeof(double)), 0);
-  }
-  const double reference = Rmse(model, ratings, nullptr);
-  EXPECT_TRUE(reference > 0.0);
-  EXPECT_NEAR(serial, reference, 1e-12 * reference);
-}
-
-void TestBlockedRmseMatchesRatingsList() {
-  Dataset ds = TinyDataset();
-  auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols, 6, 5);
-  EXPECT_TRUE(grid.ok());
-  if (!grid.ok()) return;
-  Rng bucket_rng(2);
-  auto matrix = BlockedMatrix::Build(ds.train, *grid, &bucket_rng);
-  EXPECT_TRUE(matrix.ok());
-  if (!matrix.ok()) return;
-  Model model = InitModel(ds);
-  ExpectBlockedRmseMatches(model, *matrix, ds.train);
-
-  // Warm and cold appends land on block tails; the model grows to match.
-  const int32_t rows = ds.num_rows + 3;
-  const int32_t cols = ds.num_cols + 2;
-  const Ratings appended = {{0, 0, 4.0f},
-                            {ds.num_rows + 2, 3, 2.0f},
-                            {7, ds.num_cols + 1, 5.0f},
-                            {ds.num_rows, ds.num_cols, 1.0f}};
-  EXPECT_TRUE(matrix->AppendGrown(appended, rows, cols, nullptr).ok());
-  Rng growth_rng(4);
-  model.Grow(rows, cols, &growth_rng, 3.0);
-  Ratings grown = ds.train;
-  grown.insert(grown.end(), appended.begin(), appended.end());
-  ExpectBlockedRmseMatches(model, *matrix, grown);
-
-  // A 1x1 grid over more ratings than one partial holds: the single block
-  // splits into several chunks.
-  SyntheticSpec spec;
-  spec.num_rows = 1000;
-  spec.num_cols = 800;
-  spec.train_nnz = 150000;
-  spec.test_nnz = 10;
-  spec.params.k = 16;
-  auto big = GenerateSynthetic(spec, 6);
-  EXPECT_TRUE(big.ok());
-  if (!big.ok()) return;
-  auto whole = BuildBalancedGrid(big->train, big->num_rows, big->num_cols,
-                                 1, 1);
-  EXPECT_TRUE(whole.ok());
-  if (!whole.ok()) return;
-  auto one_block = BlockedMatrix::Build(big->train, *whole, &bucket_rng);
-  EXPECT_TRUE(one_block.ok());
-  if (!one_block.ok()) return;
-  EXPECT_EQ(one_block->num_blocks(), 1);
-  ExpectBlockedRmseMatches(InitModel(*big), *one_block, big->train);
 }
 
 void TestModelInitDeterministic() {
@@ -262,7 +203,6 @@ void RunAllTests() {
   TestSgdConverges();
   TestSgdReturnsSquaredError();
   TestParallelBlocksMatchSerialOrder();
-  TestBlockedRmseMatchesRatingsList();
   TestModelInitDeterministic();
   TestShuffleAndStats();
 }

@@ -5,6 +5,8 @@
 // training.
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "core/hsgd.h"
 #include "test_main.h"
@@ -150,6 +152,60 @@ void TestInvalidConfigs() {
   empty.num_rows = 10;
   empty.num_cols = 10;
   EXPECT_FALSE(Train(empty, SmallConfig(Algorithm::kHsgd)).ok());
+
+  // A config the checkpoint reader would refuse is refused at Create,
+  // NaN included.
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  auto rejected = [&](auto mutate) {
+    TrainConfig bad = SmallConfig(Algorithm::kHsgdStar);
+    mutate(&bad);
+    return !Session::Create(ds, bad).ok();
+  };
+  EXPECT_TRUE(rejected(
+      [&](TrainConfig* c) { c->hardware.speed_variability = nan; }));
+  EXPECT_TRUE(rejected(
+      [](TrainConfig* c) { c->hardware.speed_variability = -0.1; }));
+  EXPECT_TRUE(
+      rejected([&](TrainConfig* c) { c->hardware.cpu.speed_factor = inf; }));
+  EXPECT_TRUE(rejected(
+      [](TrainConfig* c) { c->hardware.gpu.pcie_latency = -1e-6; }));
+  EXPECT_TRUE(rejected(
+      [](TrainConfig* c) { c->hardware.gpu.parallel_workers = 0; }));
+  EXPECT_TRUE(rejected([](TrainConfig* c) { c->hardware.num_gpus = 4097; }));
+  EXPECT_TRUE(
+      rejected([](TrainConfig* c) { c->max_epochs = (1 << 24) + 1; }));
+  EXPECT_TRUE(
+      rejected([](TrainConfig* c) { c->eval_threads = (1 << 20) + 1; }));
+  EXPECT_TRUE(
+      rejected([](TrainConfig* c) { c->fault.autosave_every = -1; }));
+
+  // SGD hyper-parameters must be finite and >= 0.
+  for (float bad_value : {std::nanf(""), -0.01f, HUGE_VALF}) {
+    for (float SgdParams::*field :
+         {&SgdParams::learning_rate, &SgdParams::lambda_p,
+          &SgdParams::lambda_q}) {
+      Dataset bad = ds;
+      bad.params.*field = bad_value;
+      EXPECT_FALSE(Session::Create(bad, SmallConfig(Algorithm::kHsgd)).ok());
+    }
+  }
+
+  // The edges Create accepts, a frozen rate and no speed variability,
+  // train, save and restore.
+  const std::string path = "trainer_test_edges.bin";
+  Dataset frozen = ds;
+  frozen.params.learning_rate = 0.0f;
+  TrainConfig edges = SmallConfig(Algorithm::kHsgdStar);
+  edges.hardware.speed_variability = 0.0;
+  auto session = Session::Create(frozen, edges);
+  EXPECT_TRUE(session.ok());
+  if (session.ok()) {
+    EXPECT_TRUE((*session)->RunEpoch().ok());
+    EXPECT_TRUE((*session)->SaveCheckpoint(path).ok());
+    EXPECT_TRUE(Session::Restore(path, frozen).ok());
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
