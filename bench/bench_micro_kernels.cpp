@@ -234,11 +234,19 @@ void BM_FullEpochHsgdStar(benchmark::State& state) {
   cfg.algorithm = Algorithm::kHsgdStar;
   cfg.max_epochs = 1;
   cfg.use_dataset_target = false;
+  std::unique_ptr<Session> session;
   for (auto _ : state) {
-    auto session = Session::Create(ds, cfg);
-    HSGD_CHECK_OK(session.status());
-    HSGD_CHECK_OK((*session)->RunToCompletion());
-    benchmark::DoNotOptimize(*session);
+    // Creating a session (and destroying the last one) takes longer than
+    // the epoch at this shape, so only the epoch is timed.
+    state.PauseTiming();
+    session.reset();
+    auto created = Session::Create(ds, cfg);
+    HSGD_CHECK_OK(created.status());
+    session = *std::move(created);
+    state.ResumeTiming();
+    auto point = session->RunEpoch();
+    HSGD_CHECK_OK(point.status());
+    benchmark::DoNotOptimize(*point);
   }
   state.SetItemsProcessed(state.iterations() * ds.train_size());
 }

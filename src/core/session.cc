@@ -199,6 +199,15 @@ Status Session::Init() {
   const int64_t n = dataset_.train_size();
   is_star_ = algo == Algorithm::kHsgdStar;
 
+  // The mean is finite exactly when every rating is, so the one stats
+  // pass both seeds the model and refuses a NaN or infinite rating
+  // before a grid or matrix is built from it.
+  const RatingStats train_stats = ComputeStats(dataset_.train);
+  if (!std::isfinite(train_stats.mean_rating)) {
+    return Status::InvalidArgument(
+        "training split holds a non-finite rating");
+  }
+
   // Resolve the compute kernel up front and pin the concrete choice into
   // the config: everything downstream (cost model, checkpoints) must see
   // the variant actually running, not "auto".
@@ -374,7 +383,6 @@ Status Session::Init() {
   }
 
   // ---- Real model and evaluation ----------------------------------------
-  RatingStats train_stats = ComputeStats(dataset_.train);
   model_ = std::make_unique<Model>(rows, cols, k);
   Rng model_rng(config_.seed, 1);
   model_->InitRandom(&model_rng, train_stats.mean_rating);
@@ -1051,6 +1059,10 @@ Status Session::AppendRatings(const Ratings& ratings) {
       return Status::InvalidArgument(
           StrFormat("appended rating has an id outside [0, %d): (%d, %d)",
                     kMaxId, rt.u, rt.v));
+    }
+    if (!std::isfinite(rt.r)) {
+      return Status::InvalidArgument(StrFormat(
+          "appended rating (%d, %d) is not finite: %g", rt.u, rt.v, rt.r));
     }
     new_rows = std::max(new_rows, rt.u + 1);
     new_cols = std::max(new_cols, rt.v + 1);

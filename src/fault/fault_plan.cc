@@ -218,21 +218,6 @@ void AppendSlowdown(std::string* out, double slowdown, double duration) {
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kGpuCrash: return "gpu-crash";
-    case FaultKind::kCpuCrash: return "cpu-crash";
-    case FaultKind::kStraggler: return "straggler";
-    case FaultKind::kLinkFault: return "link-fault";
-    case FaultKind::kCheckpointFault: return "checkpoint-fault";
-    case FaultKind::kPublishPoison: return "publish-poison";
-    case FaultKind::kWalIo: return "wal-io";
-    case FaultKind::kQueryStorm: return "query-storm";
-    case FaultKind::kSlowShard: return "slow-shard";
-  }
-  return "unknown";
-}
-
 bool IsServeFault(FaultKind kind) {
   switch (kind) {
     case FaultKind::kPublishPoison:

@@ -55,8 +55,6 @@ enum class FaultKind {
   kSlowShard = 8,      // one serve shard stalls for a round window
 };
 
-const char* FaultKindName(FaultKind kind);
-
 /// True for the kinds fired by the serve-loop injector
 /// (fault/serve_injector.h) rather than the training session.
 bool IsServeFault(FaultKind kind);

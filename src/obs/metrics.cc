@@ -1,62 +1,28 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
 
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace hsgd::obs {
 
-namespace internal {
-
-int ThreadShard() {
-  static std::atomic<int> next{0};
-  thread_local const int shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return shard;
-}
-
-}  // namespace internal
-
-int64_t Counter::Value() const {
-  int64_t total = 0;
-  for (const Cell& cell : cells_) {
-    total += cell.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
+    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {
   HSGD_CHECK(!bounds_.empty()) << "histogram needs at least one bound";
   for (size_t i = 1; i < bounds_.size(); ++i) {
     HSGD_CHECK(bounds_[i - 1] < bounds_[i])
         << "histogram bounds must be strictly increasing";
   }
-  cells_.reserve(internal::kShards);
-  for (int s = 0; s < internal::kShards; ++s) {
-    cells_.push_back(std::make_unique<Cell>(bounds_.size() + 1));
-  }
 }
 
 void Histogram::Observe(double v) {
-  Cell& cell = *cells_[internal::ThreadShard()];
   const size_t bucket =
       std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin();
-  cell.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  // CAS loop in lieu of C++20 atomic<double>::fetch_add.
-  uint64_t prev = cell.sum_bits.load(std::memory_order_relaxed);
-  double sum;
-  uint64_t want;
-  do {
-    std::memcpy(&sum, &prev, sizeof(sum));
-    sum += v;
-    std::memcpy(&want, &sum, sizeof(want));
-  } while (!cell.sum_bits.compare_exchange_weak(
-      prev, want, std::memory_order_relaxed));
+  std::lock_guard<std::mutex> lock(mu_);
+  ++buckets_[bucket];
+  ++count_;
+  sum_ += v;
 }
 
 double HistogramSnapshot::Percentile(double q) const {
@@ -219,22 +185,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs;
-    hs.bounds = h->bounds_;
-    hs.buckets.assign(h->bounds_.size() + 1, 0);
-    double sum = 0.0;
-    for (const auto& cell : h->cells_) {
-      for (size_t b = 0; b < hs.buckets.size(); ++b) {
-        hs.buckets[b] += cell->counts[b].load(std::memory_order_relaxed);
-      }
-      hs.count += cell->count.load(std::memory_order_relaxed);
-      const uint64_t bits = cell->sum_bits.load(std::memory_order_relaxed);
-      double cell_sum;
-      std::memcpy(&cell_sum, &bits, sizeof(cell_sum));
-      sum += cell_sum;
-    }
-    hs.sum = sum;
-    snap.histograms.emplace_back(name, std::move(hs));
+    std::lock_guard<std::mutex> hold(h->mu_);
+    snap.histograms.emplace_back(
+        name, HistogramSnapshot{h->bounds_, h->buckets_, h->count_, h->sum_});
   }
   return snap;
 }

@@ -1,13 +1,12 @@
 // Thread-safe metrics registry: named counters, gauges and fixed-bucket
 // histograms, exported as JSON or a Prometheus-style text dump.
 //
-// Write-side design: counters and histograms write to per-thread sharded
-// cache-line-sized cells (a thread picks its cell once, round-robin, and
-// keeps it for life), so concurrent increments from the eval pool or a
-// future serving layer never contend on one line. Reads aggregate the
-// cells on Snapshot — slightly stale under concurrent writers, but every
-// increment is an atomic add, so nothing is ever lost: quiesce, then
-// Snapshot, and the totals are exact.
+// Write side: a counter is one relaxed atomic add, a gauge one relaxed
+// store, and a histogram observation takes the histogram's own mutex for
+// a bucket, count and sum update. Nothing is lost or torn: quiesce, then
+// Snapshot, and every total is exact; a Snapshot taken under concurrent
+// writers is slightly stale, but each histogram in it is internally
+// consistent (its buckets add up to its count).
 //
 // The registry hands out stable pointers: register once (cheap mutex +
 // map lookup), then bump through the pointer on the hot path with no
@@ -30,29 +29,18 @@
 
 namespace hsgd::obs {
 
-namespace internal {
-/// This thread's shard slot, assigned round-robin on first use.
-int ThreadShard();
-inline constexpr int kShards = 16;
-}  // namespace internal
-
-/// Monotonic counter. Add is one relaxed atomic add on a thread-private
-/// cache line.
+/// Monotonic counter: one relaxed atomic add per update.
 class Counter {
  public:
   void Add(int64_t delta) {
-    cells_[internal::ThreadShard()].v.fetch_add(
-        delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
-  /// Sum over all shards. Exact once writers quiesce.
-  int64_t Value() const;
+  /// Exact once writers quiesce.
+  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<int64_t> v{0};
-  };
-  Cell cells_[internal::kShards];
+  std::atomic<int64_t> value_{0};
 };
 
 /// Last-write-wins instantaneous value.
@@ -66,8 +54,8 @@ class Gauge {
 };
 
 /// Fixed-bucket histogram: `bounds` are inclusive upper edges of the
-/// first N buckets, plus an implicit +inf overflow bucket. Bucket counts
-/// are sharded like Counter cells; sum/count ride along for the mean.
+/// first N buckets, plus an implicit +inf overflow bucket. Bucket counts,
+/// count and sum live under one mutex.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -78,15 +66,11 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  std::vector<double> bounds_;
-  struct alignas(64) Cell {
-    explicit Cell(size_t buckets) : counts(buckets) {}
-    std::vector<std::atomic<int64_t>> counts;
-    std::atomic<int64_t> count{0};
-    /// Stored as bits of a double (atomic<double>::fetch_add is C++20).
-    std::atomic<uint64_t> sum_bits{0};
-  };
-  std::vector<std::unique_ptr<Cell>> cells_;
+  const std::vector<double> bounds_;
+  std::mutex mu_;
+  std::vector<int64_t> buckets_;  // bounds_.size() + 1 entries
+  int64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 struct HistogramSnapshot {

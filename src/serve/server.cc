@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -24,6 +25,31 @@ constexpr double kBreakerOpenS = 0.02;
 /// Probe requests admitted half-open; all must hit the deadline to close
 /// the breaker, one miss re-opens it.
 constexpr int kBreakerProbes = 4;
+
+/// One row per RecServer::Count, in enum order: the ServeCounters field
+/// the count reads back as and the registry counter it is mirrored to.
+struct CountRow {
+  int64_t ServeCounters::*field;
+  const char* metric;
+};
+constexpr CountRow kCountTable[] = {
+    {&ServeCounters::requests, "serve.requests"},
+    {&ServeCounters::ok, "serve.ok"},
+    {&ServeCounters::shed_deadline, "serve.shed"},
+    {&ServeCounters::rejected, "serve.rejected"},
+    {&ServeCounters::deadline_miss, "serve.deadline_miss"},
+    {&ServeCounters::cold_users, "serve.cold_users"},
+    {&ServeCounters::invalid, "serve.invalid"},
+    {&ServeCounters::batches, "serve.batches"},
+    {&ServeCounters::publishes, "serve.snapshot_publishes"},
+    {&ServeCounters::publish_rejected, "serve.publish_rejected"},
+    {&ServeCounters::breaker_rejected, "serve.breaker.rejected"},
+    {&ServeCounters::predictive_rejected,
+     "serve.breaker.predictive_rejected"},
+    {&ServeCounters::breaker_opens, "serve.breaker.opens"},
+    {&ServeCounters::breaker_half_opens, "serve.breaker.half_opens"},
+    {&ServeCounters::breaker_closes, "serve.breaker.closes"},
+};
 
 }  // namespace
 
@@ -50,32 +76,12 @@ StatusOr<std::unique_ptr<RecServer>> RecServer::Create(
   auto server = std::unique_ptr<RecServer>(new RecServer(config));
   server->config_.kernel = *resolved;
   server->ops_ = &GetKernelOps(*resolved);
-  if (initial != nullptr) {
-    // A corrupt initial snapshot fails construction outright — there is
-    // no last-known-good to fall back to yet.
-    HSGD_RETURN_IF_ERROR(server->Publish(std::move(initial)));
-  }
-
   if (metrics != nullptr) {
-    server->m_requests_ = metrics->counter("serve.requests");
-    server->m_ok_ = metrics->counter("serve.ok");
-    server->m_shed_ = metrics->counter("serve.shed");
-    server->m_rejected_ = metrics->counter("serve.rejected");
-    server->m_deadline_miss_ = metrics->counter("serve.deadline_miss");
-    server->m_cold_ = metrics->counter("serve.cold_users");
-    server->m_invalid_ = metrics->counter("serve.invalid");
-    server->m_batches_ = metrics->counter("serve.batches");
-    server->m_publishes_ = metrics->counter("serve.snapshot_publishes");
-    server->m_publish_rejected_ =
-        metrics->counter("serve.publish_rejected");
-    server->m_breaker_rejected_ =
-        metrics->counter("serve.breaker.rejected");
-    server->m_predictive_rejected_ =
-        metrics->counter("serve.breaker.predictive_rejected");
-    server->m_breaker_opens_ = metrics->counter("serve.breaker.opens");
-    server->m_breaker_half_opens_ =
-        metrics->counter("serve.breaker.half_opens");
-    server->m_breaker_closes_ = metrics->counter("serve.breaker.closes");
+    static_assert(std::size(kCountTable) == kNumCounts,
+                  "one count table row per RecServer::Count");
+    for (int c = 0; c < kNumCounts; ++c) {
+      server->metric_counts_[c] = metrics->counter(kCountTable[c].metric);
+    }
     server->m_open_shards_ = metrics->gauge("serve.breaker.open_shards");
     server->m_snapshot_version_ = metrics->gauge("serve.snapshot_version");
     // 10us .. ~84s exponential edges: covers sub-ms in-process serving
@@ -84,6 +90,11 @@ StatusOr<std::unique_ptr<RecServer>> RecServer::Create(
         "serve.latency_seconds", obs::ExponentialBounds(1e-5, 2.0, 24));
     server->m_batch_size_ = metrics->histogram(
         "serve.batch_size", obs::ExponentialBounds(1.0, 2.0, 12));
+  }
+  if (initial != nullptr) {
+    // A corrupt initial snapshot fails construction outright — there is
+    // no last-known-good to fall back to yet.
+    HSGD_RETURN_IF_ERROR(server->Publish(std::move(initial)));
   }
   server->tracer_ = trace;
   if (trace != nullptr) {
@@ -112,20 +123,17 @@ Status RecServer::Publish(SnapshotPtr snapshot) {
   Status published = holder_.PublishValidated(std::move(snapshot));
   if (!published.ok()) {
     // Rejection leaves the last-known-good snapshot serving untouched.
-    counts_.publish_rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::Increment(m_publish_rejected_);
+    Bump(kPublishRejected);
     return published;
   }
-  counts_.publishes.fetch_add(1, std::memory_order_relaxed);
-  obs::Increment(m_publishes_);
+  Bump(kPublishes);
   obs::Set(m_snapshot_version_, static_cast<double>(version));
   return Status::Ok();
 }
 
 std::future<StatusOr<TopKResponse>> RecServer::Submit(
     const TopKRequest& request) {
-  counts_.requests.fetch_add(1, std::memory_order_relaxed);
-  obs::Increment(m_requests_);
+  Bump(kRequests);
   std::promise<StatusOr<TopKResponse>> promise;
   std::future<StatusOr<TopKResponse>> future = promise.get_future();
 
@@ -139,8 +147,7 @@ std::future<StatusOr<TopKResponse>> RecServer::Submit(
     std::lock_guard<std::mutex> lock(shard.mu);
     if (stopping_.load(std::memory_order_acquire) ||
         draining_.load(std::memory_order_acquire)) {
-      counts_.rejected.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_rejected_);
+      Bump(kRejected);
       pending.promise.set_value(
           Status::Unavailable("server is shutting down"));
       return future;
@@ -154,8 +161,7 @@ std::future<StatusOr<TopKResponse>> RecServer::Submit(
     }
     if (config_.max_queue > 0 &&
         shard.queue.size() >= static_cast<size_t>(config_.max_queue)) {
-      counts_.rejected.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_rejected_);
+      Bump(kRejected);
       pending.promise.set_value(Status::Unavailable(
           StrFormat("shard queue full (%d queued)", config_.max_queue)));
       return future;
@@ -171,8 +177,7 @@ Status RecServer::AdmitUnderControl(Shard& shard, double now_s) {
   // fresh probe budget.
   if (shard.breaker == BreakerState::kOpen) {
     if (now_s < shard.open_until_s) {
-      counts_.breaker_rejected.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_breaker_rejected_);
+      Bump(kBreakerRejected);
       return Status::Unavailable(
           "circuit open: shard shedding after sustained deadline misses");
     }
@@ -180,16 +185,14 @@ Status RecServer::AdmitUnderControl(Shard& shard, double now_s) {
     shard.probes_admitted = 0;
     shard.probes_resolved = 0;
     shard.probe_missed = false;
-    counts_.breaker_half_opens.fetch_add(1, std::memory_order_relaxed);
-    obs::Increment(m_breaker_half_opens_);
+    Bump(kBreakerHalfOpens);
     NoteShardUnopened();
   }
   // Half-open: admit exactly the probe budget, reject the rest until the
   // probes resolve one way or the other.
   if (shard.breaker == BreakerState::kHalfOpen) {
     if (shard.probes_admitted >= kBreakerProbes) {
-      counts_.breaker_rejected.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_breaker_rejected_);
+      Bump(kBreakerRejected);
       return Status::Unavailable(
           "circuit half-open: probe budget exhausted");
     }
@@ -204,8 +207,7 @@ Status RecServer::AdmitUnderControl(Shard& shard, double now_s) {
         (static_cast<double>(shard.queue.size()) + 1.0) *
         shard.ewma_service_s;
     if (projected_s > config_.latency_budget_s) {
-      counts_.predictive_rejected.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_predictive_rejected_);
+      Bump(kPredictiveRejected);
       return Status::Unavailable(StrFormat(
           "projected wait %.2fms exceeds the %.2fms budget",
           projected_s * 1e3, config_.latency_budget_s * 1e3));
@@ -233,16 +235,14 @@ void RecServer::UpdateControlAfterBatch(Shard& shard, double now_s,
       // A probe missed its deadline: back to open for another cooldown.
       shard.breaker = BreakerState::kOpen;
       shard.open_until_s = now_s + kBreakerOpenS;
-      counts_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_breaker_opens_);
+      Bump(kBreakerOpens);
       NoteShardOpened();
     } else if (shard.probes_resolved >= kBreakerProbes) {
       // Every probe hit: the shard has recovered.
       shard.breaker = BreakerState::kClosed;
       shard.window_total = 0;
       shard.window_miss = 0;
-      counts_.breaker_closes.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_breaker_closes_);
+      Bump(kBreakerCloses);
     }
     return;
   }
@@ -254,8 +254,7 @@ void RecServer::UpdateControlAfterBatch(Shard& shard, double now_s,
           kBreakerMissRatio * static_cast<double>(shard.window_total)) {
         shard.breaker = BreakerState::kOpen;
         shard.open_until_s = now_s + kBreakerOpenS;
-        counts_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
-        obs::Increment(m_breaker_opens_);
+        Bump(kBreakerOpens);
         NoteShardOpened();
       }
       shard.window_total = 0;
@@ -342,10 +341,9 @@ void RecServer::ProcessBatch(int shard_index, std::vector<Pending>* batch) {
   for (size_t i = 0; i < batch->size(); ++i) {
     Pending& pending = (*batch)[i];
     if (snapshot == nullptr) {
+      Bump(kRejected);
       pending.promise.set_value(
           Status::Unavailable("no snapshot published yet"));
-      counts_.rejected.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_rejected_);
       continue;
     }
     if (config_.latency_budget_s > 0.0 &&
@@ -353,8 +351,7 @@ void RecServer::ProcessBatch(int shard_index, std::vector<Pending>* batch) {
       ++shed;
       ++win_total;
       ++win_miss;
-      counts_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_shed_);
+      Bump(kShed);
       pending.promise.set_value(Status::DeadlineExceeded(StrFormat(
           "request queued %.1fms, budget %.1fms",
           (batch_begin_s - pending.enqueue_s) * 1e3,
@@ -366,8 +363,7 @@ void RecServer::ProcessBatch(int shard_index, std::vector<Pending>* batch) {
       auto resolved = snapshot->DenseUser(pending.request.user);
       if (!resolved.ok()) {
         ++win_total;
-        counts_.cold_users.fetch_add(1, std::memory_order_relaxed);
-        obs::Increment(m_cold_);
+        Bump(kColdUsers);
         pending.promise.set_value(resolved.status());
         continue;
       }
@@ -376,8 +372,7 @@ void RecServer::ProcessBatch(int shard_index, std::vector<Pending>* batch) {
       if (pending.request.user < 0 ||
           pending.request.user > INT32_MAX) {
         ++win_total;
-        counts_.invalid.fetch_add(1, std::memory_order_relaxed);
-        obs::Increment(m_invalid_);
+        Bump(kInvalid);
         pending.promise.set_value(Status::InvalidArgument(StrFormat(
             "user id %lld is not a dense index",
             static_cast<long long>(pending.request.user))));
@@ -390,8 +385,7 @@ void RecServer::ProcessBatch(int shard_index, std::vector<Pending>* batch) {
   }
 
   if (!queries.empty()) {
-    counts_.batches.fetch_add(1, std::memory_order_relaxed);
-    obs::Increment(m_batches_);
+    Bump(kBatches);
     obs::Observe(m_batch_size_, static_cast<double>(queries.size()));
     // Thread-local so each shard worker keeps one resident buffer across
     // its lifetime of batches.
@@ -406,8 +400,7 @@ void RecServer::ProcessBatch(int shard_index, std::vector<Pending>* batch) {
       Pending& pending = (*batch)[live[qi]];
       ++win_total;
       if (!results[qi].ok()) {
-        counts_.invalid.fetch_add(1, std::memory_order_relaxed);
-        obs::Increment(m_invalid_);
+        Bump(kInvalid);
         pending.promise.set_value(results[qi].status());
         continue;
       }
@@ -421,14 +414,12 @@ void RecServer::ProcessBatch(int shard_index, std::vector<Pending>* batch) {
       }
       response.snapshot_version = snapshot->version();
       response.latency_s = done_s - pending.enqueue_s;
-      counts_.ok.fetch_add(1, std::memory_order_relaxed);
-      obs::Increment(m_ok_);
+      Bump(kOk);
       obs::Observe(m_latency_, response.latency_s);
       if (config_.latency_budget_s > 0.0 &&
           response.latency_s > config_.latency_budget_s) {
         ++win_miss;
-        counts_.deadline_miss.fetch_add(1, std::memory_order_relaxed);
-        obs::Increment(m_deadline_miss_);
+        Bump(kDeadlineMiss);
       }
       pending.promise.set_value(std::move(response));
     }
@@ -485,31 +476,17 @@ void RecServer::Shutdown() {
   joined_ = true;
 }
 
+void RecServer::Bump(Count count) {
+  counts_[count].fetch_add(1, std::memory_order_relaxed);
+  obs::Increment(metric_counts_[count]);
+}
+
 ServeCounters RecServer::counters() const {
   ServeCounters counters;
-  counters.requests = counts_.requests.load(std::memory_order_relaxed);
-  counters.ok = counts_.ok.load(std::memory_order_relaxed);
-  counters.shed_deadline =
-      counts_.shed_deadline.load(std::memory_order_relaxed);
-  counters.rejected = counts_.rejected.load(std::memory_order_relaxed);
-  counters.deadline_miss =
-      counts_.deadline_miss.load(std::memory_order_relaxed);
-  counters.cold_users = counts_.cold_users.load(std::memory_order_relaxed);
-  counters.invalid = counts_.invalid.load(std::memory_order_relaxed);
-  counters.batches = counts_.batches.load(std::memory_order_relaxed);
-  counters.publishes = counts_.publishes.load(std::memory_order_relaxed);
-  counters.publish_rejected =
-      counts_.publish_rejected.load(std::memory_order_relaxed);
-  counters.breaker_rejected =
-      counts_.breaker_rejected.load(std::memory_order_relaxed);
-  counters.predictive_rejected =
-      counts_.predictive_rejected.load(std::memory_order_relaxed);
-  counters.breaker_opens =
-      counts_.breaker_opens.load(std::memory_order_relaxed);
-  counters.breaker_half_opens =
-      counts_.breaker_half_opens.load(std::memory_order_relaxed);
-  counters.breaker_closes =
-      counts_.breaker_closes.load(std::memory_order_relaxed);
+  for (int c = 0; c < kNumCounts; ++c) {
+    counters.*kCountTable[c].field =
+        counts_[c].load(std::memory_order_relaxed);
+  }
   return counters;
 }
 

@@ -60,12 +60,15 @@
 // publish_rejected counter) — serving continues on the last-known-good
 // snapshot. See serve/snapshot.h.
 //
-// All counters/histograms/spans go through borrowed obs/ sinks (may be
-// null); a small always-on atomic counter block backs the bench and
-// tests without requiring a registry.
+// Each request count lives once in an always-on array of atomics that
+// counters() reads, so the bench and tests need no registry; when a
+// registry is attached, the same call that bumps a count bumps its
+// serve.* counter too. Gauges, histograms and spans go only to the
+// borrowed obs/ sinks (either may be null).
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -132,7 +135,8 @@ struct TopKResponse {
 };
 
 /// Always-on request accounting (plain reads of atomics; exact once the
-/// server is idle). The obs registry mirrors these under serve.*.
+/// server is idle). An attached registry holds the same values under
+/// serve.* (names in server.cc's count table).
 struct ServeCounters {
   int64_t requests = 0;
   int64_t ok = 0;
@@ -284,41 +288,34 @@ class RecServer {
   std::atomic<int> open_shards_{0};
   std::function<double(int)> stall_hook_;
 
-  struct {
-    std::atomic<int64_t> requests{0};
-    std::atomic<int64_t> ok{0};
-    std::atomic<int64_t> shed_deadline{0};
-    std::atomic<int64_t> rejected{0};
-    std::atomic<int64_t> deadline_miss{0};
-    std::atomic<int64_t> cold_users{0};
-    std::atomic<int64_t> invalid{0};
-    std::atomic<int64_t> batches{0};
-    std::atomic<int64_t> publishes{0};
-    std::atomic<int64_t> publish_rejected{0};
-    std::atomic<int64_t> breaker_rejected{0};
-    std::atomic<int64_t> predictive_rejected{0};
-    std::atomic<int64_t> breaker_opens{0};
-    std::atomic<int64_t> breaker_half_opens{0};
-    std::atomic<int64_t> breaker_closes{0};
-  } counts_;
+  /// The request counts, one per ServeCounters field, in the order of
+  /// server.cc's count table.
+  enum Count {
+    kRequests,
+    kOk,
+    kShed,
+    kRejected,
+    kDeadlineMiss,
+    kColdUsers,
+    kInvalid,
+    kBatches,
+    kPublishes,
+    kPublishRejected,
+    kBreakerRejected,
+    kPredictiveRejected,
+    kBreakerOpens,
+    kBreakerHalfOpens,
+    kBreakerCloses,
+    kNumCounts
+  };
+  /// Adds one to `count`, and to its registry counter when attached.
+  void Bump(Count count);
+
+  std::array<std::atomic<int64_t>, kNumCounts> counts_{};
 
   // Borrowed obs sinks + pre-resolved handles (null when detached).
   obs::Tracer* tracer_ = nullptr;
-  obs::Counter* m_requests_ = nullptr;
-  obs::Counter* m_ok_ = nullptr;
-  obs::Counter* m_shed_ = nullptr;
-  obs::Counter* m_rejected_ = nullptr;
-  obs::Counter* m_deadline_miss_ = nullptr;
-  obs::Counter* m_cold_ = nullptr;
-  obs::Counter* m_invalid_ = nullptr;
-  obs::Counter* m_batches_ = nullptr;
-  obs::Counter* m_publishes_ = nullptr;
-  obs::Counter* m_publish_rejected_ = nullptr;
-  obs::Counter* m_breaker_rejected_ = nullptr;
-  obs::Counter* m_predictive_rejected_ = nullptr;
-  obs::Counter* m_breaker_opens_ = nullptr;
-  obs::Counter* m_breaker_half_opens_ = nullptr;
-  obs::Counter* m_breaker_closes_ = nullptr;
+  std::array<obs::Counter*, kNumCounts> metric_counts_{};
   obs::Gauge* m_snapshot_version_ = nullptr;
   obs::Gauge* m_open_shards_ = nullptr;
   obs::Histogram* m_latency_ = nullptr;

@@ -1,6 +1,6 @@
 // Device health vocabulary for the fault-tolerance layer (src/fault/).
 //
-// Every simulated device (CpuDevice, GpuDevice, PcieLink) carries a
+// Every simulated compute device (CpuDevice, GpuDevice) carries a
 // DeviceHealth that the FaultInjector mutates and the Session's event
 // loop consults: a kDegraded device runs its work `slowdown` times
 // slower until `degraded_until` on the virtual clock, and a kDead device
@@ -28,15 +28,6 @@ enum class HealthState {
   /// Crashed or declared dead by the watchdog. Never scheduled again.
   kDead = 2,
 };
-
-inline const char* HealthStateName(HealthState state) {
-  switch (state) {
-    case HealthState::kHealthy: return "healthy";
-    case HealthState::kDegraded: return "degraded";
-    case HealthState::kDead: return "dead";
-  }
-  return "unknown";
-}
 
 struct DeviceHealth {
   HealthState state = HealthState::kHealthy;

@@ -79,8 +79,6 @@ PipelineTiming GpuDevice::Process(SimTime ready, const GpuWorkItem& item) {
     h2d_free_ = kernel_free_ = d2h_free_ = t.d2h_done;
   }
   busy_seconds_ += exec;
-  h2d_bytes_ += bytes_in;
-  d2h_bytes_ += bytes_out;
   if (tracer_ != nullptr) {
     if (bytes_in > 0) {
       tracer_->Span("transfer", "h2d", trace_tid_, t.h2d_start, t.h2d_done,

@@ -85,8 +85,6 @@ class GpuDevice {
   /// at epoch start); returns its completion time.
   SimTime Upload(SimTime ready, int64_t bytes);
 
-  const SimtKernelModel& kernel_model() const { return kernel_; }
-  const PcieLink& link() const { return link_; }
   /// Mutable link access for fault injection (transfer faults charge the
   /// retry inside Process/Upload).
   PcieLink& mutable_link() { return link_; }
@@ -106,14 +104,11 @@ class GpuDevice {
     trace_tid_ = tid;
   }
 
-  /// Observability accounting, accumulated over the device's lifetime
-  /// (virtual seconds the kernel stream was busy; bytes that crossed the
-  /// link in each direction). Maintained unconditionally — plain adds on
-  /// values the simulation never reads back — and surfaced as gauges by
-  /// the session at each epoch barrier.
+  /// Observability accounting, accumulated over the device's lifetime:
+  /// virtual seconds the kernel stream was busy. Maintained
+  /// unconditionally — a plain add on a value the simulation never reads
+  /// back — and surfaced as a gauge by the session at each epoch barrier.
   double busy_seconds() const { return busy_seconds_; }
-  int64_t h2d_bytes() const { return h2d_bytes_; }
-  int64_t d2h_bytes() const { return d2h_bytes_; }
 
   GpuStreamState stream_state() const {
     return {h2d_free_, kernel_free_, d2h_free_};
@@ -141,8 +136,6 @@ class GpuDevice {
   obs::Tracer* tracer_ = nullptr;  // borrowed; never owned
   int trace_tid_ = 0;
   double busy_seconds_ = 0.0;
-  int64_t h2d_bytes_ = 0;
-  int64_t d2h_bytes_ = 0;
 };
 
 }  // namespace hsgd

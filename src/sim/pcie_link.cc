@@ -31,10 +31,7 @@ SimTime PcieLink::ConsumeFaultPenalty(int64_t bytes, TransferDirection dir) {
   --pending_faults_;
   // The failed attempt runs (some of) the wire before the timeout flags
   // it; charge a full retry worth of wire time plus the detection lag.
-  const SimTime penalty = TransferTime(bytes, dir) + fault_detect_latency_;
-  ++faults_consumed_;
-  penalty_seconds_ += penalty;
-  return penalty;
+  return TransferTime(bytes, dir) + fault_detect_latency_;
 }
 
 }  // namespace hsgd

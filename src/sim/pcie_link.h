@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "core/types.h"
-#include "sim/device_health.h"
 #include "sim/device_spec.h"
 
 namespace hsgd {
@@ -29,28 +28,12 @@ class PcieLink {
   /// Fault injection: the next `count` transfers each fail once and are
   /// retried — the caller of ConsumeFaultPenalty pays the failed
   /// attempt's wire time plus `detect_latency` (the timeout that flagged
-  /// it) on top of the ordinary TransferTime. The link reports
-  /// kDegraded while faults are pending.
+  /// it) on top of the ordinary TransferTime.
   void InjectTransferFaults(int count, SimTime detect_latency);
 
   /// Extra seconds the next transfer of `bytes` costs; consumes one
   /// pending fault, or returns exactly 0.0 when the link is clean.
   SimTime ConsumeFaultPenalty(int64_t bytes, TransferDirection dir);
-
-  int pending_faults() const { return pending_faults_; }
-  /// Observability accounting: injected faults this link has consumed so
-  /// far, and the total penalty seconds they charged. Plain accumulators
-  /// the simulation never reads back.
-  int64_t faults_consumed() const { return faults_consumed_; }
-  SimTime penalty_seconds() const { return penalty_seconds_; }
-  DeviceHealth health() const {
-    DeviceHealth h;
-    if (pending_faults_ > 0) {
-      h.state = HealthState::kDegraded;
-      h.degraded_until = kSimTimeNever;
-    }
-    return h;
-  }
 
  private:
   double h2d_bytes_per_sec_;
@@ -58,8 +41,6 @@ class PcieLink {
   double latency_;
   int pending_faults_ = 0;
   SimTime fault_detect_latency_ = 0.0;
-  int64_t faults_consumed_ = 0;
-  SimTime penalty_seconds_ = 0.0;
 };
 
 }  // namespace hsgd

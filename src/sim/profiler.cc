@@ -5,14 +5,6 @@
 
 namespace hsgd {
 
-const char* CostModelName(CostModelKind kind) {
-  switch (kind) {
-    case CostModelKind::kQilin: return "qilin";
-    case CostModelKind::kOurs: return "ours";
-  }
-  return "unknown";
-}
-
 double HsgdCostModel::CpuEpochTime(double nnz, int threads,
                                    double block_nnz) const {
   if (threads < 1) threads = 1;

@@ -27,8 +27,6 @@ namespace hsgd {
 
 enum class CostModelKind { kQilin = 0, kOurs = 1 };
 
-const char* CostModelName(CostModelKind kind);
-
 /// Everything DecideAlpha needs to know about the planned execution.
 struct AlphaQuery {
   int64_t epoch_nnz = 0;

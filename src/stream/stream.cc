@@ -1,6 +1,7 @@
 #include "stream/stream.h"
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <utility>
 
@@ -173,12 +174,26 @@ void OnlineTrainer::AttachMetrics(obs::MetricsRegistry* metrics) {
 
 StatusOr<IngestResult> OnlineTrainer::Ingest(
     const std::vector<io::RawRating>& batch) {
+  // Refused here, before the WAL append: RetryWithBackoff would retry
+  // any refusal the append returned.
+  if (wal_ != nullptr && batch.size() > kWalMaxBatchRatings) {
+    return Status::InvalidArgument(StrFormat(
+        "streamed batch of %zu ratings exceeds the WAL's %zu-rating "
+        "record limit",
+        batch.size(), kWalMaxBatchRatings));
+  }
   for (const io::RawRating& rec : batch) {
     if (rec.user < 0 || rec.item < 0) {
       return Status::InvalidArgument(
           StrFormat("streamed rating has negative raw id (%lld, %lld)",
                     static_cast<long long>(rec.user),
                     static_cast<long long>(rec.item)));
+    }
+    if (!std::isfinite(rec.rating)) {
+      return Status::InvalidArgument(StrFormat(
+          "streamed rating (%lld, %lld) is not finite: %g",
+          static_cast<long long>(rec.user),
+          static_cast<long long>(rec.item), rec.rating));
     }
   }
   uint64_t seq = wal_applied_seq_;

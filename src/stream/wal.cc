@@ -24,8 +24,8 @@ constexpr size_t kHeaderBytes = sizeof(uint64_t) + sizeof(uint32_t) +
 constexpr size_t kPayloadFixed = sizeof(uint64_t) + sizeof(uint32_t);
 /// i64 user + i64 item + f32 rating.
 constexpr size_t kRatingBytes = 2 * sizeof(int64_t) + sizeof(float);
-/// A record length beyond this is corruption, not a big batch.
-constexpr uint32_t kMaxPayloadBytes = 64u << 20;
+static_assert(kPayloadFixed == 12 && kRatingBytes == 20,
+              "kWalMaxBatchRatings (wal.h) assumes this payload layout");
 
 /// Byte-counted write failpoint (tests): fail after this many further
 /// bytes; < 0 disabled.
@@ -164,7 +164,7 @@ Status ReadSegment(const SegmentFile& segment, bool is_last,
         std::fread(&crc, sizeof(crc), 1, f) != 1) {
       return truncate_to(offset, "partial record length");
     }
-    if (len < kPayloadFixed || len > kMaxPayloadBytes) {
+    if (len < kPayloadFixed || len > kWalMaxPayloadBytes) {
       return truncate_to(offset, "absurd record length");
     }
     payload.resize(len);
@@ -348,6 +348,11 @@ Status Wal::RollSegment(uint64_t first_seq) {
 }
 
 StatusOr<uint64_t> Wal::Append(const std::vector<io::RawRating>& batch) {
+  if (batch.size() > kWalMaxBatchRatings) {
+    return Status::InvalidArgument(StrFormat(
+        "WAL batch of %zu ratings exceeds the %zu-rating record limit",
+        batch.size(), kWalMaxBatchRatings));
+  }
   if (poisoned_) {
     return Status::FailedPrecondition(
         "WAL poisoned by an earlier write failure; reopen to recover");

@@ -57,6 +57,14 @@ class Gauge;
 
 namespace hsgd::stream {
 
+/// Largest record payload. Replay reads a longer length as corruption,
+/// not as a big batch.
+inline constexpr uint32_t kWalMaxPayloadBytes = 64u << 20;
+/// Most ratings one Append logs: a payload is 12 bytes plus 20 per
+/// rating (file comment), so a batch of 3,355,443 or more is refused.
+inline constexpr size_t kWalMaxBatchRatings =
+    (kWalMaxPayloadBytes - 12) / 20;
+
 struct WalOptions {
   /// Directory holding the segment files (created if missing).
   std::string dir;
@@ -97,9 +105,10 @@ class Wal {
 
   /// Durably log one ingest batch; returns its sequence number. Internal
   /// on IO failure — injected-hook failures are retryable, real short
-  /// writes poison the handle (see file comment). Empty batches are
-  /// logged too (they still consume a seq, keeping recovery's cadence
-  /// replay exact).
+  /// writes poison the handle (see file comment). A batch over
+  /// kWalMaxBatchRatings is InvalidArgument, with nothing written and
+  /// the handle still usable. Empty batches are logged too (they still
+  /// consume a seq, keeping recovery's cadence replay exact).
   StatusOr<uint64_t> Append(const std::vector<io::RawRating>& batch);
 
   /// Force an fsync of the current segment regardless of fsync_every.

@@ -39,8 +39,6 @@ class Rng {
     return result;
   }
 
-  uint32_t NextU32() { return static_cast<uint32_t>(NextU64() >> 32); }
-
   /// Uniform double in [0, 1).
   double NextDouble() {
     return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;

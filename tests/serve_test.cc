@@ -17,9 +17,11 @@
 #include "core/model.h"
 #include "core/session.h"
 #include "io/loader.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "test_main.h"
+#include "util/strings.h"
 
 namespace hsgd {
 namespace {
@@ -355,6 +357,147 @@ void TestColdUserIsTypedNotFatal() {
   EXPECT_EQ(counters.ok, 2);
 }
 
+/// Every serve.* registry counter and the ServeCounters field it must
+/// equal, written out apart from the server's own table so that a row
+/// there pairing the wrong name or field shows up here.
+struct ServeCounterName {
+  const char* metric;
+  int64_t serve::ServeCounters::*field;
+};
+constexpr ServeCounterName kServeCounterNames[] = {
+    {"serve.requests", &serve::ServeCounters::requests},
+    {"serve.ok", &serve::ServeCounters::ok},
+    {"serve.shed", &serve::ServeCounters::shed_deadline},
+    {"serve.rejected", &serve::ServeCounters::rejected},
+    {"serve.deadline_miss", &serve::ServeCounters::deadline_miss},
+    {"serve.cold_users", &serve::ServeCounters::cold_users},
+    {"serve.invalid", &serve::ServeCounters::invalid},
+    {"serve.batches", &serve::ServeCounters::batches},
+    {"serve.snapshot_publishes", &serve::ServeCounters::publishes},
+    {"serve.publish_rejected", &serve::ServeCounters::publish_rejected},
+    {"serve.breaker.rejected", &serve::ServeCounters::breaker_rejected},
+    {"serve.breaker.predictive_rejected",
+     &serve::ServeCounters::predictive_rejected},
+    {"serve.breaker.opens", &serve::ServeCounters::breaker_opens},
+    {"serve.breaker.half_opens", &serve::ServeCounters::breaker_half_opens},
+    {"serve.breaker.closes", &serve::ServeCounters::breaker_closes},
+};
+
+/// `server`'s registry reads exactly its counters(), and its version
+/// gauge the version it serves.
+void ExpectRegistryMatchesCounters(const obs::MetricsRegistry& registry,
+                                   const RecServer& server) {
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const serve::ServeCounters counters = server.counters();
+  for (const ServeCounterName& name : kServeCounterNames) {
+    const int64_t metric = snap.CounterValue(name.metric, -1);
+    if (metric != counters.*name.field) {
+      testing::Fail(__FILE__, __LINE__,
+                    StrFormat("%s reads %lld, ServeCounters %lld",
+                              name.metric, static_cast<long long>(metric),
+                              static_cast<long long>(counters.*name.field)));
+    }
+  }
+  EXPECT_EQ(snap.GaugeValue("serve.snapshot_version", -1.0),
+            static_cast<double>(server.CurrentSnapshot()->version()));
+}
+
+// The registry and counters() are two views of one set of counts: drive
+// every count reachable without timing (ok, cold, invalid, rejected,
+// shed, both publish outcomes) and check each against what the clients
+// saw, then the registry against counters().
+void TestRegistryAgreesWithServeCounters() {
+  io::IdMap users, items;
+  for (int64_t raw = 100; raw < 104; ++raw) users.Assign(raw);
+  for (int64_t raw = 1000; raw < 1016; ++raw) items.Assign(raw);
+  const Model model = RandomModel(4, 16, /*k=*/4, /*seed=*/3);
+  auto make = [&](uint64_t version) {
+    auto snap = FactorSnapshot::FromModel(model, Ratings{}, version, &users,
+                                          &items);
+    EXPECT_TRUE(snap.ok());
+    return snap.ok() ? *snap : nullptr;
+  };
+
+  obs::MetricsRegistry registry;
+  auto server = RecServer::Create(ServeConfig{}, make(1), &registry);
+  EXPECT_TRUE(server.ok());
+  if (!server.ok()) return;
+  RecServer& live = **server;
+  for (int64_t raw = 100; raw < 104; ++raw) {
+    EXPECT_TRUE(live.Query({raw, /*raw=*/true, 3}).ok());
+  }
+  EXPECT_TRUE(live.Query({999, true, 3}).status().code() ==
+              StatusCode::kNotFound);
+  EXPECT_TRUE(live.Query({100, true, 0}).status().code() ==
+              StatusCode::kInvalidArgument);
+  EXPECT_TRUE(live.Publish(make(2)).ok());
+  EXPECT_TRUE(live.Publish(FactorSnapshot::PoisonedCopy(*make(3))).code() ==
+              StatusCode::kFailedPrecondition);
+  auto after = live.Query({101, true, 3});
+  EXPECT_TRUE(after.ok());
+  if (after.ok()) EXPECT_EQ(after->snapshot_version, 2u);
+  live.Drain();
+  EXPECT_TRUE(live.Submit({100, true, 3}).get().status().code() ==
+              StatusCode::kUnavailable);
+
+  serve::ServeCounters expected;
+  expected.requests = 8;
+  expected.ok = 5;
+  expected.rejected = 1;
+  expected.cold_users = 1;
+  expected.invalid = 1;
+  expected.batches = 6;  // the five ok queries and the k = 0 one
+  expected.publishes = 2;  // the initial snapshot and version 2
+  expected.publish_rejected = 1;
+  const serve::ServeCounters got = live.counters();
+  for (const ServeCounterName& name : kServeCounterNames) {
+    if (got.*name.field != expected.*name.field) {
+      testing::Fail(__FILE__, __LINE__,
+                    StrFormat("%s: counters() %lld, expected %lld",
+                              name.metric,
+                              static_cast<long long>(got.*name.field),
+                              static_cast<long long>(expected.*name.field)));
+    }
+  }
+  ExpectRegistryMatchesCounters(registry, live);
+
+  // Shedding: a 1 ns budget sheds whatever waits in the queue.
+  ServeConfig tight;
+  tight.shards = 1;
+  tight.max_batch = 1;
+  tight.latency_budget_s = 1e-9;
+  obs::MetricsRegistry tight_registry;
+  auto shedding = RecServer::Create(tight, make(1), &tight_registry);
+  EXPECT_TRUE(shedding.ok());
+  if (!shedding.ok()) return;
+  constexpr int kRequests = 64;
+  std::vector<std::future<StatusOr<serve::TopKResponse>>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back((*shedding)->Submit({i % 4, false, 3}));
+  }
+  int64_t ok = 0, shed = 0;
+  for (auto& future : futures) {
+    auto response = future.get();
+    if (response.ok()) {
+      ++ok;
+    } else {
+      EXPECT_TRUE(response.status().code() ==
+                  StatusCode::kDeadlineExceeded);
+      ++shed;
+    }
+  }
+  (*shedding)->Drain();
+  EXPECT_LT(0, shed);
+  const serve::ServeCounters tight_got = (*shedding)->counters();
+  EXPECT_EQ(tight_got.requests, kRequests);
+  EXPECT_EQ(tight_got.ok, ok);
+  EXPECT_EQ(tight_got.shed_deadline, shed);
+  EXPECT_EQ(tight_got.deadline_miss, ok);
+  EXPECT_EQ(tight_got.batches, ok);
+  EXPECT_EQ(tight_got.publishes, 1);
+  ExpectRegistryMatchesCounters(tight_registry, **shedding);
+}
+
 // Torn-snapshot regression (run under TSan in CI): FromSession while a
 // trainer thread mutates the factors must either succeed as a complete
 // quiescent copy or fail typed kFailedPrecondition — never copy factor
@@ -537,6 +680,8 @@ void TestCreateValidatesConfigAndEmptyHolder() {
   if (!server.ok()) return;
   auto response = (*server)->Query({0, false, 3});
   EXPECT_TRUE(response.status().code() == StatusCode::kUnavailable);
+  // Counted before the future resolves, like every other outcome.
+  EXPECT_EQ((*server)->counters().rejected, 1);
   (*server)->Publish(UniformSnapshot(2, 8, 1.0f, 9));
   auto after = (*server)->Query({0, false, 3});
   EXPECT_TRUE(after.ok());
@@ -783,6 +928,7 @@ void RunAllTests() {
   TestMidLoadSwapNeverTorn();
   TestDeadlineSheddingCountsExactly();
   TestColdUserIsTypedNotFatal();
+  TestRegistryAgreesWithServeCounters();
   TestFromSessionGatedOnEpochBarrier();
   TestFromModelSharesAndChecksIndex();
   TestFactorRecyclerReusesDroppedBuffers();

@@ -532,9 +532,10 @@ void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
   EXPECT_TRUE(s->RunIncrementalEpoch().status().code() ==
               StatusCode::kFailedPrecondition);
 
-  // Ids outside [0, INT32_MAX): InvalidArgument with nothing mutated,
-  // also when a valid rating precedes the bad one in its batch. The
-  // rating moments feed cold-row init and every checkpoint.
+  // Ids outside [0, INT32_MAX) and NaN or infinite ratings:
+  // InvalidArgument with nothing mutated, also when a valid rating
+  // precedes the bad one in its batch. The rating moments feed cold-row
+  // init and every checkpoint.
   const std::string path = "session_test_append_moments.bin";
   auto moments = [&]() {
     EXPECT_TRUE(s->SaveCheckpoint(path).ok());
@@ -545,10 +546,15 @@ void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
   };
   const auto moments_before = moments();
   constexpr int32_t kMaxId = std::numeric_limits<int32_t>::max();
-  const Ratings out_of_range[] = {{{-1, 0, 3.0f}},
-                                  {{0, 0, 4.0f}, {kMaxId, 0, 5.0f}},
-                                  {{0, kMaxId, 5.0f}}};
-  for (const Ratings& batch : out_of_range) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const Ratings refused[] = {
+      {{-1, 0, 3.0f}},
+      {{0, 0, 4.0f}, {kMaxId, 0, 5.0f}},
+      {{0, kMaxId, 5.0f}},
+      {{5, 7, std::numeric_limits<float>::quiet_NaN()}},
+      {{0, 0, 4.0f}, {5, 7, kInf}},
+      {{5, 7, -kInf}}};
+  for (const Ratings& batch : refused) {
     EXPECT_TRUE(s->AppendRatings(batch).code() ==
                 StatusCode::kInvalidArgument);
   }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -411,6 +412,15 @@ void TestWalIngestParityAndCreateRefusal() {
               logged->session().model().DenseP());
   EXPECT_TRUE(plain->session().model().DenseQ() ==
               logged->session().model().DenseQ());
+
+  // A NaN rating is refused before the append: nothing is logged, and
+  // nothing retried or applied.
+  const int64_t pending = logged->pending_nnz();
+  auto nan =
+      logged->Ingest({{1, 1, std::numeric_limits<float>::quiet_NaN()}});
+  EXPECT_TRUE(nan.status().code() == StatusCode::kInvalidArgument);
+  EXPECT_EQ(logged->wal()->last_seq(), static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(logged->pending_nnz(), pending);
 
   // The log holds exactly the acknowledged rounds, in seq order.
   EXPECT_EQ(logged->wal_applied_seq(), static_cast<uint64_t>(kRounds));

@@ -191,6 +191,16 @@ void TestInvalidConfigs() {
     }
   }
 
+  // Every training rating must be finite too. Restore goes through
+  // Create, so it refuses such a split as well.
+  for (float bad_rating : {std::nanf(""), HUGE_VALF, -HUGE_VALF}) {
+    Dataset bad = ds;
+    bad.train[bad.train.size() / 2].r = bad_rating;
+    EXPECT_TRUE(
+        Session::Create(bad, SmallConfig(Algorithm::kHsgd)).status().code() ==
+        StatusCode::kInvalidArgument);
+  }
+
   // The edges Create accepts, a frozen rate and no speed variability,
   // train, save and restore.
   const std::string path = "trainer_test_edges.bin";

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/loader.h"
@@ -323,6 +324,53 @@ void TestInjectedFaultHookIsRetryable() {
   }
 }
 
+// Replay reads a payload over kWalMaxPayloadBytes as corruption, so
+// Append refuses a batch that would need one before writing a byte: the
+// log keeps appending and replays every record, and the largest batch
+// that fits round-trips intact.
+void TestOversizedBatchRefused() {
+  const std::string dir = FreshDir("oversized");
+  WalOptions options;
+  options.dir = dir;
+  auto wal = Wal::Open(options);
+  EXPECT_TRUE(wal.ok());
+  if (!wal.ok()) return;
+
+  std::vector<std::vector<io::RawRating>> logged = {MakeBatch(0, 2)};
+  EXPECT_TRUE((*wal)->Append(logged.back()).ok());
+  std::vector<io::RawRating> big =
+      MakeBatch(1000, static_cast<int>(stream::kWalMaxBatchRatings) + 1);
+  EXPECT_EQ(big.size(), size_t{3355443});
+  EXPECT_TRUE((*wal)->Append(big).status().code() ==
+              StatusCode::kInvalidArgument);
+  EXPECT_EQ((*wal)->last_seq(), 1u);
+  EXPECT_FALSE((*wal)->poisoned());
+
+  // The largest batch that fits, then one more record after it.
+  big.pop_back();
+  logged.push_back(std::move(big));
+  logged.push_back(MakeBatch(50, 3));
+  for (size_t i = 1; i < logged.size(); ++i) {
+    auto seq = (*wal)->Append(logged[i]);
+    EXPECT_TRUE(seq.ok());
+    if (seq.ok()) EXPECT_EQ(*seq, i + 1);
+  }
+  wal->reset();
+
+  auto replay = Wal::Replay(dir);
+  EXPECT_TRUE(replay.ok());
+  if (replay.ok()) {
+    EXPECT_EQ(replay->truncated_bytes, 0);
+    EXPECT_EQ(replay->records.size(), logged.size());
+    for (size_t i = 0; i < replay->records.size() && i < logged.size();
+         ++i) {
+      EXPECT_EQ(replay->records[i].seq, i + 1);
+      EXPECT_TRUE(SameBatch(replay->records[i].batch, logged[i]));
+    }
+  }
+  fs::remove_all(dir);
+}
+
 void RunAllTests() {
   TestAppendReplayRoundtrip();
   TestSegmentRollAndTruncateBefore();
@@ -331,6 +379,7 @@ void RunAllTests() {
   TestSeqGapFailsLoudly();
   TestMissingAndEmptyDir();
   TestInjectedFaultHookIsRetryable();
+  TestOversizedBatchRefused();
 }
 
 }  // namespace
