@@ -8,13 +8,16 @@
 //   crash50     GPU 0 dies halfway through the middle epoch
 //   straggler   CPU 0 wedges to 4x (below the watchdog factor) for good
 //   flakylink   6 PCIe transfers on GPU 0's link fail mid-epoch
-//   killresume  autosaving run is abandoned mid-training, restored from
-//               its autosave, the plan re-attached, and driven to the
-//               same epoch budget
+//   killresume  crash50's plan, with a checkpoint saved every 2nd epoch
+//               from the bench's own loop; the run is abandoned halfway,
+//               restored from its last checkpoint, the plan re-attached,
+//               and driven to the same epoch budget
 //
-// The two acceptance gates (exit 1 when violated):
+// The three acceptance gates (exit 1 when violated):
 //   - zerofault reproduces baseline exactly (trace, factors, clock);
-//   - crash50's final test RMSE is within 2% of baseline's.
+//   - crash50's final test RMSE is within 2% of baseline's;
+//   - killresume reproduces crash50 exactly: the kill and restore change
+//     nothing the run computes.
 
 #include <cmath>
 #include <cstdio>
@@ -83,19 +86,18 @@ ScenarioResult RunScenario(const std::string& name, const Dataset& ds,
   return result;
 }
 
-/// Abandon an autosaving faulted run halfway, restore from its autosave,
-/// re-attach the plan (runtime fault state is deliberately not
-/// checkpointed), and drive to the full budget.
-ScenarioResult RunKillResume(const Dataset& ds, const TrainConfig& base,
+/// Run a faulted session that saves a checkpoint every 2nd epoch,
+/// abandon it halfway, restore from its last checkpoint, re-attach the
+/// plan (runtime fault state is deliberately not checkpointed), and
+/// drive to the full budget.
+ScenarioResult RunKillResume(const Dataset& ds, const TrainConfig& cfg,
                              const std::string& plan_text,
                              const Observability& sinks) {
   ScenarioResult result;
   result.name = "killresume";
   result.plan = plan_text;
-  TrainConfig cfg = base;
-  cfg.fault.autosave_every = 2;
-  cfg.fault.autosave_path = "bench_fault_recovery_autosave.ckpt";
-  std::remove(cfg.fault.autosave_path.c_str());
+  const std::string path = "bench_fault_recovery_killresume.ckpt";
+  std::remove(path.c_str());
 
   auto plan = FaultPlan::Parse(plan_text);
   HSGD_CHECK_OK(plan.status());
@@ -108,10 +110,13 @@ ScenarioResult RunKillResume(const Dataset& ds, const TrainConfig& base,
     while (!(*session)->Done() &&
            (*session)->epochs_run() < stop_after) {
       HSGD_CHECK_OK((*session)->RunEpoch().status());
+      if ((*session)->epochs_run() % 2 == 0) {
+        HSGD_CHECK_OK((*session)->SaveCheckpoint(path));
+      }
     }
     // "kill -9": the session object is simply dropped here.
   }
-  auto resumed = Session::Restore(cfg.fault.autosave_path, ds);
+  auto resumed = Session::Restore(path, ds);
   HSGD_CHECK_OK(resumed.status());
   // Runtime-attached state (fault plan, observability) is deliberately
   // not checkpointed; both come back via fresh attach.
@@ -120,7 +125,7 @@ ScenarioResult RunKillResume(const Dataset& ds, const TrainConfig& base,
   result.status = (*resumed)->RunToCompletion();
   HSGD_CHECK_OK(result.status) << "scenario killresume (post-restore)";
   Capture(resumed->get(), &result);
-  std::remove(cfg.fault.autosave_path.c_str());
+  std::remove(path.c_str());
   return result;
 }
 
@@ -175,10 +180,6 @@ obs::Json JsonScenario(const ScenarioResult& r, double baseline_rmse) {
       .Set("blocks_requeued", obs::Json::Int(r.fault.blocks_requeued))
       .Set("blocks_lost", obs::Json::Int(r.fault.blocks_lost))
       .Set("transfer_faults", obs::Json::Int(r.fault.transfer_faults))
-      .Set("checkpoint_failures",
-           obs::Json::Int(r.fault.checkpoint_failures))
-      .Set("autosave_failures",
-           obs::Json::Int(r.fault.autosave_failures))
       .Set("degraded", obs::Json::Bool(r.fault.degraded))
       .Set("factor_checksum", obs::Json::Str(checksum));
 }
@@ -246,13 +247,16 @@ int main(int argc, char** argv) {
     const double crash_ratio =
         baseline_rmse > 0.0 ? FinalRmse(results[2]) / baseline_rmse : 0.0;
     const bool crash_converged = std::fabs(crash_ratio - 1.0) <= 0.02;
-    const bool accepted = zerofault_identical && crash_converged;
+    const bool killresume_identical = BitIdentical(results[2], results[5]);
+    const bool accepted =
+        zerofault_identical && crash_converged && killresume_identical;
     all_accepted = all_accepted && accepted;
     std::printf(
         "zerofault bitwise == baseline: %s;  crash50 rmse ratio %.5f "
-        "(|ratio-1| <= 0.02): %s\n",
+        "(|ratio-1| <= 0.02): %s;  killresume bitwise == crash50: %s\n",
         zerofault_identical ? "yes" : "NO",
-        crash_ratio, crash_converged ? "ok" : "VIOLATED");
+        crash_ratio, crash_converged ? "ok" : "VIOLATED",
+        killresume_identical ? "yes" : "NO");
 
     obs::Json scenarios = obs::Json::Array();
     for (const ScenarioResult& r : results) {
@@ -265,6 +269,8 @@ int main(int argc, char** argv) {
             .Set("zerofault_bitwise_identical",
                  obs::Json::Bool(zerofault_identical))
             .Set("crash50_rmse_ratio", obs::Json::Double(crash_ratio))
+            .Set("killresume_bitwise_identical",
+                 obs::Json::Bool(killresume_identical))
             .Set("accepted", obs::Json::Bool(accepted)));
   }
   report.config().Set("accepted", obs::Json::Bool(all_accepted));

@@ -393,6 +393,9 @@ int main(int argc, char** argv) {
                       topk, &max_version);
     stop.store(true);
     publisher.join();
+    // RunLoad read the counters while the publisher still ran; read them
+    // again so the report's publishes include its last one.
+    refresh.counters = server->counters();
     server->Shutdown();
   }
   PrintLoad("refresh", refresh);

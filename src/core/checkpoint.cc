@@ -54,8 +54,7 @@ int64_t g_write_failpoint = -1;
 
 static_assert(sizeof(int) == 4, "checkpoint ints are 32-bit");
 
-/// Caps on counts that no field read before them bounds.
-constexpr uint64_t kMaxAutosavePath = 1u << 16;
+/// Cap on the one count that no field read before it bounds.
 constexpr uint64_t kMaxGpuStreams = 4096;
 
 /// Scalars go through `operator()`; enums (`Enum`, stored as i32) and
@@ -84,7 +83,7 @@ class Writer {
     (*this)(static_cast<uint64_t>(v.size()));
     for (const T& e : v) per_element(e);
   }
-  /// The raw elements of a float vector or a string.
+  /// The raw elements of a float vector.
   template <typename Container>
   void Array(const Container& v, uint64_t /*limit*/) {
     (*this)(static_cast<uint64_t>(v.size()));
@@ -210,9 +209,6 @@ void ConfigFields(IO& io, Config& c) {
   io(c.hardware.gpu.pcie_d2h_peak_gbps);
   io(c.hardware.gpu.pcie_latency);
   io(c.hardware.gpu.speed_factor);
-  // v4: autosave policy.
-  io(c.fault.autosave_every);
-  io.Array(c.fault.autosave_path, kMaxAutosavePath);
 }
 
 /// Header fields every later count is checked against.

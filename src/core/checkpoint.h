@@ -42,9 +42,10 @@ inline constexpr uint64_t kCheckpointMagic = 0x485347444348504Bull;  // "HSGDCHP
 // re-resolves the recorded kernel and fails loudly on a machine or build
 // that cannot run it — resuming under a different kernel would silently
 // change the numerics.
-// v4: the config additionally carries the FaultPolicy (autosave cadence
-// and path, checkpoint retry, lease deadline factor, degradation
-// policy), so a restored run keeps autosaving the way the original did.
+// v4: the config additionally carries the fault policy (the cadence and
+// path of the session's own periodic save, checkpoint retry, lease
+// deadline factor, degradation policy), so a restored run keeps saving
+// the way the original did.
 // Runtime fault state (dead devices, attached FaultPlan) is NOT stored —
 // like observability sinks, plans are re-attached by the caller after
 // Restore.
@@ -58,8 +59,12 @@ inline constexpr uint64_t kCheckpointMagic = 0x485347444348504Bull;  // "HSGDCHP
 // ones (re-drive through training).
 // v6: v5 minus the fault policy's checkpoint retry, lease deadline factor
 // and degradation policy (48 bytes), which became constants: the config
-// keeps only the autosave cadence and path.
-inline constexpr uint32_t kCheckpointVersion = 6;
+// keeps only the periodic-save cadence and path.
+// v7: v6 minus the periodic-save cadence and path (an i32 and a
+// u64-counted string): the session no longer saves on its own — callers
+// call Session::SaveCheckpoint from their epoch loops — so the config
+// holds no fault policy at all.
+inline constexpr uint32_t kCheckpointVersion = 7;
 
 /// Cheap identity of the data a session was trained on. Restore refuses
 /// a dataset whose fingerprint differs — resuming on different ratings

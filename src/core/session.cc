@@ -15,7 +15,6 @@
 #include "sched/star_scheduler.h"
 #include "sched/uniform_scheduler.h"
 #include "util/logging.h"
-#include "util/retry.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 
@@ -136,11 +135,6 @@ Status ValidateConfigRanges(const TrainConfig& config) {
   }
   if (config.eval_threads < 1 || config.eval_threads > (1 << 20)) {
     return Status::InvalidArgument("eval_threads must be in [1, 2^20]");
-  }
-  if (config.fault.autosave_every < 0 ||
-      config.fault.autosave_every > (1 << 24)) {
-    return Status::InvalidArgument(
-        "fault.autosave_every must be in [0, 2^24]");
   }
   const HardwareConfig& hardware = config.hardware;
   if (hardware.num_cpu_threads < 0 || hardware.num_cpu_threads > (1 << 20) ||
@@ -390,7 +384,6 @@ Status Session::Init() {
       std::min(16, std::max(1, config_.eval_threads))));
 
   workers_alive_ = static_cast<int>(workers_.size());
-  retry_rng_ = Rng(config_.seed, 23);
   growth_rng_ = Rng(config_.seed, 29);
   rating_sum_ = train_stats.mean_rating * static_cast<double>(n);
   rating_count_ = n;
@@ -418,7 +411,6 @@ Status Session::SetFaultPlan(const FaultPlan& plan) {
           "ServeFaultInjector (SplitFaultPlan separates mixed scripts)",
           spec.ToString().c_str()));
     }
-    if (spec.kind == FaultKind::kCheckpointFault) continue;
     const bool gpu_target = spec.device_class == DeviceClass::kGpu;
     const int fleet = gpu_target ? (has_gpu ? ng : 0)
                                  : (has_cpu ? nc : 0);
@@ -470,9 +462,6 @@ void Session::SetObservability(const Observability& obs) {
     metric_.transfer_faults = r->counter("fault.transfer_faults");
     metric_.ckpt_writes = r->counter("ckpt.writes");
     metric_.ckpt_bytes = r->counter("ckpt.bytes");
-    metric_.ckpt_failures = r->counter("ckpt.failures");
-    metric_.ckpt_retries = r->counter("ckpt.retries");
-    metric_.autosave_failures = r->counter("ckpt.autosave_failures");
     metric_.sim_clock = r->gauge("session.sim_clock");
     metric_.epoch = r->gauge("session.epoch");
     metric_.test_rmse = r->gauge("session.test_rmse");
@@ -702,8 +691,6 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
             }
           }
           break;
-        case FaultKind::kCheckpointFault:
-          break;  // consumed by autosave attempts, never fires here
         case FaultKind::kPublishPoison:
         case FaultKind::kWalIo:
         case FaultKind::kQueryStorm:
@@ -988,50 +975,6 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
     reached_target_ = true;
   }
 
-  // Periodic autosave with bounded retry. Failures are survivable by
-  // design: training continues on a warning, one stale autosave behind.
-  if (config_.fault.autosave_every > 0 &&
-      !config_.fault.autosave_path.empty() &&
-      epoch % config_.fault.autosave_every == 0) {
-    auto attempt = [&]() -> Status {
-      if (injector_ != nullptr &&
-          injector_->ConsumeCheckpointFault(epoch)) {
-        ++fault_stats_.checkpoint_failures;
-        obs::Increment(metric_.ckpt_failures);
-        return Status::Internal("injected checkpoint IO fault");
-      }
-      Status status = SaveCheckpoint(config_.fault.autosave_path);
-      if (!status.ok()) {
-        ++fault_stats_.checkpoint_failures;
-        obs::Increment(metric_.ckpt_failures);
-      }
-      return status;
-    };
-    const Status saved = RetryWithBackoff(
-        &retry_rng_, attempt,
-        [&](int attempt_no, const Status& status) {
-          ++fault_stats_.checkpoint_retries;
-          obs::Increment(metric_.ckpt_retries);
-          HSGD_LOG(Warning)
-              << "autosave attempt " << attempt_no << " failed ("
-              << status.ToString() << "); backing off";
-        });
-    if (!saved.ok()) {
-      ++fault_stats_.autosave_failures;
-      obs::Increment(metric_.autosave_failures);
-      HSGD_LOG(Warning) << "autosave to '" << config_.fault.autosave_path
-                        << "' failed after retries: " << saved.ToString();
-    }
-    if (obs_.trace != nullptr) {
-      // Autosaves happen at the barrier, so the span has zero virtual
-      // width — its wall_ms arg carries the real cost.
-      obs_.trace->Span("ckpt", "autosave", TraceTidCheckpoint(), clock_,
-                       clock_,
-                       {obs::TraceArg::Int("epoch", epoch),
-                        obs::TraceArg::Bool("ok", saved.ok())});
-    }
-  }
-
   // Any successful epoch sweeps every dirty block (a full epoch covers
   // them trivially; a subset epoch was built from them), so the pending
   // append debt is paid either way.
@@ -1077,10 +1020,7 @@ Status Session::AppendRatings(const Ratings& ratings) {
                rating_sum_ / static_cast<double>(rating_count_));
   HSGD_RETURN_IF_ERROR(
       matrix_.AppendGrown(ratings, new_rows, new_cols, &dirty_));
-  {
-    std::lock_guard<std::mutex> lock(fingerprint_mu_);
-    fingerprint_.reset();
-  }
+  fingerprint_.reset();
   dataset_.train.insert(dataset_.train.end(), ratings.begin(),
                         ratings.end());
   dataset_.num_rows = new_rows;
@@ -1151,16 +1091,21 @@ TrainStats Session::stats() const {
 
 Status Session::SaveCheckpoint(const std::string& path,
                                uint64_t wal_seq) const {
+  std::lock_guard<std::mutex> quiesce(epoch_mu_);
+  if (pending_nnz_ != 0) {
+    return Status::FailedPrecondition(StrFormat(
+        "%lld appended ratings are not yet trained; run "
+        "RunIncrementalEpoch before saving (Restore replays growth as "
+        "already trained, so checkpoints must be ingest-quiescent)",
+        static_cast<long long>(pending_nnz_)));
+  }
   SessionCheckpoint ckpt;
   ckpt.config = config_;
-  {
-    std::lock_guard<std::mutex> lock(fingerprint_mu_);
-    if (fingerprint_ == nullptr) {
-      fingerprint_ =
-          std::make_unique<DatasetFingerprint>(FingerprintDataset(dataset_));
-    }
-    ckpt.dataset = *fingerprint_;
+  if (fingerprint_ == nullptr) {
+    fingerprint_ =
+        std::make_unique<DatasetFingerprint>(FingerprintDataset(dataset_));
   }
+  ckpt.dataset = *fingerprint_;
   ckpt.epochs_run = epochs_run_;
   ckpt.reached_target = reached_target_;
   ckpt.sim_clock = clock_;
@@ -1232,8 +1177,8 @@ StatusOr<std::unique_ptr<Session>> Session::Restore(
         static_cast<long long>(fp.train_nnz), growth.size()));
   }
   HSGD_RETURN_IF_ERROR((*session)->InstallCheckpoint(*ckpt));
-  // Replayed appends marked their blocks dirty, but the checkpoint was
-  // saved at an ingest-quiescent point: everything replayed is already
+  // Replayed appends marked their blocks dirty, but SaveCheckpoint only
+  // saves at ingest-quiescent points: everything replayed is already
   // trained into the installed factors. Clear, or the first TrainDirty
   // after recovery would sweep blocks the uninterrupted run would not.
   std::fill((*session)->dirty_.begin(), (*session)->dirty_.end(),

@@ -87,20 +87,12 @@ struct HardwareConfig {
   double speed_variability = 0.25;
 };
 
-
-/// Fault-tolerance policy: the autosave cadence (default: none). The rest
-/// is fixed: a failed autosave retries on util/retry.h's backoff
-/// schedule; a block lease expires at 8x its healthy span and its
-/// block is requeued on a survivor; only the loss of every worker fails
-/// the run. The lease watchdog arms only when a block runs slower than a
-/// healthy device could, so a fault-free run never pays anything.
-struct FaultPolicy {
-  /// Autosave a checkpoint every N completed epochs (0 disables).
-  int autosave_every = 0;
-  std::string autosave_path;
-};
-
 /// Counters the fault machinery accumulates over a session's lifetime.
+/// The recovery policy is fixed: a block lease expires at 8x its healthy
+/// span and its block is requeued on a survivor; only the loss of every
+/// worker fails the run. The lease watchdog arms only when a block runs
+/// slower than a healthy device could, so a fault-free run never pays
+/// anything.
 struct FaultStats {
   int devices_lost = 0;
   int64_t leases_revoked = 0;
@@ -109,13 +101,14 @@ struct FaultStats {
   /// the rest of their epoch; SGD tolerates the missing updates).
   int64_t blocks_lost = 0;
   int64_t transfer_faults = 0;
-  int64_t checkpoint_failures = 0;
-  int64_t checkpoint_retries = 0;
-  int64_t autosave_failures = 0;
   /// True once any fault fired (the run is no longer fault-free).
   bool degraded = false;
 };
 
+/// What a session trains and on which simulated fleet; every checkpoint
+/// stores it. It schedules no saves: the caller's epoch loop calls
+/// Session::SaveCheckpoint when it wants one. Scripted faults are
+/// attached at runtime via Session::SetFaultPlan, not configured here.
 struct TrainConfig {
   Algorithm algorithm = Algorithm::kHsgdStar;
   HardwareConfig hardware;
@@ -146,16 +139,13 @@ struct TrainConfig {
   /// paper's testbed rate. The measured value (not the flag) is what
   /// checkpoints persist; a restored session never re-measures.
   bool calibrate = false;
-  /// Fault-tolerance policy (autosave). Scripted faults themselves are
-  /// attached at runtime via Session::SetFaultPlan, not configured here.
-  FaultPolicy fault;
 };
 
 /// The ranges every TrainConfig must lie in: max_epochs in [1, 2^24],
-/// eval_threads in [1, 2^20], fault.autosave_every in [0, 2^24]; at most
-/// 2^20 CPU threads and 4,096 GPUs (neither negative) and 1 to 2^20 GPU
-/// workers; device rates, bandwidths and speed factors finite and > 0;
-/// overheads, latencies and speed_variability finite and >= 0.
+/// eval_threads in [1, 2^20]; at most 2^20 CPU threads and 4,096 GPUs
+/// (neither negative) and 1 to 2^20 GPU workers; device rates,
+/// bandwidths and speed factors finite and > 0; overheads, latencies and
+/// speed_variability finite and >= 0.
 /// Session::Create checks a new config with it and the checkpoint reader
 /// a stored one, so every session that trains and saves also restores.
 Status ValidateConfigRanges(const TrainConfig& config);
@@ -257,11 +247,11 @@ class Session {
   /// growth and block-tail bucketing bit for bit), verifies the result
   /// against the checkpoint's dataset fingerprint (InvalidArgument on a
   /// mismatch) and installs the checkpoint. The replayed growth's dirty
-  /// marks are cleared: checkpoints are taken at ingest-quiescent points
-  /// (see stream::OnlineTrainer::Checkpoint), so every replayed rating
-  /// is already trained into the installed factors. The resumed session
-  /// reproduces the uninterrupted run's remaining TracePoints and final
-  /// TrainStats bit-for-bit (wall_seconds excepted).
+  /// marks are cleared: SaveCheckpoint refuses to save untrained appends,
+  /// so every replayed rating is already trained into the installed
+  /// factors. The resumed session reproduces the uninterrupted run's
+  /// remaining TracePoints and final TrainStats bit-for-bit
+  /// (wall_seconds excepted).
   static StatusOr<std::unique_ptr<Session>> Restore(
       const std::string& path, Dataset dataset,
       const std::vector<Ratings>& growth = {});
@@ -374,14 +364,20 @@ class Session {
   /// fingerprint, factor matrices, virtual clock, RNG streams, device
   /// pipeline state, trace, stat accumulators) to `path`. Written via a
   /// temp file + rename so a crash mid-write never corrupts an existing
-  /// checkpoint. Only legal between epochs (which is the only time a
-  /// session is observable anyway). `wal_seq` records the WAL high-water
-  /// mark applied to this session — the durability contract between the
-  /// checkpoint and stream/wal.h's log. Restore carries it back out via
-  /// ReadCheckpoint (the session itself has no WAL state); the growth
-  /// RNG and exact rating moments ARE session state and round-trip with
-  /// every save, so appends after a restore stay bit-identical to the
-  /// uninterrupted run.
+  /// checkpoint; a failed write returns its Status and nothing retries
+  /// it. The session never saves on its own: the caller's epoch loop
+  /// decides when. Takes the epoch barrier, so a save from another thread
+  /// waits for the epoch or append in flight; never call it from inside
+  /// a VisitQuiesced callback, which already holds the barrier.
+  /// FailedPrecondition while appended ratings are not yet trained
+  /// (pending_nnz() != 0): Restore replays growth as already trained, so
+  /// a save must be ingest-quiescent — run RunIncrementalEpoch first.
+  /// `wal_seq` records the WAL high-water mark applied to this session —
+  /// the durability contract between the checkpoint and stream/wal.h's
+  /// log. Restore carries it back out via ReadCheckpoint (the session
+  /// itself has no WAL state); the growth RNG and exact rating moments
+  /// ARE session state and round-trip with every save, so appends after
+  /// a restore stay bit-identical to the uninterrupted run.
   Status SaveCheckpoint(const std::string& path, uint64_t wal_seq = 0) const;
 
  private:
@@ -439,9 +435,6 @@ class Session {
     obs::Counter* transfer_faults = nullptr;
     obs::Counter* ckpt_writes = nullptr;
     obs::Counter* ckpt_bytes = nullptr;
-    obs::Counter* ckpt_failures = nullptr;
-    obs::Counter* ckpt_retries = nullptr;
-    obs::Counter* autosave_failures = nullptr;
     obs::Gauge* sim_clock = nullptr;
     obs::Gauge* epoch = nullptr;
     obs::Gauge* test_rmse = nullptr;
@@ -506,20 +499,16 @@ class Session {
   std::unique_ptr<FaultInjector> injector_;
   FaultStats fault_stats_;
   bool failed_ = false;
-  /// Jitter stream for checkpoint-retry backoff (stream 23); consumed
-  /// only on IO failures, so fault-free runs never touch it.
-  Rng retry_rng_{0, 23};
 
   // ---- Online-append state (runtime, never checkpointed) --------------
   /// The epoch barrier: held for the whole of RunEpochImpl (the factor
   /// buffers may be reallocated by a concurrent append, so even reads
-  /// must exclude epochs) and by AppendRatings; try-locked by
-  /// VisitQuiesced.
+  /// must exclude epochs), by AppendRatings and by SaveCheckpoint;
+  /// try-locked by VisitQuiesced.
   mutable std::mutex epoch_mu_;
   /// FingerprintDataset(dataset_), filled by the first SaveCheckpoint and
-  /// dropped by AppendRatings, the only code that mutates dataset_. Lock
-  /// order: epoch_mu_, then fingerprint_mu_.
-  mutable std::mutex fingerprint_mu_;
+  /// dropped by AppendRatings, the only code that mutates dataset_; both
+  /// hold epoch_mu_, which guards it.
   mutable std::unique_ptr<DatasetFingerprint> fingerprint_;
   /// Per-block dirty bits set by AppendRatings, cleared by any
   /// successful epoch (a full sweep covers every dirty block too).

@@ -6,10 +6,6 @@
 // counted in *released blocks* — a quantity the discrete-event trace
 // makes identical for a given seed — the same plan fires at the same
 // point of the same trace on every machine and thread count.
-//
-// Checkpoint faults are not released-block-triggered: autosave consumes
-// them via ConsumeCheckpointFault at each write attempt once their
-// epoch has arrived.
 
 #pragma once
 
@@ -35,12 +31,12 @@ class FaultInjector {
 
   /// Returns the device-fault specs newly triggered now that
   /// `blocks_released` blocks of the current epoch have been released,
-  /// in plan order. Checkpoint faults never fire here.
+  /// in plan order.
   std::vector<const FaultSpec*> Poll(int blocks_released) {
     std::vector<const FaultSpec*> fired;
     for (size_t i = 0; i < plan_.specs.size(); ++i) {
       const FaultSpec& spec = plan_.specs[i];
-      if (fired_[i] || spec.kind == FaultKind::kCheckpointFault) continue;
+      if (fired_[i]) continue;
       if (epoch_ < spec.epoch) continue;
       if (epoch_ == spec.epoch) {
         const int threshold = static_cast<int>(
@@ -54,23 +50,6 @@ class FaultInjector {
     }
     return fired;
   }
-
-  /// True (and consumes one failure) when a checkpoint write attempted
-  /// during `epoch` should fail. Each kCheckpointFault spec supplies
-  /// `count` consecutive failures starting at its epoch.
-  bool ConsumeCheckpointFault(int epoch) {
-    for (size_t i = 0; i < plan_.specs.size(); ++i) {
-      FaultSpec& spec = plan_.specs[i];
-      if (spec.kind != FaultKind::kCheckpointFault) continue;
-      if (epoch < spec.epoch || spec.count <= 0) continue;
-      --spec.count;
-      if (spec.count == 0) fired_[i] = 1;
-      return true;
-    }
-    return false;
-  }
-
-  const FaultPlan& plan() const { return plan_; }
 
  private:
   FaultPlan plan_;

@@ -126,11 +126,10 @@ Status ParseTail(Cursor* c, const std::string& clause, FaultSpec* spec) {
   }
   if (c->EatLiteral("n")) {
     if (spec->kind != FaultKind::kLinkFault &&
-        spec->kind != FaultKind::kCheckpointFault &&
         spec->kind != FaultKind::kWalIo &&
         spec->kind != FaultKind::kPublishPoison) {
       return ClauseError(clause,
-                         "n<count> only applies to link:/ckpt/walio/poison");
+                         "n<count> only applies to link:/walio/poison");
     }
     if (!c->EatInt(&spec->count) || spec->count < 1) {
       return ClauseError(clause, "count must be a positive integer");
@@ -171,8 +170,6 @@ StatusOr<FaultSpec> ParseClause(const std::string& clause) {
     if (spec.device_class != DeviceClass::kGpu) {
       return ClauseError(clause, "link: targets a GPU's PCIe link");
     }
-  } else if (c.EatLiteral("ckpt")) {
-    spec.kind = FaultKind::kCheckpointFault;
   } else if (c.EatLiteral("poison")) {
     spec.kind = FaultKind::kPublishPoison;
   } else if (c.EatLiteral("walio")) {
@@ -187,8 +184,8 @@ StatusOr<FaultSpec> ParseClause(const std::string& clause) {
     }
   } else {
     return ClauseError(clause,
-                       "unknown kind (crash:/slow:/link:/ckpt/"
-                       "poison/walio/storm/slowshard:)");
+                       "unknown kind (crash:/slow:/link:/poison/"
+                       "walio/storm/slowshard:)");
   }
   HSGD_RETURN_IF_ERROR(ParseTail(&c, clause, &spec));
   return spec;
@@ -261,13 +258,6 @@ std::string FaultSpec::ToString() const {
     case FaultKind::kLinkFault:
       std::snprintf(buf, sizeof(buf), "link:gpu%d@e%d", device_index,
                     epoch);
-      out = buf;
-      AppendFraction(&out, at_fraction);
-      std::snprintf(buf, sizeof(buf), "n%d", count);
-      out += buf;
-      break;
-    case FaultKind::kCheckpointFault:
-      std::snprintf(buf, sizeof(buf), "ckpt@e%d", epoch);
       out = buf;
       AppendFraction(&out, at_fraction);
       std::snprintf(buf, sizeof(buf), "n%d", count);

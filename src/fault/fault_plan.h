@@ -10,12 +10,11 @@
 //   slow:gpu1@e2+0.25x8for0.5  8x slowdown for 0.5 sim-seconds
 //   slow:cpu0@e1x16          16x slowdown for the rest of the run
 //   link:gpu0@e2+0.1n4       next 4 PCIe transfers on GPU 0's link fail
-//   ckpt@e2n3                3 checkpoint writes fail, starting epoch 2
 //
 // `@eN` is the 1-based epoch, `+F` the release fraction within it
 // (default 0 = epoch start). `x` is the slowdown factor, `for` the
 // degraded window in simulated seconds (omitted = permanent), `n` a
-// count of transfers/writes to fail. Numbers are plain decimal (`3`,
+// count of transfers to fail. Numbers are plain decimal (`3`,
 // `0.25`, `1e-3`) with no sign, space, hex, inf or nan; doubles must be
 // finite and integers must fit in an int.
 //
@@ -47,12 +46,11 @@ enum class FaultKind {
   kCpuCrash = 1,
   kStraggler = 2,     // transient (or permanent) slowdown
   kLinkFault = 3,     // next `count` PCIe transfers fail-and-retry
-  kCheckpointFault = 4,  // next `count` checkpoint writes fail
   // Serve/stream kinds (round-triggered; see file comment).
-  kPublishPoison = 5,  // next `count` published snapshots carry NaNs
-  kWalIo = 6,          // next `count` WAL appends fail
-  kQueryStorm = 7,     // client load multiplied for a round window
-  kSlowShard = 8,      // one serve shard stalls for a round window
+  kPublishPoison = 4,  // next `count` published snapshots carry NaNs
+  kWalIo = 5,          // next `count` WAL appends fail
+  kQueryStorm = 6,     // client load multiplied for a round window
+  kSlowShard = 7,      // one serve shard stalls for a round window
 };
 
 /// True for the kinds fired by the serve-loop injector
@@ -61,8 +59,8 @@ bool IsServeFault(FaultKind kind);
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kGpuCrash;
-  /// Target device (unused for kCheckpointFault and the serve kinds —
-  /// except kSlowShard, which reads device_index as the shard).
+  /// Target device (unused for the serve kinds — except kSlowShard,
+  /// which reads device_index as the shard).
   DeviceClass device_class = DeviceClass::kGpu;
   int device_index = 0;
   /// 1-based epoch (train kinds) or publish round (serve kinds) the
@@ -76,8 +74,8 @@ struct FaultSpec {
   /// kStraggler: degraded window in sim-seconds; kQueryStorm /
   /// kSlowShard: window in publish rounds. <= 0 means permanent.
   double duration = 0.0;
-  /// kLinkFault / kCheckpointFault / kWalIo / kPublishPoison: how many
-  /// operations fail (or publishes are poisoned).
+  /// kLinkFault / kWalIo / kPublishPoison: how many operations fail (or
+  /// publishes are poisoned).
   int count = 1;
 
   std::string ToString() const;
@@ -94,7 +92,7 @@ struct FaultPlan {
   static StatusOr<FaultPlan> Parse(const std::string& text);
 };
 
-/// Split a mixed plan into its session half (crash/slow/link/ckpt, fed
+/// Split a mixed plan into its session half (crash/slow/link, fed
 /// to Session::SetFaultPlan) and its serve half (poison/walio/storm/
 /// slowshard, fed to ServeFaultInjector) — one script drives the whole
 /// chaos scenario. Either output may be null to discard that half.

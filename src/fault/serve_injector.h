@@ -67,7 +67,6 @@ class ServeFaultInjector {
   /// (1.0 = healthy).
   double ShardSlowdown(int shard) const;
 
-  const FaultPlan& plan() const { return plan_; }
   int64_t poisons_fired() const { return poisons_fired_; }
   int64_t wal_faults_fired() const { return wal_faults_fired_; }
 

@@ -23,19 +23,13 @@ class CpuDevice {
   /// Health-blind — cost probes and lease-deadline estimates use this.
   SimTime UpdateTime(int64_t nnz) const;
 
-  /// UpdateTime scaled by health().SlowdownAt(now) — what the event loop
-  /// charges a possibly-degraded thread. Identical to UpdateTime while
-  /// healthy.
-  SimTime UpdateTimeAt(SimTime now, int64_t nnz) const {
-    return UpdateTime(nnz) * health_.SlowdownAt(now);
-  }
-
-  /// UpdateTimeAt that also accrues the thread's busy-time accounting —
-  /// what the event loop charges when the block actually runs (cost
-  /// probes keep using the const UpdateTimeAt). Same value, same
-  /// arithmetic; the accumulator is never read back by the simulation.
+  /// UpdateTime scaled by health().SlowdownAt(now), accrued into the
+  /// thread's busy-time accounting — what the event loop charges a
+  /// possibly-degraded thread when the block actually runs. Identical to
+  /// UpdateTime while healthy; the accumulator is never read back by the
+  /// simulation.
   SimTime ChargeAt(SimTime now, int64_t nnz) {
-    const SimTime t = UpdateTimeAt(now, nnz);
+    const SimTime t = UpdateTime(nnz) * health_.SlowdownAt(now);
     busy_seconds_ += t;
     return t;
   }

@@ -23,7 +23,7 @@ enum class HealthState {
   /// Running, but slower than its spec (straggler / thermal throttle /
   /// flaky link retries). Work keeps flowing unless the slowdown is bad
   /// enough that the scheduler benches the device (at 8x, the lease
-  /// deadline factor; see FaultPolicy).
+  /// deadline factor; see kLeaseDeadlineFactor in core/session.cc).
   kDegraded = 1,
   /// Crashed or declared dead by the watchdog. Never scheduled again.
   kDead = 2,

@@ -88,7 +88,6 @@ class GpuDevice {
   /// Mutable link access for fault injection (transfer faults charge the
   /// retry inside Process/Upload).
   PcieLink& mutable_link() { return link_; }
-  int k() const { return k_; }
 
   /// Fault-layer health: Process scales kernel time by
   /// health().SlowdownAt(kernel start); a dead device must never be

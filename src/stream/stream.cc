@@ -328,13 +328,6 @@ StatusOr<serve::SnapshotPtr> OnlineTrainer::PublishSnapshot() {
 }
 
 Status OnlineTrainer::Checkpoint(const std::string& path) {
-  if (session_->pending_nnz() != 0) {
-    return Status::FailedPrecondition(StrFormat(
-        "%lld ingested ratings are not yet trained; run TrainDirty "
-        "before checkpointing (recovery rebuilds dirty state on the "
-        "assumption that checkpoints are ingest-quiescent)",
-        static_cast<long long>(session_->pending_nnz())));
-  }
   if (wal_ != nullptr) {
     // The checkpoint is about to claim "everything through
     // wal_applied_seq_ is durable"; make the log agree before the claim

@@ -208,10 +208,10 @@ class OnlineTrainer {
 
   /// Durable save: fsyncs the WAL (when armed), then writes the session
   /// checkpoint stamped with the WAL sequence applied so far. Refused
-  /// (FailedPrecondition) while ratings are ingested-but-untrained —
-  /// recovery's dirty-state reconstruction (Session::Restore with
-  /// growth) relies on checkpoints being taken at ingest-quiescent
-  /// points.
+  /// (FailedPrecondition, from Session::SaveCheckpoint) while ratings are
+  /// ingested-but-untrained — recovery's dirty-state reconstruction
+  /// (Session::Restore with growth) relies on checkpoints being taken at
+  /// ingest-quiescent points; run TrainDirty first.
   Status Checkpoint(const std::string& path);
 
   /// One incremental epoch over the blocks dirtied since the last epoch.

@@ -2,8 +2,8 @@
 // contract under injected short writes (SetCheckpointWriteFailpoint).
 // Whatever byte the "device" dies at, the previous checkpoint at the
 // destination path must stay byte-identical and readable, and no *.tmp
-// litter may survive. Also covers the autosave policy's config round-trip
-// and the reader and writer agreeing byte for byte.
+// litter may survive. Also covers the reader and writer agreeing byte for
+// byte, and the reader refusing a file of an older version.
 
 #include <cstdio>
 #include <cstring>
@@ -123,53 +123,14 @@ void TestFailpointOnFreshPathLeavesNothing() {
   EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
-// v4: the FaultPolicy travels with the config, so a restored run keeps
-// autosaving (cadence and path) the way the original did.
-void TestFaultPolicyRoundTrip() {
-  Dataset ds = SmallDataset();
-  TrainConfig cfg = SmallConfig();
-  cfg.fault.autosave_every = 3;
-  cfg.fault.autosave_path = "checkpoint_test_auto.ckpt";
-
-  auto session = Session::Create(ds, cfg);
-  EXPECT_TRUE(session.ok());
-  if (!session.ok()) return;
-  EXPECT_TRUE((*session)->RunEpoch().ok());
-  const std::string path = "checkpoint_test_policy.ckpt";
-  EXPECT_TRUE((*session)->SaveCheckpoint(path).ok());
-
-  auto ckpt = ReadCheckpoint(path);
-  EXPECT_TRUE(ckpt.ok());
-  if (ckpt.ok()) {
-    const FaultPolicy& fault = ckpt->config.fault;
-    EXPECT_EQ(fault.autosave_every, 3);
-    EXPECT_TRUE(fault.autosave_path == cfg.fault.autosave_path);
-  }
-  EXPECT_TRUE(Session::Restore(path, ds).ok());
-
-  // A corrupt policy must be rejected structurally, not trusted: write
-  // back a checkpoint whose autosave cadence is nonsense.
-  if (ckpt.ok()) {
-    SessionCheckpoint bad = *ckpt;
-    bad.config.fault.autosave_every = -3;
-    const std::string tmp = "checkpoint_test_policy_bad.ckpt";
-    EXPECT_TRUE(WriteCheckpoint(tmp, bad).ok());
-    EXPECT_FALSE(Session::Restore(tmp, ds).ok());
-    std::remove(tmp.c_str());
-  }
-  std::remove(path.c_str());
-}
-
 // One field list drives both ReadCheckpoint and WriteCheckpoint, so a
 // checkpoint read and written back is the same file byte for byte. The
-// HSGD* session stores GPU stream state, an autosave path and two trace
-// points; the CPU-only one stores no GPU streams.
+// HSGD* session stores GPU stream state and two trace points; the
+// CPU-only one stores no GPU streams.
 void TestReadWriteRoundTripIsByteExact() {
   Dataset ds = SmallDataset();
   TrainConfig star = SmallConfig();
   star.algorithm = Algorithm::kHsgdStar;
-  star.fault.autosave_every = 3;  // never due within the two epochs run
-  star.fault.autosave_path = "checkpoint_test_never_written.ckpt";
   TrainConfig cpu = SmallConfig();
   cpu.algorithm = Algorithm::kCpuOnly;
   cpu.hardware.num_gpus = 0;
@@ -188,16 +149,14 @@ void TestReadWriteRoundTripIsByteExact() {
     EXPECT_EQ(ckpt->gpu_streams.size(),
               static_cast<size_t>(cfg.hardware.num_gpus));
     EXPECT_EQ(ckpt->trace.size(), 2u);
-    EXPECT_TRUE(ckpt->config.fault.autosave_path ==
-                cfg.fault.autosave_path);
     EXPECT_TRUE(WriteCheckpoint(copy, *ckpt).ok());
     EXPECT_TRUE(ReadFileBytes(copy) == ReadFileBytes(path));
   }
 
-  // A v5 file is refused by its version word.
+  // A v6 file is refused by its version word.
   std::string bytes = ReadFileBytes(path);
-  const uint32_t v5 = 5;
-  std::memcpy(&bytes[sizeof(kCheckpointMagic)], &v5, sizeof(v5));
+  const uint32_t v6 = 6;
+  std::memcpy(&bytes[sizeof(kCheckpointMagic)], &v6, sizeof(v6));
   FILE* out = std::fopen(copy.c_str(), "wb");
   EXPECT_TRUE(out != nullptr);
   if (out != nullptr) {
@@ -209,10 +168,9 @@ void TestReadWriteRoundTripIsByteExact() {
   if (!old.ok()) {
     EXPECT_TRUE(old.status().code() == StatusCode::kInvalidArgument);
     const std::string want =
-        "has version 5, expected " + std::to_string(kCheckpointVersion);
+        "has version 6, expected " + std::to_string(kCheckpointVersion);
     EXPECT_TRUE(old.status().message().find(want) != std::string::npos);
   }
-  EXPECT_FALSE(fs::exists(star.fault.autosave_path));
   std::remove(copy.c_str());
   std::remove(path.c_str());
 }
@@ -222,7 +180,6 @@ void TestReadWriteRoundTripIsByteExact() {
 void RunAllTests() {
   TestFailpointPreservesPreviousCheckpoint();
   TestFailpointOnFreshPathLeavesNothing();
-  TestFaultPolicyRoundTrip();
   TestReadWriteRoundTripIsByteExact();
 }
 

@@ -111,18 +111,17 @@ void ExpectFaultStatsZero(const FaultStats& stats) {
   EXPECT_EQ(stats.blocks_requeued, 0);
   EXPECT_EQ(stats.blocks_lost, 0);
   EXPECT_EQ(stats.transfer_faults, 0);
-  EXPECT_EQ(stats.checkpoint_failures, 0);
   EXPECT_FALSE(stats.degraded);
 }
 
 void TestPlanParsing() {
   const std::string text =
       "crash:gpu0@e3+0.5; crash:cpu2@e2; slow:gpu1@e2+0.25x8for0.5; "
-      "slow:cpu0@e1x16; link:gpu0@e2+0.1n4; ckpt@e2n3";
+      "slow:cpu0@e1x16; link:gpu0@e2+0.1n4";
   auto plan = FaultPlan::Parse(text);
   EXPECT_TRUE(plan.ok());
   if (plan.ok()) {
-    EXPECT_EQ(plan->specs.size(), 6u);
+    EXPECT_EQ(plan->specs.size(), 5u);
     const FaultSpec& crash = plan->specs[0];
     EXPECT_TRUE(crash.kind == FaultKind::kGpuCrash);
     EXPECT_EQ(crash.device_index, 0);
@@ -135,10 +134,6 @@ void TestPlanParsing() {
     const FaultSpec& link = plan->specs[4];
     EXPECT_TRUE(link.kind == FaultKind::kLinkFault);
     EXPECT_EQ(link.count, 4);
-    const FaultSpec& ckpt = plan->specs[5];
-    EXPECT_TRUE(ckpt.kind == FaultKind::kCheckpointFault);
-    EXPECT_EQ(ckpt.epoch, 2);
-    EXPECT_EQ(ckpt.count, 3);
 
     // ToString -> Parse round-trips to the same plan.
     auto again = FaultPlan::Parse(plan->ToString());
@@ -158,8 +153,9 @@ void TestPlanParsing() {
            "slow:gpu0@e1x0.5",    // slowdown must exceed 1
            "slow:gpu0@e1x4for0",  // degraded window must be positive
            "link:cpu0@e1n2",      // links hang off GPUs only
-           "crash:gpu0@e1n2",     // count is link/ckpt-only
-           "ckpt@e1n0",           // counts start at 1
+           "crash:gpu0@e1n2",     // count is link-only
+           "link:gpu0@e1n0",      // counts start at 1
+           "ckpt@e1n1",           // saves are the caller's: no ckpt kind
            "crash:gpu0@e1 trailing",
            "wibble",
            // Numbers are plain decimal, finite, and integers fit in an
@@ -179,7 +175,7 @@ void TestPlanParsing() {
            "slow:cpu0@e1x2.",         // no digits after it
        }) {
     auto parsed = FaultPlan::Parse(bad);
-    EXPECT_FALSE(parsed.ok());
+    EXPECT_TRUE(parsed.status().code() == StatusCode::kInvalidArgument);
     if (parsed.ok()) std::fprintf(stderr, "  (accepted: %s)\n", bad);
   }
 
@@ -227,7 +223,7 @@ void TestPlanParseMutants() {
   const std::vector<std::string> examples = {
       "crash:gpu0@e3+0.5", "crash:cpu2@e2",
       "slow:gpu1@e2+0.25x8for0.5", "slow:cpu0@e1x16",
-      "link:gpu0@e2+0.1n4", "ckpt@e2n3",
+      "link:gpu0@e2+0.1n4",
       "poison@r3n2", "walio@r2n4",
       "storm@r4x8for2", "slowshard:1@r5x16for3"};
   auto pick = [](Rng* rng, size_t n) {
@@ -511,47 +507,6 @@ void TestAllWorkersDead() {
   EXPECT_TRUE(failed_q[0] == failed_q[1]);
 }
 
-// Autosave + scripted checkpoint IO faults: the retry loop eats the
-// injected failures, the accounting matches, and the autosaved file
-// resumes.
-void TestCheckpointFaultRetry() {
-  Dataset ds = SmallDataset();
-  TrainConfig cfg = SmallConfig(Algorithm::kHsgd);
-  cfg.max_epochs = 2;
-  cfg.fault.autosave_every = 1;
-  cfg.fault.autosave_path = "fault_test_autosave.ckpt";
-  std::remove(cfg.fault.autosave_path.c_str());
-
-  auto session = Session::Create(ds, cfg);
-  EXPECT_TRUE(session.ok());
-  if (!session.ok()) return;
-  auto plan = FaultPlan::Parse("ckpt@e1n2");
-  EXPECT_TRUE(plan.ok());
-  EXPECT_TRUE((*session)->SetFaultPlan(*plan).ok());
-  EXPECT_TRUE((*session)->RunToCompletion().ok());
-  const FaultStats& fault = (*session)->fault_stats();
-  EXPECT_EQ(fault.checkpoint_failures, 2);
-  EXPECT_EQ(fault.checkpoint_retries, 2);
-  EXPECT_EQ(fault.autosave_failures, 0);
-  auto resumed = Session::Restore(cfg.fault.autosave_path, ds);
-  EXPECT_TRUE(resumed.ok());
-  if (resumed.ok()) EXPECT_EQ((*resumed)->epochs_run(), 2);
-  std::remove(cfg.fault.autosave_path.c_str());
-
-  // Budget exhausted: the autosave is abandoned (tallied, warned) but
-  // training itself keeps going.
-  auto stubborn = Session::Create(ds, cfg);
-  EXPECT_TRUE(stubborn.ok());
-  if (!stubborn.ok()) return;
-  auto many = FaultPlan::Parse("ckpt@e1n99");
-  EXPECT_TRUE(many.ok());
-  EXPECT_TRUE((*stubborn)->SetFaultPlan(*many).ok());
-  EXPECT_TRUE((*stubborn)->RunToCompletion().ok());
-  EXPECT_EQ((*stubborn)->fault_stats().autosave_failures, 2);
-  EXPECT_EQ((*stubborn)->epochs_run(), 2);
-  std::remove(cfg.fault.autosave_path.c_str());
-}
-
 // The serve half of the grammar: poison / walio / storm / slowshard
 // clauses parse with round-triggered semantics and round-trip through
 // ToString, and the misuse cases fail loudly.
@@ -584,7 +539,6 @@ void TestServePlanParsing() {
       EXPECT_TRUE(IsServeFault(spec.kind));
     }
     EXPECT_FALSE(IsServeFault(FaultKind::kGpuCrash));
-    EXPECT_FALSE(IsServeFault(FaultKind::kCheckpointFault));
 
     auto again = FaultPlan::Parse(plan->ToString());
     EXPECT_TRUE(again.ok());
@@ -612,7 +566,7 @@ void TestServePlanParsing() {
 // serve half, and the session refuses to be handed serve kinds.
 void TestSplitAndSessionRejectsServeKinds() {
   auto mixed = FaultPlan::Parse(
-      "crash:gpu0@e2+0.5; poison@r3; ckpt@e1n1; walio@r2n2; "
+      "crash:gpu0@e2+0.5; poison@r3; link:gpu0@e1n1; walio@r2n2; "
       "slowshard:0@r4x8for1");
   EXPECT_TRUE(mixed.ok());
   if (!mixed.ok()) return;
@@ -724,10 +678,6 @@ void TestPlanValidation() {
     auto cpu_fault = FaultPlan::Parse("crash:cpu0@e1");
     EXPECT_TRUE(cpu_fault.ok());
     EXPECT_FALSE((*gpu_only)->SetFaultPlan(*cpu_fault).ok());
-    // Checkpoint faults target no device and always validate.
-    auto ckpt = FaultPlan::Parse("ckpt@e1n1");
-    EXPECT_TRUE(ckpt.ok());
-    EXPECT_TRUE((*gpu_only)->SetFaultPlan(*ckpt).ok());
   }
 }
 
@@ -745,7 +695,6 @@ void RunAllTests() {
   TestRepeatedExpiryDropsBlock();
   TestEpochWithoutSweepHasNoTrainLoss();
   TestAllWorkersDead();
-  TestCheckpointFaultRetry();
   TestServePlanParsing();
   TestSplitAndSessionRejectsServeKinds();
   TestServeFaultInjectorFiring();

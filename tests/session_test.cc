@@ -5,11 +5,14 @@
 // BatchTopK over the trained factors must agree with a brute-force
 // scorer.
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -791,6 +794,82 @@ void TestGrownCheckpointRoundTrip() {
   std::remove(path.c_str());
 }
 
+// A save while appended ratings are untrained is refused and changes
+// nothing: Restore replays growth as already trained, so such a
+// checkpoint would silently drop the appends from the next incremental
+// epoch. Once RunIncrementalEpoch has trained them the save lands, and
+// the restored session continues exactly like the original.
+void TestSaveRefusesUntrainedAppends() {
+  const std::string path = "session_test_ckpt_pending.bin";
+  std::remove(path.c_str());
+  Dataset ds = SmallDataset();
+  TrainConfig cfg = SmallConfig(Algorithm::kHsgd);
+  cfg.max_epochs = 10;
+  auto session = Session::Create(ds, cfg);
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return;
+  Session* s = session->get();
+  EXPECT_TRUE(s->RunEpoch().ok());
+  const Ratings batch = {{0, 0, 4.0f}, {1, 2, 3.0f}, {10, 20, 2.5f}};
+  EXPECT_TRUE(s->AppendRatings(batch).ok());
+  EXPECT_TRUE(s->SaveCheckpoint(path).code() ==
+              StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(ReadCheckpoint(path).status().code() == StatusCode::kNotFound);
+  EXPECT_EQ(s->pending_nnz(), 3);
+  EXPECT_LT(0, s->pending_dirty_blocks());
+
+  EXPECT_TRUE(s->RunIncrementalEpoch().ok());
+  EXPECT_TRUE(s->SaveCheckpoint(path).ok());
+  auto restored = Session::Restore(path, ds, {batch});
+  EXPECT_TRUE(restored.ok());
+  if (restored.ok()) {
+    Session* r = restored->get();
+    EXPECT_EQ(r->epochs_run(), s->epochs_run());
+    EXPECT_EQ(r->pending_nnz(), 0);
+    auto next = s->RunEpoch();
+    auto next_restored = r->RunEpoch();
+    EXPECT_TRUE(next.ok() && next_restored.ok());
+    if (next.ok() && next_restored.ok()) {
+      ExpectTracePointsEqual(*next, *next_restored);
+    }
+    EXPECT_TRUE(SameBits(s->model().DenseP(), r->model().DenseP()));
+    EXPECT_TRUE(SameBits(s->model().DenseQ(), r->model().DenseQ()));
+  }
+  std::remove(path.c_str());
+}
+
+// SaveCheckpoint takes the epoch barrier: a save issued while another
+// thread holds it (here through VisitQuiesced) returns only after the
+// holder lets go, so it never reads factors an epoch or an append is
+// still writing.
+void TestSaveWaitsForBarrier() {
+  const std::string path = "session_test_ckpt_barrier.bin";
+  Dataset ds = SmallDataset();
+  auto session = Session::Create(ds, SmallConfig(Algorithm::kCpuOnly));
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return;
+  Session* s = session->get();
+  EXPECT_TRUE(s->RunEpoch().ok());
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  Status visited = Status::Ok();
+  std::thread holder([&] {
+    visited = s->VisitQuiesced([&]() {
+      started.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      finished.store(true);
+      return Status::Ok();
+    });
+  });
+  while (!started.load()) std::this_thread::yield();
+  EXPECT_TRUE(s->SaveCheckpoint(path).ok());
+  EXPECT_TRUE(finished.load());
+  holder.join();
+  EXPECT_TRUE(visited.ok());
+  std::remove(path.c_str());
+}
+
 // (h) VisitQuiesced: runs the callback between epochs (propagating its
 // Status), and the barrier is free again as soon as RunEpoch or
 // RunIncrementalEpoch returns, which is what lets the caller's loop
@@ -857,6 +936,8 @@ void RunAllTests() {
   TestModelGrowAlignment();
   TestModelGrowInPlace();
   TestGrownCheckpointRoundTrip();
+  TestSaveRefusesUntrainedAppends();
+  TestSaveWaitsForBarrier();
   TestVisitQuiescedBarrier();
   TestTraceEmptyAndMonotone();
 }

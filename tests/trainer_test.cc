@@ -177,8 +177,6 @@ void TestInvalidConfigs() {
       rejected([](TrainConfig* c) { c->max_epochs = (1 << 24) + 1; }));
   EXPECT_TRUE(
       rejected([](TrainConfig* c) { c->eval_threads = (1 << 20) + 1; }));
-  EXPECT_TRUE(
-      rejected([](TrainConfig* c) { c->fault.autosave_every = -1; }));
 
   // SGD hyper-parameters must be finite and >= 0.
   for (float bad_value : {std::nanf(""), -0.01f, HUGE_VALF}) {
