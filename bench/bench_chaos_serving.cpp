@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_serve_common.h"
 #include "fault/fault_plan.h"
 #include "fault/serve_injector.h"
 #include "serve/server.h"
@@ -57,33 +58,6 @@ using stream::Wal;
 
 constexpr int64_t kUserBase = 10000000;
 constexpr int64_t kItemBase = 20000000;
-
-uint32_t Lcg(uint32_t* state) {
-  *state = *state * 1664525u + 1013904223u;
-  return *state;
-}
-
-/// Serving invariants for one response (cf. bench_stream): version
-/// inside the published window, at most k items, scores finite and
-/// sorted descending with ties by ascending item id.
-bool ResponseIntact(const serve::TopKResponse& response,
-                    uint64_t max_version, int k) {
-  if (response.snapshot_version < 1 ||
-      response.snapshot_version > max_version) {
-    return false;
-  }
-  if (response.items.size() > static_cast<size_t>(k)) return false;
-  for (size_t i = 0; i < response.items.size(); ++i) {
-    if (!std::isfinite(response.items[i].score)) return false;
-    if (i == 0) continue;
-    const ScoredItem& a = response.items[i - 1];
-    const ScoredItem& b = response.items[i];
-    if (!(a.score > b.score || (a.score == b.score && a.item < b.item))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Shared sizing for all three scenarios.
 struct ChaosShape {
@@ -116,7 +90,7 @@ ChaosShape MakeShape(const BenchContext& ctx) {
 std::unique_ptr<Session> WarmSession(const Dataset& warm,
                                      const BenchContext& ctx,
                                      int warm_epochs, int epoch_budget) {
-  TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx);
+  TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx, warm);
   cfg.use_dataset_target = false;
   cfg.max_epochs = epoch_budget;
   auto session = Session::Create(warm, cfg);

@@ -11,7 +11,7 @@
 //   --datasets=a,b    comma list (default: all four presets)
 //   --seed=<n>
 //   --kernel=<name>   SGD/scoring kernel: auto, scalar, avx2, avx512
-//   --calibrate       feed the measured kernel rate into the simulator
+//   --calibrate       use the measured kernel rate as the sim's CPU rate
 //
 // Training benches run through the Session API (RunSession below); the
 // RMSE-curve and dynamic-scheduling benches loop over RunEpoch
@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -63,7 +64,8 @@ struct BenchContext {
   uint64_t seed = 1;
   /// --kernel: compute-kernel variant for the real SGD/RMSE arithmetic.
   KernelKind kernel = KernelKind::kAuto;
-  /// --calibrate: measure the real kernel rate and feed it to the sim.
+  /// --calibrate: measure the real kernel rate (CalibratedRateK128) and
+  /// give it to the simulator as the CPU rate.
   bool calibrate = false;
   std::vector<DatasetPreset> presets;
   /// Real dataset loaded via --data/--format; when set, `presets` holds a
@@ -102,8 +104,8 @@ inline std::vector<FlagSpec> SharedFlagSpecs() {
       {"kernel", "<name>",
        "SGD/scoring kernel: auto, scalar, avx2, avx512 (default auto)"},
       {"calibrate", "",
-       "micro-measure the chosen kernel's real update rate and override "
-       "the simulator's cpu.updates_per_sec_k128 with it"},
+       "micro-measure the chosen kernel's real update rate (once per "
+       "rank) and use it as the simulator's CPU rate"},
       {"trace", "<file>",
        "write a Chrome trace-event / Perfetto timeline of the run"},
       {"metrics", "<file>",
@@ -188,10 +190,8 @@ inline BenchContext ParseContext(int argc, char** argv,
     load_options.max_bad_lines = ctx.flags.GetInt("max-bad-lines", 0);
     HSGD_CHECK(load_options.max_bad_lines >= 0)
         << "--max-bad-lines must be >= 0";
-    io::DatasetOptions dataset_options;
-    dataset_options.test_fraction =
-        ctx.flags.GetDouble("test-split", 0.1);
-    auto ds = io::LoadDataset(data, *format, load_options, dataset_options);
+    auto ds = io::LoadDataset(data, *format, load_options,
+                              ctx.flags.GetDouble("test-split", 0.1));
     HSGD_CHECK_OK(ds.status()) << "while loading --data=" << data;
     ctx.loaded = std::make_shared<Dataset>(*std::move(ds));
     ctx.data_path = data;
@@ -243,17 +243,41 @@ inline std::string DatasetTitle(const BenchContext& ctx,
   return ctx.loaded != nullptr ? ctx.data_path : PresetName(preset);
 }
 
-/// \brief Baseline TrainConfig matching the paper's experimental setup.
-inline TrainConfig MakeConfig(Algorithm algorithm, const BenchContext& ctx) {
+/// \brief The per-thread CPU rate (k=128 convention) of `kernel` measured
+/// at rank `k` on this machine. The first call per kernel and rank
+/// measures and prints one line; later calls return that rate, so every
+/// session of a run at one rank plans with the same simulated CPU. Not
+/// thread-safe: benches build their configs on the main thread.
+inline double CalibratedRateK128(KernelKind kernel, int k) {
+  static std::map<std::pair<KernelKind, int>, double> measured;
+  const std::pair<KernelKind, int> key(kernel, k);
+  auto it = measured.find(key);
+  if (it == measured.end()) {
+    const KernelCalibration cal = CalibrateKernel(kernel, k);
+    std::printf("calibrated %s kernel at k=%d: %.2fM updates/s/thread\n",
+                KernelKindName(cal.kernel), k, cal.updates_per_sec / 1e6);
+    it = measured.emplace(key, cal.updates_per_sec_k128).first;
+  }
+  return it->second;
+}
+
+/// \brief Baseline TrainConfig matching the paper's experimental setup,
+/// for training on `ds` (under --calibrate, the CPU rate is measured at
+/// its rank).
+inline TrainConfig MakeConfig(Algorithm algorithm, const BenchContext& ctx,
+                              const Dataset& ds) {
   TrainConfig cfg;
   cfg.algorithm = algorithm;
   cfg.hardware.num_cpu_threads = ctx.threads;
   cfg.hardware.num_gpus = ctx.gpus;
-  cfg.hardware.gpu.parallel_workers = ctx.workers;
+  cfg.hardware.gpu_workers = ctx.workers;
+  if (ctx.calibrate) {
+    cfg.hardware.cpu_updates_per_sec_k128 =
+        CalibratedRateK128(ctx.kernel, ds.params.k);
+  }
   cfg.max_epochs = ctx.max_epochs;
   cfg.seed = ctx.seed;
   cfg.kernel = ctx.kernel;
-  cfg.calibrate = ctx.calibrate;
   return cfg;
 }
 
@@ -267,6 +291,18 @@ inline TrainResult RunSession(const BenchContext& ctx, const Dataset& ds,
   (*session)->SetObservability(ctx.obs.Sinks());
   HSGD_CHECK_OK((*session)->RunToCompletion());
   return {(*session)->trace(), (*session)->stats()};
+}
+
+/// \brief Simulated seconds until a session of `cfg` on `ds` first
+/// reaches the dataset's target RMSE (it stops there), or kSimTimeNever
+/// when it does not within its epoch budget.
+inline SimTime TimeToTarget(const BenchContext& ctx, const Dataset& ds,
+                            TrainConfig cfg) {
+  cfg.use_dataset_target = true;
+  TrainResult result = RunSession(ctx, ds, cfg);
+  return result.stats.sim.reached_target
+             ? result.trace.TimeToReach(ds.target_rmse)
+             : kSimTimeNever;
 }
 
 /// \brief Dump `content` to `path`, aborting on IO failure (bench

@@ -86,10 +86,10 @@ ScenarioResult RunScenario(const std::string& name, const Dataset& ds,
   return result;
 }
 
-/// Run a faulted session that saves a checkpoint every 2nd epoch,
-/// abandon it halfway, restore from its last checkpoint, re-attach the
-/// plan (runtime fault state is deliberately not checkpointed), and
-/// drive to the full budget.
+/// Run a faulted session that saves a checkpoint every 2nd epoch (or at
+/// the kill point when it stops before epoch 2), abandon it halfway,
+/// restore from its last checkpoint, re-attach the plan (runtime fault
+/// state is deliberately not checkpointed), and drive to the full budget.
 ScenarioResult RunKillResume(const Dataset& ds, const TrainConfig& cfg,
                              const std::string& plan_text,
                              const Observability& sinks) {
@@ -107,13 +107,18 @@ ScenarioResult RunKillResume(const Dataset& ds, const TrainConfig& cfg,
     (*session)->SetObservability(sinks);
     HSGD_CHECK_OK((*session)->SetFaultPlan(*plan));
     const int stop_after = std::max(2, cfg.max_epochs / 2);
+    bool saved = false;
     while (!(*session)->Done() &&
            (*session)->epochs_run() < stop_after) {
       HSGD_CHECK_OK((*session)->RunEpoch().status());
       if ((*session)->epochs_run() % 2 == 0) {
         HSGD_CHECK_OK((*session)->SaveCheckpoint(path));
+        saved = true;
       }
     }
+    // A budget that ends before the first even epoch leaves nothing to
+    // resume from, so save at the kill point instead.
+    if (!saved) HSGD_CHECK_OK((*session)->SaveCheckpoint(path));
     // "kill -9": the session object is simply dropped here.
   }
   auto resumed = Session::Restore(path, ds);
@@ -220,7 +225,7 @@ int main(int argc, char** argv) {
     // One load/generation per dataset; Session copies it, so every
     // scenario trains on identical bytes.
     const Dataset ds = MakeBenchDataset(preset, ctx);
-    TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx);
+    TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx, ds);
     cfg.max_epochs = ctx.max_epochs;
     cfg.use_dataset_target = false;  // all scenarios run the full budget
 

@@ -12,19 +12,6 @@
 using namespace hsgd;
 using namespace hsgd::bench;
 
-namespace {
-
-SimTime TimeToTarget(const BenchContext& ctx, const Dataset& ds,
-                     TrainConfig cfg) {
-  cfg.use_dataset_target = true;
-  TrainResult result = RunSession(ctx, ds, cfg);
-  return result.stats.sim.reached_target
-             ? result.trace.TimeToReach(ds.target_rmse)
-             : kSimTimeNever;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   BenchContext ctx = ParseContext(argc, argv, /*default_epochs=*/15);
   const int kWorkerGrid[] = {32, 64, 128, 256, 512};
@@ -39,14 +26,14 @@ int main(int argc, char** argv) {
 
     // CPU-Only does not depend on W; run it once.
     SimTime cpu_time =
-        TimeToTarget(ctx, ds, MakeConfig(Algorithm::kCpuOnly, ctx));
+        TimeToTarget(ctx, ds, MakeConfig(Algorithm::kCpuOnly, ctx, ds));
     for (int w : kWorkerGrid) {
       BenchContext wctx = ctx;
       wctx.workers = w;
       SimTime gpu_time =
-          TimeToTarget(wctx, ds, MakeConfig(Algorithm::kGpuOnly, wctx));
+          TimeToTarget(wctx, ds, MakeConfig(Algorithm::kGpuOnly, wctx, ds));
       SimTime star_time =
-          TimeToTarget(wctx, ds, MakeConfig(Algorithm::kHsgdStar, wctx));
+          TimeToTarget(wctx, ds, MakeConfig(Algorithm::kHsgdStar, wctx, ds));
       std::printf("%-10d %12s %12s %12s\n", w,
                   FormatTime(cpu_time).c_str(),
                   FormatTime(gpu_time).c_str(),

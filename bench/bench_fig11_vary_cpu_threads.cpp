@@ -11,19 +11,6 @@
 using namespace hsgd;
 using namespace hsgd::bench;
 
-namespace {
-
-SimTime TimeToTarget(const BenchContext& ctx, const Dataset& ds,
-                     TrainConfig cfg) {
-  cfg.use_dataset_target = true;
-  TrainResult result = RunSession(ctx, ds, cfg);
-  return result.stats.sim.reached_target
-             ? result.trace.TimeToReach(ds.target_rmse)
-             : kSimTimeNever;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   BenchContext ctx = ParseContext(argc, argv, /*default_epochs=*/15);
   const int kThreadGrid[] = {4, 8, 12, 16};
@@ -38,14 +25,14 @@ int main(int argc, char** argv) {
 
     // GPU-Only does not depend on nc; run it once.
     SimTime gpu_time =
-        TimeToTarget(ctx, ds, MakeConfig(Algorithm::kGpuOnly, ctx));
+        TimeToTarget(ctx, ds, MakeConfig(Algorithm::kGpuOnly, ctx, ds));
     for (int nc : kThreadGrid) {
       BenchContext tctx = ctx;
       tctx.threads = nc;
       SimTime cpu_time =
-          TimeToTarget(tctx, ds, MakeConfig(Algorithm::kCpuOnly, tctx));
+          TimeToTarget(tctx, ds, MakeConfig(Algorithm::kCpuOnly, tctx, ds));
       SimTime star_time =
-          TimeToTarget(tctx, ds, MakeConfig(Algorithm::kHsgdStar, tctx));
+          TimeToTarget(tctx, ds, MakeConfig(Algorithm::kHsgdStar, tctx, ds));
       std::printf("%-10d %12s %12s %12s\n", nc,
                   FormatTime(cpu_time).c_str(),
                   FormatTime(gpu_time).c_str(),

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
       continue;
     }
     for (Algorithm algorithm : algos) {
-      TrainConfig cfg = MakeConfig(algorithm, ctx);
+      TrainConfig cfg = MakeConfig(algorithm, ctx, ds);
       cfg.use_dataset_target = false;  // run the full budget: full curves
       auto session = Session::Create(ds, cfg);
       HSGD_CHECK_OK(session.status());

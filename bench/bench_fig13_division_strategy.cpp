@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     std::printf("%-10s %8s %12s %12s\n", "algorithm", "epoch", "time(s)",
                 "test-RMSE");
     for (Algorithm algorithm : {Algorithm::kHsgd, Algorithm::kHsgdStar}) {
-      TrainConfig cfg = MakeConfig(algorithm, ctx);
+      TrainConfig cfg = MakeConfig(algorithm, ctx, ds);
       cfg.use_dataset_target = false;
       TrainResult result = RunSession(ctx, ds, cfg);
       for (const TracePoint& p : result.trace.points) {

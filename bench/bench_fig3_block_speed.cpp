@@ -38,10 +38,7 @@ int main(int argc, char** argv) {
   if (ctx.calibrate) {
     // Fig. 3b against the machine this is running on: replace the paper's
     // ~6M updates/s/thread with the measured rate of the chosen kernel.
-    const KernelCalibration cal = CalibrateKernel(ctx.kernel, 128);
-    cpu_spec.updates_per_sec_k128 = cal.updates_per_sec_k128;
-    std::printf("calibrated %s kernel: %.2fM updates/s/thread at k=128\n",
-                KernelKindName(cal.kernel), cal.updates_per_sec / 1e6);
+    cpu_spec.updates_per_sec_k128 = CalibratedRateK128(ctx.kernel, 128);
   }
   CpuDevice cpu(cpu_spec, 128);
 

@@ -204,9 +204,9 @@ void BM_UniformSchedulerAcquireRelease(benchmark::State& state) {
   WorkerInfo worker{DeviceClass::kCpuThread, 0, 0};
   scheduler.BeginEpoch();
   for (auto _ : state) {
-    std::optional<BlockTask> task = scheduler.Acquire(worker, 0.0);
+    std::optional<BlockTask> task = scheduler.Acquire(worker);
     if (task) {
-      scheduler.Release(worker, *task, 0.0);
+      scheduler.Release(*task);
     } else {
       state.PauseTiming();
       scheduler.BeginEpoch();

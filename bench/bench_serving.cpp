@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_serve_common.h"
 #include "core/recommender.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
@@ -37,11 +38,6 @@ using serve::RecServer;
 using serve::ServeConfig;
 using serve::SnapshotPtr;
 using serve::TopKRequest;
-
-uint32_t Lcg(uint32_t* state) {
-  *state = *state * 1664525u + 1013904223u;
-  return *state;
-}
 
 /// Deterministic factor fill standing in for a trained model: the bench
 /// measures the serving machinery, not model quality, and identical bytes
@@ -92,27 +88,6 @@ struct LoadResult {
   double p50_ms = 0.0, p99_ms = 0.0, mean_ms = 0.0;
   serve::ServeCounters counters;
 };
-
-/// True iff `response` satisfies the serving invariants against the set
-/// of versions published so far.
-bool ResponseIntact(const serve::TopKResponse& response,
-                    uint64_t max_version, int k) {
-  if (response.snapshot_version < 1 ||
-      response.snapshot_version > max_version) {
-    return false;
-  }
-  if (response.items.size() > static_cast<size_t>(k)) return false;
-  for (size_t i = 0; i < response.items.size(); ++i) {
-    if (!std::isfinite(response.items[i].score)) return false;
-    if (i == 0) continue;
-    const ScoredItem& a = response.items[i - 1];
-    const ScoredItem& b = response.items[i];
-    const bool ordered =
-        a.score > b.score || (a.score == b.score && a.item < b.item);
-    if (!ordered) return false;
-  }
-  return true;
-}
 
 /// Closed-loop load: `clients` threads submit back-to-back TopK queries
 /// (paced to --qps when positive) for `duration_s`, with an 80/20 skew

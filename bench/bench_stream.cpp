@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_serve_common.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "stream/stream.h"
@@ -38,33 +39,6 @@ using serve::ServeConfig;
 using stream::OnlineTrainer;
 using stream::SyntheticStream;
 using stream::SyntheticStreamSpec;
-
-uint32_t Lcg(uint32_t* state) {
-  *state = *state * 1664525u + 1013904223u;
-  return *state;
-}
-
-/// Serving invariants for one response (cf. bench_serving): version
-/// inside the published window, at most k items, scores finite and
-/// sorted descending with ties by ascending item id.
-bool ResponseIntact(const serve::TopKResponse& response,
-                    uint64_t max_version, int k) {
-  if (response.snapshot_version < 1 ||
-      response.snapshot_version > max_version) {
-    return false;
-  }
-  if (response.items.size() > static_cast<size_t>(k)) return false;
-  for (size_t i = 0; i < response.items.size(); ++i) {
-    if (!std::isfinite(response.items[i].score)) return false;
-    if (i == 0) continue;
-    const ScoredItem& a = response.items[i - 1];
-    const ScoredItem& b = response.items[i];
-    if (!(a.score > b.score || (a.score == b.score && a.item < b.item))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 struct LiveResult {
   int64_t publishes = 0;
@@ -177,7 +151,7 @@ int main(int argc, char** argv) {
     auto ds = GenerateSynthetic(spec, ctx.seed);
     HSGD_CHECK_OK(ds.status());
 
-    TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx);
+    TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx, *ds);
     cfg.use_dataset_target = false;
     cfg.max_epochs = warm_epochs + target_publishes + 8;
     auto session = Session::Create(*std::move(ds), cfg);
@@ -360,7 +334,7 @@ int main(int argc, char** argv) {
     }
     refresh.streamed = static_cast<int64_t>(streamed.size());
 
-    TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx);
+    TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx, full);
     cfg.use_dataset_target = false;
     cfg.max_epochs = warm_epochs + chunks + consolidate + 64;
 

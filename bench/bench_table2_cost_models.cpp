@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     int i = 0;
     for (CostModelKind kind :
          {CostModelKind::kQilin, CostModelKind::kOurs}) {
-      TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx);
+      TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx, ds);
       cfg.cost_model = kind;
       cfg.dynamic_scheduling = false;  // isolate the cost-model effect
       cfg.use_dataset_target = false;  // fixed iteration count

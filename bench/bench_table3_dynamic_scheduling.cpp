@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     for (int run = 0; run < runs; ++run) {
       int i = 0;
       for (bool dynamic : {false, true}) {
-        TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx);
+        TrainConfig cfg = MakeConfig(Algorithm::kHsgdStar, ctx, ds);
         cfg.dynamic_scheduling = dynamic;
         cfg.use_dataset_target = false;
         cfg.seed = ctx.seed + static_cast<uint64_t>(run);

@@ -194,21 +194,11 @@ void ConfigFields(IO& io, Config& c) {
   io.Flag(c.dynamic_scheduling);
   io(c.eval_threads);
   io.Enum(c.kernel);
-  io.Flag(c.calibrate);
   io(c.hardware.num_cpu_threads);
   io(c.hardware.num_gpus);
   io(c.hardware.speed_variability);
-  io(c.hardware.cpu.updates_per_sec_k128);
-  io(c.hardware.cpu.warmup_nnz);
-  io(c.hardware.cpu.speed_factor);
-  io(c.hardware.gpu.parallel_workers);
-  io(c.hardware.gpu.worker_point_rate_k128);
-  io(c.hardware.gpu.kernel_launch_overhead);
-  io(c.hardware.gpu.device_mem_bw);
-  io(c.hardware.gpu.pcie_h2d_peak_gbps);
-  io(c.hardware.gpu.pcie_d2h_peak_gbps);
-  io(c.hardware.gpu.pcie_latency);
-  io(c.hardware.gpu.speed_factor);
+  io(c.hardware.cpu_updates_per_sec_k128);
+  io(c.hardware.gpu_workers);
 }
 
 /// Header fields every later count is checked against.
@@ -270,7 +260,7 @@ void CheckpointFields(IO& io, Checkpoint& c) {
 
 /// Range/finiteness checks on a config read back from disk. The fields
 /// were round-tripped through raw bytes, so a corrupt file can smuggle in
-/// NaN device speeds or a billion-GPU fleet; reject anything a config
+/// a NaN CPU rate or a billion-GPU fleet; reject anything a config
 /// could not legitimately hold before Restore rebuilds a session from it.
 Status ValidateStoredConfig(const TrainConfig& c) {
   const int32_t algo = static_cast<int32_t>(c.algorithm);
@@ -287,12 +277,6 @@ Status ValidateStoredConfig(const TrainConfig& c) {
       kernel < static_cast<int32_t>(KernelKind::kScalar) ||
       kernel > static_cast<int32_t>(KernelKind::kAvx512)) {
     return Status::InvalidArgument("enum fields");
-  }
-  // Same reasoning for calibrate: Create clears it after substituting the
-  // measured rate, so a stored true would re-measure on restore and
-  // silently diverge from the persisted schedule.
-  if (c.calibrate) {
-    return Status::InvalidArgument("calibrate flag set");
   }
   return ValidateConfigRanges(c);
 }

@@ -64,7 +64,12 @@ inline constexpr uint64_t kCheckpointMagic = 0x485347444348504Bull;  // "HSGDCHP
 // u64-counted string): the session no longer saves on its own — callers
 // call Session::SaveCheckpoint from their epoch loops — so the config
 // holds no fault policy at all.
-inline constexpr uint32_t kCheckpointVersion = 7;
+// v8: v7 minus the calibrate flag and the nine device rates no caller
+// set (73 bytes): the config stores only the fleet a program chooses
+// (CPU threads, GPUs, GPU width, CPU rate, speed variability), and the
+// rest of each device is sim/device_spec.h's testbed. Callers that
+// calibrate store the measured rate as the CPU rate.
+inline constexpr uint32_t kCheckpointVersion = 8;
 
 /// Cheap identity of the data a session was trained on. Restore refuses
 /// a dataset whose fingerprint differs — resuming on different ratings

@@ -7,8 +7,10 @@
 // calibrator therefore measures at the caller's configured k and converts
 // back to the k=128 convention, so the spec override is consistent with
 // how CpuDevice will re-derive the rate. Wired up as --calibrate in the
-// benches and TrainConfig::calibrate in the Session (which persists the
-// measured value into checkpoints — a resumed run never re-measures).
+// benches, which measure once per rank per run and set the result as
+// HardwareConfig::cpu_updates_per_sec_k128 of every session at that rank.
+// Checkpoints store that rate like any other config value, so a resumed
+// run never re-measures.
 
 #pragma once
 

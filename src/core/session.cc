@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/checkpoint.h"
-#include "core/kernels/calibrator.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -139,29 +138,18 @@ Status ValidateConfigRanges(const TrainConfig& config) {
   const HardwareConfig& hardware = config.hardware;
   if (hardware.num_cpu_threads < 0 || hardware.num_cpu_threads > (1 << 20) ||
       hardware.num_gpus < 0 || hardware.num_gpus > 4096 ||
-      hardware.gpu.parallel_workers < 1 ||
-      hardware.gpu.parallel_workers > (1 << 20)) {
+      hardware.gpu_workers < 1 || hardware.gpu_workers > (1 << 20)) {
     return Status::InvalidArgument("hardware fleet size out of range");
   }
-  const CpuDeviceSpec& cpu = hardware.cpu;
-  const GpuDeviceSpec& gpu = hardware.gpu;
-  for (double positive :
-       {cpu.updates_per_sec_k128, cpu.speed_factor, gpu.worker_point_rate_k128,
-        gpu.device_mem_bw, gpu.pcie_h2d_peak_gbps, gpu.pcie_d2h_peak_gbps,
-        gpu.speed_factor}) {
-    if (!std::isfinite(positive) || positive <= 0.0) {
-      return Status::InvalidArgument(
-          "hardware rates and speed factors must be finite and > 0");
-    }
+  if (!std::isfinite(hardware.cpu_updates_per_sec_k128) ||
+      hardware.cpu_updates_per_sec_k128 <= 0.0) {
+    return Status::InvalidArgument(
+        "cpu_updates_per_sec_k128 must be finite and > 0");
   }
-  for (double nonnegative :
-       {hardware.speed_variability, cpu.warmup_nnz,
-        gpu.kernel_launch_overhead, gpu.pcie_latency}) {
-    if (!std::isfinite(nonnegative) || nonnegative < 0.0) {
-      return Status::InvalidArgument(
-          "hardware overheads and speed_variability must be finite and "
-          ">= 0");
-    }
+  if (!std::isfinite(hardware.speed_variability) ||
+      hardware.speed_variability < 0.0) {
+    return Status::InvalidArgument(
+        "speed_variability must be finite and >= 0");
   }
   return Status::Ok();
 }
@@ -211,28 +199,18 @@ Status Session::Init() {
     config_.kernel = *resolved;
     kernel_ops_ = &GetKernelOps(*resolved);
   }
-  if (config_.calibrate) {
-    const KernelCalibration cal = CalibrateKernel(config_.kernel, k);
-    HSGD_LOG(Info) << "calibrated " << KernelKindName(cal.kernel)
-                   << " kernel at k=" << k << ": "
-                   << cal.updates_per_sec / 1e6 << "M updates/s ("
-                   << cal.updates_per_sec_k128 / 1e6
-                   << "M at the k=128 convention); overriding "
-                      "cpu.updates_per_sec_k128="
-                   << config_.hardware.cpu.updates_per_sec_k128 / 1e6
-                   << "M";
-    config_.hardware.cpu.updates_per_sec_k128 = cal.updates_per_sec_k128;
-    // The measured rate is now part of the config; checkpoints restore it
-    // verbatim instead of re-measuring (keeps resume bit-identical).
-    config_.calibrate = false;
-  }
 
-  // Per-run device speed draw. The cost model below always plans with the
-  // nominal specs — the gap between plan and reality is what the dynamic
-  // phase corrects.
+  // The nominal devices are the testbed specs with the fleet's CPU rate
+  // and GPU width; the cost model below always plans with them. The
+  // per-run speed draw scales the devices that actually run — the gap
+  // between plan and reality is what the dynamic phase corrects.
+  CpuDeviceSpec cpu_spec;
+  cpu_spec.updates_per_sec_k128 = config_.hardware.cpu_updates_per_sec_k128;
+  GpuDeviceSpec gpu_spec;
+  gpu_spec.parallel_workers = config_.hardware.gpu_workers;
   Rng var_rng(config_.seed, 17);
-  drawn_cpu_spec_ = config_.hardware.cpu;
-  drawn_gpu_spec_ = config_.hardware.gpu;
+  drawn_cpu_spec_ = cpu_spec;
+  drawn_gpu_spec_ = gpu_spec;
   if (config_.hardware.speed_variability > 0.0) {
     drawn_cpu_spec_.speed_factor *=
         std::exp(config_.hardware.speed_variability * var_rng.Gaussian());
@@ -245,7 +223,7 @@ Status Session::Init() {
   Grid grid;
   planned_alpha_ = 0.0;
   if (is_star_) {
-    Profiler profiler(config_.hardware.gpu, config_.hardware.cpu, k);
+    Profiler profiler(gpu_spec, cpu_spec, k);
     auto cost_model = profiler.BuildHsgdModel(dataset_);
     if (!cost_model.ok()) return cost_model.status();
     if (kStripesPerGpu * ng + nc > cols) {
@@ -545,11 +523,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   const int num_workers = static_cast<int>(workers_.size());
   const Grid& grid = matrix_.grid();
 
-  if (subset == nullptr) {
-    scheduler_->BeginEpoch();
-  } else {
-    scheduler_->BeginEpochSubset(*subset);
-  }
+  scheduler_->BeginEpoch(subset);
   const SimTime epoch_start = clock_;
 
   std::priority_queue<Event, std::vector<Event>, EventLater> pq;
@@ -749,7 +723,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   std::vector<char> stripe_dirty(stripe_on_host.size(), 0);
 
   auto try_acquire = [&](int w, SimTime now) {
-    auto task = scheduler_->Acquire(workers_[w].info, now);
+    auto task = scheduler_->Acquire(workers_[w].info);
     if (!task.has_value()) {
       if (!scheduler_->EpochDone()) waiting[static_cast<size_t>(w)] = 1;
       return;
@@ -897,7 +871,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
         // The real update: the simulator decided *when*, the kernel does
         // the arithmetic once the loop is over.
         committed.push_back(e.task.block);
-        scheduler_->Release(workers_[e.worker].info, e.task, e.time);
+        scheduler_->Release(e.task);
         epoch_end = std::max(epoch_end, e.time);
         // Freed strata may unblock starved workers.
         wake_waiters(e.time);

@@ -75,11 +75,19 @@ enum class Algorithm {
 
 const char* AlgorithmName(Algorithm algorithm);
 
+/// The simulated fleet: what the paper's experiments vary. The rest of
+/// each device (GPU per-worker rate, launch overhead, memory bandwidth,
+/// PCIe link, CPU warm-up) is the paper's fixed testbed, written once as
+/// the defaults in sim/device_spec.h.
 struct HardwareConfig {
   int num_cpu_threads = 16;
   int num_gpus = 1;
-  CpuDeviceSpec cpu;
-  GpuDeviceSpec gpu;
+  /// GPU SIMT width, the paper's W (Fig. 10).
+  int gpu_workers = GpuDeviceSpec{}.parallel_workers;
+  /// Per-thread CPU update rate at k=128 (points/second). The testbed's
+  /// rate by default; a caller that measured this machine's kernel
+  /// (core/kernels/calibrator.h) sets that rate here instead.
+  double cpu_updates_per_sec_k128 = CpuDeviceSpec{}.updates_per_sec_k128;
   /// Lognormal sigma of the per-run device speed draw (run-to-run
   /// hardware variability; 0 disables it). The cost model always plans
   /// with nominal speeds — correcting the resulting misprediction is the
@@ -132,20 +140,12 @@ struct TrainConfig {
   /// a machine that lacks the recorded kernel fails loudly instead of
   /// silently diverging.
   KernelKind kernel = KernelKind::kAuto;
-  /// Micro-measure the chosen kernel's real update rate at the dataset's
-  /// rank (core/kernels/calibrator.h) and override
-  /// hardware.cpu.updates_per_sec_k128 with it, so the simulator's cost
-  /// model plans with this machine's measured speed instead of the
-  /// paper's testbed rate. The measured value (not the flag) is what
-  /// checkpoints persist; a restored session never re-measures.
-  bool calibrate = false;
 };
 
 /// The ranges every TrainConfig must lie in: max_epochs in [1, 2^24],
 /// eval_threads in [1, 2^20]; at most 2^20 CPU threads and 4,096 GPUs
-/// (neither negative) and 1 to 2^20 GPU workers; device rates,
-/// bandwidths and speed factors finite and > 0; overheads, latencies and
-/// speed_variability finite and >= 0.
+/// (neither negative) and 1 to 2^20 GPU workers; the CPU rate finite and
+/// > 0; speed_variability finite and >= 0.
 /// Session::Create checks a new config with it and the checkpoint reader
 /// a stored one, so every session that trains and saves also restores.
 Status ValidateConfigRanges(const TrainConfig& config);
@@ -329,9 +329,8 @@ class Session {
   /// copies it for top-k serving.
   const Model& model() const { return *model_; }
   const Dataset& dataset() const { return dataset_; }
-  /// Note: `config().kernel` is the resolved concrete kind (never kAuto)
-  /// and `config().calibrate` is false once Create has applied it — the
-  /// stored config reproduces this session without re-resolution.
+  /// Note: `config().kernel` is the resolved concrete kind (never kAuto),
+  /// so the stored config reproduces this session without re-resolution.
   const TrainConfig& config() const { return config_; }
   /// The resolved compute-kernel variant this session runs with.
   KernelKind kernel() const { return config_.kernel; }

@@ -565,13 +565,12 @@ StatusOr<LoadedData> LoadRatings(const std::string& path, DataFormat format,
 
 StatusOr<Dataset> LoadDataset(const std::string& path, DataFormat format,
                               const LoadOptions& load_options,
-                              const DatasetOptions& options) {
+                              double test_fraction) {
   // Capped at 0.5: the modulo split's stride cannot hold out more than
   // every other rating, so a larger request would be silently clamped.
-  if (options.test_fraction < 0.0 || options.test_fraction > 0.5) {
-    return Status::InvalidArgument(
-        StrFormat("test_fraction must be in [0, 0.5], got %g",
-                  options.test_fraction));
+  if (test_fraction < 0.0 || test_fraction > 0.5) {
+    return Status::InvalidArgument(StrFormat(
+        "test_fraction must be in [0, 0.5], got %g", test_fraction));
   }
   auto data = LoadRatings(path, format, load_options);
   if (!data.ok()) return data.status();
@@ -587,9 +586,9 @@ StatusOr<Dataset> LoadDataset(const std::string& path, DataFormat format,
   // Deterministic modulo split: every stride-th rating in file order is
   // held out, so the split is reproducible for any parse thread count.
   Ratings train, test;
-  if (options.test_fraction > 0.0) {
+  if (test_fraction > 0.0) {
     const int64_t stride = std::max<int64_t>(
-        2, static_cast<int64_t>(std::llround(1.0 / options.test_fraction)));
+        2, static_cast<int64_t>(std::llround(1.0 / test_fraction)));
     train.reserve(data->ratings.size());
     for (size_t i = 0; i < data->ratings.size(); ++i) {
       if (static_cast<int64_t>(i) % stride == stride - 1) {
@@ -602,15 +601,12 @@ StatusOr<Dataset> LoadDataset(const std::string& path, DataFormat format,
     train = std::move(data->ratings);
   }
 
-  SgdParams params = options.params;
-  if (params.k <= 0) {
-    params = PresetSpec(format == DataFormat::kNetflix
-                            ? DatasetPreset::kNetflix
-                            : DatasetPreset::kMovieLens)
-                 .params;
-  }
+  const SgdParams params = PresetSpec(format == DataFormat::kNetflix
+                                          ? DatasetPreset::kNetflix
+                                          : DatasetPreset::kMovieLens)
+                               .params;
   return MakeDataset(std::move(train), std::move(test), data->users.size(),
-                     data->items.size(), params, options.target_rmse);
+                     data->items.size(), params);
 }
 
 }  // namespace hsgd::io

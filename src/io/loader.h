@@ -129,24 +129,15 @@ struct LoadedData {
 StatusOr<LoadedData> LoadRatings(const std::string& path, DataFormat format,
                                  const LoadOptions& options = {});
 
-struct DatasetOptions {
-  /// Deterministic held-out split: every round(1/fraction)-th rating (in
-  /// file order) becomes a test entry. 0 disables the split (all train);
-  /// at most 0.5 (the modulo stride cannot hold out more than half).
-  double test_fraction = 0.1;
-  /// Hyper-parameters for the assembled Dataset. Zero/default k means
-  /// "use the format's Table I preset parameters".
-  SgdParams params{/*k=*/0};
-  /// Early-stop RMSE target; 0 = no target (benches print "never").
-  double target_rmse = 0.0;
-};
-
 /// LoadRatings + split + core::MakeDataset: the one-call path the benches
-/// use. The returned Dataset carries per-format Table I hyper-parameters
-/// unless `options.params` overrides them.
+/// use. The deterministic held-out split puts every
+/// round(1/test_fraction)-th rating (in file order) in the test split; 0
+/// disables it (all train), and at most 0.5 is accepted (the modulo
+/// stride cannot hold out more than half). The returned Dataset carries
+/// the format's Table I hyper-parameters and no early-stop target.
 StatusOr<Dataset> LoadDataset(const std::string& path, DataFormat format,
                               const LoadOptions& load_options = {},
-                              const DatasetOptions& options = {});
+                              double test_fraction = 0.1);
 
 /// One rating still in the external (raw-id) vocabulary, as a stream
 /// emits it before any IdMap remapping.

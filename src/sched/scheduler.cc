@@ -13,31 +13,23 @@ Scheduler::Scheduler(const BlockedMatrix* matrix, const Grid* grid, Rng rng)
   done_.assign(static_cast<size_t>(grid->num_blocks()), 0);
 }
 
-void Scheduler::BeginEpoch() {
+void Scheduler::BeginEpoch(const std::vector<int>* subset) {
   HSGD_CHECK(in_flight_ == 0) << "BeginEpoch with tasks still in flight";
   remaining_ = 0;
-  for (int b = 0; b < matrix_->num_blocks(); ++b) {
-    if (matrix_->BlockNnz(b) > 0) {
-      done_[static_cast<size_t>(b)] = 0;
-      ++remaining_;
-    } else {
-      done_[static_cast<size_t>(b)] = 1;  // nothing to do in empty blocks
-    }
-  }
-  outstanding_.clear();
-  requeued_.assign(static_cast<size_t>(matrix_->num_blocks()), 0);
-}
-
-void Scheduler::BeginEpochSubset(const std::vector<int>& blocks) {
-  HSGD_CHECK(in_flight_ == 0)
-      << "BeginEpochSubset with tasks still in flight";
-  remaining_ = 0;
+  // Empty blocks and blocks outside `subset` start the epoch done.
   done_.assign(static_cast<size_t>(matrix_->num_blocks()), 1);
-  for (int b : blocks) {
-    HSGD_CHECK(b >= 0 && b < matrix_->num_blocks());
+  auto make_pending = [this](int b) {
     if (matrix_->BlockNnz(b) > 0 && done_[static_cast<size_t>(b)]) {
       done_[static_cast<size_t>(b)] = 0;
       ++remaining_;
+    }
+  };
+  if (subset == nullptr) {
+    for (int b = 0; b < matrix_->num_blocks(); ++b) make_pending(b);
+  } else {
+    for (int b : *subset) {
+      HSGD_CHECK(b >= 0 && b < matrix_->num_blocks());
+      make_pending(b);
     }
   }
   outstanding_.clear();
@@ -79,11 +71,11 @@ BlockTask Scheduler::TakeBlock(const WorkerInfo& worker, int row, int col,
   return task;
 }
 
-void Scheduler::Unlock(const BlockTask& task) {
+void Scheduler::Release(const BlockTask& task) {
   HSGD_CHECK(task.row >= 0 && task.col >= 0);
   HSGD_CHECK(row_busy_[static_cast<size_t>(task.row)] > 0 &&
              col_busy_[static_cast<size_t>(task.col)] > 0)
-      << "unlock of a task whose strata are not locked";
+      << "release of a task whose strata are not locked";
   --row_busy_[static_cast<size_t>(task.row)];
   --col_busy_[static_cast<size_t>(task.col)];
   if (col_busy_[static_cast<size_t>(task.col)] == 0) {
@@ -93,16 +85,9 @@ void Scheduler::Unlock(const BlockTask& task) {
   outstanding_.erase(task.lease);
 }
 
-void Scheduler::Release(const WorkerInfo& worker, const BlockTask& task,
-                        SimTime now) {
-  (void)worker;
-  (void)now;
-  Unlock(task);
-}
-
 bool Scheduler::RevokeLease(const BlockTask& task) {
   if (!LeaseOutstanding(task.lease)) return false;
-  Unlock(task);
+  Release(task);
   const size_t b = static_cast<size_t>(task.block);
   if (requeued_[b]) return false;  // second failure: drop it this epoch
   requeued_[b] = 1;

@@ -54,29 +54,25 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Reset per-epoch state: every non-empty block becomes pending again.
-  /// Outstanding (unreleased) tasks must not span epochs.
-  virtual void BeginEpoch();
-
-  /// BeginEpoch restricted to `blocks` (block indices): only the listed
-  /// non-empty blocks become pending; everything else starts the epoch
-  /// done. The incremental-training path uses this to sweep just the
-  /// blocks that received appended ratings. Policy schedulers need no
-  /// override — they derive runnability from the shared done bits.
-  void BeginEpochSubset(const std::vector<int>& blocks);
+  /// Reset per-epoch state: the non-empty blocks of `subset` (block
+  /// indices; null = every block) become pending, everything else starts
+  /// the epoch done. The incremental-training path passes the blocks that
+  /// received appended ratings. Policy schedulers derive runnability from
+  /// the shared done bits. Outstanding (unreleased) tasks must not span
+  /// epochs.
+  void BeginEpoch(const std::vector<int>* subset = nullptr);
 
   /// Short policy name for reports and metrics ("star", "uniform").
   virtual const char* name() const = 0;
 
-  /// Hand `worker` a runnable block at simulated time `now`, or nullopt
-  /// when nothing is available (epoch drained, or every candidate's
-  /// stratum is momentarily locked — retry after the next Release).
-  virtual std::optional<BlockTask> Acquire(const WorkerInfo& worker,
-                                           SimTime now) = 0;
+  /// Hand `worker` a runnable block, or nullopt when nothing is
+  /// available (epoch drained, or every candidate's stratum is
+  /// momentarily locked — retry after the next Release).
+  virtual std::optional<BlockTask> Acquire(const WorkerInfo& worker) = 0;
 
-  /// Return the task's strata to the pool and mark the block done.
-  virtual void Release(const WorkerInfo& worker, const BlockTask& task,
-                       SimTime now);
+  /// Consume the task's lease and return its strata to the pool (the
+  /// block was marked done when it was taken).
+  void Release(const BlockTask& task);
 
   /// True while `lease` was issued and neither Released nor revoked.
   /// The session checks this before applying a block's SGD updates at
@@ -155,11 +151,6 @@ class Scheduler {
   std::map<int64_t, BlockTask> outstanding_;
   int64_t next_lease_ = 0;
   std::vector<char> requeued_;
-
- private:
-  /// Shared by Release and RevokeLease: consume the lease and unlock the
-  /// task's strata.
-  void Unlock(const BlockTask& task);
 };
 
 }  // namespace hsgd

@@ -62,10 +62,13 @@ int StarScheduler::StripePending(int stripe) const {
 }
 
 int StarScheduler::PickStripe(int begin, int end, int skip,
-                              int* row) const {
+                              bool orphans_only, int* row) const {
   int best_stripe = -1, best_pending = 0;
   for (int stripe = begin; stripe < end; ++stripe) {
     if (stripe == skip) continue;
+    if (orphans_only && !stripe_orphaned_[static_cast<size_t>(stripe)]) {
+      continue;
+    }
     if (col_busy_[static_cast<size_t>(stripe)]) continue;
     const int pending = StripePending(stripe);
     if (pending <= best_pending) continue;
@@ -78,9 +81,7 @@ int StarScheduler::PickStripe(int begin, int end, int skip,
   return best_stripe;
 }
 
-std::optional<BlockTask> StarScheduler::Acquire(const WorkerInfo& worker,
-                                                SimTime now) {
-  (void)now;
+std::optional<BlockTask> StarScheduler::Acquire(const WorkerInfo& worker) {
   if (remaining_ == 0) return std::nullopt;
   const bool is_gpu = worker.device_class == DeviceClass::kGpu;
   const int gpu_end = options_.num_gpu_stripes;
@@ -121,30 +122,19 @@ std::optional<BlockTask> StarScheduler::Acquire(const WorkerInfo& worker,
       if (row >= 0) return TakeBlock(worker, row, home, /*stolen=*/false);
     }
     int row = -1;
-    const int stripe = PickStripe(gpu_end, q, home, &row);
+    const int stripe =
+        PickStripe(gpu_end, q, home, /*orphans_only=*/false, &row);
     if (stripe >= 0) return TakeBlock(worker, row, stripe, false);
   }
   // 1.5) Orphan rescue: a dead GPU's stripes are nobody's home region
   // any more, so any worker may sweep them — ahead of (and exempt from)
   // the dynamic-phase gates below, since even HSGD*-M must not strand
-  // their blocks. Free, most-backlogged orphan first, same heuristic as
-  // PickStripe.
+  // their blocks. Free, most-backlogged orphan first.
   if (have_orphans_) {
-    int best_stripe = -1, best_pending = 0, best_row = -1;
-    for (int stripe = 0; stripe < gpu_end; ++stripe) {
-      if (!stripe_orphaned_[static_cast<size_t>(stripe)]) continue;
-      if (col_busy_[static_cast<size_t>(stripe)]) continue;
-      const int pending = StripePending(stripe);
-      if (pending <= best_pending) continue;
-      const int found = FindRunnableRow(stripe);
-      if (found < 0) continue;
-      best_stripe = stripe;
-      best_pending = pending;
-      best_row = found;
-    }
-    if (best_stripe >= 0) {
-      return TakeBlock(worker, best_row, best_stripe, /*stolen=*/true);
-    }
+    int row = -1;
+    const int stripe =
+        PickStripe(0, gpu_end, -1, /*orphans_only=*/true, &row);
+    if (stripe >= 0) return TakeBlock(worker, row, stripe, /*stolen=*/true);
   }
   if (!options_.dynamic) return std::nullopt;
   if (!is_gpu && !options_.allow_cpu_steals) return std::nullopt;
@@ -179,7 +169,8 @@ std::optional<BlockTask> StarScheduler::Acquire(const WorkerInfo& worker,
   // would just displace its owner (zero-sum); a free one adds
   // parallelism.
   int row = -1;
-  const int stripe = PickStripe(victim_begin, victim_end, -1, &row);
+  const int stripe = PickStripe(victim_begin, victim_end, -1,
+                                /*orphans_only=*/false, &row);
   if (stripe >= 0) return TakeBlock(worker, row, stripe, /*stolen=*/true);
   return std::nullopt;
 }

@@ -54,8 +54,7 @@ class StarScheduler : public Scheduler {
 
   const char* name() const override { return "star"; }
 
-  std::optional<BlockTask> Acquire(const WorkerInfo& worker,
-                                   SimTime now) override;
+  std::optional<BlockTask> Acquire(const WorkerInfo& worker) override;
 
   /// A dead GPU's resident stripes become orphans: nobody's home region,
   /// rescueable by any surviving worker (even under HSGD*-M, where the
@@ -73,9 +72,11 @@ class StarScheduler : public Scheduler {
   /// offset; -1 when none.
   int FindRunnableRow(int stripe) const;
   int StripePending(int stripe) const;
-  /// Most-backlogged free stripe in [begin, end) with a runnable block;
-  /// fills *row, returns the stripe or -1.
-  int PickStripe(int begin, int end, int skip, int* row) const;
+  /// Most-backlogged free stripe in [begin, end) other than `skip` (and,
+  /// when `orphans_only`, orphaned) with a runnable block; fills *row,
+  /// returns the stripe or -1. Ties go to the lowest stripe.
+  int PickStripe(int begin, int end, int skip, bool orphans_only,
+                 int* row) const;
 
   StarSchedulerOptions options_;
   /// Stripes whose owner GPU died; sticky across epochs (device death is

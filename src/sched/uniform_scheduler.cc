@@ -6,9 +6,8 @@ UniformScheduler::UniformScheduler(const BlockedMatrix* matrix,
                                    const Grid* grid, Rng rng)
     : Scheduler(matrix, grid, rng) {}
 
-std::optional<BlockTask> UniformScheduler::Acquire(const WorkerInfo& worker,
-                                                   SimTime now) {
-  (void)now;
+std::optional<BlockTask> UniformScheduler::Acquire(
+    const WorkerInfo& worker) {
   if (remaining_ == 0) return std::nullopt;
   const int p = grid_->num_row_strata();
   const int q = grid_->num_col_strata();

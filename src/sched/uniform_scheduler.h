@@ -14,8 +14,7 @@ class UniformScheduler : public Scheduler {
 
   const char* name() const override { return "uniform"; }
 
-  std::optional<BlockTask> Acquire(const WorkerInfo& worker,
-                                   SimTime now) override;
+  std::optional<BlockTask> Acquire(const WorkerInfo& worker) override;
 };
 
 }  // namespace hsgd

@@ -3,6 +3,12 @@
 // block size, Fig. 3b), a GPU whose SIMT kernel saturates around 128M
 // updates/s at W=128 (Fig. 3a / Fig. 7), and a PCIe 3.0 x16 link peaking
 // near 12GB/s (Fig. 6).
+//
+// These defaults are the one place the testbed is written. A Session
+// builds its devices from them plus the two values its HardwareConfig
+// varies (the CPU rate and the GPU width W) and the per-run speed draw
+// in speed_factor; the device simulators, the profiler and the Fig. 3/6
+// benches use the structs directly.
 
 #pragma once
 

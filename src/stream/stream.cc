@@ -72,8 +72,8 @@ std::vector<io::RawRating> SyntheticStream::NextBatch(int64_t n) {
     rec.item = spec_.raw_item_base +
                DrawEntity(spec_.warm_items, &cold_items_,
                           spec_.cold_item_rate);
-    rec.rating = spec_.min_rating +
-                 rng_.NextFloat() * (spec_.max_rating - spec_.min_rating);
+    rec.rating = kStreamMinRating +
+                 rng_.NextFloat() * (kStreamMaxRating - kStreamMinRating);
     batch.push_back(rec);
   }
   return batch;

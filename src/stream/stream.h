@@ -11,7 +11,7 @@
 //                       strata), appended to the session's dataset with
 //                       the touched blocks marked dirty.
 //   TrainDirty()        one incremental SGD epoch over only the dirty
-//                       blocks (Scheduler::BeginEpochSubset).
+//                       blocks (Scheduler::BeginEpoch over a subset).
 //   PublishSnapshot()   merges the ratings applied since the last
 //                       publish into the trainer's rated-item index
 //                       (RatedIndex::Merge, outside the epoch barrier),
@@ -40,10 +40,10 @@
 // the replayed growth, with the checkpoint's dataset fingerprint as the
 // proof), and hands back the unapplied records (seq > mark) for the
 // driver to re-drive through ReplayIngest with its original
-// ingest/train cadence. The WAL is never auto-pruned: checkpoints store
+// ingest/train cadence. The WAL is never pruned: checkpoints store
 // factors, not ratings, so the whole streamed tail since the warm base
-// must stay replayable (Wal::TruncateBefore is an operator decision,
-// taken only when the warm base itself is re-snapshotted).
+// must stay replayable, and Recover refuses a log whose head is not
+// seq 1.
 //
 // Publish rejection: the publisher returns Status; a rejection (e.g.
 // RecServer refusing a corrupt snapshot) leaves version/publish counters
@@ -84,6 +84,10 @@ namespace hsgd::stream {
 /// then extend both sides consistently.
 io::IdMap DenseIdentityMap(int32_t size);
 
+/// Bounds of a SyntheticStream rating, drawn uniformly between them.
+inline constexpr float kStreamMinRating = 1.0f;
+inline constexpr float kStreamMaxRating = 5.0f;
+
 /// A seeded synthetic arrival process: warm entities are drawn with an
 /// 80/20 hot-set skew from the vocabulary emitted so far, cold entities
 /// arrive at the configured rates and permanently join the warm pool.
@@ -95,8 +99,6 @@ struct SyntheticStreamSpec {
   int32_t warm_items = 0;
   double cold_user_rate = 0.02;  // per-arrival probability of a new user
   double cold_item_rate = 0.01;
-  float min_rating = 1.0f;
-  float max_rating = 5.0f;
   int64_t raw_user_base = 0;
   int64_t raw_item_base = 0;
   uint64_t seed = 1;

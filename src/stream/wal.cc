@@ -436,23 +436,4 @@ Status Wal::Sync() {
   return Status::Ok();
 }
 
-Status Wal::TruncateBefore(uint64_t seq) {
-  auto segments = ListSegments(options_.dir);
-  if (!segments.ok()) return segments.status();
-  for (size_t i = 0; i + 1 < segments->size(); ++i) {
-    // Segment i's records all precede segment i+1's first_seq; it is
-    // disposable exactly when that whole range is below `seq`.
-    const SegmentFile& segment = (*segments)[i];
-    if ((*segments)[i + 1].first_seq > seq) break;
-    if (segment.path == file_path_) break;
-    if (std::remove(segment.path.c_str()) != 0) {
-      return Status::Internal(StrFormat(
-          "cannot remove WAL segment '%s'", segment.path.c_str()));
-    }
-    --segments_;
-  }
-  obs::Set(m_segments_, static_cast<double>(segments_));
-  return Status::Ok();
-}
-
 }  // namespace hsgd::stream

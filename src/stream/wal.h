@@ -119,11 +119,6 @@ class Wal {
   /// True once a real (non-injected) write failure poisoned the handle.
   bool poisoned() const { return poisoned_; }
 
-  /// Garbage-collect whole segments whose every record has seq < `seq`.
-  /// Segment-granular: records >= seq are never removed, some < seq may
-  /// survive. The open segment is never deleted.
-  Status TruncateBefore(uint64_t seq);
-
   /// Scan `dir` without opening for append: validates headers, CRCs and
   /// seq contiguity, truncates a torn tail on the final segment (the
   /// file IS modified), and returns every intact record. NotFound when

@@ -460,9 +460,7 @@ void TestLoadDatasetSplitAndParams() {
   }
   EXPECT_TRUE(io::WriteMovieLens(path, original).ok());
 
-  io::DatasetOptions options;
-  options.test_fraction = 0.1;
-  auto ds = io::LoadDataset(path, DataFormat::kMovieLens, {}, options);
+  auto ds = io::LoadDataset(path, DataFormat::kMovieLens, {}, 0.1);
   EXPECT_TRUE(ds.ok());
   if (ds.ok()) {
     EXPECT_EQ(ds->train_size(), 90);
@@ -477,7 +475,7 @@ void TestLoadDatasetSplitAndParams() {
     io::LoadOptions parallel;
     parallel.threads = 8;
     auto again =
-        io::LoadDataset(path, DataFormat::kMovieLens, parallel, options);
+        io::LoadDataset(path, DataFormat::kMovieLens, parallel, 0.1);
     EXPECT_TRUE(again.ok());
     if (again.ok()) {
       EXPECT_TRUE(FingerprintDataset(*ds) == FingerprintDataset(*again));
@@ -485,10 +483,7 @@ void TestLoadDatasetSplitAndParams() {
   }
 
   // No split: everything lands in train.
-  io::DatasetOptions no_split;
-  no_split.test_fraction = 0.0;
-  auto all_train =
-      io::LoadDataset(path, DataFormat::kMovieLens, {}, no_split);
+  auto all_train = io::LoadDataset(path, DataFormat::kMovieLens, {}, 0.0);
   EXPECT_TRUE(all_train.ok());
   if (all_train.ok()) {
     EXPECT_EQ(all_train->train_size(), 100);
@@ -498,10 +493,8 @@ void TestLoadDatasetSplitAndParams() {
   // Bad fractions: rejected, including (0.5, 1) which the modulo stride
   // could not honor.
   for (double fraction : {1.5, 0.8, -0.1}) {
-    io::DatasetOptions bad;
-    bad.test_fraction = fraction;
     EXPECT_FALSE(
-        io::LoadDataset(path, DataFormat::kMovieLens, {}, bad).ok());
+        io::LoadDataset(path, DataFormat::kMovieLens, {}, fraction).ok());
   }
   std::remove(path.c_str());
 }

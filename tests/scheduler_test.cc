@@ -37,7 +37,7 @@ void DriveEpochCheckingExclusivity(Scheduler* scheduler,
     // Fill every idle worker.
     for (size_t w = 0; w < workers.size(); ++w) {
       if (held[w].has_value()) continue;
-      held[w] = scheduler->Acquire(workers[w], 0.0);
+      held[w] = scheduler->Acquire(workers[w]);
       if (held[w].has_value()) progress = true;
     }
     // Exclusivity: no two outstanding tasks share a stratum.
@@ -51,7 +51,7 @@ void DriveEpochCheckingExclusivity(Scheduler* scheduler,
     for (size_t w = 0; w < workers.size(); ++w) {
       if (!held[w].has_value()) continue;
       ++(*block_counts)[static_cast<size_t>(held[w]->block)];
-      scheduler->Release(workers[w], *held[w], 0.0);
+      scheduler->Release(*held[w]);
       held[w].reset();
       progress = true;
     }
@@ -93,8 +93,8 @@ void TestSingleWorkerDrain() {
   WorkerInfo solo{DeviceClass::kCpuThread, 0, 0};
   scheduler.BeginEpoch();
   int drained = 0;
-  while (auto task = scheduler.Acquire(solo, 0.0)) {
-    scheduler.Release(solo, *task, 0.0);
+  while (auto task = scheduler.Acquire(solo)) {
+    scheduler.Release(*task);
     ++drained;
   }
   EXPECT_TRUE(scheduler.EpochDone());
@@ -152,11 +152,11 @@ void TestStarOwnStripePreference() {
   // A fresh epoch: a worker's first (non-stolen) acquire is in its stripe.
   scheduler.BeginEpoch();
   for (const WorkerInfo& w : f.workers) {
-    auto task = scheduler.Acquire(w, 0.0);
+    auto task = scheduler.Acquire(w);
     EXPECT_TRUE(task.has_value());
     EXPECT_FALSE(task->stolen);
     EXPECT_EQ(task->col, scheduler.StripeOf(w));
-    scheduler.Release(w, *task, 0.0);
+    scheduler.Release(*task);
   }
 }
 
@@ -167,13 +167,13 @@ void TestStarStaticIdlesWhenDrained() {
   scheduler.BeginEpoch();
   const WorkerInfo& gpu = f.workers.back();
   // Drain the GPU stripe completely.
-  while (auto task = scheduler.Acquire(gpu, 0.0)) {
+  while (auto task = scheduler.Acquire(gpu)) {
     EXPECT_EQ(task->col, scheduler.StripeOf(gpu));
-    scheduler.Release(gpu, *task, 0.0);
+    scheduler.Release(*task);
   }
   // Static division: CPU work remains but the GPU gets nothing.
   EXPECT_FALSE(scheduler.EpochDone());
-  EXPECT_FALSE(scheduler.Acquire(gpu, 0.0).has_value());
+  EXPECT_FALSE(scheduler.Acquire(gpu).has_value());
   EXPECT_EQ(scheduler.stolen_by_gpus(), 0);
 }
 
@@ -187,9 +187,9 @@ void TestStarDynamicSteals() {
   // A lone greedy GPU drains its own stripe, then steals from the CPU
   // pool while the pool's backlog exceeds one block per stripe (the
   // anti-straggler threshold deliberately leaves the tail to the owners).
-  while (auto task = scheduler.Acquire(gpu, 0.0)) {
+  while (auto task = scheduler.Acquire(gpu)) {
     task->stolen ? ++stolen : ++own;
-    scheduler.Release(gpu, *task, 0.0);
+    scheduler.Release(*task);
   }
   EXPECT_TRUE(own > 0);
   EXPECT_TRUE(stolen > 0);
@@ -199,9 +199,9 @@ void TestStarDynamicSteals() {
   int leftovers = 0;
   for (const WorkerInfo& w : f.workers) {
     if (w.device_class == DeviceClass::kGpu) continue;
-    while (auto task = scheduler.Acquire(w, 0.0)) {
+    while (auto task = scheduler.Acquire(w)) {
       EXPECT_FALSE(task->stolen);
-      scheduler.Release(w, *task, 0.0);
+      scheduler.Release(*task);
       ++leftovers;
     }
   }
@@ -224,7 +224,7 @@ void TestLeaseLedger() {
   const WorkerInfo& gpu = f.workers.back();
   std::vector<int> handed(static_cast<size_t>(f.matrix->num_blocks()), 0);
   auto acquire = [&](const WorkerInfo& w) {
-    auto task = scheduler.Acquire(w, 0.0);
+    auto task = scheduler.Acquire(w);
     if (task.has_value()) ++handed[static_cast<size_t>(task->block)];
     return task;
   };
@@ -253,9 +253,9 @@ void TestLeaseLedger() {
   EXPECT_FALSE(scheduler.RevokeLease(*a));  // already consumed: a no-op
   EXPECT_EQ(scheduler.remaining_blocks(), remaining + 1);
   EXPECT_TRUE(leases_of(gpu) == std::vector<int64_t>{b->lease});
-  scheduler.Release(cpu, *c, 0.0);
+  scheduler.Release(*c);
   EXPECT_TRUE(leases_of(cpu).empty());
-  scheduler.Release(gpu, *b, 0.0);
+  scheduler.Release(*b);
 
   // Drain with every worker, revoking a's block whenever it comes back.
   // The cap turns a requeue-forever bug into a failure, not a hang.
@@ -267,7 +267,7 @@ void TestLeaseLedger() {
       if (task->block == a->block) {
         EXPECT_FALSE(scheduler.RevokeLease(*task));  // second failure
       } else {
-        scheduler.Release(w, *task, 0.0);
+        scheduler.Release(*task);
       }
     }
   }

@@ -222,10 +222,10 @@ void TestCheckpointCorruptionRejected() {
         std::numeric_limits<double>::quiet_NaN();
   });
   expect_rejected("negative CPU rate", [](SessionCheckpoint* c) {
-    c->config.hardware.cpu.updates_per_sec_k128 = -1.0;
+    c->config.hardware.cpu_updates_per_sec_k128 = -1.0;
   });
   expect_rejected("zero GPU workers", [](SessionCheckpoint* c) {
-    c->config.hardware.gpu.parallel_workers = 0;
+    c->config.hardware.gpu_workers = 0;
   });
   expect_rejected("absurd GPU fleet", [](SessionCheckpoint* c) {
     c->config.hardware.num_gpus = 1 << 20;

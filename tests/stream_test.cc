@@ -66,8 +66,8 @@ void TestSyntheticStreamDeterministic() {
   for (const RawRating& rec : batch_a) {
     EXPECT_TRUE(rec.user >= spec.raw_user_base);
     EXPECT_TRUE(rec.item >= spec.raw_item_base);
-    EXPECT_TRUE(rec.rating >= spec.min_rating &&
-                rec.rating <= spec.max_rating);
+    EXPECT_TRUE(rec.rating >= stream::kStreamMinRating &&
+                rec.rating <= stream::kStreamMaxRating);
   }
 }
 

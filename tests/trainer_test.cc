@@ -166,12 +166,9 @@ void TestInvalidConfigs() {
       [&](TrainConfig* c) { c->hardware.speed_variability = nan; }));
   EXPECT_TRUE(rejected(
       [](TrainConfig* c) { c->hardware.speed_variability = -0.1; }));
-  EXPECT_TRUE(
-      rejected([&](TrainConfig* c) { c->hardware.cpu.speed_factor = inf; }));
   EXPECT_TRUE(rejected(
-      [](TrainConfig* c) { c->hardware.gpu.pcie_latency = -1e-6; }));
-  EXPECT_TRUE(rejected(
-      [](TrainConfig* c) { c->hardware.gpu.parallel_workers = 0; }));
+      [&](TrainConfig* c) { c->hardware.cpu_updates_per_sec_k128 = inf; }));
+  EXPECT_TRUE(rejected([](TrainConfig* c) { c->hardware.gpu_workers = 0; }));
   EXPECT_TRUE(rejected([](TrainConfig* c) { c->hardware.num_gpus = 4097; }));
   EXPECT_TRUE(
       rejected([](TrainConfig* c) { c->max_epochs = (1 << 24) + 1; }));

@@ -1,10 +1,10 @@
 // WAL durability tests: append/replay round-trips, segment rolling,
 // torn-tail truncation under the byte-level write failpoint, loud
-// failure on non-tail corruption and seq gaps, segment-granular GC, and
-// the retryable injected IO fault hook. The torn-tail cases are the
-// load-bearing ones: a crash mid-append must lose exactly the
-// unacknowledged record and nothing else, and reopening must continue
-// the sequence as if the torn bytes never existed.
+// failure on non-tail corruption and seq gaps, and the retryable
+// injected IO fault hook. The torn-tail cases are the load-bearing ones:
+// a crash mid-append must lose exactly the unacknowledged record and
+// nothing else, and reopening must continue the sequence as if the torn
+// bytes never existed.
 
 #include <cstdint>
 #include <cstdio>
@@ -101,7 +101,7 @@ void TestAppendReplayRoundtrip() {
   if (seq.ok()) EXPECT_EQ(*seq, 5u);
 }
 
-void TestSegmentRollAndTruncateBefore() {
+void TestSegmentRoll() {
   const std::string dir = FreshDir("segments");
   WalOptions options;
   options.dir = dir;
@@ -115,25 +115,15 @@ void TestSegmentRollAndTruncateBefore() {
     EXPECT_TRUE((*wal)->Append(MakeBatch(10 * i, 4)).ok());
   }
 
-  auto before = Wal::Replay(dir);
-  EXPECT_TRUE(before.ok());
-  if (!before.ok()) return;
-  EXPECT_TRUE(before->segments > 1);
-  EXPECT_EQ(before->records.size(), static_cast<size_t>(kBatches));
-
-  // Segment-granular GC: only whole segments strictly below the mark go;
-  // records >= 8 must all survive, some < 8 may too.
-  EXPECT_TRUE((*wal)->TruncateBefore(8).ok());
-  wal->reset();
-  auto after = Wal::Replay(dir);
-  EXPECT_TRUE(after.ok());
-  if (!after.ok()) return;
-  EXPECT_TRUE(after->segments < before->segments);
-  EXPECT_EQ(after->last_seq, static_cast<uint64_t>(kBatches));
-  EXPECT_TRUE(!after->records.empty());
-  EXPECT_TRUE(after->records.front().seq <= 8u);
-  uint64_t expect = after->records.front().seq;
-  for (const WalRecord& record : after->records) {
+  // Records span several segments and replay as one contiguous log.
+  auto replay = Wal::Replay(dir);
+  EXPECT_TRUE(replay.ok());
+  if (!replay.ok()) return;
+  EXPECT_TRUE(replay->segments > 1);
+  EXPECT_EQ(replay->records.size(), static_cast<size_t>(kBatches));
+  EXPECT_EQ(replay->last_seq, static_cast<uint64_t>(kBatches));
+  uint64_t expect = 1;
+  for (const WalRecord& record : replay->records) {
     EXPECT_EQ(record.seq, expect);
     ++expect;
   }
@@ -373,7 +363,7 @@ void TestOversizedBatchRefused() {
 
 void RunAllTests() {
   TestAppendReplayRoundtrip();
-  TestSegmentRollAndTruncateBefore();
+  TestSegmentRoll();
   TestTornTailTruncatedOnReplayAndReopen();
   TestNonTailCorruptionFailsLoudly();
   TestSeqGapFailsLoudly();
