@@ -386,7 +386,7 @@ Status Session::SetFaultPlan(const FaultPlan& plan) {
     if (IsServeFault(spec.kind)) {
       return Status::InvalidArgument(StrFormat(
           "fault \"%s\" is a serve-loop kind; attach it to a "
-          "ServeFaultInjector (SplitFaultPlan separates mixed scripts)",
+          "ServeFaultInjector",
           spec.ToString().c_str()));
     }
     const bool gpu_target = spec.device_class == DeviceClass::kGpu;

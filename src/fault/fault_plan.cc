@@ -227,14 +227,6 @@ bool IsServeFault(FaultKind kind) {
   }
 }
 
-void SplitFaultPlan(const FaultPlan& plan, FaultPlan* train,
-                    FaultPlan* serve) {
-  for (const FaultSpec& spec : plan.specs) {
-    FaultPlan* half = IsServeFault(spec.kind) ? serve : train;
-    if (half != nullptr) half->specs.push_back(spec);
-  }
-}
-
 std::string FaultSpec::ToString() const {
   std::string out;
   char buf[64];

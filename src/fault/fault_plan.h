@@ -92,11 +92,4 @@ struct FaultPlan {
   static StatusOr<FaultPlan> Parse(const std::string& text);
 };
 
-/// Split a mixed plan into its session half (crash/slow/link, fed
-/// to Session::SetFaultPlan) and its serve half (poison/walio/storm/
-/// slowshard, fed to ServeFaultInjector) — one script drives the whole
-/// chaos scenario. Either output may be null to discard that half.
-void SplitFaultPlan(const FaultPlan& plan, FaultPlan* train,
-                    FaultPlan* serve);
-
 }  // namespace hsgd

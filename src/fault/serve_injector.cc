@@ -13,11 +13,10 @@ StatusOr<std::unique_ptr<ServeFaultInjector>> ServeFaultInjector::Create(
     if (!IsServeFault(spec.kind)) {
       return Status::InvalidArgument(StrFormat(
           "fault \"%s\" is a session kind; attach it via "
-          "Session::SetFaultPlan (SplitFaultPlan separates mixed scripts)",
+          "Session::SetFaultPlan",
           spec.ToString().c_str()));
     }
-    if (spec.kind == FaultKind::kSlowShard && shards > 0 &&
-        spec.device_index >= shards) {
+    if (spec.kind == FaultKind::kSlowShard && spec.device_index >= shards) {
       return Status::InvalidArgument(StrFormat(
           "fault \"%s\" targets shard %d but the server has %d shards",
           spec.ToString().c_str(), spec.device_index, shards));

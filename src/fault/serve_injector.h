@@ -38,11 +38,10 @@ namespace hsgd {
 
 class ServeFaultInjector {
  public:
-  /// Validates that `plan` holds ONLY serve kinds (SplitFaultPlan a
-  /// mixed script first) and that slowshard targets lie in
-  /// [0, `shards`). `shards` <= 0 skips the shard-range check.
+  /// Validates that `plan` holds ONLY serve kinds and that slowshard
+  /// targets lie in [0, `shards`), the server's shard count.
   static StatusOr<std::unique_ptr<ServeFaultInjector>> Create(
-      const FaultPlan& plan, int shards = 0);
+      const FaultPlan& plan, int shards);
 
   /// Arm the injector for publish round `round` (1-based, monotone).
   void BeginRound(int round) {

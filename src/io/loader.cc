@@ -113,7 +113,10 @@ bool ParseF32(const char* begin, const char* end, float* out) {
   char* parse_end = nullptr;
   errno = 0;
   const double v = std::strtod(buf, &parse_end);
-  if (parse_end != buf + len || errno == ERANGE || !std::isfinite(v)) {
+  // Check against the float's range, not the double's: 1e39 is a
+  // finite double that narrows to an infinite float.
+  if (parse_end != buf + len || errno == ERANGE ||
+      !(std::fabs(v) <= std::numeric_limits<float>::max())) {
     return false;
   }
   *out = static_cast<float>(v);
@@ -267,8 +270,9 @@ void ParseRecordLine(const ParseContext& ctx, const char* begin,
   const Field& rating_field =
       fields[ctx.format == DataFormat::kNetflix ? 1 : 2];
   if (!ParseF32(rating_field.begin, rating_field.end, &rec.rating)) {
-    RecordBadLine(ctx, shard, line,
-                  "rating '" + rating_field.str() + "' is not a number");
+    RecordBadLine(
+        ctx, shard, line,
+        "rating '" + rating_field.str() + "' is not a finite float");
     return;
   }
   if (rec.rating < ctx.min_rating || rec.rating > ctx.max_rating) {

@@ -347,13 +347,6 @@ StatusOr<OnlineTrainer::RecoverResult> OnlineTrainer::Recover(
 
   auto replay = Wal::Replay(wal.wal.dir);
   if (!replay.ok()) return replay.status();
-  if (!replay->records.empty() && replay->records.front().seq != 1) {
-    return Status::FailedPrecondition(StrFormat(
-        "WAL at '%s' starts at seq %llu (truncated below the warm "
-        "base?); recovery needs the full streamed tail from seq 1",
-        wal.wal.dir.c_str(),
-        static_cast<unsigned long long>(replay->records.front().seq)));
-  }
   if (replay->last_seq < mark) {
     return Status::FailedPrecondition(StrFormat(
         "WAL ends at seq %llu but the checkpoint's high-water mark is "

@@ -42,8 +42,8 @@
 // driver to re-drive through ReplayIngest with its original
 // ingest/train cadence. The WAL is never pruned: checkpoints store
 // factors, not ratings, so the whole streamed tail since the warm base
-// must stay replayable, and Recover refuses a log whose head is not
-// seq 1.
+// must stay replayable, and Wal::Replay refuses (Internal) a log whose
+// first record is not seq 1.
 //
 // Publish rejection: the publisher returns Status; a rejection (e.g.
 // RecServer refusing a corrupt snapshot) leaves version/publish counters

@@ -1,4 +1,4 @@
-// Segment-based write-ahead log for streamed ratings.
+// Write-ahead log for streamed ratings: one append-only file.
 //
 // The online path's durability story: `OnlineTrainer::Ingest` appends the
 // raw batch here BEFORE resolving ids or touching the session, so a crash
@@ -7,35 +7,42 @@
 // (core/checkpoint.h v5), and recovery replays records <= mark to rebuild
 // the grown dataset/id maps and re-drives records > mark through training.
 //
-// On-disk format (native endianness, like checkpoints — a
+// On-disk format, WAL version 2 (native endianness, like checkpoints — a
 // resume-on-the-same-machine facility, not interchange):
 //
-//   segment file  wal-<first_seq:016x>.log
-//     header      u64 magic, u32 version, u64 first_seq
+//   file          <dir>/wal.log
+//     header      u64 magic, u32 version (12 bytes)
 //     record*     u32 payload_len, u32 crc32(payload), payload
 //   payload       u64 seq, u32 count, count x (i64 user, i64 item,
 //                 f32 rating)
 //
 // One record per ingest BATCH, not per rating: recovery must reproduce
 // the exact pre-crash Ingest/TrainDirty cadence for bit-identical
-// factors, and the batch boundary is part of that cadence. Sequence
-// numbers are assigned per record, contiguous and ascending across
-// segments.
+// factors, and the batch boundary is part of that cadence. Seqs are
+// contiguous from 1 and the log is never pruned (stream.h says why).
+// Version-1 logs (`wal-*.log` files) are not read.
 //
-// Torn-tail semantics: a crash mid-append leaves a partial or
-// CRC-corrupt record at the END of the LAST segment. Replay detects it,
-// truncates the file back to the last intact record, and reports the
-// dropped bytes — that record was never acknowledged, so dropping it is
-// correct. Corruption anywhere else (mid-file, or in a non-final
-// segment) is not explainable by a crash and fails loudly with Internal
-// instead of being silently discarded.
+// Torn-tail rule: a crash mid-append leaves at most the LAST record
+// incomplete, so replay reads a bad record as torn only when it could be
+// that append — fewer than 20 bytes left (length, CRC, seq and count: an
+// empty batch's whole record), a record running past the end of the
+// file, or a CRC mismatch on a record ending exactly there. Replay
+// truncates a torn record (never acknowledged) and reports the dropped
+// bytes; a file shorter than the header is torn to nothing and Open
+// rewrites the header. Any other defect is Internal and leaves every
+// byte as it was: a bad magic or version; a length over
+// kWalMaxPayloadBytes or other than 12 + 20 x count (the count is in the
+// payload, so a flipped length byte cannot pass for a torn tail); a CRC
+// mismatch with bytes after the record; a first seq other than 1, or a
+// seq other than the previous + 1.
 //
 // Appends fsync every `fsync_every` records (1 = every append, the
-// durability default; 0 = leave flushing to the OS). A failed append
-// poisons the handle — the file may hold a torn tail, and the only safe
-// continuation is to reopen (which truncates it) — except for failures
-// injected via the IO fault hook, which fire BEFORE any byte is written
-// and are therefore cleanly retryable.
+// durability default; 0 = leave flushing to the OS); Open fsyncs a new
+// log's header and then its directory entry. A failed append poisons the
+// handle — the file may hold a torn tail, and the only safe continuation
+// is to reopen (which truncates it) — except for failures injected via
+// the IO fault hook, which fire BEFORE any byte is written and are
+// therefore cleanly retryable.
 
 #pragma once
 
@@ -66,10 +73,8 @@ inline constexpr size_t kWalMaxBatchRatings =
     (kWalMaxPayloadBytes - 12) / 20;
 
 struct WalOptions {
-  /// Directory holding the segment files (created if missing).
+  /// Directory holding `wal.log` (created if missing).
   std::string dir;
-  /// Roll to a fresh segment once the current one exceeds this size.
-  int64_t segment_bytes = 4 << 20;
   /// fsync after every N successful appends (1 = each append; 0 = never).
   int fsync_every = 1;
 };
@@ -81,21 +86,20 @@ struct WalRecord {
 };
 
 struct WalReplayResult {
-  /// Every intact record, ascending contiguous seqs.
+  /// Every intact record, seqs 1, 2, ... in order.
   std::vector<WalRecord> records;
   /// Highest intact seq (0 = empty log).
   uint64_t last_seq = 0;
-  /// Bytes of torn tail truncated off the final segment (0 = clean).
+  /// Bytes of torn tail truncated off the end of the log (0 = clean).
   int64_t truncated_bytes = 0;
-  int segments = 0;
 };
 
 class Wal {
  public:
-  /// Open (or create) the log in `options.dir`, scan existing segments,
-  /// truncate any torn tail, and position for appending after the
-  /// highest intact record. `metrics` (borrowed, may be null) receives
-  /// the stream.wal.* instruments.
+  /// Open (or create) the log in `options.dir`, replay it (truncating
+  /// any torn tail), and position for appending after the highest intact
+  /// record. `metrics` (borrowed, may be null) receives the stream.wal.*
+  /// instruments.
   static StatusOr<std::unique_ptr<Wal>> Open(
       const WalOptions& options, obs::MetricsRegistry* metrics = nullptr);
 
@@ -111,7 +115,7 @@ class Wal {
   /// consume a seq, keeping recovery's cadence replay exact).
   StatusOr<uint64_t> Append(const std::vector<io::RawRating>& batch);
 
-  /// Force an fsync of the current segment regardless of fsync_every.
+  /// Force an fsync of the log regardless of fsync_every.
   Status Sync();
 
   /// Highest sequence number appended or recovered (0 = empty).
@@ -119,10 +123,11 @@ class Wal {
   /// True once a real (non-injected) write failure poisoned the handle.
   bool poisoned() const { return poisoned_; }
 
-  /// Scan `dir` without opening for append: validates headers, CRCs and
-  /// seq contiguity, truncates a torn tail on the final segment (the
-  /// file IS modified), and returns every intact record. NotFound when
-  /// the directory does not exist; an empty directory is an empty log.
+  /// Read the log in `dir` without opening it for append, under the file
+  /// comment's rule: truncates a torn tail (the file IS modified) and
+  /// returns every intact record; any other defect is Internal. NotFound
+  /// when the directory does not exist; one without `wal.log` holds an
+  /// empty log.
   static StatusOr<WalReplayResult> Replay(const std::string& dir);
 
   /// Chaos hook: when set and returning true, the next Append fails with
@@ -136,14 +141,9 @@ class Wal {
  private:
   Wal() = default;
 
-  /// Close the current segment and start a new one whose header claims
-  /// `first_seq`.
-  Status RollSegment(uint64_t first_seq);
-
   WalOptions options_;
   FILE* file_ = nullptr;
   std::string file_path_;
-  int64_t file_bytes_ = 0;
   uint64_t last_seq_ = 0;
   int appends_since_sync_ = 0;
   bool poisoned_ = false;
@@ -154,8 +154,6 @@ class Wal {
   obs::Counter* m_bytes_ = nullptr;
   obs::Counter* m_syncs_ = nullptr;
   obs::Gauge* m_last_seq_ = nullptr;
-  obs::Gauge* m_segments_ = nullptr;
-  int segments_ = 0;
 };
 
 /// Test-only failpoint simulating a short write / ENOSPC, byte-counted

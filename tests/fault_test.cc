@@ -562,32 +562,17 @@ void TestServePlanParsing() {
   }
 }
 
-// A mixed chaos script splits cleanly into its session half and its
-// serve half, and the session refuses to be handed serve kinds.
-void TestSplitAndSessionRejectsServeKinds() {
+// The session refuses serve kinds — they are fired by the injector,
+// never the training loop — and takes a plan of session kinds.
+void TestSessionRejectsServeKinds() {
   auto mixed = FaultPlan::Parse(
       "crash:gpu0@e2+0.5; poison@r3; link:gpu0@e1n1; walio@r2n2; "
       "slowshard:0@r4x8for1");
+  auto train = FaultPlan::Parse("crash:gpu0@e2+0.5; link:gpu0@e1n1");
   EXPECT_TRUE(mixed.ok());
-  if (!mixed.ok()) return;
+  EXPECT_TRUE(train.ok());
+  if (!mixed.ok() || !train.ok()) return;
 
-  FaultPlan train, serve;
-  SplitFaultPlan(*mixed, &train, &serve);
-  EXPECT_EQ(train.specs.size(), 2u);
-  EXPECT_EQ(serve.specs.size(), 3u);
-  for (const FaultSpec& spec : train.specs) {
-    EXPECT_FALSE(IsServeFault(spec.kind));
-  }
-  for (const FaultSpec& spec : serve.specs) {
-    EXPECT_TRUE(IsServeFault(spec.kind));
-  }
-  // Null outputs discard that half.
-  FaultPlan serve_only;
-  SplitFaultPlan(*mixed, nullptr, &serve_only);
-  EXPECT_EQ(serve_only.specs.size(), 3u);
-
-  // The unsplit mixed plan must be rejected by the session — serve
-  // faults are fired by the injector, never the training loop.
   Dataset ds = SmallDataset();
   auto session = Session::Create(ds, SmallConfig(Algorithm::kHsgd));
   EXPECT_TRUE(session.ok());
@@ -595,8 +580,7 @@ void TestSplitAndSessionRejectsServeKinds() {
     Status status = (*session)->SetFaultPlan(*mixed);
     EXPECT_FALSE(status.ok());
     EXPECT_TRUE(status.message().find("serve") != std::string::npos);
-    // The split train half is fine.
-    EXPECT_TRUE((*session)->SetFaultPlan(train).ok());
+    EXPECT_TRUE((*session)->SetFaultPlan(*train).ok());
   }
 }
 
@@ -611,7 +595,7 @@ void TestServeFaultInjectorFiring() {
   // Creation validates kind purity and shard range.
   auto train_kind = FaultPlan::Parse("crash:gpu0@e1");
   EXPECT_TRUE(train_kind.ok());
-  EXPECT_FALSE(ServeFaultInjector::Create(*train_kind).ok());
+  EXPECT_FALSE(ServeFaultInjector::Create(*train_kind, 2).ok());
   EXPECT_FALSE(ServeFaultInjector::Create(*plan, 1).ok());  // shard 1 of 1
   auto injector = ServeFaultInjector::Create(*plan, 2);
   EXPECT_TRUE(injector.ok());
@@ -696,7 +680,7 @@ void RunAllTests() {
   TestEpochWithoutSweepHasNoTrainLoss();
   TestAllWorkersDead();
   TestServePlanParsing();
-  TestSplitAndSessionRejectsServeKinds();
+  TestSessionRejectsServeKinds();
   TestServeFaultInjectorFiring();
   TestPlanValidation();
 }

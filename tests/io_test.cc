@@ -308,6 +308,11 @@ void TestMalformedInputs() {
                   "non-numeric rating");
   ExpectLineError("1::2::inf\n", DataFormat::kMovieLens, 1,
                   "non-finite rating");
+  // Finite as a double, infinite as a float: CSV has no range to catch it.
+  ExpectLineError("1,1,3\n1,2,1e39\n", DataFormat::kCsv, 2,
+                  "rating overflows float");
+  ExpectLineError("1,1,3\n2,2,-1e39\n", DataFormat::kCsv, 2,
+                  "rating overflows float, negative");
   ExpectLineError("1::2::5.5\n", DataFormat::kMovieLens, 1,
                   "rating above movielens range");
   ExpectLineError("1:\n99,0.5,2005-01-01\n", DataFormat::kNetflix, 2,

@@ -1,15 +1,17 @@
-// WAL durability tests: append/replay round-trips, segment rolling,
-// torn-tail truncation under the byte-level write failpoint, loud
-// failure on non-tail corruption and seq gaps, and the retryable
-// injected IO fault hook. The torn-tail cases are the load-bearing ones:
-// a crash mid-append must lose exactly the unacknowledged record and
-// nothing else, and reopening must continue the sequence as if the torn
-// bytes never existed.
+// WAL durability tests: append/replay round-trips, torn-tail truncation
+// under the byte-level write failpoint, loud failure on non-tail
+// corruption and seq gaps, a sweep of flips of every byte and of every
+// cut length, and the retryable injected IO fault hook. The torn-tail
+// cases are the load-bearing ones: a crash mid-append must lose exactly
+// the unacknowledged record and nothing else, reopening must continue
+// the sequence as if the torn bytes never existed, and no other defect
+// may pass for a torn tail.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +27,6 @@ namespace {
 namespace fs = std::filesystem;
 using stream::Wal;
 using stream::WalOptions;
-using stream::WalRecord;
 using stream::WalReplayResult;
 
 std::string FreshDir(const std::string& name) {
@@ -46,6 +47,26 @@ std::vector<io::RawRating> MakeBatch(int64_t base, int count) {
     batch.push_back(r);
   }
   return batch;
+}
+
+std::vector<unsigned char> ReadBytes(const std::string& path) {
+  std::vector<unsigned char> bytes;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  int c;
+  while ((c = std::fgetc(f)) != EOF) {
+    bytes.push_back(static_cast<unsigned char>(c));
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteBytes(const std::string& path,
+                const std::vector<unsigned char>& bytes) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return;
+  if (!bytes.empty()) std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
 }
 
 bool SameBatch(const std::vector<io::RawRating>& a,
@@ -85,7 +106,6 @@ void TestAppendReplayRoundtrip() {
   EXPECT_EQ(replay->records.size(), batches.size());
   EXPECT_EQ(replay->last_seq, 4u);
   EXPECT_EQ(replay->truncated_bytes, 0);
-  EXPECT_EQ(replay->segments, 1);
   for (size_t i = 0; i < replay->records.size() && i < batches.size(); ++i) {
     EXPECT_EQ(replay->records[i].seq, i + 1);
     EXPECT_TRUE(SameBatch(replay->records[i].batch, batches[i]));
@@ -99,34 +119,6 @@ void TestAppendReplayRoundtrip() {
   auto seq = (*reopened)->Append(MakeBatch(300, 2));
   EXPECT_TRUE(seq.ok());
   if (seq.ok()) EXPECT_EQ(*seq, 5u);
-}
-
-void TestSegmentRoll() {
-  const std::string dir = FreshDir("segments");
-  WalOptions options;
-  options.dir = dir;
-  options.segment_bytes = 128;  // force frequent rolls
-  auto wal = Wal::Open(options);
-  EXPECT_TRUE(wal.ok());
-  if (!wal.ok()) return;
-
-  const int kBatches = 12;
-  for (int i = 0; i < kBatches; ++i) {
-    EXPECT_TRUE((*wal)->Append(MakeBatch(10 * i, 4)).ok());
-  }
-
-  // Records span several segments and replay as one contiguous log.
-  auto replay = Wal::Replay(dir);
-  EXPECT_TRUE(replay.ok());
-  if (!replay.ok()) return;
-  EXPECT_TRUE(replay->segments > 1);
-  EXPECT_EQ(replay->records.size(), static_cast<size_t>(kBatches));
-  EXPECT_EQ(replay->last_seq, static_cast<uint64_t>(kBatches));
-  uint64_t expect = 1;
-  for (const WalRecord& record : replay->records) {
-    EXPECT_EQ(record.seq, expect);
-    ++expect;
-  }
 }
 
 void TestTornTailTruncatedOnReplayAndReopen() {
@@ -183,7 +175,6 @@ void TestNonTailCorruptionFailsLoudly() {
   const std::string dir = FreshDir("corrupt");
   WalOptions options;
   options.dir = dir;
-  options.segment_bytes = 128;  // several segments
   auto wal = Wal::Open(options);
   EXPECT_TRUE(wal.ok());
   if (!wal.ok()) return;
@@ -192,30 +183,165 @@ void TestNonTailCorruptionFailsLoudly() {
   }
   wal->reset();
 
-  // Flip one payload byte in the FIRST segment. That is not a torn
-  // tail (it is not the final segment), so Replay must refuse rather
-  // than silently drop acknowledged records.
-  std::string first_segment;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string path = entry.path().string();
-    if (first_segment.empty() || path < first_segment) first_segment = path;
-  }
-  EXPECT_TRUE(!first_segment.empty());
-  FILE* f = std::fopen(first_segment.c_str(), "rb+");
-  EXPECT_TRUE(f != nullptr);
-  if (f == nullptr) return;
-  // 20-byte header, then len+crc; byte 30 sits inside the first payload.
-  std::fseek(f, 30, SEEK_SET);
-  int byte = std::fgetc(f);
-  std::fseek(f, 30, SEEK_SET);
-  std::fputc(byte ^ 0x5a, f);
-  std::fclose(f);
+  // Flip one payload byte of the FIRST record. Nine intact records
+  // follow it, so it is not a torn tail: Replay must refuse, and leave
+  // the file as it was, rather than drop acknowledged records.
+  const std::string path = dir + "/wal.log";
+  std::vector<unsigned char> bytes = ReadBytes(path);
+  EXPECT_TRUE(bytes.size() > 30);
+  if (bytes.size() <= 30) return;
+  // 12-byte header, then len+crc; byte 30 sits inside the first payload.
+  bytes[30] ^= 0x5a;
+  WriteBytes(path, bytes);
 
   auto replay = Wal::Replay(dir);
   EXPECT_FALSE(replay.ok());
   if (!replay.ok()) {
     EXPECT_EQ(replay.status().code(), StatusCode::kInternal);
   }
+  EXPECT_TRUE(ReadBytes(path) == bytes);
+}
+
+// Flips of every byte (low bit, high bit, all bits) and every cut of a
+// 4-record log (an empty batch among them). A flip before the final
+// record can only be corruption: Internal, with the file byte for byte
+// as it was. A flip inside the final record may look like its
+// interrupted append: Internal with the file unchanged, or exactly the
+// first three records. A cut is always a torn tail: the whole records
+// before it replay, and truncated_bytes is the rest. A log cut inside
+// its header reopens and appends seq 1.
+void TestCorruptionSweep() {
+  const std::string dir = FreshDir("sweep");
+  const std::string path = dir + "/wal.log";
+  const std::vector<std::vector<io::RawRating>> batches = {
+      MakeBatch(0, 3), {}, MakeBatch(100, 2), MakeBatch(200, 1)};
+  {
+    WalOptions options;
+    options.dir = dir;
+    auto wal = Wal::Open(options);
+    EXPECT_TRUE(wal.ok());
+    if (!wal.ok()) return;
+    for (const auto& batch : batches) {
+      EXPECT_TRUE((*wal)->Append(batch).ok());
+    }
+  }
+  const std::vector<unsigned char> clean = ReadBytes(path);
+  // record_end[r]: bytes of the header plus the first r records.
+  std::vector<size_t> record_end = {12};
+  for (const auto& batch : batches) {
+    record_end.push_back(record_end.back() + 20 + 20 * batch.size());
+  }
+  EXPECT_EQ(clean.size(), record_end.back());
+  EXPECT_EQ(clean.size(), size_t{212});
+  if (clean.size() != record_end.back()) return;
+  const size_t final_start = record_end[batches.size() - 1];
+
+  // True when `replay` holds exactly the first `n` records.
+  auto is_prefix = [&](const WalReplayResult& replay, size_t n) {
+    if (replay.records.size() != n || replay.last_seq != n) return false;
+    for (size_t r = 0; r < n; ++r) {
+      if (replay.records[r].seq != r + 1 ||
+          !SameBatch(replay.records[r].batch, batches[r])) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  const unsigned char kMasks[] = {0x01, 0x80, 0xff};
+  int bad_flips = 0;
+  int torn_final_flips = 0;
+  for (size_t at = 0; at < clean.size(); ++at) {
+    for (unsigned char mask : kMasks) {
+      std::vector<unsigned char> flipped = clean;
+      flipped[at] ^= mask;
+      WriteBytes(path, flipped);
+      auto replay = Wal::Replay(dir);
+      bool good = false;
+      if (!replay.ok()) {
+        good = replay.status().code() == StatusCode::kInternal &&
+               ReadBytes(path) == flipped;
+      } else if (at >= final_start) {
+        good = is_prefix(*replay, batches.size() - 1) &&
+               replay->truncated_bytes ==
+                   static_cast<int64_t>(clean.size() - final_start) &&
+               ReadBytes(path) ==
+                   std::vector<unsigned char>(clean.begin(),
+                                              clean.begin() + final_start);
+        torn_final_flips += good ? 1 : 0;
+      }
+      if (!good && bad_flips++ == 0) {
+        std::fprintf(stderr, "  first bad flip: byte %zu ^ 0x%02x (%s)\n",
+                     at, mask,
+                     replay.ok() ? "replayed"
+                                 : replay.status().ToString().c_str());
+      }
+    }
+  }
+  EXPECT_EQ(bad_flips, 0);
+  // Inside the final record, only its length and count (8 bytes) are
+  // read as corruption; a flip anywhere else in it reads as torn.
+  EXPECT_EQ(torn_final_flips,
+            static_cast<int>(std::size(kMasks) *
+                             (clean.size() - final_start - 8)));
+
+  int bad_cuts = 0;
+  for (size_t cut = 0; cut <= clean.size(); ++cut) {
+    WriteBytes(path, std::vector<unsigned char>(clean.begin(),
+                                                clean.begin() + cut));
+    size_t whole = 0;
+    while (whole < batches.size() && record_end[whole + 1] <= cut) ++whole;
+    const size_t kept = cut < record_end[0] ? 0 : record_end[whole];
+    auto replay = Wal::Replay(dir);
+    const bool good =
+        replay.ok() && is_prefix(*replay, whole) &&
+        replay->truncated_bytes == static_cast<int64_t>(cut - kept) &&
+        ReadBytes(path) == std::vector<unsigned char>(
+                               clean.begin(), clean.begin() + kept);
+    if (!good && bad_cuts++ == 0) {
+      std::fprintf(stderr, "  first bad cut: %zu bytes\n", cut);
+    }
+  }
+  EXPECT_EQ(bad_cuts, 0);
+
+  for (size_t cut = 0; cut < record_end[0]; ++cut) {
+    WriteBytes(path, std::vector<unsigned char>(clean.begin(),
+                                                clean.begin() + cut));
+    WalOptions options;
+    options.dir = dir;
+    auto wal = Wal::Open(options);
+    EXPECT_TRUE(wal.ok());
+    if (!wal.ok()) continue;
+    EXPECT_EQ((*wal)->last_seq(), 0u);
+    auto seq = (*wal)->Append(batches[0]);
+    EXPECT_TRUE(seq.ok());
+    if (seq.ok()) EXPECT_EQ(*seq, 1u);
+    wal->reset();
+    auto replay = Wal::Replay(dir);
+    EXPECT_TRUE(replay.ok());
+    if (replay.ok()) EXPECT_TRUE(is_prefix(*replay, 1));
+    EXPECT_TRUE(ReadBytes(path) ==
+                std::vector<unsigned char>(clean.begin(),
+                                           clean.begin() + record_end[1]));
+  }
+  fs::remove_all(dir);
+}
+
+// Hand-appends a CRC-valid empty-batch record claiming `seq`.
+void AppendRawRecord(const std::string& dir, uint64_t seq) {
+  FILE* f = std::fopen((dir + "/wal.log").c_str(), "ab");
+  EXPECT_TRUE(f != nullptr);
+  if (f == nullptr) return;
+  unsigned char payload[12];
+  uint32_t count = 0;
+  std::memcpy(payload, &seq, sizeof(seq));
+  std::memcpy(payload + 8, &count, sizeof(count));
+  uint32_t len = sizeof(payload);
+  uint32_t crc = stream::WalCrc32(payload, sizeof(payload));
+  std::fwrite(&len, sizeof(len), 1, f);
+  std::fwrite(&crc, sizeof(crc), 1, f);
+  std::fwrite(payload, sizeof(payload), 1, f);
+  std::fclose(f);
 }
 
 void TestSeqGapFailsLoudly() {
@@ -229,34 +355,24 @@ void TestSeqGapFailsLoudly() {
   EXPECT_TRUE((*wal)->Append(MakeBatch(10, 2)).ok());
   wal->reset();
 
-  // Hand-append a CRC-valid record whose seq skips ahead. Valid CRC
-  // means this cannot be read as a torn tail — it is a logic error and
-  // must surface as Internal.
-  std::string segment;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    segment = entry.path().string();
-  }
-  EXPECT_TRUE(!segment.empty());
-  FILE* f = std::fopen(segment.c_str(), "ab");
-  EXPECT_TRUE(f != nullptr);
-  if (f == nullptr) return;
-  unsigned char payload[12];
-  uint64_t seq = 7;  // expected: 3
-  uint32_t count = 0;
-  std::memcpy(payload, &seq, sizeof(seq));
-  std::memcpy(payload + 8, &count, sizeof(count));
-  uint32_t len = sizeof(payload);
-  uint32_t crc = stream::WalCrc32(payload, sizeof(payload));
-  std::fwrite(&len, sizeof(len), 1, f);
-  std::fwrite(&crc, sizeof(crc), 1, f);
-  std::fwrite(payload, sizeof(payload), 1, f);
-  std::fclose(f);
-
+  // A CRC-valid record whose seq skips ahead cannot be read as a torn
+  // tail — it is a logic error and must surface as Internal.
+  AppendRawRecord(dir, 7);  // expected: 3
   auto replay = Wal::Replay(dir);
   EXPECT_FALSE(replay.ok());
   if (!replay.ok()) {
     EXPECT_EQ(replay.status().code(), StatusCode::kInternal);
   }
+
+  // The same holds at the head: a log whose first record is not seq 1
+  // lost its start.
+  const std::string headless = FreshDir("headless");
+  options.dir = headless;
+  EXPECT_TRUE(Wal::Open(options).ok());  // writes only the header
+  AppendRawRecord(headless, 2);
+  auto head = Wal::Replay(headless);
+  EXPECT_FALSE(head.ok());
+  if (!head.ok()) EXPECT_EQ(head.status().code(), StatusCode::kInternal);
 }
 
 void TestMissingAndEmptyDir() {
@@ -363,10 +479,10 @@ void TestOversizedBatchRefused() {
 
 void RunAllTests() {
   TestAppendReplayRoundtrip();
-  TestSegmentRoll();
   TestTornTailTruncatedOnReplayAndReopen();
   TestNonTailCorruptionFailsLoudly();
   TestSeqGapFailsLoudly();
+  TestCorruptionSweep();
   TestMissingAndEmptyDir();
   TestInjectedFaultHookIsRetryable();
   TestOversizedBatchRefused();
