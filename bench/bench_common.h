@@ -4,7 +4,7 @@
 // unknown flags are an error naming the flag, so a typo'd --epoch=5
 // fails loudly instead of silently running the default budget:
 //   --scale=<mult>    multiply each preset's default bench scale (default 1)
-//   --threads=<nc>    CPU worker threads (default 16, the paper's default)
+//   --threads=<nc>    simulated CPU threads (default 16, the paper's default)
 //   --gpus=<ng>       GPUs (default 1)
 //   --workers=<W>     GPU parallel workers (default 128)
 //   --epochs=<cap>    epoch budget (default per bench)
@@ -84,7 +84,7 @@ inline std::vector<FlagSpec> SharedFlagSpecs() {
   return {
       {"scale", "<mult>",
        "multiply each preset's default bench scale (default 1)"},
-      {"threads", "<nc>", "CPU worker threads (default 16)"},
+      {"threads", "<nc>", "simulated CPU threads (default 16)"},
       {"gpus", "<ng>", "simulated GPUs (default 1)"},
       {"workers", "<W>", "GPU parallel workers (default 128)"},
       {"epochs", "<cap>", "epoch budget (default per bench)"},
@@ -185,7 +185,6 @@ inline BenchContext ParseContext(int argc, char** argv,
         << "--data needs --format={movielens,netflix,csv}: "
         << format.status().message();
     io::LoadOptions load_options;
-    load_options.threads = std::max(1, ctx.threads);
     load_options.metrics = ctx.obs.registry.get();
     load_options.max_bad_lines = ctx.flags.GetInt("max-bad-lines", 0);
     HSGD_CHECK(load_options.max_bad_lines >= 0)

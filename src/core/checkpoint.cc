@@ -1,17 +1,31 @@
 #include "core/checkpoint.h"
 
 #include <cstdio>
+#include <cstring>
 #include <type_traits>
 
 #include "util/strings.h"
 
 namespace hsgd {
 
+namespace {
+
+template <typename T>
+bool SameBits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+}  // namespace
+
 bool DatasetFingerprint::operator==(const DatasetFingerprint& other) const {
   return num_rows == other.num_rows && num_cols == other.num_cols &&
          k == other.k && train_nnz == other.train_nnz &&
          test_nnz == other.test_nnz && train_hash == other.train_hash &&
-         test_hash == other.test_hash;
+         test_hash == other.test_hash &&
+         SameBits(learning_rate, other.learning_rate) &&
+         SameBits(lambda_p, other.lambda_p) &&
+         SameBits(lambda_q, other.lambda_q) &&
+         SameBits(target_rmse, other.target_rmse);
 }
 
 namespace {
@@ -44,6 +58,10 @@ DatasetFingerprint FingerprintDataset(const Dataset& dataset) {
   fp.test_nnz = dataset.test_size();
   fp.train_hash = HashRatings(dataset.train);
   fp.test_hash = HashRatings(dataset.test);
+  fp.learning_rate = dataset.params.learning_rate;
+  fp.lambda_p = dataset.params.lambda_p;
+  fp.lambda_q = dataset.params.lambda_q;
+  fp.target_rmse = dataset.target_rmse;
   return fp;
 }
 
@@ -219,10 +237,14 @@ void CheckpointFields(IO& io, Checkpoint& c) {
   io(c.dataset.test_nnz);
   io(c.dataset.train_hash);
   io(c.dataset.test_hash);
+  // v9: the hyper-parameters and target.
+  io(c.dataset.learning_rate);
+  io(c.dataset.lambda_p);
+  io(c.dataset.lambda_q);
+  io(c.dataset.target_rmse);
   io(c.epochs_run);
   io.Flag(c.reached_target);
   io(c.sim_clock);
-  io(c.wall_seconds);
   io(c.block_tasks);
   io(c.gpu_nnz);
   io(c.total_nnz_processed);

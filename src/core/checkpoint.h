@@ -69,11 +69,16 @@ inline constexpr uint64_t kCheckpointMagic = 0x485347444348504Bull;  // "HSGDCHP
 // (CPU threads, GPUs, GPU width, CPU rate, speed variability), and the
 // rest of each device is sim/device_spec.h's testbed. Callers that
 // calibrate store the measured rate as the CPU rate.
-inline constexpr uint32_t kCheckpointVersion = 8;
+// v9: v8 plus the dataset's SGD hyper-parameters (learning rate, both
+// regularizers) and early-stop target in the fingerprint (20 bytes),
+// minus the unread wall_seconds stat (8 bytes). Restore refuses a
+// dataset whose hyper-parameters or target differ, which v8 accepted
+// and then trained to different factors.
+inline constexpr uint32_t kCheckpointVersion = 9;
 
 /// Cheap identity of the data a session was trained on. Restore refuses
 /// a dataset whose fingerprint differs — resuming on different ratings
-/// would silently produce garbage factors.
+/// or hyper-parameters would silently produce different factors.
 struct DatasetFingerprint {
   int32_t num_rows = 0;
   int32_t num_cols = 0;
@@ -86,6 +91,12 @@ struct DatasetFingerprint {
   /// RMSE trace and any early-stop decision.
   uint64_t train_hash = 0;
   uint64_t test_hash = 0;
+  /// The rest of the dataset's SgdParams and its early-stop target,
+  /// compared bit for bit.
+  float learning_rate = 0.0f;
+  float lambda_p = 0.0f;
+  float lambda_q = 0.0f;
+  double target_rmse = 0.0;
 
   bool operator==(const DatasetFingerprint& other) const;
   bool operator!=(const DatasetFingerprint& other) const {
@@ -105,7 +116,6 @@ struct SessionCheckpoint {
   int32_t epochs_run = 0;
   bool reached_target = false;
   double sim_clock = 0.0;
-  double wall_seconds = 0.0;
 
   int64_t block_tasks = 0;
   int64_t gpu_nnz = 0;

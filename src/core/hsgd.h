@@ -7,7 +7,7 @@
 //
 // Layering:
 //   util/  - status, logging, strings, cli, rng, stopwatch, thread pool,
-//            cpu feature detection, aligned alloc, parallel reduce
+//            cpu feature detection, aligned alloc
 //   core/  - datasets, model, session engine + checkpoint, top-k
 //            selection (this directory)
 //   core/kernels/ - scalar/AVX2/AVX-512 SGD + scoring kernels behind a

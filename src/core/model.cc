@@ -11,7 +11,6 @@
 
 #include "sched/blocked_matrix.h"
 #include "util/logging.h"
-#include "util/parallel_reduce.h"
 
 namespace hsgd {
 
@@ -231,12 +230,23 @@ double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
   const int64_t n = static_cast<int64_t>(ratings.size());
   if (n == 0) return 0.0;
   const KernelOps& kernel = Resolve(ops);
-  const double sq_err = ParallelReduce(
-      pool, n, kRmseGrain, [&](int64_t lo, int64_t hi) {
-        return kernel.sq_err_block(model.p_data(), model.q_data(),
-                                   model.stride(), model.k(),
-                                   ratings.data() + lo, hi - lo);
-      });
+  std::vector<double> partial(
+      static_cast<size_t>((n + kRmseGrain - 1) / kRmseGrain));
+  auto run = [&](int64_t lo, int64_t hi) {
+    partial[static_cast<size_t>(lo / kRmseGrain)] = kernel.sq_err_block(
+        model.p_data(), model.q_data(), model.stride(), model.k(),
+        ratings.data() + lo, hi - lo);
+  };
+  if (pool == nullptr) {
+    for (int64_t lo = 0; lo < n; lo += kRmseGrain) {
+      run(lo, std::min(lo + kRmseGrain, n));
+    }
+  } else {
+    pool->ParallelFor(0, n, kRmseGrain, run);
+  }
+  // Partials in order, so the bits do not depend on the pool size.
+  double sq_err = 0.0;
+  for (double e : partial) sq_err += e;
   return std::sqrt(sq_err / static_cast<double>(n));
 }
 

@@ -148,8 +148,7 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
 
 /// Root mean squared prediction error over `ratings`. Deterministic for a
 /// given input regardless of pool size: one partial per run of 65,536
-/// ratings, added in order by util::ParallelReduce. `pool` may be null
-/// for serial evaluation.
+/// ratings, added in order. `pool` may be null for serial evaluation.
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
             const KernelOps* ops = nullptr);
 

@@ -14,7 +14,6 @@
 #include "sched/star_scheduler.h"
 #include "sched/uniform_scheduler.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/strings.h"
 
 namespace hsgd {
@@ -169,7 +168,6 @@ StatusOr<std::unique_ptr<Session>> Session::Create(Dataset dataset,
 }
 
 Status Session::Init() {
-  Stopwatch wall;
   const Algorithm algo = config_.algorithm;
   const int nc = config_.hardware.num_cpu_threads;
   const int ng = config_.hardware.num_gpus;
@@ -366,8 +364,6 @@ Status Session::Init() {
   rating_sum_ = train_stats.mean_rating * static_cast<double>(n);
   rating_count_ = n;
   dirty_.assign(static_cast<size_t>(matrix_.num_blocks()), 0);
-
-  wall_seconds_ += wall.Seconds();
   return Status::Ok();
 }
 
@@ -515,7 +511,6 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
             ? "session already reached the dataset target"
             : "session already ran its epoch budget");
   }
-  Stopwatch wall;
   const Algorithm algo = config_.algorithm;
   const int ng = config_.hardware.num_gpus;
   const int k = dataset_.params.k;
@@ -955,7 +950,6 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   if (!dirty_.empty()) std::fill(dirty_.begin(), dirty_.end(), 0);
   pending_nnz_ = 0;
 
-  wall_seconds_ += wall.Seconds();
   ExportBarrierMetrics(point);
   return point;
 }
@@ -1057,7 +1051,6 @@ TrainStats Session::stats() const {
             mean * mean);
     stats.sim.update_rate_cv = mean > 0.0 ? std::sqrt(var) / mean : 0.0;
   }
-  stats.wall.seconds = wall_seconds_;
   return stats;
 }
 
@@ -1083,7 +1076,6 @@ Status Session::SaveCheckpoint(const std::string& path,
   ckpt.epochs_run = epochs_run_;
   ckpt.reached_target = reached_target_;
   ckpt.sim_clock = clock_;
-  ckpt.wall_seconds = wall_seconds_;
   ckpt.block_tasks = total_tasks_;
   ckpt.gpu_nnz = gpu_nnz_;
   ckpt.total_nnz_processed = total_nnz_processed_;
@@ -1141,14 +1133,20 @@ StatusOr<std::unique_ptr<Session>> Session::Restore(
   // describe different data.
   DatasetFingerprint fp = FingerprintDataset((*session)->dataset_);
   if (fp != ckpt->dataset) {
+    auto describe = [](const DatasetFingerprint& d) {
+      return StrFormat("%dx%d k=%d nnz=%lld learning_rate=%.9g lambda_p=%.9g "
+                       "lambda_q=%.9g target_rmse=%.17g",
+                       d.num_rows, d.num_cols, d.k,
+                       static_cast<long long>(d.train_nnz),
+                       static_cast<double>(d.learning_rate),
+                       static_cast<double>(d.lambda_p),
+                       static_cast<double>(d.lambda_q), d.target_rmse);
+    };
     return Status::InvalidArgument(StrFormat(
-        "checkpoint '%s' was written for a different dataset (stored "
-        "%dx%d k=%d nnz=%lld, rebuilt %dx%d k=%d nnz=%lld from %zu "
-        "replayed growth batches)",
-        path.c_str(), ckpt->dataset.num_rows, ckpt->dataset.num_cols,
-        ckpt->dataset.k, static_cast<long long>(ckpt->dataset.train_nnz),
-        fp.num_rows, fp.num_cols, fp.k,
-        static_cast<long long>(fp.train_nnz), growth.size()));
+        "checkpoint '%s' was written for a different dataset (stored %s, "
+        "rebuilt %s from %zu replayed growth batches)",
+        path.c_str(), describe(ckpt->dataset).c_str(),
+        describe(fp).c_str(), growth.size()));
   }
   HSGD_RETURN_IF_ERROR((*session)->InstallCheckpoint(*ckpt));
   // Replayed appends marked their blocks dirty, but SaveCheckpoint only
@@ -1199,7 +1197,6 @@ Status Session::InstallCheckpoint(const SessionCheckpoint& ckpt) {
   epochs_run_ = ckpt.epochs_run;
   reached_target_ = ckpt.reached_target;
   clock_ = ckpt.sim_clock;
-  wall_seconds_ = ckpt.wall_seconds;
   total_tasks_ = ckpt.block_tasks;
   gpu_nnz_ = ckpt.gpu_nnz;
   total_nnz_processed_ = ckpt.total_nnz_processed;

@@ -200,20 +200,11 @@ struct SimStats {
   int64_t nnz_processed = 0;
 };
 
-/// Wall-clock statistics: real time this process spent inside
-/// Create/RunEpoch. Never reproducible — not across runs, machines, or
-/// a checkpoint/restore boundary — so nothing that must be
-/// deterministic may read from here.
-struct WallStats {
-  double seconds = 0.0;
-};
-
-/// The two stat families, kept in separate sub-structs so a glance at a
-/// call site (`stats.sim.seconds` vs `stats.wall.seconds`) shows whether
-/// it is on the reproducible side of the fence.
+/// What a session reports about its run. Only virtual-clock stats live
+/// here, so a resumed session's stats equal the uninterrupted run's;
+/// wall time is the caller's to measure.
 struct TrainStats {
   SimStats sim;
-  WallStats wall;
 };
 
 struct TrainResult {
@@ -245,13 +236,14 @@ class Session {
   /// and later appends would diverge. Restore instead creates over
   /// `dataset`, replays `growth` (reproducing the trailing-stratum
   /// growth and block-tail bucketing bit for bit), verifies the result
-  /// against the checkpoint's dataset fingerprint (InvalidArgument on a
-  /// mismatch) and installs the checkpoint. The replayed growth's dirty
-  /// marks are cleared: SaveCheckpoint refuses to save untrained appends,
-  /// so every replayed rating is already trained into the installed
-  /// factors. The resumed session reproduces the uninterrupted run's
-  /// remaining TracePoints and final TrainStats bit-for-bit
-  /// (wall_seconds excepted).
+  /// against the checkpoint's dataset fingerprint — shape, both splits'
+  /// ratings, the SGD hyper-parameters and the early-stop target
+  /// (InvalidArgument on a mismatch) — and installs the checkpoint. The
+  /// replayed growth's dirty marks are cleared: SaveCheckpoint refuses to
+  /// save untrained appends, so every replayed rating is already trained
+  /// into the installed factors. The resumed session reproduces the
+  /// uninterrupted run's remaining TracePoints and final TrainStats
+  /// bit-for-bit.
   static StatusOr<std::unique_ptr<Session>> Restore(
       const std::string& path, Dataset dataset,
       const std::vector<Ratings>& growth = {});
@@ -491,7 +483,6 @@ class Session {
   int64_t duration_count_ = 0;
   double duration_sum_ = 0.0;
   double duration_sumsq_ = 0.0;
-  double wall_seconds_ = 0.0;
 
   // ---- Fault machinery (runtime state, never checkpointed) ------------
   int workers_alive_ = 0;

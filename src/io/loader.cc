@@ -13,10 +13,8 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "util/chunking.h"
 #include "util/logging.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace hsgd::io {
 
@@ -57,39 +55,6 @@ int32_t IdMap::Lookup(int64_t raw) const {
 }
 
 namespace {
-
-/// One parsed record with its source line for error reporting. Netflix
-/// shards mark records seen before the shard's first section header with
-/// item = kPendingItem; the merge fills them from the previous shard's
-/// carry-over header.
-constexpr int64_t kPendingItem = -1;
-
-struct ParsedRec {
-  int64_t user = 0;
-  int64_t item = 0;
-  float rating = 0.0f;
-  int64_t line = 0;
-};
-
-/// A malformed line found during the shard scan, before it is known
-/// whether the error budget absorbs it.
-struct BadLine {
-  int64_t line = 0;
-  std::string detail;
-};
-
-struct ShardResult {
-  std::vector<ParsedRec> recs;
-  /// Netflix: the last "id:" header in the shard, or kPendingItem when
-  /// the shard contains none (its records all inherit the carry-over).
-  int64_t last_item = kPendingItem;
-  /// Malformed lines in shard (= file) order. Capped at max_bad_lines + 1
-  /// entries: keeping each shard's earliest budget+1 bad lines is enough
-  /// to reconstruct both the exact global tally when the load survives
-  /// (no shard can truncate without busting the budget) and the exact
-  /// first-over-budget line when it does not.
-  std::vector<BadLine> bad;
-};
 
 Status LineError(const std::string& path, int64_t line,
                  const std::string& detail) {
@@ -172,34 +137,35 @@ const char* DetectDelim(const char* begin, const char* end, bool* wide) {
   return ",";  // single-field line; the field-count check reports it
 }
 
-struct ParseContext {
-  const std::string* text;
-  std::string path;
+/// One load's state across its files: the result so far, the
+/// duplicate set, and what every line is judged against.
+struct LoadState {
+  std::string root;  // the path LoadRatings was given
   DataFormat format;
+  int64_t max_bad_lines;
+  /// The ratings a format accepts: movielens [0, 5], netflix [1, 5],
+  /// csv unbounded.
   double min_rating;
   double max_rating;
-  int64_t max_bad = 0;
+  LoadedData data;
+  /// Dense (user, item) pairs already loaded, packed into one word.
+  std::unordered_set<uint64_t> seen;
 };
 
-/// The ratings a format accepts: movielens [0, 5], netflix [1, 5], csv
-/// unbounded.
-void FormatRatingRange(DataFormat format, double* min_rating,
-                       double* max_rating) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  *min_rating = format == DataFormat::kMovieLens ? 0.0
-                : format == DataFormat::kNetflix ? 1.0
-                                                  : -kInf;
-  *max_rating = format == DataFormat::kCsv ? kInf : 5.0;
-}
-
-/// Record a malformed line, honoring the per-shard cap (see
-/// ShardResult::bad). `size <= max_bad` admits max_bad + 1 entries
-/// without ever computing max_bad + 1 (which could overflow).
-void RecordBadLine(const ParseContext& ctx, ShardResult* shard,
-                   int64_t line, std::string detail) {
-  if (static_cast<int64_t>(shard->bad.size()) <= ctx.max_bad) {
-    shard->bad.push_back({line, std::move(detail)});
+/// Charge a malformed line to the error budget: it joins the report
+/// while the budget covers it, and fails the load with its LineError
+/// once the budget is spent (at once under the default budget of 0).
+Status ChargeBadLine(LoadState* state, const std::string& path,
+                     int64_t line, std::string detail) {
+  BadLineReport& report = state->data.bad_lines;
+  if (report.total >= state->max_bad_lines) {
+    return LineError(path, line, detail);
   }
+  ++report.total;
+  if (static_cast<int>(report.sample.size()) < BadLineReport::kMaxSample) {
+    report.sample.push_back({path, line, std::move(detail)});
+  }
+  return Status::Ok();
 }
 
 /// Trim a trailing '\r' (CRLF dumps) and surrounding spaces.
@@ -214,11 +180,15 @@ void TrimLine(const char** begin, const char** end) {
   }
 }
 
-void ParseRecordLine(const ParseContext& ctx, const char* begin,
-                     const char* end, int64_t line, ShardResult* shard) {
+/// Parse one rating line into `rec`, or say in `detail` why it is
+/// malformed. A netflix line carries no item; the caller fills it from
+/// the current section header.
+bool ParseRecordLine(const LoadState& state, const char* begin,
+                     const char* end, RawRating* rec, std::string* detail) {
+  const bool netflix = state.format == DataFormat::kNetflix;
   Field fields[6];
   int count;
-  if (ctx.format == DataFormat::kNetflix) {
+  if (netflix) {
     count = SplitFields(begin, end, ",", /*wide=*/false, fields, 6);
   } else {
     bool wide = false;
@@ -226,67 +196,78 @@ void ParseRecordLine(const ParseContext& ctx, const char* begin,
     count = SplitFields(begin, end, delim, wide, fields, 6);
   }
 
-  ParsedRec rec;
-  rec.line = line;
-  if (ctx.format == DataFormat::kNetflix) {
-    // "user,rating[,date]" under the current section header; the item is
-    // filled by the caller (shard-local) or the merge (carry-over).
+  if (netflix) {
+    // "user,rating[,date]" under the current section header.
     if (count != 2 && count != 3) {
-      RecordBadLine(ctx, shard, line,
-                    "expected 'user,rating[,date]', got '" +
-                        std::string(begin, end) + "'");
-      return;
+      *detail = "expected 'user,rating[,date]', got '" +
+                std::string(begin, end) + "'";
+      return false;
     }
-    rec.item = kPendingItem;
   } else {
     // "user<d>item<d>rating[<d>timestamp]".
     if (count != 3 && count != 4) {
-      RecordBadLine(ctx, shard, line,
-                    "expected 'user<delim>item<delim>rating', got '" +
-                        std::string(begin, end) + "'");
-      return;
+      *detail = "expected 'user<delim>item<delim>rating', got '" +
+                std::string(begin, end) + "'";
+      return false;
     }
-    if (!ParseI64(fields[1].begin, fields[1].end, &rec.item)) {
-      RecordBadLine(ctx, shard, line,
-                    "item id '" + fields[1].str() + "' is not an integer");
-      return;
+    if (!ParseI64(fields[1].begin, fields[1].end, &rec->item)) {
+      *detail = "item id '" + fields[1].str() + "' is not an integer";
+      return false;
     }
-    if (rec.item < 0) {
-      RecordBadLine(ctx, shard, line,
-                    "item id '" + fields[1].str() + "' is negative");
-      return;
+    if (rec->item < 0) {
+      *detail = "item id '" + fields[1].str() + "' is negative";
+      return false;
     }
   }
-  if (!ParseI64(fields[0].begin, fields[0].end, &rec.user)) {
-    RecordBadLine(ctx, shard, line,
-                  "user id '" + fields[0].str() + "' is not an integer");
-    return;
+  if (!ParseI64(fields[0].begin, fields[0].end, &rec->user)) {
+    *detail = "user id '" + fields[0].str() + "' is not an integer";
+    return false;
   }
-  if (rec.user < 0) {
-    RecordBadLine(ctx, shard, line,
-                  "user id '" + fields[0].str() + "' is negative");
-    return;
+  if (rec->user < 0) {
+    *detail = "user id '" + fields[0].str() + "' is negative";
+    return false;
   }
-  const Field& rating_field =
-      fields[ctx.format == DataFormat::kNetflix ? 1 : 2];
-  if (!ParseF32(rating_field.begin, rating_field.end, &rec.rating)) {
-    RecordBadLine(
-        ctx, shard, line,
-        "rating '" + rating_field.str() + "' is not a finite float");
-    return;
+  const Field& rating_field = fields[netflix ? 1 : 2];
+  if (!ParseF32(rating_field.begin, rating_field.end, &rec->rating)) {
+    *detail = "rating '" + rating_field.str() + "' is not a finite float";
+    return false;
   }
-  if (rec.rating < ctx.min_rating || rec.rating > ctx.max_rating) {
-    RecordBadLine(ctx, shard, line,
-                  StrFormat("rating %g outside [%g, %g]",
-                            static_cast<double>(rec.rating),
-                            ctx.min_rating, ctx.max_rating));
-    return;
+  if (rec->rating < state.min_rating || rec->rating > state.max_rating) {
+    *detail = StrFormat("rating %g outside [%g, %g]",
+                        static_cast<double>(rec->rating), state.min_rating,
+                        state.max_rating);
+    return false;
   }
-  if (ctx.format == DataFormat::kNetflix &&
-      shard->last_item != kPendingItem) {
-    rec.item = shard->last_item;
+  return true;
+}
+
+/// Give `rec` dense ids and append it, or charge it to the budget as a
+/// duplicate (the first occurrence is the one kept).
+Status AddRating(LoadState* state, const std::string& path, int64_t line,
+                 const RawRating& rec) {
+  LoadedData& data = state->data;
+  if (data.users.size() == std::numeric_limits<int32_t>::max() ||
+      data.items.size() == std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument(
+        StrFormat("'%s' has more distinct ids than int32 can index",
+                  state->root.c_str()));
   }
-  shard->recs.push_back(rec);
+  Rating r;
+  r.u = data.users.Assign(rec.user);
+  r.v = data.items.Assign(rec.item);
+  r.r = rec.rating;
+  const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(r.u))
+                        << 32) |
+                       static_cast<uint32_t>(r.v);
+  if (!state->seen.insert(key).second) {
+    return ChargeBadLine(
+        state, path, line,
+        StrFormat("duplicate rating for (user %lld, item %lld)",
+                  static_cast<long long>(rec.user),
+                  static_cast<long long>(rec.item)));
+  }
+  data.ratings.push_back(r);
+  return Status::Ok();
 }
 
 /// True (and fills `*item`) when the line is a netflix "movie_id:"
@@ -296,33 +277,6 @@ bool ParseSectionHeader(const char* begin, const char* end, int64_t* item) {
   return ParseI64(begin, end - 1, item) && *item >= 0;
 }
 
-void ParseShard(const ParseContext& ctx, const LineChunk& chunk,
-                ShardResult* shard) {
-  const char* data = ctx.text->data();
-  size_t pos = chunk.begin;
-  int64_t line = chunk.first_line;
-  while (pos < chunk.end) {
-    size_t nl = ctx.text->find('\n', pos);
-    size_t line_end = (nl == std::string::npos || nl >= chunk.end)
-                          ? chunk.end
-                          : nl;
-    const char* begin = data + pos;
-    const char* end = data + line_end;
-    TrimLine(&begin, &end);
-    if (begin != end) {
-      int64_t item;
-      if (ctx.format == DataFormat::kNetflix &&
-          ParseSectionHeader(begin, end, &item)) {
-        shard->last_item = item;
-      } else {
-        ParseRecordLine(ctx, begin, end, line, shard);
-      }
-    }
-    pos = line_end + 1;
-    ++line;
-  }
-}
-
 StatusOr<std::string> ReadFileToString(const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -330,6 +284,9 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
         StrFormat("cannot open '%s' for reading", path.c_str()));
   }
   std::string text;
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (!ec) text.reserve(static_cast<size_t>(size));
   char buf[1 << 16];
   size_t got;
   while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
@@ -365,94 +322,57 @@ bool FirstLineIsHeader(const std::string& text) {
          !ParseF32(fields[0].begin, fields[0].end, &ignored_float);
 }
 
-/// Parse one file into raw (user, item, rating, line) records, chunked
-/// across `threads` workers with a deterministic in-order merge.
-/// Malformed lines are charged against the remaining error budget
-/// (options.max_bad_lines - report->total) and appended to `report`;
-/// the first line past the budget fails the parse with its LineError,
-/// which with the default budget of 0 is exactly the historical
-/// first-bad-line Status.
-Status ParseFile(const std::string& path, DataFormat format,
-                 const LoadOptions& options,
-                 std::vector<ParsedRec>* out, BadLineReport* report) {
+/// Read one file in one pass: each line is parsed, given dense ids,
+/// checked for duplicates and charged to the error budget as it is
+/// read, so the budget is spent in file order.
+Status LoadFile(LoadState* state, const std::string& path) {
   auto text_or = ReadFileToString(path);
   if (!text_or.ok()) return text_or.status();
-  const std::string text = *std::move(text_or);
+  const std::string& text = *text_or;
+  const bool netflix = state->format == DataFormat::kNetflix;
 
-  ParseContext ctx;
-  ctx.text = &text;
-  ctx.path = path;
-  ctx.format = format;
-  ctx.max_bad = std::max<int64_t>(0, options.max_bad_lines);
-  FormatRatingRange(format, &ctx.min_rating, &ctx.max_rating);
+  if (state->data.ratings.empty()) {
+    // Sized by the first file's lines; a directory's later files grow
+    // the containers geometrically rather than reallocating per file.
+    const size_t lines =
+        static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+    state->data.ratings.reserve(lines);
+    state->seen.reserve(lines);
+  }
 
-  size_t offset = 0;
-  int64_t start_line = 1;
-  if (format != DataFormat::kNetflix && FirstLineIsHeader(text)) {
+  size_t pos = 0;
+  int64_t line = 1;
+  if (!netflix && FirstLineIsHeader(text)) {
     const size_t nl = text.find('\n');
-    offset = nl == std::string::npos ? text.size() : nl + 1;
-    start_line = 2;
+    pos = nl == std::string::npos ? text.size() : nl + 1;
+    line = 2;
   }
-
-  const int threads = std::max(1, options.threads);
-  std::vector<LineChunk> chunks =
-      SplitAtLineBoundaries(text, offset, threads, start_line);
-  std::vector<ShardResult> shards(chunks.size());
-  {
-    // The pool adds threads - 1 workers; ParallelFor's caller thread is
-    // the remaining one, and with threads == 1 the loop runs serially.
-    ThreadPool pool(static_cast<size_t>(threads - 1));
-    pool.ParallelFor(0, static_cast<int64_t>(chunks.size()), 1,
-                     [&](int64_t lo, int64_t hi) {
-                       for (int64_t i = lo; i < hi; ++i) {
-                         ParseShard(ctx, chunks[static_cast<size_t>(i)],
-                                    &shards[static_cast<size_t>(i)]);
-                       }
-                     });
-  }
-
-  // Deterministic merge: concatenate shards in file order, resolving
-  // netflix carry-over section headers. Records seen before any header
-  // existed anywhere (carry-over missing) are malformed; they join the
-  // shards' parse failures in one line-sorted list judged against the
-  // remaining error budget.
-  std::vector<BadLine> file_bad;
-  int64_t carry_item = kPendingItem;
-  for (ShardResult& shard : shards) {
-    for (BadLine& bad : shard.bad) file_bad.push_back(std::move(bad));
-    size_t skip = 0;
-    for (ParsedRec& rec : shard.recs) {
-      if (rec.item != kPendingItem) break;
-      if (carry_item == kPendingItem) {
-        file_bad.push_back(
-            {rec.line, "rating before any 'movie_id:' section header"});
-        ++skip;
-      } else {
-        rec.item = carry_item;
-      }
+  // Netflix: the item of the latest "movie_id:" header in this file.
+  int64_t section = -1;
+  for (; pos < text.size(); ++line) {
+    const size_t nl = text.find('\n', pos);
+    const size_t line_end = nl == std::string::npos ? text.size() : nl;
+    const char* begin = text.data() + pos;
+    const char* end = text.data() + line_end;
+    pos = line_end + 1;
+    TrimLine(&begin, &end);
+    if (begin == end) continue;
+    int64_t header_item;
+    if (netflix && ParseSectionHeader(begin, end, &header_item)) {
+      section = header_item;
+      continue;
     }
-    if (shard.last_item != kPendingItem) carry_item = shard.last_item;
-    out->insert(out->end(),
-                shard.recs.begin() + static_cast<ptrdiff_t>(skip),
-                shard.recs.end());
-  }
-  // Headerless-prefix records sit at earlier lines than some parse
-  // failures appended before them; sort so the budget is charged in
-  // strict line order, the same order a serial scan would see.
-  std::stable_sort(file_bad.begin(), file_bad.end(),
-                   [](const BadLine& a, const BadLine& b) {
-                     return a.line < b.line;
-                   });
-
-  const int64_t budget_left = ctx.max_bad - report->total;
-  if (static_cast<int64_t>(file_bad.size()) > budget_left) {
-    const BadLine& fatal = file_bad[static_cast<size_t>(budget_left)];
-    return LineError(path, fatal.line, fatal.detail);
-  }
-  for (BadLine& bad : file_bad) {
-    ++report->total;
-    if (static_cast<int>(report->sample.size()) < BadLineReport::kMaxSample) {
-      report->sample.push_back({path, bad.line, std::move(bad.detail)});
+    RawRating rec;
+    std::string detail;
+    if (!ParseRecordLine(*state, begin, end, &rec, &detail)) {
+      HSGD_RETURN_IF_ERROR(
+          ChargeBadLine(state, path, line, std::move(detail)));
+    } else if (netflix && section < 0) {
+      HSGD_RETURN_IF_ERROR(ChargeBadLine(
+          state, path, line, "rating before any 'movie_id:' section header"));
+    } else {
+      if (netflix) rec.item = section;
+      HSGD_RETURN_IF_ERROR(AddRating(state, path, line, rec));
     }
   }
   return Status::Ok();
@@ -469,12 +389,7 @@ StatusOr<LoadedData> LoadRatings(const std::string& path, DataFormat format,
         StrFormat("data path '%s' does not exist", path.c_str()));
   }
 
-  LoadedData data;
-  std::vector<ParsedRec> recs;
-  // First record index contributed by each source file, so post-merge
-  // errors (duplicates) can name the offending file rather than the
-  // top-level directory.
-  std::vector<std::pair<size_t, std::string>> origins;
+  std::vector<std::string> files;
   if (is_dir) {
     if (format != DataFormat::kNetflix) {
       return Status::InvalidArgument(
@@ -484,7 +399,6 @@ StatusOr<LoadedData> LoadRatings(const std::string& path, DataFormat format,
     }
     // Per-movie mv_*.txt files, visited in sorted name order so the load
     // is deterministic across filesystems.
-    std::vector<std::string> files;
     for (const fs::directory_entry& entry : fs::directory_iterator(path)) {
       if (entry.is_regular_file()) files.push_back(entry.path().string());
     }
@@ -493,78 +407,36 @@ StatusOr<LoadedData> LoadRatings(const std::string& path, DataFormat format,
       return Status::InvalidArgument(
           StrFormat("directory '%s' holds no rating files", path.c_str()));
     }
-    for (const std::string& file : files) {
-      origins.emplace_back(recs.size(), file);
-      HSGD_RETURN_IF_ERROR(
-          ParseFile(file, format, options, &recs, &data.bad_lines));
-    }
   } else {
-    origins.emplace_back(0, path);
-    HSGD_RETURN_IF_ERROR(
-        ParseFile(path, format, options, &recs, &data.bad_lines));
+    files.push_back(path);
   }
 
-  if (recs.empty()) {
+  LoadState state;
+  state.root = path;
+  state.format = format;
+  state.max_bad_lines = options.max_bad_lines;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  state.min_rating = format == DataFormat::kMovieLens ? 0.0
+                     : format == DataFormat::kNetflix ? 1.0
+                                                      : -kInf;
+  state.max_rating = format == DataFormat::kCsv ? kInf : 5.0;
+  for (const std::string& file : files) {
+    HSGD_RETURN_IF_ERROR(LoadFile(&state, file));
+  }
+
+  LoadedData& data = state.data;
+  if (data.ratings.empty()) {
     return Status::InvalidArgument(
         StrFormat("'%s' contains no ratings", path.c_str()));
   }
-
-  // Sequential remap + duplicate scan over the merged stream: dense ids
-  // are assigned in first-appearance order, so the result is identical
-  // for any thread count. Duplicates charge the same error budget the
-  // parse phase drew from (the later record is the one quarantined).
-  data.ratings.reserve(recs.size());
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(recs.size() * 2);
-  size_t origin_cursor = 0;
-  for (size_t i = 0; i < recs.size(); ++i) {
-    const ParsedRec& rec = recs[i];
-    // The source file this record came from (line numbers are per-file);
-    // records arrive in file order, so a forward cursor suffices.
-    while (origin_cursor + 1 < origins.size() &&
-           origins[origin_cursor + 1].first <= i) {
-      ++origin_cursor;
-    }
-    const std::string& origin = origins[origin_cursor].second;
-    if (data.users.size() == std::numeric_limits<int32_t>::max() ||
-        data.items.size() == std::numeric_limits<int32_t>::max()) {
-      return Status::InvalidArgument(
-          StrFormat("'%s' has more distinct ids than int32 can index",
-                    path.c_str()));
-    }
-    Rating r;
-    r.u = data.users.Assign(rec.user);
-    r.v = data.items.Assign(rec.item);
-    r.r = rec.rating;
-    const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(r.u))
-                          << 32) |
-                         static_cast<uint32_t>(r.v);
-    if (!seen.insert(key).second) {
-      std::string detail =
-          StrFormat("duplicate rating for (user %lld, item %lld)",
-                    static_cast<long long>(rec.user),
-                    static_cast<long long>(rec.item));
-      if (data.bad_lines.total >= options.max_bad_lines) {
-        return LineError(origin, rec.line, detail);
-      }
-      ++data.bad_lines.total;
-      if (static_cast<int>(data.bad_lines.sample.size()) <
-          BadLineReport::kMaxSample) {
-        data.bad_lines.sample.push_back(
-            {origin, rec.line, std::move(detail)});
-      }
-      continue;
-    }
-    data.ratings.push_back(r);
-  }
   if (options.metrics != nullptr) {
     options.metrics->counter("io.files_parsed")
-        ->Add(static_cast<int64_t>(origins.size()));
+        ->Add(static_cast<int64_t>(files.size()));
     options.metrics->counter("io.ratings_loaded")
         ->Add(static_cast<int64_t>(data.ratings.size()));
     options.metrics->counter("io.bad_lines")->Add(data.bad_lines.total);
   }
-  return data;
+  return std::move(data);
 }
 
 StatusOr<Dataset> LoadDataset(const std::string& path, DataFormat format,
@@ -588,7 +460,7 @@ StatusOr<Dataset> LoadDataset(const std::string& path, DataFormat format,
   }
 
   // Deterministic modulo split: every stride-th rating in file order is
-  // held out, so the split is reproducible for any parse thread count.
+  // held out.
   Ratings train, test;
   if (test_fraction > 0.0) {
     const int64_t stride = std::max<int64_t>(

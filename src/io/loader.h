@@ -13,16 +13,14 @@
 //   csv        Generic delimited triplets (comma, tab or semicolon),
 //              optional header, no rating-range restriction.
 //
-// Loading is production-shaped: the file is split at line boundaries into
-// chunks parsed in parallel on a util::ThreadPool (per-shard accumulation,
-// deterministic in-order merge — the result is byte-identical to a serial
-// parse regardless of thread count), raw ids are remapped to contiguous
-// dense indices with both directions of the mapping retained (so TopK
-// results can be translated back to external ids), and every
-// malformed line fails the load with a Status naming "<path>:<line>" —
-// unless LoadOptions::max_bad_lines grants an error budget, in which case
-// up to that many bad lines are quarantined into a counted report
-// instead.
+// Each file is read whole and then in one serial pass on the caller's
+// thread: every line is parsed, its raw ids are remapped to contiguous
+// dense indices (both directions of the mapping are retained, so TopK
+// results can be translated back to external ids), and it is checked for
+// duplicates as it is read. The loader starts no thread. Every malformed
+// line fails the load with a Status naming "<path>:<line>" — unless
+// LoadOptions::max_bad_lines grants an error budget, in which case up to
+// that many bad lines are quarantined into a counted report instead.
 
 #pragma once
 
@@ -51,9 +49,9 @@ const char* FormatName(DataFormat format);
 StatusOr<DataFormat> FormatByName(const std::string& name);
 
 /// Raw-id -> contiguous dense index mapping, built in first-appearance
-/// (file) order so it is deterministic and independent of parse
-/// parallelism. Retained by LoadedData so serving-side callers can
-/// translate TopK output back to the dump's external ids.
+/// (file) order so it is deterministic. Retained by LoadedData so
+/// serving-side callers can translate TopK output back to the dump's
+/// external ids.
 class IdMap {
  public:
   /// Dense index for `raw`, assigning the next free index when new.
@@ -70,17 +68,14 @@ class IdMap {
 };
 
 struct LoadOptions {
-  /// Worker threads for chunked parsing (1 = serial; results are
-  /// identical either way).
-  int threads = 4;
   /// Error budget: up to this many malformed lines (parse failures,
   /// out-of-range ratings, duplicates, netflix ratings before any
   /// section header) are quarantined into LoadedData::bad_lines instead
-  /// of failing the load. The default 0 keeps the historical strict
-  /// behavior: the first bad line fails with its "<path>:<line>"
-  /// Status. When the budget is exceeded, the load fails naming the
-  /// first line past it. Counting is deterministic (file order) for any
-  /// thread count.
+  /// of failing the load. The default 0 is strict: the first bad line
+  /// fails with its "<path>:<line>" Status. Each bad line is charged as
+  /// it is read, in file order (a directory's files in sorted name
+  /// order), so when the budget is exceeded the load fails naming the
+  /// first line past it.
   int64_t max_bad_lines = 0;
 
   /// Optional borrowed metrics sink: a successful load adds its totals

@@ -1,5 +1,5 @@
-// Fixed-size worker pool with a blocking ParallelFor. Used for parallel
-// RMSE evaluation, chunked dataset parsing and the serving shards.
+// Fixed-size worker pool with a blocking ParallelFor. Used for the
+// session's SGD sweep and RMSE evaluation, and for the serving shards.
 //
 // ParallelFor chunks [begin, end) by a fixed grain so the work
 // decomposition — and therefore any order-sensitive reduction done by the

@@ -153,10 +153,10 @@ void TestReadWriteRoundTripIsByteExact() {
     EXPECT_TRUE(ReadFileBytes(copy) == ReadFileBytes(path));
   }
 
-  // A v7 file is refused by its version word.
+  // A v8 file is refused by its version word.
   std::string bytes = ReadFileBytes(path);
-  const uint32_t v7 = 7;
-  std::memcpy(&bytes[sizeof(kCheckpointMagic)], &v7, sizeof(v7));
+  const uint32_t v8 = 8;
+  std::memcpy(&bytes[sizeof(kCheckpointMagic)], &v8, sizeof(v8));
   FILE* out = std::fopen(copy.c_str(), "wb");
   EXPECT_TRUE(out != nullptr);
   if (out != nullptr) {
@@ -168,7 +168,7 @@ void TestReadWriteRoundTripIsByteExact() {
   if (!old.ok()) {
     EXPECT_TRUE(old.status().code() == StatusCode::kInvalidArgument);
     const std::string want =
-        "has version 7, expected " + std::to_string(kCheckpointVersion);
+        "has version 8, expected " + std::to_string(kCheckpointVersion);
     EXPECT_TRUE(old.status().message().find(want) != std::string::npos);
   }
   std::remove(copy.c_str());

@@ -149,6 +149,41 @@ void TestRestoreRejectsWrongDataset() {
   std::remove(path.c_str());
 }
 
+// The fingerprint covers the SGD hyper-parameters and the target: a
+// dataset with the same ratings but another learning rate, regularizer
+// or target would train to different factors after the resume, so each
+// one changed alone is refused, and the message names the values.
+void TestRestoreRejectsOtherHyperParameters() {
+  const std::string path = "session_test_ckpt_params.bin";
+  Dataset ds = SmallDataset();
+  ds.target_rmse = 0.5;
+  auto session = Session::Create(ds, SmallConfig(Algorithm::kHsgdStar));
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return;
+  EXPECT_TRUE((*session)->RunEpoch().ok());
+  EXPECT_TRUE((*session)->SaveCheckpoint(path).ok());
+
+  auto expect_refused = [&](const char* name, auto mutate) {
+    Dataset other = ds;
+    mutate(&other);
+    auto restored = Session::Restore(path, other);
+    EXPECT_FALSE(restored.ok());
+    if (restored.ok()) {
+      std::fprintf(stderr, "  (other %s restored)\n", name);
+      return;
+    }
+    EXPECT_TRUE(restored.status().code() == StatusCode::kInvalidArgument);
+    EXPECT_TRUE(restored.status().message().find(name) != std::string::npos);
+  };
+  expect_refused("learning_rate",
+                 [](Dataset* d) { d->params.learning_rate *= 4.0f; });
+  expect_refused("lambda_p", [](Dataset* d) { d->params.lambda_p *= 2.0f; });
+  expect_refused("lambda_q", [](Dataset* d) { d->params.lambda_q *= 2.0f; });
+  expect_refused("target_rmse", [](Dataset* d) { d->target_rmse = 0.6; });
+  EXPECT_TRUE(Session::Restore(path, ds).ok());
+  std::remove(path.c_str());
+}
+
 // (d) A damaged checkpoint is a Status, never UB: each header field
 // corrupted individually must fail Restore, and no byte flip anywhere in
 // the file may crash the reader (this test is part of the ASan/UBSan CI
@@ -925,6 +960,7 @@ void RunAllTests() {
   TestStepwiseMatchesOneShot();
   TestCheckpointResumeBitIdentical();
   TestRestoreRejectsWrongDataset();
+  TestRestoreRejectsOtherHyperParameters();
   TestCheckpointCorruptionRejected();
   TestRunEpochLoop();
   TestTrainRmseCoversTrainingSet();

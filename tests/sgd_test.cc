@@ -34,10 +34,6 @@ void TestRmseHandComputed() {
   };
   // RMSE = sqrt((1 + 0 + 4 + 1) / 4) = sqrt(1.5)
   EXPECT_NEAR(Rmse(model, ratings, nullptr), std::sqrt(1.5), 1e-6);
-
-  // Pool evaluation must agree bit-for-bit with serial.
-  ThreadPool pool(3);
-  EXPECT_EQ(Rmse(model, ratings, &pool), Rmse(model, ratings, nullptr));
 }
 
 Dataset TinyDataset() {
@@ -90,6 +86,27 @@ Model InitModel(const Dataset& ds) {
   Rng rng(1);
   model.InitRandom(&rng, ComputeStats(ds.train).mean_rating);
   return model;
+}
+
+// Rmse adds one partial per 65,536 ratings, in order: 200,000 ratings
+// make four partials, whose sum must have the same bits with no pool and
+// at every pool size.
+void TestRmseSameBitsAtAnyPoolSize() {
+  Dataset ds = TinyDataset();
+  Model model = InitModel(ds);
+  Rng rng(3);
+  Ratings ratings(200000);
+  for (Rating& r : ratings) {
+    r.u = static_cast<int32_t>(rng.UniformInt(ds.num_rows));
+    r.v = static_cast<int32_t>(rng.UniformInt(ds.num_cols));
+    r.r = 1.0f + 4.0f * rng.NextFloat();
+  }
+  const double serial = Rmse(model, ratings, nullptr);
+  EXPECT_TRUE(serial > 0.0);
+  for (size_t threads : {1, 3, 7}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(Rmse(model, ratings, &pool), serial);
+  }
 }
 
 bool SameFactors(const Model& a, const Model& b) {
@@ -200,6 +217,7 @@ void TestShuffleAndStats() {
 
 void RunAllTests() {
   TestRmseHandComputed();
+  TestRmseSameBitsAtAnyPoolSize();
   TestSgdConverges();
   TestSgdReturnsSquaredError();
   TestParallelBlocksMatchSerialOrder();

@@ -55,9 +55,7 @@ inline void ExpectTracePointsEqual(const TracePoint& a, const TracePoint& b) {
   EXPECT_EQ(a.train_rmse, b.train_rmse);
 }
 
-/// The sim side only — wall time is real time, inherently
-/// non-reproducible, and lives in its own sub-struct for exactly this
-/// reason.
+/// Every stat a re-run or resumed session must reproduce exactly.
 inline void ExpectStatsEqual(const TrainStats& a, const TrainStats& b) {
   EXPECT_EQ(a.sim.reached_target, b.sim.reached_target);
   EXPECT_EQ(a.sim.seconds, b.sim.seconds);
