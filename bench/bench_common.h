@@ -235,11 +235,19 @@ inline Dataset MakeBenchDataset(DatasetPreset preset,
   return std::move(ds).value();
 }
 
-/// \brief Label for a bench iteration's dataset: the --data path when
-/// loading real ratings, else the preset's name.
+/// \brief Label for a bench iteration's dataset: the last non-empty
+/// component of the --data path when loading real ratings (so
+/// `data/ml_smoke.dat` and a Netflix directory given as `netflix/` fit the
+/// tables' name column), else the preset's name.
 inline std::string DatasetTitle(const BenchContext& ctx,
                                 DatasetPreset preset) {
-  return ctx.loaded != nullptr ? ctx.data_path : PresetName(preset);
+  if (ctx.loaded == nullptr) return PresetName(preset);
+  const std::string& path = ctx.data_path;
+  const size_t end = path.find_last_not_of('/');
+  if (end == std::string::npos) return path;
+  const size_t slash = path.find_last_of('/', end);
+  const size_t begin = slash == std::string::npos ? 0 : slash + 1;
+  return path.substr(begin, end + 1 - begin);
 }
 
 /// \brief The per-thread CPU rate (k=128 convention) of `kernel` measured

@@ -1,5 +1,11 @@
 #include "core/checkpoint.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <type_traits>
@@ -30,19 +36,25 @@ bool DatasetFingerprint::operator==(const DatasetFingerprint& other) const {
 
 namespace {
 
+/// Folds each rating in as whole words: the (u, v) pair as one u64, then
+/// r's bits as one u32, each by an xor, an odd multiply and an xor-shift.
+/// Every step is a bijection of the running hash for a fixed word and of
+/// the word for a fixed hash, so one changed u, v or r always changes the
+/// result; the serial chain keeps it order-sensitive.
 uint64_t HashRatings(const Ratings& ratings) {
-  uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  auto mix = [&h](const void* data, size_t bytes) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
-  for (const Rating& r : ratings) {
-    mix(&r.u, sizeof(r.u));
-    mix(&r.v, sizeof(r.v));
-    mix(&r.r, sizeof(r.r));
+  static_assert(sizeof(Rating) == 12 && offsetof(Rating, v) == 4 &&
+                    offsetof(Rating, r) == 8,
+                "a rating hashes as one u64 (u, v) and one u32 (r)");
+  uint64_t h = 0x243F6A8885A308D3ull;
+  for (const Rating& rating : ratings) {
+    uint64_t uv = 0;
+    uint32_t r = 0;
+    std::memcpy(&uv, &rating.u, sizeof(uv));
+    std::memcpy(&r, &rating.r, sizeof(r));
+    h = (h ^ uv) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 32;
+    h = (h ^ r) * 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 29;
   }
   return h;
 }
@@ -75,10 +87,45 @@ static_assert(sizeof(int) == 4, "checkpoint ints are 32-bit");
 /// Cap on the one count that no field read before it bounds.
 constexpr uint64_t kMaxGpuStreams = 4096;
 
+/// The stdio buffer of a checkpoint file. Factor rows pass through it one
+/// row at a time, so the file sees megabyte writes and reads.
+constexpr size_t kFileBufferBytes = size_t{1} << 20;
+
+/// One factor matrix of a Model: `rows` rows of `k` floats, row r at
+/// `base + r * stride`. A null `base` is no matrix: the Reader then only
+/// checks that the file holds the stored rows, and skips them.
+template <typename Float>
+struct MatrixRows {
+  Float* base = nullptr;
+  int64_t rows = 0;
+  int k = 0;
+  int stride = 0;
+};
+
+/// P's and Q's rows of `model` (a Model or a const Model; may be null).
+template <typename M>
+auto PRows(M* model) {
+  MatrixRows<std::remove_pointer_t<decltype(model->p_data())>> m;
+  if (model != nullptr) {
+    m = {model->p_data(), model->num_rows(), model->k(), model->stride()};
+  }
+  return m;
+}
+template <typename M>
+auto QRows(M* model) {
+  MatrixRows<std::remove_pointer_t<decltype(model->q_data())>> m;
+  if (model != nullptr) {
+    m = {model->q_data(), model->num_cols(), model->k(), model->stride()};
+  }
+  return m;
+}
+
 /// Scalars go through `operator()`; enums (`Enum`, stored as i32) and
 /// bools (`Flag`, stored as u8) never go out as raw bytes, so a corrupt
-/// file cannot load an out-of-range bool. `Vector` and `Array` store a
-/// u64 count first; the Reader refuses a count above `limit`.
+/// file cannot load an out-of-range bool. `Vector` stores a u64 count
+/// first; the Reader refuses a count above `limit`. `Rows` stores a u64
+/// count (rows * k) and then each row's first k floats; the Reader
+/// demands the shape the header implies.
 class Writer {
  public:
   explicit Writer(FILE* f) : f_(f) {}
@@ -101,11 +148,13 @@ class Writer {
     (*this)(static_cast<uint64_t>(v.size()));
     for (const T& e : v) per_element(e);
   }
-  /// The raw elements of a float vector.
-  template <typename Container>
-  void Array(const Container& v, uint64_t /*limit*/) {
-    (*this)(static_cast<uint64_t>(v.size()));
-    Bytes(v.data(), v.size() * sizeof(v[0]));
+  /// The model's rows as they are; the padding lanes stay behind.
+  void Rows(const MatrixRows<const float>& m, int64_t /*rows*/, int /*k*/) {
+    (*this)(static_cast<uint64_t>(m.rows) * static_cast<uint64_t>(m.k));
+    const size_t row_bytes = sizeof(float) * static_cast<size_t>(m.k);
+    for (int64_t r = 0; r < m.rows && ok_; ++r) {
+      Bytes(m.base + r * m.stride, row_bytes);
+    }
   }
 
  private:
@@ -138,7 +187,8 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(FILE* f) : f_(f) {}
+  /// `size` is the file's length in bytes: a skip past it fails.
+  Reader(FILE* f, int64_t size) : f_(f), size_(size) {}
   bool ok() const { return error_ == nullptr; }
   /// Why reading stopped, as a predicate of the file; null while ok.
   const char* error() const { return error_; }
@@ -164,10 +214,31 @@ class Reader {
     v.resize(Count(limit));
     for (T& e : v) per_element(e);
   }
-  template <typename Container>
-  void Array(Container& v, uint64_t limit) {
-    v.resize(Count(limit));
-    Bytes(v.data(), v.size() * sizeof(v[0]));
+  /// Exactly `rows` rows of `k` floats: read into `m`, which must have
+  /// that shape and whose padding lanes end zero, or, for a null `m`,
+  /// checked against the file's size and skipped.
+  void Rows(const MatrixRows<float>& m, int64_t rows, int k) {
+    uint64_t n = 0;
+    (*this)(n);
+    if (!ok()) return;
+    if (n != static_cast<uint64_t>(rows) * static_cast<uint64_t>(k)) {
+      error_ = "is corrupt (factor length)";
+      return;
+    }
+    if (m.base == nullptr) {
+      SkipFloats(n);
+      return;
+    }
+    if (m.rows != rows || m.k != k) {
+      error_ = "does not match the model's shape";
+      return;
+    }
+    const size_t row_bytes = sizeof(float) * static_cast<size_t>(k);
+    for (int64_t r = 0; r < rows && ok(); ++r) {
+      float* row = m.base + r * m.stride;
+      Bytes(row, row_bytes);
+      std::fill(row + k, row + m.stride, 0.0f);
+    }
   }
 
  private:
@@ -184,16 +255,28 @@ class Reader {
     if (ok() && n > limit) error_ = "is corrupt (length over limit)";
     return ok() ? n : 0;
   }
+  /// Moves past `n` stored floats, or fails when the file ends first.
+  void SkipFloats(uint64_t n) {
+    const int64_t at = std::ftell(f_);
+    const bool fits = at >= 0 && at <= size_ &&
+                      n <= static_cast<uint64_t>(size_ - at) / sizeof(float);
+    if (!fits ||
+        std::fseek(f_, static_cast<long>(n * sizeof(float)), SEEK_CUR) != 0) {
+      error_ = "is truncated";
+    }
+  }
 
   FILE* f_;
+  int64_t size_;
   const char* error_ = nullptr;
 };
 
 // ---- The file layout, named once ----------------------------------------
 //
 // Each function lists its fields in file order and is walked by a Writer
-// (over a const struct) or a Reader. A new field goes here once, with a
-// kCheckpointVersion bump.
+// (over a const struct and a const Model) or a Reader (into a Model, or
+// over no model to check and skip the factor rows). A new field goes here
+// once, with a kCheckpointVersion bump.
 
 template <typename IO, typename State>
 void RngFields(IO& io, State& rng) {
@@ -227,8 +310,8 @@ bool HeaderSane(const SessionCheckpoint& c) {
          c.config.max_epochs <= (1 << 24);
 }
 
-template <typename IO, typename Checkpoint>
-void CheckpointFields(IO& io, Checkpoint& c) {
+template <typename IO, typename Checkpoint, typename M>
+void CheckpointFields(IO& io, Checkpoint& c, M* model) {
   ConfigFields(io, c.config);
   io(c.dataset.num_rows);
   io(c.dataset.num_cols);
@@ -266,9 +349,9 @@ void CheckpointFields(IO& io, Checkpoint& c) {
   });
   // Every later count is implied by the header just read, so a corrupt
   // count fails in the Reader instead of attempting a multi-GB
-  // allocation. ReadCheckpoint then demands the exact counts.
+  // allocation or read. CheckpointReader::Open then demands the exact
+  // trace length.
   const bool sane = HeaderSane(c);
-  const auto k = static_cast<uint64_t>(c.dataset.k);
   io.Vector(c.trace, sane ? static_cast<uint64_t>(c.epochs_run) : 0,
             [&io](auto& p) {
               io(p.epoch);
@@ -276,8 +359,9 @@ void CheckpointFields(IO& io, Checkpoint& c) {
               io(p.test_rmse);
               io(p.train_rmse);
             });
-  io.Array(c.p, sane ? static_cast<uint64_t>(c.dataset.num_rows) * k : 0);
-  io.Array(c.q, sane ? static_cast<uint64_t>(c.dataset.num_cols) * k : 0);
+  const int k = sane ? c.dataset.k : 0;
+  io.Rows(PRows(model), sane ? c.dataset.num_rows : 0, k);
+  io.Rows(QRows(model), sane ? c.dataset.num_cols : 0, k);
 }
 
 /// Range/finiteness checks on a config read back from disk. The fields
@@ -303,15 +387,30 @@ Status ValidateStoredConfig(const TrainConfig& c) {
   return ValidateConfigRanges(c);
 }
 
+/// fsync(2) of a file does not persist its directory entry: after the
+/// rename, `path`'s directory is synced too.
+Status SyncDirectoryOf(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const bool synced = fd >= 0 && fsync(fd) == 0;
+  if (fd >= 0) close(fd);
+  if (!synced) {
+    return Status::Internal(
+        StrFormat("cannot fsync checkpoint directory '%s'", dir.c_str()));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 void SetCheckpointWriteFailpoint(int64_t bytes) {
   g_write_failpoint = bytes;
 }
 
-Status WriteCheckpoint(const std::string& path,
-                       const SessionCheckpoint& ckpt,
-                       int64_t* bytes_written) {
+Status WriteCheckpoint(const std::string& path, const SessionCheckpoint& ckpt,
+                       const Model& model, int64_t* bytes_written) {
   if (bytes_written != nullptr) *bytes_written = 0;
   const std::string tmp = path + ".tmp";
   FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -319,11 +418,15 @@ Status WriteCheckpoint(const std::string& path,
     return Status::Internal(
         StrFormat("cannot open '%s' for writing", tmp.c_str()));
   }
+  const std::unique_ptr<char[]> buffer(new char[kFileBufferBytes]);
+  std::setvbuf(f, buffer.get(), _IOFBF, kFileBufferBytes);
   Writer w(f);
   w(kCheckpointMagic);
   w(kCheckpointVersion);
-  CheckpointFields(w, ckpt);
-  const bool write_ok = w.ok();
+  CheckpointFields(w, ckpt, &model);
+  // On disk before the rename makes it the checkpoint at `path`.
+  const bool write_ok =
+      w.ok() && std::fflush(f) == 0 && fsync(fileno(f)) == 0;
   const bool close_ok = std::fclose(f) == 0;
   if (!write_ok || !close_ok) {
     std::remove(tmp.c_str());
@@ -335,27 +438,34 @@ Status WriteCheckpoint(const std::string& path,
     return Status::Internal(StrFormat("cannot rename '%s' to '%s'",
                                       tmp.c_str(), path.c_str()));
   }
+  HSGD_RETURN_IF_ERROR(SyncDirectoryOf(path));
   if (bytes_written != nullptr) *bytes_written = w.written();
   return Status::Ok();
 }
 
-StatusOr<SessionCheckpoint> ReadCheckpoint(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
+StatusOr<CheckpointReader> CheckpointReader::Open(const std::string& path) {
+  CheckpointReader file;
+  file.path_ = path;
+  file.file_.reset(std::fopen(path.c_str(), "rb"));
+  FILE* f = file.file_.get();
   if (f == nullptr) {
     return Status::NotFound(
         StrFormat("checkpoint '%s' does not exist", path.c_str()));
   }
-  Reader r(f);
+  file.buffer_.reset(new char[kFileBufferBytes]);
+  std::setvbuf(f, file.buffer_.get(), _IOFBF, kFileBufferBytes);
+  struct stat st{};
+  if (fstat(fileno(f), &st) == 0) file.size_ = st.st_size;
+  Reader r(f, file.size_);
   uint64_t magic = 0;
   uint32_t version = 0;
   r(magic);
   r(version);
   const bool is_checkpoint = r.ok() && magic == kCheckpointMagic;
-  SessionCheckpoint ckpt;
+  SessionCheckpoint& ckpt = file.state_;
   if (is_checkpoint && version == kCheckpointVersion) {
-    CheckpointFields(r, ckpt);
+    CheckpointFields(r, ckpt, static_cast<Model*>(nullptr));
   }
-  std::fclose(f);
   if (!is_checkpoint) {
     return Status::InvalidArgument(
         StrFormat("'%s' is not an hsgd checkpoint", path.c_str()));
@@ -379,12 +489,40 @@ StatusOr<SessionCheckpoint> ReadCheckpoint(const std::string& path) {
   if (ckpt.trace.size() != static_cast<size_t>(ckpt.epochs_run)) {
     return corrupt("trace length");
   }
-  const auto k = static_cast<size_t>(ckpt.dataset.k);
-  if (ckpt.p.size() != static_cast<size_t>(ckpt.dataset.num_rows) * k ||
-      ckpt.q.size() != static_cast<size_t>(ckpt.dataset.num_cols) * k) {
-    return corrupt("factor length");
+  return file;
+}
+
+Status CheckpointReader::ReadFactors(Model* model) {
+  const DatasetFingerprint& shape = state_.dataset;
+  if (model->num_rows() != shape.num_rows ||
+      model->num_cols() != shape.num_cols || model->k() != shape.k) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint '%s' holds %dx%d factors at k=%d, the model is %dx%d "
+        "at k=%d",
+        path_.c_str(), shape.num_rows, shape.num_cols, shape.k,
+        model->num_rows(), model->num_cols(), model->k()));
   }
-  return ckpt;
+  // The same walk as Open's, from the top of the same open file, now
+  // with a model to read the rows into.
+  std::rewind(file_.get());
+  Reader r(file_.get(), size_);
+  uint64_t magic = 0;
+  uint32_t version = 0;
+  r(magic);
+  r(version);
+  SessionCheckpoint again;
+  CheckpointFields(r, again, model);
+  if (!r.ok()) {
+    return Status::InvalidArgument(
+        StrFormat("checkpoint '%s' %s", path_.c_str(), r.error()));
+  }
+  return Status::Ok();
+}
+
+StatusOr<SessionCheckpoint> ReadCheckpoint(const std::string& path) {
+  auto file = CheckpointReader::Open(path);
+  if (!file.ok()) return file.status();
+  return file->state();
 }
 
 }  // namespace hsgd

@@ -7,7 +7,11 @@
 // dataset from the caller and verifies it against the fingerprint), then
 // the evolving session state: epoch counter, virtual clock, stat
 // accumulators, the scheduler's RNG stream and steal tallies, per-GPU
-// pipeline stream state, the trace so far, and the factor matrices.
+// pipeline stream state and the trace so far. The factor rows come last:
+// P's then Q's, each a u64 count (rows * k) and then every row's first k
+// floats. They go between the strided Model and the file with no staging
+// copy, and the SIMD padding lanes are never stored, so the file does not
+// depend on the kernel build.
 //
 // Everything else a session holds (grid cuts, blocked matrix, cost-model
 // alpha, device speed draws) is deterministic from (dataset, config) and
@@ -20,10 +24,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/dataset.h"
+#include "core/model.h"
 #include "core/session.h"
 #include "sim/gpu_device.h"
 #include "util/rng.h"
@@ -74,7 +81,11 @@ inline constexpr uint64_t kCheckpointMagic = 0x485347444348504Bull;  // "HSGDCHP
 // minus the unread wall_seconds stat (8 bytes). Restore refuses a
 // dataset whose hyper-parameters or target differ, which v8 accepted
 // and then trained to different factors.
-inline constexpr uint32_t kCheckpointVersion = 9;
+// v10: v9 with a word-wise content hash in place of byte-wise FNV-1a
+// (each rating's (u, v) pair as one u64 and r's bits as one u32, mixed
+// in order); only the values of the two hash words change. The factor
+// section and the file size are v9's.
+inline constexpr uint32_t kCheckpointVersion = 10;
 
 /// Cheap identity of the data a session was trained on. Restore refuses
 /// a dataset whose fingerprint differs — resuming on different ratings
@@ -85,8 +96,12 @@ struct DatasetFingerprint {
   int32_t k = 0;
   int64_t train_nnz = 0;
   int64_t test_nnz = 0;
-  /// FNV-1a over each split's (u, v, r) bytes in order. The test split is
-  /// covered too: datasets ingested by io/ carry a held-out split, and
+  /// A word-wise hash of each split's ratings in order: per rating, the
+  /// (u, v) pair as one u64 and then r's bits as one u32, each folded in
+  /// by a multiply and a shift. Every step is a bijection of the running
+  /// hash for a fixed input and of the input for a fixed hash, so changing
+  /// any one u, v or r always changes the hash. The test split is covered
+  /// too: datasets ingested by io/ carry a held-out split, and
   /// resuming against different test ratings would silently skew the
   /// RMSE trace and any early-stop decision.
   uint64_t train_hash = 0;
@@ -106,9 +121,10 @@ struct DatasetFingerprint {
 
 DatasetFingerprint FingerprintDataset(const Dataset& dataset);
 
-/// Complete resumable state of a Session, as stored on disk. Filled by
-/// Session::SaveCheckpoint and consumed by Session::Restore; exposed here
-/// so tests and tools can inspect checkpoints without a session.
+/// Resumable state of a Session as stored on disk, all but the factor
+/// rows, which live only in a Model. Filled by Session::SaveCheckpoint and
+/// consumed by Session::Restore; exposed here so tests and tools can
+/// inspect checkpoints without a session.
 struct SessionCheckpoint {
   TrainConfig config;
   DatasetFingerprint dataset;
@@ -140,24 +156,58 @@ struct SessionCheckpoint {
 
   std::vector<GpuStreamState> gpu_streams;
   std::vector<TracePoint> trace;
-
-  /// Row-major factor matrices (num_rows*k / num_cols*k).
-  std::vector<float> p;
-  std::vector<float> q;
 };
 
-/// Write `checkpoint` to `path` atomically (temp file + rename): readers
-/// never observe a torn file, and a crash mid-write leaves any previous
-/// checkpoint at `path` intact. On success `bytes_written` (when
-/// non-null) receives the file's size — observability accounting for
-/// the session's ckpt.bytes counter; 0 on failure.
+/// Write `checkpoint` and `model`'s factor rows (each row's first k
+/// floats, straight from the strided storage) to `path` atomically and
+/// durably: a temp file is written, flushed and fsynced, renamed over
+/// `path`, and then `path`'s directory is fsynced. Readers never observe
+/// a torn file, a crash mid-write leaves any previous checkpoint at
+/// `path` intact, and a save that returned OK survives a power loss. A
+/// failed write or fsync returns Internal and removes the temp file. On
+/// success `bytes_written` (when non-null) receives the file's size —
+/// observability accounting for the session's ckpt.bytes counter; 0 on
+/// failure.
 Status WriteCheckpoint(const std::string& path,
-                       const SessionCheckpoint& checkpoint,
+                       const SessionCheckpoint& checkpoint, const Model& model,
                        int64_t* bytes_written = nullptr);
 
-/// Read and validate (magic, version, structural sizes). Fails with
-/// NotFound for a missing file and InvalidArgument for a corrupt or
-/// version-mismatched one.
+/// A checkpoint file open for reading. Open reads and validates the state;
+/// ReadFactors then reads the factor rows into a Model from the same open
+/// file, so a save that renames a new file over the path in between cannot
+/// pair one file's state with another file's factors.
+class CheckpointReader {
+ public:
+  /// Opens `path` and reads everything but the factor rows, which it
+  /// skips. NotFound for a missing file; InvalidArgument for a corrupt or
+  /// version-mismatched one, including one too short to hold the factor
+  /// rows its header implies — judged from the file's size, not by
+  /// reading the rows.
+  static StatusOr<CheckpointReader> Open(const std::string& path);
+
+  const SessionCheckpoint& state() const { return state_; }
+
+  /// Reads the factor rows into `model`, whose shape must be the state's
+  /// (num_rows x num_cols at rank k), and zeroes every padding lane.
+  /// InvalidArgument on another shape, or on a file that no longer reads
+  /// (some rows may then already be overwritten).
+  Status ReadFactors(Model* model);
+
+ private:
+  struct FileCloser {
+    void operator()(FILE* f) const { std::fclose(f); }
+  };
+
+  std::string path_;
+  int64_t size_ = 0;
+  /// The stream's buffer; declared first, so it outlives the stream.
+  std::unique_ptr<char[]> buffer_;
+  std::unique_ptr<FILE, FileCloser> file_;
+  SessionCheckpoint state_;
+};
+
+/// The state of the checkpoint at `path`, with CheckpointReader::Open's
+/// checks; the factor rows are skipped, not read.
 StatusOr<SessionCheckpoint> ReadCheckpoint(const std::string& path);
 
 /// Test-only failpoint simulating a short write / ENOSPC: subsequent

@@ -87,9 +87,10 @@ class Model {
     return static_cast<size_t>(num_cols_) * stride_;
   }
 
-  /// Dense (stride-free, num_rows*k / num_cols*k) factor copies for
-  /// serialization — checkpoints store factors without the SIMD padding,
-  /// so their size and layout do not depend on the kernel build.
+  /// Dense (stride-free, num_rows*k / num_cols*k) factor copies, for
+  /// comparing or seeding models whatever their padding. Checkpoints do
+  /// not use them: core/checkpoint.h moves the rows straight between the
+  /// strided storage and the file.
   std::vector<float> DenseP() const;
   std::vector<float> DenseQ() const;
   /// Inverse of DenseP/DenseQ; `p` and `q` must be exactly

@@ -1094,12 +1094,8 @@ Status Session::SaveCheckpoint(const std::string& path,
     ckpt.gpu_streams.push_back(gpu->stream_state());
   }
   ckpt.trace = trace_.points;
-  // Dense (stride-free) factors: checkpoint layout is independent of the
-  // SIMD padding, so files round-trip across kernel builds.
-  ckpt.p = model_->DenseP();
-  ckpt.q = model_->DenseQ();
   int64_t bytes = 0;
-  Status status = WriteCheckpoint(path, ckpt, &bytes);
+  Status status = WriteCheckpoint(path, ckpt, *model_, &bytes);
   if (status.ok()) {
     // Counter bumps through the (possibly null) handles; mutating the
     // external registry keeps this method observably const.
@@ -1120,9 +1116,10 @@ Status Session::SaveCheckpoint(const std::string& path,
 StatusOr<std::unique_ptr<Session>> Session::Restore(
     const std::string& path, Dataset dataset,
     const std::vector<Ratings>& growth) {
-  auto ckpt = ReadCheckpoint(path);
-  if (!ckpt.ok()) return ckpt.status();
-  auto session = Create(std::move(dataset), ckpt->config);
+  auto file = CheckpointReader::Open(path);
+  if (!file.ok()) return file.status();
+  const SessionCheckpoint& ckpt = file->state();
+  auto session = Create(std::move(dataset), ckpt.config);
   if (!session.ok()) return session.status();
   for (const Ratings& batch : growth) {
     HSGD_RETURN_IF_ERROR((*session)->AppendRatings(batch));
@@ -1132,7 +1129,7 @@ StatusOr<std::unique_ptr<Session>> Session::Restore(
   // checkpoint was saved against, or the factors we are about to install
   // describe different data.
   DatasetFingerprint fp = FingerprintDataset((*session)->dataset_);
-  if (fp != ckpt->dataset) {
+  if (fp != ckpt.dataset) {
     auto describe = [](const DatasetFingerprint& d) {
       return StrFormat("%dx%d k=%d nnz=%lld learning_rate=%.9g lambda_p=%.9g "
                        "lambda_q=%.9g target_rmse=%.17g",
@@ -1145,10 +1142,10 @@ StatusOr<std::unique_ptr<Session>> Session::Restore(
     return Status::InvalidArgument(StrFormat(
         "checkpoint '%s' was written for a different dataset (stored %s, "
         "rebuilt %s from %zu replayed growth batches)",
-        path.c_str(), describe(ckpt->dataset).c_str(),
+        path.c_str(), describe(ckpt.dataset).c_str(),
         describe(fp).c_str(), growth.size()));
   }
-  HSGD_RETURN_IF_ERROR((*session)->InstallCheckpoint(*ckpt));
+  HSGD_RETURN_IF_ERROR((*session)->InstallCheckpoint(&*file));
   // Replayed appends marked their blocks dirty, but SaveCheckpoint only
   // saves at ingest-quiescent points: everything replayed is already
   // trained into the installed factors. Clear, or the first TrainDirty
@@ -1159,13 +1156,8 @@ StatusOr<std::unique_ptr<Session>> Session::Restore(
   return session;
 }
 
-Status Session::InstallCheckpoint(const SessionCheckpoint& ckpt) {
-  if (ckpt.p.size() != model_->dense_p_size() ||
-      ckpt.q.size() != model_->dense_q_size()) {
-    return Status::InvalidArgument(
-        "checkpoint factor matrices do not match the session's model "
-        "dimensions");
-  }
+Status Session::InstallCheckpoint(CheckpointReader* file) {
+  const SessionCheckpoint& ckpt = file->state();
   if (ckpt.gpu_streams.size() != gpu_devices_.size()) {
     return Status::InvalidArgument(
         "checkpoint GPU count does not match the session's device fleet");
@@ -1179,7 +1171,7 @@ Status Session::InstallCheckpoint(const SessionCheckpoint& ckpt) {
     return Status::InvalidArgument(
         "checkpoint growth state is corrupt (rating moments)");
   }
-  model_->SetDense(ckpt.p, ckpt.q);
+  HSGD_RETURN_IF_ERROR(file->ReadFactors(model_.get()));
   scheduler_->set_rng_state(ckpt.scheduler_rng);
   scheduler_->set_steal_counters(ckpt.stolen_by_gpus, ckpt.stolen_by_cpus);
   // Growth state: Init seeded growth_rng_ fresh and recomputed the

@@ -213,7 +213,7 @@ struct TrainResult {
 };
 
 struct DatasetFingerprint;  // core/checkpoint.h
-struct SessionCheckpoint;   // core/checkpoint.h
+class CheckpointReader;     // core/checkpoint.h
 
 class Session {
  public:
@@ -238,7 +238,10 @@ class Session {
   /// growth and block-tail bucketing bit for bit), verifies the result
   /// against the checkpoint's dataset fingerprint — shape, both splits'
   /// ratings, the SGD hyper-parameters and the early-stop target
-  /// (InvalidArgument on a mismatch) — and installs the checkpoint. The
+  /// (InvalidArgument on a mismatch) — and installs the checkpoint: the
+  /// state read first, and then the factor rows, read straight into the
+  /// new session's model from the same open file, with no staging copy.
+  /// A file too short for its factor rows is refused before Create. The
   /// replayed growth's dirty marks are cleared: SaveCheckpoint refuses to
   /// save untrained appends, so every replayed rating is already trained
   /// into the installed factors. The resumed session reproduces the
@@ -353,19 +356,24 @@ class Session {
 
   /// Serialize the complete resumable state (config, dataset
   /// fingerprint, factor matrices, virtual clock, RNG streams, device
-  /// pipeline state, trace, stat accumulators) to `path`. Written via a
-  /// temp file + rename so a crash mid-write never corrupts an existing
-  /// checkpoint; a failed write returns its Status and nothing retries
-  /// it. The session never saves on its own: the caller's epoch loop
-  /// decides when. Takes the epoch barrier, so a save from another thread
-  /// waits for the epoch or append in flight; never call it from inside
-  /// a VisitQuiesced callback, which already holds the barrier.
+  /// pipeline state, trace, stat accumulators) to `path`. The factor rows
+  /// go from the strided model to the file through one write buffer,
+  /// with no staging copy. The dataset is hashed for the fingerprint at
+  /// the first save and again only after an append. Written via a temp
+  /// file that is fsynced, renamed over `path`, and then `path`'s
+  /// directory fsynced: a crash mid-write never corrupts an existing
+  /// checkpoint, and a save that returned OK survives a power loss. A
+  /// failed write returns its Status and nothing retries it. The session
+  /// never saves on its own: the caller's epoch loop decides when. Takes
+  /// the epoch barrier, so a save from another thread waits for the
+  /// epoch or append in flight; never call it from inside a
+  /// VisitQuiesced callback, which already holds the barrier.
   /// FailedPrecondition while appended ratings are not yet trained
   /// (pending_nnz() != 0): Restore replays growth as already trained, so
   /// a save must be ingest-quiescent — run RunIncrementalEpoch first.
   /// `wal_seq` records the WAL high-water mark applied to this session —
   /// the durability contract between the checkpoint and stream/wal.h's
-  /// log. Restore carries it back out via ReadCheckpoint (the session
+  /// log. Recovery reads it back with ReadCheckpoint (the session
   /// itself has no WAL state); the growth RNG and exact rating moments
   /// ARE session state and round-trip with every save, so appends after
   /// a restore stay bit-identical to the uninterrupted run.
@@ -403,7 +411,9 @@ class Session {
   /// restored session first rebuilds exactly what Create built, then
   /// overwrites the evolving state from the checkpoint.
   Status Init();
-  Status InstallCheckpoint(const SessionCheckpoint& checkpoint);
+  /// Overwrites the evolving state with `file`'s, reading the factor
+  /// rows straight into model_.
+  Status InstallCheckpoint(CheckpointReader* file);
 
   /// Shared epoch body; the caller holds the epoch barrier. `subset`
   /// selects the pending blocks (null = all, the classic RunEpoch).

@@ -341,6 +341,8 @@ StatusOr<OnlineTrainer::RecoverResult> OnlineTrainer::Recover(
     Dataset warm, io::IdMap users, io::IdMap items,
     const std::string& checkpoint_path, const WalIngestOptions& wal,
     Publisher publisher, obs::MetricsRegistry* metrics) {
+  // The state alone: Restore below reads the factor rows once, straight
+  // into the recovered session's model.
   auto ckpt = ReadCheckpoint(checkpoint_path);
   if (!ckpt.ok()) return ckpt.status();
   const uint64_t mark = ckpt->wal_seq;

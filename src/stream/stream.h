@@ -180,7 +180,8 @@ class OnlineTrainer {
       const WalIngestOptions* wal = nullptr);
 
   /// Crash recovery for a WAL-armed trainer. Reads the checkpoint's WAL
-  /// mark, replays the log (truncating a torn tail), rebuilds the grown
+  /// mark from its state alone (Restore reads the factor rows, once),
+  /// replays the log (truncating a torn tail), rebuilds the grown
   /// session bit-exactly via Session::Restore over `warm` plus the
   /// replayed growth (the checkpoint's dataset fingerprint proves they
   /// reconstruct the crashed session's data), reopens the WAL for
@@ -209,11 +210,13 @@ class OnlineTrainer {
   StatusOr<IngestResult> ReplayIngest(const WalRecord& record);
 
   /// Durable save: fsyncs the WAL (when armed), then writes the session
-  /// checkpoint stamped with the WAL sequence applied so far. Refused
-  /// (FailedPrecondition, from Session::SaveCheckpoint) while ratings are
-  /// ingested-but-untrained — recovery's dirty-state reconstruction
-  /// (Session::Restore with growth) relies on checkpoints being taken at
-  /// ingest-quiescent points; run TrainDirty first.
+  /// checkpoint stamped with the WAL sequence applied so far; the
+  /// checkpoint file and its directory are fsynced before it returns OK,
+  /// so both survive a power loss. Refused (FailedPrecondition, from
+  /// Session::SaveCheckpoint) while ratings are ingested-but-untrained —
+  /// recovery's dirty-state reconstruction (Session::Restore with growth)
+  /// relies on checkpoints being taken at ingest-quiescent points; run
+  /// TrainDirty first.
   Status Checkpoint(const std::string& path);
 
   /// One incremental epoch over the blocks dirtied since the last epoch.

@@ -338,7 +338,7 @@ void TestAutoKernelPinnedInCheckpoint() {
     // kind); restoring it would silently re-resolve per machine.
     SessionCheckpoint mutated = *ckpt;
     mutated.config.kernel = KernelKind::kAuto;
-    EXPECT_TRUE(WriteCheckpoint(path, mutated).ok());
+    EXPECT_TRUE(WriteCheckpoint(path, mutated, (*session)->model()).ok());
     EXPECT_FALSE(Session::Restore(path, ds).ok());
   }
   std::remove(path.c_str());

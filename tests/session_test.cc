@@ -214,11 +214,12 @@ void TestCheckpointCorruptionRejected() {
   EXPECT_TRUE(Session::Restore(path, ds).ok());
 
   // Field-level corruption: rewrite the checkpoint with exactly one
-  // header field damaged and assert Restore rejects it.
+  // header field damaged (the factors from the session, which has not
+  // moved since the save) and assert Restore rejects it.
   auto expect_rejected = [&](const char* what, auto mutate) {
     SessionCheckpoint ckpt = *valid;
     mutate(&ckpt);
-    EXPECT_TRUE(WriteCheckpoint(tmp, ckpt).ok());
+    EXPECT_TRUE(WriteCheckpoint(tmp, ckpt, (*session)->model()).ok());
     if (Session::Restore(tmp, ds).ok()) {
       std::fprintf(stderr, "  (corruption not rejected: %s)\n", what);
       EXPECT_TRUE(false);
@@ -267,16 +268,10 @@ void TestCheckpointCorruptionRejected() {
   });
   expect_rejected("truncated trace",
                   [](SessionCheckpoint* c) { c->trace.pop_back(); });
-  expect_rejected("truncated factors",
-                  [](SessionCheckpoint* c) { c->p.pop_back(); });
   expect_rejected("extra GPU stream state", [](SessionCheckpoint* c) {
     c->gpu_streams.push_back(GpuStreamState{});
   });
 
-  // Byte-flip sweep over the entire file: ReadCheckpoint must always
-  // come back with a value or an error, never crash; flips inside the
-  // magic/version prologue must always be rejected. Flips in the header
-  // and config region additionally go through a full Restore attempt.
   FILE* f = std::fopen(path.c_str(), "rb");
   EXPECT_TRUE(f != nullptr);
   std::fseek(f, 0, SEEK_END);
@@ -285,12 +280,27 @@ void TestCheckpointCorruptionRejected() {
   std::vector<unsigned char> bytes(static_cast<size_t>(file_size));
   EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] ^= 0xFF;
+  auto write_tmp = [&](size_t length) {
     FILE* out = std::fopen(tmp.c_str(), "wb");
     EXPECT_TRUE(out != nullptr);
-    std::fwrite(bytes.data(), 1, bytes.size(), out);
+    std::fwrite(bytes.data(), 1, length, out);
     std::fclose(out);
+  };
+
+  // Truncated factors: a file cut inside the last factor row.
+  write_tmp(bytes.size() - sizeof(float) / 2);
+  EXPECT_TRUE(ReadCheckpoint(tmp).status().code() ==
+              StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Session::Restore(tmp, ds).status().code() ==
+              StatusCode::kInvalidArgument);
+
+  // Byte-flip sweep over the entire file: ReadCheckpoint must always
+  // come back with a value or an error, never crash; flips inside the
+  // magic/version prologue must always be rejected. Flips in the header
+  // and config region additionally go through a full Restore attempt.
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] ^= 0xFF;
+    write_tmp(bytes.size());
     auto flipped = ReadCheckpoint(tmp);
     if (i < 12) {  // magic (8) + version (4): unconditionally fatal
       EXPECT_FALSE(flipped.ok());
