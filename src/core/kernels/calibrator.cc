@@ -1,5 +1,6 @@
 #include "core/kernels/calibrator.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/aligned.h"
@@ -16,13 +17,17 @@ KernelCalibration CalibrateKernel(KernelKind kind, int k,
   HSGD_CHECK_OK(resolved.status()) << "cannot calibrate";
   const KernelOps& ops = GetKernelOps(*resolved);
 
-  // A factor working set comfortably larger than L2 and a block long
-  // enough that per-sweep overhead vanishes; mirrors the flat-in-block-
-  // size regime of Fig. 3b that updates_per_sec_k128 describes.
-  const int32_t rows = 4096;
-  const int32_t cols = 4096;
-  const int64_t nnz = 200000;
+  // Each factor matrix is 2 MB at every rank (4,096 rows at k=128, more
+  // at smaller k), so P and Q together outgrow a 2 MB L2 rather than
+  // sitting in it at small k, and the block is long enough that
+  // per-sweep overhead vanishes; mirrors the flat-in-block-size regime
+  // of Fig. 3b that updates_per_sec_k128 describes.
+  constexpr int64_t kMatrixFloats = 4096 * 128;
   const int64_t stride = PaddedStride(k);
+  const int32_t rows =
+      static_cast<int32_t>(std::max<int64_t>(1, kMatrixFloats / stride));
+  const int32_t cols = rows;
+  const int64_t nnz = 200000;
   AlignedFloatPtr p =
       AllocateAlignedFloats(static_cast<size_t>(rows) * stride);
   AlignedFloatPtr q =

@@ -13,7 +13,10 @@
 // `stride - k` padding lanes are ZERO. Vector kernels exploit both
 // properties — they load full SIMD lanes past `k` without masking
 // (padding contributes 0 to every dot) and store full lanes back (the
-// SGD update maps 0 factors to 0, so padding stays zero). The scalar
+// SGD update maps 0 factors to 0, so padding stays zero). Whole padded
+// rows also let the AVX-512 SGD sweep hold both of a rating's rows in
+// registers for k <= 128 (at most 8 ZMM vectors each), computing the
+// dot, the update and the stores from one load of each row. The scalar
 // kernels touch exactly `k` lanes with the pre-SIMD loops' accumulation
 // order. (One deliberate delta from the old Rmse path: the per-rating
 // error is rounded through float before squaring, exactly as the SGD
@@ -22,9 +25,12 @@
 //
 // Within one KernelOps table the same dot-accumulation order is used by
 // all four entry points, so e.g. the squared error reported by sgd_block
-// at learning rate 0 equals sq_err_block's bitwise. Across tables results
-// differ only by float summation order (tested to tolerance in
-// kernels_test).
+// at learning rate 0 equals sq_err_block's bitwise — for AVX-512 across
+// two codings of that order, the register sweep and DotAvx512. Each
+// sgd_block equals a one-rating-at-a-time reference built from its own
+// dot bit for bit (kernels_test checks both at every row width). Across
+// tables results differ only by float summation order (tested to
+// tolerance in kernels_test).
 
 #pragma once
 

@@ -2,13 +2,16 @@
 // the scalar reference — factor updates and error sums within float
 // summation tolerance, TopK orderings exactly (and BatchTopK with a
 // brute-force scorer bit for bit), and checkpoint resume bit-identically
-// under a fixed kernel. Also covers the dispatch / naming API, the
-// zero-padding layout invariant the vector kernels rely on, the
-// InitRandom degenerate-mean clamp, and the rate calibrator. Runs under
-// ASan/UBSan in CI like every other test binary.
+// under a fixed kernel — and each variant's SGD sweep must equal its own
+// one-rating-at-a-time reference bit for bit at every row width. Also
+// covers the dispatch / naming API, the zero-padding layout invariant
+// the vector kernels rely on, the InitRandom degenerate-mean clamp, and
+// the rate calibrator. Runs under ASan/UBSan in CI like every other test
+// binary.
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -186,22 +189,97 @@ void TestKernelEquivalence() {
   }
 }
 
+/// Every row width the AVX-512 sweep distinguishes: 1 to 9 vectors
+/// (Ceil16(k) / 16), ranks that fill their last vector and ranks that do
+/// not, and at every even count both a last vector that closes an
+/// acc0/acc1 pair (k a multiple of 32) and one that does not.
+const int kRowWidths[] = {8,  16, 20,  32,  48,  56,  64, 80,
+                          90, 96, 100, 112, 120, 128, 144};
+
 // At learning rate zero the fused kernel's reported squared error must
-// match the standalone reduction bitwise — they share one dot path.
+// match the standalone reduction bitwise — they share one dot order, at
+// every row width.
 void TestFrozenSweepMatchesReduction() {
   Rng rng(5);
   const Ratings block = RandomBlock(5000, 120, 90, &rng);
   for (KernelKind kind : SupportedKinds()) {
     const KernelOps& ops = GetKernelOps(kind);
-    Model model = RandomModel(120, 90, 32, 9);
-    const double frozen = ops.sgd_block(
-        model.p_data(), model.q_data(), model.stride(), model.k(),
-        block.data(), static_cast<int64_t>(block.size()), 0.0f, 0.0f,
-        0.0f);
-    const double reduced = ops.sq_err_block(
-        model.p_data(), model.q_data(), model.stride(), model.k(),
-        block.data(), static_cast<int64_t>(block.size()));
-    EXPECT_EQ(frozen, reduced);
+    for (int k : kRowWidths) {
+      Model model = RandomModel(120, 90, k, 9);
+      const double frozen = ops.sgd_block(
+          model.p_data(), model.q_data(), model.stride(), model.k(),
+          block.data(), static_cast<int64_t>(block.size()), 0.0f, 0.0f,
+          0.0f);
+      const double reduced = ops.sq_err_block(
+          model.p_data(), model.q_data(), model.stride(), model.k(),
+          block.data(), static_cast<int64_t>(block.size()));
+      EXPECT_EQ(frozen, reduced);
+    }
+  }
+}
+
+/// One rating at a time, the update every variant's sgd_block must
+/// reproduce bit for bit: the error from the variant's own dot, then per
+/// lane the scalar kernel's plain expression, or for the SIMD variants
+/// their fmsub/fmadd pair, each rounded once (std::fma).
+double ReferenceSgdBlock(const KernelOps& ops, Model* model,
+                         const Ratings& block, const SgdHyper& hyper) {
+  const int k = model->k();
+  const float lr = hyper.learning_rate;
+  const float lp = hyper.lambda_p;
+  const float lq = hyper.lambda_q;
+  double sq_err = 0.0;
+  for (const Rating& rt : block) {
+    float* pu = model->Row(rt.u);
+    float* qv = model->Col(rt.v);
+    const float err = rt.r - ops.dot(pu, qv, k);
+    for (int i = 0; i < k; ++i) {
+      const float pi = pu[i];
+      const float qi = qv[i];
+      if (ops.kind == KernelKind::kScalar) {
+        pu[i] = pi + lr * (err * qi - lp * pi);
+        qv[i] = qi + lr * (err * pi - lq * qi);
+      } else {
+        pu[i] = std::fma(lr, std::fma(err, qi, -(lp * pi)), pi);
+        qv[i] = std::fma(lr, std::fma(err, pi, -(lq * qi)), qi);
+      }
+    }
+    sq_err += static_cast<double>(err) * err;
+  }
+  return sq_err;
+}
+
+// Each variant's sgd_block equals its one-rating-at-a-time reference bit
+// for bit at every row width, on a block that repeats a row and a column
+// back to back (the second update must read the first one's stores).
+void TestSgdBlockBitExactPerVariant() {
+  const int32_t rows = 300, cols = 250;
+  Rng block_rng(41);
+  Ratings block = RandomBlock(4000, rows, cols, &block_rng);
+  block[1001].u = block[1000].u;
+  block[2001].v = block[2000].v;
+  block[3001].u = block[3000].u;
+  block[3001].v = block[3000].v;
+  const SgdHyper hyper{0.01f, 0.05f, 0.05f};
+  for (KernelKind kind : SupportedKinds()) {
+    const KernelOps& ops = GetKernelOps(kind);
+    for (int k : kRowWidths) {
+      Model got = RandomModel(rows, cols, k, 17);
+      Model want = RandomModel(rows, cols, k, 17);
+      const double got_sq = ops.sgd_block(
+          got.p_data(), got.q_data(), got.stride(), k, block.data(),
+          static_cast<int64_t>(block.size()), hyper.learning_rate,
+          hyper.lambda_p, hyper.lambda_q);
+      const double want_sq = ReferenceSgdBlock(ops, &want, block, hyper);
+      EXPECT_EQ(got_sq, want_sq);
+      const size_t p_bytes =
+          static_cast<size_t>(rows) * got.stride() * sizeof(float);
+      const size_t q_bytes =
+          static_cast<size_t>(cols) * got.stride() * sizeof(float);
+      EXPECT_EQ(std::memcmp(got.p_data(), want.p_data(), p_bytes), 0);
+      EXPECT_EQ(std::memcmp(got.q_data(), want.q_data(), q_bytes), 0);
+      ExpectPaddingZero(got);
+    }
   }
 }
 
@@ -408,6 +486,7 @@ void RunAllTests() {
   TestKindNamesAndResolution();
   TestKernelEquivalence();
   TestFrozenSweepMatchesReduction();
+  TestSgdBlockBitExactPerVariant();
   TestTopKOrderingEquivalence();
   TestCheckpointResumeBitIdenticalPerKernel();
   TestAutoKernelPinnedInCheckpoint();
