@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: the SGD
 // inner loop per kernel variant (scalar/avx2/avx512/auto — the kernel
-// dispatch suite CI uploads as BENCH_kernels.json), RMSE evaluation in
-// stored and in block order, top-k scoring, the rated-item index build
-// and merge, the block bucketing behind session set-up, simulator cost
-// functions, and scheduler acquire/release throughput. Kernel-variant
-// benches are registered at runtime so unsupported variants are simply
-// absent rather than failing.
+// dispatch suite CI uploads as BENCH_kernels.json), RMSE evaluation,
+// top-k scoring, the rated-item index build and merge, the id-map copy
+// a snapshot publish makes, the block bucketing behind session set-up,
+// simulator cost functions, scheduler acquire/release throughput, and
+// whole full and incremental HSGD* epochs. Kernel-variant benches are
+// registered at runtime so unsupported variants are simply absent rather
+// than failing.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/hsgd.h"
+#include "io/loader.h"
 #include "obs/report.h"
 #include "sched/blocked_matrix.h"
 #include "sched/star_scheduler.h"
@@ -157,6 +159,23 @@ BENCHMARK(BM_BlockedMatrix)
     ->Name("BM_BlockedMatrix/build")
     ->Unit(benchmark::kMillisecond);
 
+/// The copy of one id map that every snapshot publish makes (and the
+/// free when that snapshot is dropped): 20,000 raw ids, about the user
+/// count of the benchmark's `live` workload by the end of its stream.
+void BM_IdMap(benchmark::State& state) {
+  io::IdMap map;
+  Rng rng(4);
+  for (int i = 0; i < 20000; ++i) {
+    map.Assign(static_cast<int64_t>(rng.NextU64() >> 1));
+  }
+  for (auto _ : state) {
+    io::IdMap copy = map;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations() * map.size());
+}
+BENCHMARK(BM_IdMap)->Name("BM_IdMap/copy");
+
 void BM_RmseParallel(benchmark::State& state) {
   Dataset ds = MicroDataset(300000);
   Model model(ds.num_rows, ds.num_cols, 128);
@@ -251,6 +270,39 @@ void BM_FullEpochHsgdStar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ds.train_size());
 }
 BENCHMARK(BM_FullEpochHsgdStar)->Unit(benchmark::kMillisecond);
+
+/// One incremental HSGD* epoch after a small append, the train step of a
+/// `live` round: a warm session (10,000 x 4,000, 500 k ratings, k = 32,
+/// the default 16 CPU threads + 1 GPU) takes 300 new ratings of warm
+/// users and items, untimed, then RunIncrementalEpoch sweeps the blocks
+/// they dirtied: the event loop, the SGD sweep and the test RMSE.
+void BM_IncrementalEpochHsgdStar(benchmark::State& state) {
+  Dataset ds = MicroDataset(500000, 10000, 4000);
+  ds.params.k = 32;
+  TrainConfig cfg;
+  cfg.algorithm = Algorithm::kHsgdStar;
+  cfg.max_epochs = 1 << 24;
+  cfg.use_dataset_target = false;
+  auto session = Session::Create(ds, cfg);
+  HSGD_CHECK_OK(session.status());
+  HSGD_CHECK_OK((*session)->RunEpoch().status());
+  Rng rng(6);
+  Ratings batch(300);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (Rating& r : batch) {
+      r.u = static_cast<int32_t>(rng.UniformInt(ds.num_rows));
+      r.v = static_cast<int32_t>(rng.UniformInt(ds.num_cols));
+      r.r = 1.0f + 4.0f * rng.NextFloat();
+    }
+    HSGD_CHECK_OK((*session)->AppendRatings(batch));
+    state.ResumeTiming();
+    auto point = (*session)->RunIncrementalEpoch();
+    HSGD_CHECK_OK(point.status());
+    benchmark::DoNotOptimize(*point);
+  }
+}
+BENCHMARK(BM_IncrementalEpochHsgdStar)->Unit(benchmark::kMillisecond);
 
 void BM_SessionCheckpointRoundtrip(benchmark::State& state) {
   Dataset ds = MicroDataset(200000);

@@ -38,21 +38,6 @@ double SgdBlockScalar(float* p, float* q, int64_t stride, int k,
   return sq_err;
 }
 
-double SqErrBlockScalar(const float* p, const float* q, int64_t stride,
-                        int k, const Rating* ratings, int64_t n) {
-  double acc = 0.0;
-  for (int64_t idx = 0; idx < n; ++idx) {
-    const Rating& rt = ratings[idx];
-    const float* pu = p + static_cast<int64_t>(rt.u) * stride;
-    const float* qv = q + static_cast<int64_t>(rt.v) * stride;
-    // Error in float, exactly like sgd_block's pre-update error, so the
-    // frozen-sweep == reduction bitwise contract in kernels.h holds.
-    const float err = rt.r - DotScalar(pu, qv, k);
-    acc += static_cast<double>(err) * err;
-  }
-  return acc;
-}
-
 void ScoreBlockScalar(const float* user, const float* q, int64_t stride,
                       int k, int32_t first_item, int32_t count,
                       float* out) {
@@ -65,8 +50,8 @@ void ScoreBlockScalar(const float* user, const float* q, int64_t stride,
 }  // namespace
 
 const KernelOps kScalarKernelOps = {
-    KernelKind::kScalar, "scalar",     DotScalar,
-    SgdBlockScalar,      SqErrBlockScalar, ScoreBlockScalar,
+    KernelKind::kScalar, "scalar", DotScalar, SgdBlockScalar,
+    ScoreBlockScalar,
 };
 
 #ifdef HSGD_HAVE_AVX2

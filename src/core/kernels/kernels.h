@@ -1,11 +1,11 @@
-// Vectorized compute kernels for the three hot primitives of the engine —
-// fused dot+SGD-update over a rating block, squared-error reduction, and
-// batch dot-scoring — in scalar, AVX2+FMA and (optional) AVX-512F
-// variants behind one dispatch table. Every caller that used to hand-roll
-// the k-loop (Model::Predict, SgdUpdateBlock, Rmse, serve::BatchTopK)
-// now routes through a KernelOps table; which table is picked at runtime
-// from cpuid (util/cpu_features.h), overridable via TrainConfig::kernel /
-// the benches' --kernel flag.
+// Vectorized compute kernels for the two hot primitives of the engine —
+// fused dot+SGD-update over a rating block and batch dot-scoring — plus
+// the single dot product both are built from, in scalar, AVX2+FMA and
+// (optional) AVX-512F variants behind one dispatch table. Every caller
+// that used to hand-roll the k-loop (Model::Predict, SgdUpdateBlock,
+// Rmse, serve::BatchTopK) now routes through a KernelOps table; which
+// table is picked at runtime from cpuid (util/cpu_features.h),
+// overridable via TrainConfig::kernel / the benches' --kernel flag.
 //
 // Layout contract. The factor matrices are stored stride-padded and
 // 64-byte aligned (core/model.h): row r of a rank-k matrix lives at
@@ -18,19 +18,18 @@
 // registers for k <= 128 (at most 8 ZMM vectors each), computing the
 // dot, the update and the stores from one load of each row. The scalar
 // kernels touch exactly `k` lanes with the pre-SIMD loops' accumulation
-// order. (One deliberate delta from the old Rmse path: the per-rating
-// error is rounded through float before squaring, exactly as the SGD
-// kernel computes it — that is what makes the frozen-sweep contract
-// below bitwise instead of merely close.)
+// order.
 //
 // Within one KernelOps table the same dot-accumulation order is used by
-// all four entry points, so e.g. the squared error reported by sgd_block
-// at learning rate 0 equals sq_err_block's bitwise — for AVX-512 across
-// two codings of that order, the register sweep and DotAvx512. Each
-// sgd_block equals a one-rating-at-a-time reference built from its own
-// dot bit for bit (kernels_test checks both at every row width). Across
-// tables results differ only by float summation order (tested to
-// tolerance in kernels_test).
+// every entry point. So the squared error sgd_block reports at learning
+// rate 0 equals, bit for bit, the in-order sum of (double)err * err
+// with each err = r - dot(p_u, q_v) rounded to float — the sum Rmse
+// (core/model.h) takes over each of its runs of ratings; for AVX-512
+// this holds across two codings of that order, the register sweep and
+// DotAvx512. Each sgd_block equals a one-rating-at-a-time reference
+// built from its own dot bit for bit (kernels_test checks both at every
+// row width). Across tables results differ only by float summation
+// order (tested to tolerance in kernels_test).
 
 #pragma once
 
@@ -64,9 +63,9 @@ const char* KernelKindName(KernelKind kind);
 /// "auto", "scalar", "avx2", "avx512" — the --kernel flag vocabulary.
 StatusOr<KernelKind> KernelKindByName(const std::string& name);
 
-/// One variant's implementations of the three primitives (plus the single
-/// dot product they are all built from). `stride` is the padded row pitch
-/// of BOTH factor matrices; `k` the logical rank.
+/// One variant's implementations of the two primitives (plus the single
+/// dot product they are both built from). `stride` is the padded row
+/// pitch of BOTH factor matrices; `k` the logical rank.
 struct KernelOps {
   KernelKind kind = KernelKind::kScalar;
   const char* name = "scalar";
@@ -80,10 +79,6 @@ struct KernelOps {
   double (*sgd_block)(float* p, float* q, int64_t stride, int k,
                       const Rating* ratings, int64_t n, float learning_rate,
                       float lambda_p, float lambda_q);
-
-  /// Squared-error reduction: sum over ratings[0..n) of (r - p_u . q_v)^2.
-  double (*sq_err_block)(const float* p, const float* q, int64_t stride,
-                         int k, const Rating* ratings, int64_t n);
 
   /// Batch dot-scoring: out[i] = user . q_{first_item + i} for
   /// i in [0, count). Each score is bitwise equal to dot() on the same

@@ -39,8 +39,7 @@ inline float HorizontalSum(__m256 v) {
 /// Four-accumulator FMA dot (breaks the loop-carried add chain four
 /// ways, hiding FMA latency). The identical accumulation order is shared
 /// by every entry point in this table (see the header's
-/// bitwise-agreement contract between sgd_block, sq_err_block and
-/// score_block).
+/// bitwise-agreement contract between dot, sgd_block and score_block).
 inline float DotAvx2(const float* p, const float* q, int k) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
@@ -110,25 +109,6 @@ double SgdBlockAvx2(float* p, float* q, int64_t stride, int k,
   return sq_err;
 }
 
-double SqErrBlockAvx2(const float* p, const float* q, int64_t stride,
-                      int k, const Rating* ratings, int64_t n) {
-  double acc = 0.0;
-  for (int64_t idx = 0; idx < n; ++idx) {
-    const Rating& rt = ratings[idx];
-    if (idx + 1 < n) {
-      const Rating& next = ratings[idx + 1];
-      PrefetchRows(p + static_cast<int64_t>(next.u) * stride,
-                   q + static_cast<int64_t>(next.v) * stride, k);
-    }
-    // Error in float, matching sgd_block's pre-update error bitwise.
-    const float err =
-        rt.r - DotAvx2(p + static_cast<int64_t>(rt.u) * stride,
-                       q + static_cast<int64_t>(rt.v) * stride, k);
-    acc += static_cast<double>(err) * err;
-  }
-  return acc;
-}
-
 void ScoreBlockAvx2(const float* user, const float* q, int64_t stride,
                     int k, int32_t first_item, int32_t count, float* out) {
   for (int32_t i = 0; i < count; ++i) {
@@ -141,8 +121,7 @@ void ScoreBlockAvx2(const float* user, const float* q, int64_t stride,
 
 extern const KernelOps kAvx2KernelOps;
 const KernelOps kAvx2KernelOps = {
-    KernelKind::kAvx2, "avx2",       DotAvx2,
-    SgdBlockAvx2,      SqErrBlockAvx2, ScoreBlockAvx2,
+    KernelKind::kAvx2, "avx2", DotAvx2, SgdBlockAvx2, ScoreBlockAvx2,
 };
 
 }  // namespace hsgd

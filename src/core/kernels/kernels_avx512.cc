@@ -187,25 +187,6 @@ double SgdBlockAvx512(float* p, float* q, int64_t stride, int k,
   }
 }
 
-double SqErrBlockAvx512(const float* p, const float* q, int64_t stride,
-                        int k, const Rating* ratings, int64_t n) {
-  double acc = 0.0;
-  for (int64_t idx = 0; idx < n; ++idx) {
-    const Rating& rt = ratings[idx];
-    if (idx + 1 < n) {
-      const Rating& next = ratings[idx + 1];
-      PrefetchRows(p + static_cast<int64_t>(next.u) * stride,
-                   q + static_cast<int64_t>(next.v) * stride, k);
-    }
-    // Error in float, matching sgd_block's pre-update error bitwise.
-    const float err =
-        rt.r - DotAvx512(p + static_cast<int64_t>(rt.u) * stride,
-                         q + static_cast<int64_t>(rt.v) * stride, k);
-    acc += static_cast<double>(err) * err;
-  }
-  return acc;
-}
-
 void ScoreBlockAvx512(const float* user, const float* q, int64_t stride,
                       int k, int32_t first_item, int32_t count,
                       float* out) {
@@ -219,8 +200,8 @@ void ScoreBlockAvx512(const float* user, const float* q, int64_t stride,
 
 extern const KernelOps kAvx512KernelOps;
 const KernelOps kAvx512KernelOps = {
-    KernelKind::kAvx512, "avx512",       DotAvx512,
-    SgdBlockAvx512,      SqErrBlockAvx512, ScoreBlockAvx512,
+    KernelKind::kAvx512, "avx512", DotAvx512, SgdBlockAvx512,
+    ScoreBlockAvx512,
 };
 
 }  // namespace hsgd

@@ -138,6 +138,18 @@ inline const KernelOps& Resolve(const KernelOps* ops) {
 
 /// Most ratings summed into one RMSE partial.
 constexpr int64_t kRmseGrain = 65536;
+/// Ratings per task when the lanes compute RMSE errors: small enough
+/// that a test split of one kRmseGrain run still spreads over every lane.
+constexpr int64_t kRmseErrorGrain = 4096;
+/// How many ratings ahead the error loop pulls rows toward the cache, as
+/// the SGD kernels do: the ratings gather random rows.
+constexpr int64_t kRmsePrefetchAhead = 6;
+
+void PrefetchRow(const float* row, int stride) {
+  for (int i = 0; i < stride; i += kFactorPadFloats) {
+    __builtin_prefetch(row + i);
+  }
+}
 
 }  // namespace
 
@@ -226,23 +238,57 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
 }
 
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
-            const KernelOps* ops) {
+            const KernelOps* ops, std::vector<float>* scratch) {
   const int64_t n = static_cast<int64_t>(ratings.size());
   if (n == 0) return 0.0;
   const KernelOps& kernel = Resolve(ops);
+  // The list is taken one window of whole runs at a time, one run per
+  // lane: the lanes compute the window's errors, splitting it finely
+  // since each error is independent of the others, then fold its runs.
+  // So the buffer holds one window, whatever the list's length.
+  const int64_t lanes =
+      pool == nullptr ? 1 : static_cast<int64_t>(pool->size()) + 1;
+  const int64_t window = std::min(n, lanes * kRmseGrain);
+  std::vector<float> local;
+  std::vector<float>& err = scratch != nullptr ? *scratch : local;
+  if (err.size() < static_cast<size_t>(window)) {
+    err.resize(static_cast<size_t>(window));
+  }
   std::vector<double> partial(
       static_cast<size_t>((n + kRmseGrain - 1) / kRmseGrain));
-  auto run = [&](int64_t lo, int64_t hi) {
-    partial[static_cast<size_t>(lo / kRmseGrain)] = kernel.sq_err_block(
-        model.p_data(), model.q_data(), model.stride(), model.k(),
-        ratings.data() + lo, hi - lo);
-  };
-  if (pool == nullptr) {
-    for (int64_t lo = 0; lo < n; lo += kRmseGrain) {
-      run(lo, std::min(lo + kRmseGrain, n));
+  for (int64_t begin = 0; begin < n; begin += window) {
+    const int64_t end = std::min(n, begin + window);
+    // Each error in float, as the SGD kernel computes it.
+    auto errors = [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        if (i + kRmsePrefetchAhead < hi) {
+          const Rating& ahead =
+              ratings[static_cast<size_t>(i + kRmsePrefetchAhead)];
+          PrefetchRow(model.Row(ahead.u), model.stride());
+          PrefetchRow(model.Col(ahead.v), model.stride());
+        }
+        const Rating& rt = ratings[static_cast<size_t>(i)];
+        err[static_cast<size_t>(i - begin)] =
+            rt.r - kernel.dot(model.Row(rt.u), model.Col(rt.v), model.k());
+      }
+    };
+    // A run's squares are summed in list order. Windows start on a run
+    // boundary, so each fold covers exactly one run.
+    auto fold = [&](int64_t lo, int64_t hi) {
+      double acc = 0.0;
+      for (int64_t i = lo; i < hi; ++i) {
+        const float e = err[static_cast<size_t>(i - begin)];
+        acc += static_cast<double>(e) * e;
+      }
+      partial[static_cast<size_t>(lo / kRmseGrain)] = acc;
+    };
+    if (pool == nullptr) {
+      errors(begin, end);
+      fold(begin, end);
+    } else {
+      pool->ParallelFor(begin, end, kRmseErrorGrain, errors);
+      pool->ParallelFor(begin, end, kRmseGrain, fold);
     }
-  } else {
-    pool->ParallelFor(0, n, kRmseGrain, run);
   }
   // Partials in order, so the bits do not depend on the pool size.
   double sq_err = 0.0;

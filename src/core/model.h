@@ -147,10 +147,19 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
                        const std::vector<int>& blocks, SgdHyper hyper,
                        const KernelOps* ops, ThreadPool* pool);
 
-/// Root mean squared prediction error over `ratings`. Deterministic for a
-/// given input regardless of pool size: one partial per run of 65,536
-/// ratings, added in order. `pool` may be null for serial evaluation.
+/// Root mean squared prediction error over `ratings`. Each rating's error
+/// is r - ops.dot(p_u, q_v) in float, the pre-update error sgd_block
+/// computes; the lanes compute the errors, then (double)err * err is
+/// summed in list order within each run of 65,536 ratings and the runs'
+/// sums are added in order. So the result has the same bits for any
+/// pool size, and a run's sum equals sgd_block's return at learning
+/// rate 0 over the same ratings. `pool` may be null for serial
+/// evaluation. The errors of at most (pool threads + 1) runs are held at
+/// a time, in `scratch` when given (grown as needed and kept, so a
+/// caller that evaluates every epoch allocates it once), else in a
+/// temporary buffer.
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
-            const KernelOps* ops = nullptr);
+            const KernelOps* ops = nullptr,
+            std::vector<float>* scratch = nullptr);
 
 }  // namespace hsgd

@@ -92,30 +92,50 @@ void RatedIndex::Merge(const RatedIndex& base, Ratings added,
   out->items.clear();
   ReserveWithHeadroom(&out->items, base.items.size() + added.size());
   std::vector<int32_t>& items = out->items;
+  std::vector<int64_t>& offsets = out->offsets;
+  const int32_t base_users = base.num_users();
   auto next = added.cbegin();
-  for (int32_t u = 0; u < num_users; ++u) {
-    const bool known = u < base.num_users();
-    const int32_t* old = known ? base.Begin(u) : nullptr;
-    const int32_t* old_end = known ? base.End(u) : nullptr;
-    if (next == added.cend() || next->u != u) {
-      // Nothing new for this user: its list is copied in one insert.
-      items.insert(items.end(), old, old_end);
-    } else {
-      // Merge two sorted runs, collapsing equal items into one.
-      const size_t begin = items.size();
-      auto push = [&](int32_t item) {
-        if (items.size() == begin || items.back() != item) {
-          items.push_back(item);
-        }
-      };
-      for (; next != added.cend() && next->u == u; ++next) {
-        while (old != old_end && *old < next->v) push(*old++);
-        push(next->v);
+  int32_t u = 0;
+  while (u < num_users) {
+    // Users [u, stop) have nothing new. The known ones among them keep
+    // their lists, which are contiguous in `base`: one insert copies the
+    // whole run, and their offsets move by one delta. Users past `base`
+    // get empty lists.
+    const int32_t stop = next == added.cend() ? num_users : next->u;
+    const int32_t known_end = std::min(stop, base_users);
+    if (u < known_end) {
+      const int64_t from = base.offsets[static_cast<size_t>(u)];
+      const int64_t delta = static_cast<int64_t>(items.size()) - from;
+      items.insert(items.end(), base.items.begin() + from,
+                   base.items.begin() +
+                       base.offsets[static_cast<size_t>(known_end)]);
+      for (; u < known_end; ++u) {
+        offsets[static_cast<size_t>(u) + 1] =
+            base.offsets[static_cast<size_t>(u) + 1] + delta;
       }
-      while (old != old_end) push(*old++);
     }
-    out->offsets[static_cast<size_t>(u) + 1] =
-        static_cast<int64_t>(items.size());
+    for (; u < stop; ++u) {
+      offsets[static_cast<size_t>(u) + 1] =
+          static_cast<int64_t>(items.size());
+    }
+    if (u == num_users) break;
+    // User u has new ratings: merge two sorted runs, collapsing equal
+    // items into one.
+    const int32_t* old = u < base_users ? base.Begin(u) : nullptr;
+    const int32_t* old_end = u < base_users ? base.End(u) : nullptr;
+    const size_t begin = items.size();
+    auto push = [&](int32_t item) {
+      if (items.size() == begin || items.back() != item) {
+        items.push_back(item);
+      }
+    };
+    for (; next != added.cend() && next->u == u; ++next) {
+      while (old != old_end && *old < next->v) push(*old++);
+      push(next->v);
+    }
+    while (old != old_end) push(*old++);
+    offsets[static_cast<size_t>(u) + 1] = static_cast<int64_t>(items.size());
+    ++u;
   }
 }
 

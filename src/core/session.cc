@@ -931,7 +931,8 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   const double test_rmse =
       dataset_.test.empty()
           ? train_rmse
-          : Rmse(*model_, dataset_.test, eval_pool_.get(), kernel_ops_);
+          : Rmse(*model_, dataset_.test, eval_pool_.get(), kernel_ops_,
+                 &test_errors_);
   TracePoint point;
   point.epoch = epoch;
   point.time = clock_;

@@ -477,6 +477,9 @@ class Session {
   std::vector<std::unique_ptr<GpuDevice>> gpu_devices_;
   std::vector<Worker> workers_;
   std::unique_ptr<ThreadPool> eval_pool_;
+  /// The test RMSE's per-rating errors, kept across epochs so an epoch's
+  /// evaluation allocates nothing.
+  std::vector<float> test_errors_;
 
   // ---- Evolving state (persisted by SaveCheckpoint) -------------------
   std::unique_ptr<Model> model_;

@@ -42,16 +42,54 @@ StatusOr<DataFormat> FormatByName(const std::string& name) {
       "' (expected movielens, netflix or csv)");
 }
 
-int32_t IdMap::Assign(int64_t raw) {
-  auto [it, inserted] =
-      to_dense_.emplace(raw, static_cast<int32_t>(to_raw_.size()));
-  if (inserted) to_raw_.push_back(raw);
-  return it->second;
+namespace {
+
+/// The splitmix64 finalizer: every input bit reaches the top bits, which
+/// pick an IdMap's home slot, so ids that differ only in their low (or
+/// high) bits spread over the table.
+uint64_t MixId(int64_t raw) {
+  uint64_t x = static_cast<uint64_t>(raw);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
-int32_t IdMap::Lookup(int64_t raw) const {
-  auto it = to_dense_.find(raw);
-  return it == to_dense_.end() ? -1 : it->second;
+constexpr size_t kMinIdSlots = 16;
+
+}  // namespace
+
+size_t IdMap::Probe(int64_t raw) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>(MixId(raw) >> shift_);
+  while (slots_[i].dense_plus_one != 0 && slots_[i].raw != raw) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void IdMap::Rehash(size_t capacity) {
+  slots_.assign(capacity, Slot{});
+  shift_ = 64;
+  for (size_t c = capacity; c > 1; c >>= 1) --shift_;
+  for (size_t d = 0; d < to_raw_.size(); ++d) {
+    slots_[Probe(to_raw_[d])] = {to_raw_[d], static_cast<int32_t>(d) + 1};
+  }
+}
+
+int32_t IdMap::Assign(int64_t raw) {
+  if (slots_.empty()) Rehash(kMinIdSlots);
+  size_t slot = Probe(raw);
+  if (slots_[slot].dense_plus_one != 0) {
+    return slots_[slot].dense_plus_one - 1;
+  }
+  const int32_t dense = size();
+  if (2 * (to_raw_.size() + 1) > slots_.size()) {
+    Rehash(2 * slots_.size());
+    slot = Probe(raw);
+  }
+  slots_[slot] = {raw, dense + 1};
+  to_raw_.push_back(raw);
+  return dense;
 }
 
 namespace {

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/dataset.h"
@@ -52,18 +51,42 @@ StatusOr<DataFormat> FormatByName(const std::string& name);
 /// (file) order so it is deterministic. Retained by LoadedData so
 /// serving-side callers can translate TopK output back to the dump's
 /// external ids.
+///
+/// The raw -> dense side is a flat open-addressing table (linear
+/// probing, at most half full), so the whole map is two arrays: a copy
+/// is two array copies and a destruction two frees, which is what a
+/// snapshot publish pays for its copy of the trainer's maps. Every int64
+/// is a legal raw id.
 class IdMap {
  public:
   /// Dense index for `raw`, assigning the next free index when new.
   int32_t Assign(int64_t raw);
   /// Dense index for `raw`, or -1 when never seen.
-  int32_t Lookup(int64_t raw) const;
+  int32_t Lookup(int64_t raw) const {
+    return slots_.empty() ? -1 : slots_[Probe(raw)].dense_plus_one - 1;
+  }
   /// The raw id a dense index was assigned from.
   int64_t Raw(int32_t dense) const { return to_raw_[static_cast<size_t>(dense)]; }
   int32_t size() const { return static_cast<int32_t>(to_raw_.size()); }
 
  private:
-  std::unordered_map<int64_t, int32_t> to_dense_;
+  /// One table entry; dense_plus_one == 0 marks it empty, so no raw id
+  /// value has to be reserved as a sentinel.
+  struct Slot {
+    int64_t raw = 0;
+    int32_t dense_plus_one = 0;
+  };
+
+  /// The slot holding `raw`, or the empty slot where it would go. The
+  /// table is never more than half full, so the probe always ends.
+  size_t Probe(int64_t raw) const;
+  /// Rebuild the table with `capacity` slots (a power of two), inserting
+  /// every id in dense order.
+  void Rehash(size_t capacity);
+
+  std::vector<Slot> slots_;
+  /// 64 - log2(slots_.size()): the hash's top bits pick the home slot.
+  int shift_ = 64;
   std::vector<int64_t> to_raw_;
 };
 

@@ -11,6 +11,7 @@ Scheduler::Scheduler(const BlockedMatrix* matrix, const Grid* grid, Rng rng)
   col_busy_.assign(static_cast<size_t>(grid->num_col_strata()), 0);
   col_owner_.assign(static_cast<size_t>(grid->num_col_strata()), -1);
   done_.assign(static_cast<size_t>(grid->num_blocks()), 0);
+  col_pending_.assign(static_cast<size_t>(grid->num_col_strata()), 0);
 }
 
 void Scheduler::BeginEpoch(const std::vector<int>* subset) {
@@ -18,9 +19,11 @@ void Scheduler::BeginEpoch(const std::vector<int>* subset) {
   remaining_ = 0;
   // Empty blocks and blocks outside `subset` start the epoch done.
   done_.assign(static_cast<size_t>(matrix_->num_blocks()), 1);
+  col_pending_.assign(col_pending_.size(), 0);
   auto make_pending = [this](int b) {
     if (matrix_->BlockNnz(b) > 0 && done_[static_cast<size_t>(b)]) {
       done_[static_cast<size_t>(b)] = 0;
+      ++col_pending_[static_cast<size_t>(b % grid_->num_col_strata())];
       ++remaining_;
     }
   };
@@ -57,6 +60,7 @@ BlockTask Scheduler::TakeBlock(const WorkerInfo& worker, int row, int col,
   ++col_busy_[static_cast<size_t>(col)];
   col_owner_[static_cast<size_t>(col)] = worker.worker_index;
   done_[static_cast<size_t>(task.block)] = 1;
+  --col_pending_[static_cast<size_t>(col)];
   --remaining_;
   ++in_flight_;
   task.lease = next_lease_++;
@@ -92,6 +96,7 @@ bool Scheduler::RevokeLease(const BlockTask& task) {
   if (requeued_[b]) return false;  // second failure: drop it this epoch
   requeued_[b] = 1;
   done_[b] = 0;  // pending again; any worker may re-acquire it
+  ++col_pending_[static_cast<size_t>(task.col)];
   ++remaining_;
   return true;
 }

@@ -141,6 +141,10 @@ class Scheduler {
   /// worker_index currently holding each busy column stratum.
   std::vector<int> col_owner_;
   std::vector<char> done_;
+  /// Pending (not done) blocks per column stratum: kept beside done_ by
+  /// BeginEpoch, TakeBlock and RevokeLease's requeue, the only writers
+  /// of done_, so a policy reads a stripe's backlog without a scan.
+  std::vector<int> col_pending_;
   int remaining_ = 0;
   int in_flight_ = 0;
   int64_t stolen_by_gpus_ = 0;

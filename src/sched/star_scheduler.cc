@@ -36,6 +36,9 @@ int StarScheduler::StripeOf(const WorkerInfo& worker) const {
 }
 
 int StarScheduler::FindRunnableRow(int stripe) const {
+  // A stripe with nothing pending has no runnable row: most Acquire
+  // calls that come back empty ask exactly that of every stripe.
+  if (StripePending(stripe) == 0) return -1;
   const int p = grid_->num_row_strata();
   // Rotating start decorrelates workers that would otherwise all chase
   // row stratum 0 at epoch start. Column availability is the caller's
@@ -49,16 +52,6 @@ int StarScheduler::FindRunnableRow(int stripe) const {
     }
   }
   return -1;
-}
-
-int StarScheduler::StripePending(int stripe) const {
-  int pending = 0;
-  for (int row = 0; row < grid_->num_row_strata(); ++row) {
-    if (!done_[static_cast<size_t>(grid_->BlockIndex(row, stripe))]) {
-      ++pending;
-    }
-  }
-  return pending;
 }
 
 int StarScheduler::PickStripe(int begin, int end, int skip,

@@ -71,7 +71,10 @@ class StarScheduler : public Scheduler {
   /// Runnable row in `stripe`, scanning from the stripe's rotating
   /// offset; -1 when none.
   int FindRunnableRow(int stripe) const;
-  int StripePending(int stripe) const;
+  /// Blocks of `stripe` not yet taken this epoch.
+  int StripePending(int stripe) const {
+    return col_pending_[static_cast<size_t>(stripe)];
+  }
   /// Most-backlogged free stripe in [begin, end) other than `skip` (and,
   /// when `orphans_only`, orphaned) with a runnable block; fills *row,
   /// returns the stripe or -1. Ties go to the lowest stripe.

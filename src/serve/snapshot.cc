@@ -127,13 +127,26 @@ StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromSession(
 
 namespace {
 
-/// Index of the first non-finite float in [data, data+n), or -1. The
-/// scan is branch-light on the hot (all-finite) path: isfinite compiles
-/// to a compare against the exponent mask, and the buffer is the padded
-/// aligned layout so it vectorizes cleanly.
+/// Index of the first non-finite float in [data, data+n), or -1. A
+/// float is non-finite exactly when its exponent bits are all ones. Each
+/// block of kFiniteBlock floats is tested without a branch per float, so
+/// the test vectorizes; only a block that fails is scanned again, float
+/// by float, for its first bad index.
 int64_t FirstNonFinite(const float* data, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    if (!std::isfinite(data[i])) return i;
+  constexpr int64_t kFiniteBlock = 1024;
+  constexpr uint32_t kExponent = 0x7f800000u;
+  for (int64_t begin = 0; begin < n; begin += kFiniteBlock) {
+    const int64_t end = std::min(n, begin + kFiniteBlock);
+    uint32_t bad = 0;
+    for (int64_t i = begin; i < end; ++i) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, data + i, sizeof(bits));
+      bad |= static_cast<uint32_t>((bits & kExponent) == kExponent);
+    }
+    if (bad == 0) continue;
+    for (int64_t i = begin; i < end; ++i) {
+      if (!std::isfinite(data[i])) return i;
+    }
   }
   return -1;
 }

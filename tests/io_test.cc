@@ -14,6 +14,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "io/loader.h"
 #include "io/writer.h"
 #include "test_main.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace hsgd {
@@ -623,6 +625,88 @@ void TestCommittedSmokeFixtureLoads() {
   EXPECT_TRUE(stats.max_rating <= 5.0);
 }
 
+
+// IdMap against a std::unordered_map reference: the extreme int64 ids,
+// ids that differ only in their high bits or share their low bits, and
+// enough random ids, most seen several times, to rehash many times. Each
+// Assign must return the reference's first-seen-order dense id, an
+// unseen id must look up as -1, and a copy must keep its answers while
+// the original keeps assigning.
+void TestIdMapMatchesReference() {
+  std::vector<int64_t> ids = {0,
+                              -1,
+                              std::numeric_limits<int64_t>::min(),
+                              std::numeric_limits<int64_t>::max(),
+                              1,
+                              std::numeric_limits<int64_t>::min() + 1,
+                              std::numeric_limits<int64_t>::max() - 1};
+  for (int64_t i = 1; i < 200; ++i) {
+    ids.push_back(static_cast<int64_t>(static_cast<uint64_t>(i) << 40));
+    ids.push_back(static_cast<int64_t>((static_cast<uint64_t>(i) << 32) | 5));
+    ids.push_back(-i * 65536);
+  }
+  Rng rng(23);
+  std::vector<int64_t> pool(9000);
+  for (int64_t& id : pool) id = static_cast<int64_t>(rng.NextU64());
+  for (int i = 0; i < 30000; ++i) {
+    ids.push_back(pool[static_cast<size_t>(
+        rng.UniformInt(static_cast<int64_t>(pool.size())))]);
+  }
+  // Ids never assigned: odd multiples of 2^20 plus 3, which no assigned
+  // id above is, barring a 1-in-2^40 collision with the random pool.
+  std::vector<int64_t> unseen;
+  for (int64_t i = 0; i < 3000; ++i) {
+    unseen.push_back(static_cast<int64_t>(
+        (static_cast<uint64_t>(rng.NextU64()) << 20) | (1u << 19) | 3));
+  }
+
+  io::IdMap map;
+  EXPECT_EQ(map.size(), 0);
+  EXPECT_EQ(map.Lookup(0), -1);
+  std::unordered_map<int64_t, int32_t> reference;
+  std::vector<int64_t> raw_of;
+  io::IdMap copy;
+  size_t copied_at = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const int64_t raw = ids[i];
+    const auto [it, fresh] =
+        reference.emplace(raw, static_cast<int32_t>(reference.size()));
+    if (fresh) raw_of.push_back(raw);
+    EXPECT_EQ(map.Assign(raw), it->second);
+    EXPECT_EQ(map.size(), static_cast<int32_t>(reference.size()));
+    if (i == ids.size() / 2) {
+      copy = map;
+      copied_at = reference.size();
+    }
+    if (i % 97 == 0) {
+      for (size_t j = 0; j < 40; ++j) {
+        EXPECT_EQ(map.Lookup(unseen[(i + j) % unseen.size()]), -1);
+      }
+    }
+  }
+  EXPECT_LT(9000, map.size());
+  for (const auto& [raw, dense] : reference) {
+    EXPECT_EQ(map.Lookup(raw), dense);
+    EXPECT_EQ(map.Raw(dense), raw);
+  }
+  for (int64_t raw : unseen) EXPECT_EQ(map.Lookup(raw), -1);
+
+  // The copy answers as the map did when it was taken.
+  EXPECT_EQ(copy.size(), static_cast<int32_t>(copied_at));
+  for (int32_t dense = 0; dense < map.size(); ++dense) {
+    const int64_t raw = raw_of[static_cast<size_t>(dense)];
+    if (static_cast<size_t>(dense) < copied_at) {
+      EXPECT_EQ(copy.Lookup(raw), dense);
+      EXPECT_EQ(copy.Raw(dense), raw);
+    } else {
+      EXPECT_EQ(copy.Lookup(raw), -1);
+    }
+  }
+  // And it keeps assigning on its own, from where it was copied.
+  EXPECT_EQ(copy.Assign(unseen.front()), static_cast<int32_t>(copied_at));
+  EXPECT_EQ(map.Lookup(unseen.front()), -1);
+}
+
 }  // namespace
 
 void RunAllTests() {
@@ -639,6 +723,7 @@ void RunAllTests() {
   TestCrlfAndBlankLines();
   TestLoadDatasetSplitAndParams();
   TestCommittedSmokeFixtureLoads();
+  TestIdMapMatchesReference();
 }
 
 }  // namespace hsgd

@@ -155,15 +155,9 @@ void TestKernelEquivalence() {
       EXPECT_NEAR(simd_sq, scalar_sq, 1e-3 * (1.0 + scalar_sq));
       EXPECT_LT(MaxFactorDelta(reference, fresh), 1e-3);
 
-      // Squared-error reduction agrees on the updated factors.
-      const double scalar_err =
-          scalar.sq_err_block(reference.p_data(), reference.q_data(),
-                              reference.stride(), k, block.data(),
-                              static_cast<int64_t>(block.size()));
-      const double simd_err =
-          ops.sq_err_block(reference.p_data(), reference.q_data(),
-                           reference.stride(), k, block.data(),
-                           static_cast<int64_t>(block.size()));
+      // RMSE through each variant's dot agrees on the updated factors.
+      const double scalar_err = Rmse(reference, block, nullptr, &scalar);
+      const double simd_err = Rmse(reference, block, nullptr, &ops);
       EXPECT_NEAR(simd_err, scalar_err, 1e-3 * (1.0 + scalar_err));
 
       // Batch scoring is bitwise-consistent with the variant's own dot
@@ -196,24 +190,39 @@ void TestKernelEquivalence() {
 const int kRowWidths[] = {8,  16, 20,  32,  48,  56,  64, 80,
                           90, 96, 100, 112, 120, 128, 144};
 
+/// The in-order sum of (double)err * err over `block`, each err rounded
+/// to float from the variant's own dot: what Rmse sums per run.
+double SquaredErrorFold(const KernelOps& ops, const Model& model,
+                        const Ratings& block) {
+  double sum = 0.0;
+  for (const Rating& rt : block) {
+    const float err = rt.r - ops.dot(model.Row(rt.u), model.Col(rt.v),
+                                     model.k());
+    sum += static_cast<double>(err) * err;
+  }
+  return sum;
+}
+
 // At learning rate zero the fused kernel's reported squared error must
-// match the standalone reduction bitwise — they share one dot order, at
-// every row width.
+// equal the in-order fold of its dot's errors bitwise, at every row
+// width, and Rmse over a block of one run must be its root mean.
 void TestFrozenSweepMatchesReduction() {
   Rng rng(5);
   const Ratings block = RandomBlock(5000, 120, 90, &rng);
+  const double n = static_cast<double>(block.size());
+  ThreadPool pool(3);
   for (KernelKind kind : SupportedKinds()) {
     const KernelOps& ops = GetKernelOps(kind);
     for (int k : kRowWidths) {
       Model model = RandomModel(120, 90, k, 9);
+      const double folded = SquaredErrorFold(ops, model, block);
       const double frozen = ops.sgd_block(
           model.p_data(), model.q_data(), model.stride(), model.k(),
           block.data(), static_cast<int64_t>(block.size()), 0.0f, 0.0f,
           0.0f);
-      const double reduced = ops.sq_err_block(
-          model.p_data(), model.q_data(), model.stride(), model.k(),
-          block.data(), static_cast<int64_t>(block.size()));
-      EXPECT_EQ(frozen, reduced);
+      EXPECT_EQ(frozen, folded);
+      EXPECT_EQ(Rmse(model, block, nullptr, &ops), std::sqrt(frozen / n));
+      EXPECT_EQ(Rmse(model, block, &pool, &ops), std::sqrt(frozen / n));
     }
   }
 }

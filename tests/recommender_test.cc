@@ -232,6 +232,52 @@ void TestRatedIndexMergeMatchesBuild() {
   EXPECT_LT(0, static_cast<int64_t>(merged.items.size()));
 }
 
+
+// Random bases and deltas: Merge(Build(base), delta) must equal
+// Build(base + delta) exactly, whatever runs of users the delta leaves
+// untouched. Covers empty deltas, deltas touching the first or the last
+// user, and catalogs that grow past the base (new users with and
+// without ratings).
+void TestRatedIndexMergeRandomMatchesBuild() {
+  uint32_t state = 91;
+  RatedIndex reused;  // merged into again and again, as a publish does
+  for (int trial = 0; trial < 300; ++trial) {
+    const int32_t base_users = 1 + NextId(&state, 60);
+    const int32_t users = base_users + NextId(&state, 3) * NextId(&state, 8);
+    const int32_t items = 1 + NextId(&state, 40);
+    Ratings base;
+    const int base_count = NextId(&state, 4 * base_users);
+    for (int i = 0; i < base_count; ++i) {
+      base.push_back(
+          {NextId(&state, base_users), NextId(&state, items), 1.0f});
+    }
+    Ratings delta;
+    const int shape = trial % 5;  // 0: empty delta
+    const int delta_count = shape == 0 ? 0 : NextId(&state, 1 + 3 * shape);
+    for (int i = 0; i < delta_count; ++i) {
+      delta.push_back({NextId(&state, users), NextId(&state, items), 2.0f});
+    }
+    if (shape == 2) delta.push_back({0, NextId(&state, items), 2.0f});
+    if (shape == 3) {
+      delta.push_back({users - 1, NextId(&state, items), 2.0f});
+    }
+    if (shape == 4 && users > base_users) {
+      delta.push_back({base_users, NextId(&state, items), 2.0f});
+    }
+    Ratings all = base;
+    all.insert(all.end(), delta.begin(), delta.end());
+    const RatedIndex built = RatedIndex::Build(all, users, items);
+    const RatedIndex base_index = RatedIndex::Build(base, base_users, items);
+    const RatedIndex merged =
+        RatedIndex::Merge(base_index, delta, users, items);
+    EXPECT_TRUE(merged.offsets == built.offsets);
+    EXPECT_TRUE(merged.items == built.items);
+    RatedIndex::Merge(base_index, delta, users, items, &reused);
+    EXPECT_TRUE(reused.offsets == built.offsets);
+    EXPECT_TRUE(reused.items == built.items);
+  }
+}
+
 }  // namespace
 
 void RunAllTests() {
@@ -241,6 +287,7 @@ void RunAllTests() {
   TestDeterministicTieBreaks();
   TestDuplicateAndOutOfRangeExclusions();
   TestRatedIndexMergeMatchesBuild();
+  TestRatedIndexMergeRandomMatchesBuild();
 }
 
 }  // namespace hsgd

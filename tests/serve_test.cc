@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -688,6 +689,69 @@ void TestCreateValidatesConfigAndEmptyHolder() {
   if (after.ok()) EXPECT_EQ(after->snapshot_version, 9u);
 }
 
+// Validate names the first non-finite factor, by row and lane, wherever
+// it sits: NaN, +Inf and -Inf in the first and last lanes of P and of Q
+// (padding lanes included, since the scan covers the padded buffers),
+// on both sides of every power-of-two boundary a blocked scan could use,
+// and with a later bad value that must not be the one reported.
+void TestValidateNamesFirstNonFinite() {
+  const int32_t users = 300, items = 200;
+  const int k = 20;  // stride 32: 9,600 floats of P, 6,400 of Q
+  const float bad_values[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+  auto validate = [&](const std::vector<int64_t>& p_bad,
+                      const std::vector<int64_t>& q_bad, float value) {
+    Model model = RandomModel(users, items, k, /*seed=*/13);
+    for (int64_t i : p_bad) model.p_data()[i] = value;
+    for (int64_t i : q_bad) model.q_data()[i] = value;
+    auto snap = FactorSnapshot::FromModel(model, Ratings{}, /*version=*/4);
+    EXPECT_TRUE(snap.ok());
+    return snap.ok() ? (*snap)->Validate() : snap.status();
+  };
+  auto names = [](const Status& status, const char* matrix, int64_t index,
+                  int stride) {
+    return status.code() == StatusCode::kFailedPrecondition &&
+           status.message() ==
+               StrFormat("snapshot v4 has a non-finite %s factor (row %lld "
+                         "lane %lld)",
+                         matrix, static_cast<long long>(index / stride),
+                         static_cast<long long>(index % stride));
+  };
+  EXPECT_TRUE(validate({}, {}, 0.0f).ok());
+  const int stride = PaddedStride(k);
+  const int64_t p_n = static_cast<int64_t>(users) * stride;
+  const int64_t q_n = static_cast<int64_t>(items) * stride;
+  for (const int64_t n : {p_n, q_n}) {
+    std::vector<int64_t> positions = {0, 1, n - 1, n - stride + k - 1};
+    for (int64_t edge = 64; edge < n; edge *= 2) {
+      positions.push_back(edge - 1);
+      positions.push_back(edge);
+    }
+    const bool in_p = n == p_n;
+    for (const float value : bad_values) {
+      for (const int64_t at : positions) {
+        const std::vector<int64_t> one = {at};
+        const Status status =
+            in_p ? validate(one, {}, value) : validate({}, one, value);
+        EXPECT_TRUE(names(status, in_p ? "user" : "item", at, stride));
+        // A second bad value, later in the same block or in a later one,
+        // changes nothing.
+        for (const int64_t later : {at + 1, at + 1500}) {
+          if (later >= n) continue;
+          const std::vector<int64_t> two = {at, later};
+          const Status both =
+              in_p ? validate(two, {}, value) : validate({}, two, value);
+          EXPECT_TRUE(names(both, in_p ? "user" : "item", at, stride));
+        }
+      }
+    }
+  }
+  // A bad user factor is reported before a bad item factor.
+  EXPECT_TRUE(names(validate({p_n - 1}, {0}, bad_values[0]), "user",
+                    p_n - 1, stride));
+}
+
 // A corrupt publish must be rejected with a typed error while the
 // last-known-good snapshot keeps serving — the whole rollback policy is
 // that a bad candidate never replaces a good one.
@@ -934,6 +998,7 @@ void RunAllTests() {
   TestFactorRecyclerReusesDroppedBuffers();
   TestCreateValidatesConfigAndEmptyHolder();
   TestPublishValidationRejectsPoison();
+  TestValidateNamesFirstNonFinite();
   TestHeldSnapshotSurvivesPublisherChurn();
   TestShutdownRacesInFlightSubmits();
   TestBreakerOpensAndRecovers();

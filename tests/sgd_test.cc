@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -107,6 +108,18 @@ void TestRmseSameBitsAtAnyPoolSize() {
     ThreadPool pool(threads);
     EXPECT_EQ(Rmse(model, ratings, &pool), serial);
   }
+  // The partials are the runs' frozen SGD sweeps: at learning rate 0 no
+  // factor moves, and each sweep returns its run's in-order sum.
+  Model frozen = InitModel(ds);
+  double sum = 0.0;
+  for (size_t lo = 0; lo < ratings.size(); lo += 65536) {
+    const size_t hi = std::min(ratings.size(), lo + 65536);
+    sum += SgdUpdateBlock(&frozen,
+                          Ratings(ratings.begin() + static_cast<long>(lo),
+                                  ratings.begin() + static_cast<long>(hi)),
+                          SgdHyper{0.0f, 0.0f, 0.0f});
+  }
+  EXPECT_EQ(serial, std::sqrt(sum / static_cast<double>(ratings.size())));
 }
 
 bool SameFactors(const Model& a, const Model& b) {
