@@ -91,6 +91,9 @@ constexpr uint64_t kMaxGpuStreams = 4096;
 /// row at a time, so the file sees megabyte writes and reads.
 constexpr size_t kFileBufferBytes = size_t{1} << 20;
 
+/// Bytes written between two early writebacks (Writer::StartWriteback).
+constexpr int64_t kWritebackStrideBytes = int64_t{4} << 20;
+
 /// One factor matrix of a Model: `rows` rows of `k` floats, row r at
 /// `base + r * stride`. A null `base` is no matrix: the Reader then only
 /// checks that the file holds the stored rows, and skips them.
@@ -178,11 +181,27 @@ class Writer {
       return;
     }
     written_ += static_cast<int64_t>(bytes);
+    if (written_ - written_back_ >= kWritebackStrideBytes) StartWriteback();
+  }
+
+  /// Hands the bytes written since the last call to the disk without
+  /// waiting, so the save's closing fsync finds most of the file already
+  /// written instead of starting all of it. A failing sync_file_range is
+  /// ignored: it only starts writeback, and the fsync decides durability.
+  void StartWriteback() {
+    if (std::fflush(f_) != 0) {
+      ok_ = false;
+      return;
+    }
+    sync_file_range(fileno(f_), written_back_, written_ - written_back_,
+                    SYNC_FILE_RANGE_WRITE);
+    written_back_ = written_;
   }
 
   FILE* f_;
   bool ok_ = true;
   int64_t written_ = 0;
+  int64_t written_back_ = 0;
 };
 
 class Reader {

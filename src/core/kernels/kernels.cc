@@ -5,6 +5,7 @@
 
 #include "core/kernels/kernels.h"
 
+#include "core/kernels/error_block.h"
 #include "util/cpu_features.h"
 #include "util/strings.h"
 
@@ -51,7 +52,7 @@ void ScoreBlockScalar(const float* user, const float* q, int64_t stride,
 
 const KernelOps kScalarKernelOps = {
     KernelKind::kScalar, "scalar", DotScalar, SgdBlockScalar,
-    ScoreBlockScalar,
+    ScoreBlockScalar, ErrorBlock<DotScalar>,
 };
 
 #ifdef HSGD_HAVE_AVX2

@@ -1,6 +1,7 @@
-// Vectorized compute kernels for the two hot primitives of the engine —
-// fused dot+SGD-update over a rating block and batch dot-scoring — plus
-// the single dot product both are built from, in scalar, AVX2+FMA and
+// Vectorized compute kernels for the hot primitives of the engine —
+// fused dot+SGD-update over a rating block, batch dot-scoring and
+// prediction errors over a rating list — plus the single dot product
+// they are built from, in scalar, AVX2+FMA and
 // (optional) AVX-512F variants behind one dispatch table. Every caller
 // that used to hand-roll the k-loop (Model::Predict, SgdUpdateBlock,
 // Rmse, serve::BatchTopK) now routes through a KernelOps table; which
@@ -23,13 +24,16 @@
 // Within one KernelOps table the same dot-accumulation order is used by
 // every entry point. So the squared error sgd_block reports at learning
 // rate 0 equals, bit for bit, the in-order sum of (double)err * err
-// with each err = r - dot(p_u, q_v) rounded to float — the sum Rmse
-// (core/model.h) takes over each of its runs of ratings; for AVX-512
-// this holds across two codings of that order, the register sweep and
-// DotAvx512. Each sgd_block equals a one-rating-at-a-time reference
-// built from its own dot bit for bit (kernels_test checks both at every
-// row width). Across tables results differ only by float summation
-// order (tested to tolerance in kernels_test).
+// with each err = r - dot(p_u, q_v) rounded to float — which is what
+// error_block returns, and the sum Rmse (core/model.h) takes over each
+// of its runs of ratings, whether error_block folds the run itself or
+// writes the errors for a later fold; for AVX-512 this holds across two
+// codings of that order, the register sweep and DotAvx512. Each
+// sgd_block equals a one-rating-at-a-time reference built from its own
+// dot bit for bit, and each error_block equals that dot per rating,
+// written in order and scattered by position (kernels_test checks all
+// three at every row width). Across tables results differ only by float
+// summation order (tested to tolerance in kernels_test).
 
 #pragma once
 
@@ -63,9 +67,9 @@ const char* KernelKindName(KernelKind kind);
 /// "auto", "scalar", "avx2", "avx512" — the --kernel flag vocabulary.
 StatusOr<KernelKind> KernelKindByName(const std::string& name);
 
-/// One variant's implementations of the two primitives (plus the single
-/// dot product they are both built from). `stride` is the padded row
-/// pitch of BOTH factor matrices; `k` the logical rank.
+/// One variant's implementations of the primitives (plus the single dot
+/// product they are built from). `stride` is the padded row pitch of
+/// BOTH factor matrices; `k` the logical rank.
 struct KernelOps {
   KernelKind kind = KernelKind::kScalar;
   const char* name = "scalar";
@@ -85,6 +89,16 @@ struct KernelOps {
   /// operands, so rankings agree with single-item prediction.
   void (*score_block)(const float* user, const float* q, int64_t stride,
                       int k, int32_t first_item, int32_t count, float* out);
+
+  /// Prediction errors over ratings[0..n): each rating's
+  /// err = r - dot(p_u, q_v), rounded to float with dot()'s bits, is
+  /// written to out[pos[i]] (out[i] when `pos` is null; nowhere when
+  /// `out` is null). Returns the in-order sum of (double)err * err. The
+  /// dot is inlined, and the rows of a rating a few positions ahead (and
+  /// its error's slot) are prefetched.
+  double (*error_block)(const float* p, const float* q, int64_t stride,
+                        int k, const Rating* ratings, const int32_t* pos,
+                        int64_t n, float* out);
 };
 
 /// Multi-user batch scoring over one item tile — the serving layer's

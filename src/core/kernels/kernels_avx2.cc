@@ -17,6 +17,8 @@
 
 #include <immintrin.h>
 
+#include "core/kernels/error_block.h"
+
 namespace hsgd {
 
 namespace {
@@ -122,6 +124,7 @@ void ScoreBlockAvx2(const float* user, const float* q, int64_t stride,
 extern const KernelOps kAvx2KernelOps;
 const KernelOps kAvx2KernelOps = {
     KernelKind::kAvx2, "avx2", DotAvx2, SgdBlockAvx2, ScoreBlockAvx2,
+    ErrorBlock<DotAvx2>,
 };
 
 }  // namespace hsgd

@@ -27,6 +27,8 @@
 
 #include <immintrin.h>
 
+#include "core/kernels/error_block.h"
+
 namespace hsgd {
 
 namespace {
@@ -201,7 +203,7 @@ void ScoreBlockAvx512(const float* user, const float* q, int64_t stride,
 extern const KernelOps kAvx512KernelOps;
 const KernelOps kAvx512KernelOps = {
     KernelKind::kAvx512, "avx512", DotAvx512, SgdBlockAvx512,
-    ScoreBlockAvx512,
+    ScoreBlockAvx512, ErrorBlock<DotAvx512>,
 };
 
 }  // namespace hsgd

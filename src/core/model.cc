@@ -138,17 +138,38 @@ inline const KernelOps& Resolve(const KernelOps* ops) {
 
 /// Most ratings summed into one RMSE partial.
 constexpr int64_t kRmseGrain = 65536;
-/// Ratings per task when the lanes compute RMSE errors: small enough
-/// that a test split of one kRmseGrain run still spreads over every lane.
-constexpr int64_t kRmseErrorGrain = 4096;
-/// How many ratings ahead the error loop pulls rows toward the cache, as
-/// the SGD kernels do: the ratings gather random rows.
-constexpr int64_t kRmsePrefetchAhead = 6;
+/// Most ratings per error task, on Rmse's lanes and in SgdUpdateBlocks'
+/// evaluation: small enough that a test split of one kRmseGrain run still
+/// spreads over every lane, and that a block made ready while every lane
+/// evaluates waits little.
+constexpr int64_t kErrorGrain = 4096;
 
-void PrefetchRow(const float* row, int stride) {
-  for (int i = 0; i < stride; i += kFactorPadFloats) {
-    __builtin_prefetch(row + i);
+/// Rmse's fold of errors[0, n), which start on a run boundary: each run's
+/// in-order sum of (double)e * e goes to its slot of `run_sums`, one run
+/// per chunk on `pool`'s lanes (null = the caller alone).
+void FoldRuns(const float* errors, int64_t n, ThreadPool* pool,
+              double* run_sums) {
+  auto fold = [&](int64_t lo, int64_t hi) {
+    double acc = 0.0;
+    for (int64_t i = lo; i < hi; ++i) {
+      acc += static_cast<double>(errors[i]) * errors[i];
+    }
+    run_sums[lo / kRmseGrain] = acc;
+  };
+  if (pool == nullptr) {
+    for (int64_t lo = 0; lo < n; lo += kRmseGrain) {
+      fold(lo, std::min(n, lo + kRmseGrain));
+    }
+  } else {
+    pool->ParallelFor(0, n, kRmseGrain, fold);
   }
+}
+
+/// The runs' sums added in order, so the bits do not depend on the pool.
+double RootMean(const std::vector<double>& run_sums, int64_t n) {
+  double sq_err = 0.0;
+  for (double e : run_sums) sq_err += e;
+  return std::sqrt(sq_err / static_cast<double>(n));
 }
 
 }  // namespace
@@ -165,20 +186,29 @@ double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
 
 double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
                        const std::vector<int>& blocks, SgdHyper hyper,
-                       const KernelOps* ops, ThreadPool* pool) {
+                       const KernelOps* ops, ThreadPool* pool,
+                       const EvalSet* eval) {
   const int n = static_cast<int>(blocks.size());
-  if (n == 0) return 0.0;
+  const bool evaluating = eval != nullptr && !eval->buckets->ratings.empty();
+  if (n == 0 && !evaluating) return 0.0;
   // The dependency DAG over list positions. A block waits for its row
   // predecessor and its column predecessor, so every block has at most
   // one successor of each kind (a repeated block is both of them).
   const Grid& grid = matrix.grid();
+  const int row_strata = grid.num_row_strata();
   const int col_strata = grid.num_col_strata();
-  std::vector<int> last_in_row(grid.num_row_strata(), -1);
+  std::vector<int> last_in_row(row_strata, -1);
   std::vector<int> last_in_col(col_strata, -1);
   std::vector<int> row_next(n, -1), col_next(n, -1), waits(n, 0);
+  // Listed blocks not yet applied, per row stratum and per column stratum.
+  std::vector<int> row_left(row_strata, 0), col_left(col_strata, 0);
   for (int i = 0; i < n; ++i) {
-    int& row_prev = last_in_row[blocks[i] / col_strata];
-    int& col_prev = last_in_col[blocks[i] % col_strata];
+    const int row = blocks[i] / col_strata;
+    const int col = blocks[i] % col_strata;
+    ++row_left[row];
+    ++col_left[col];
+    int& row_prev = last_in_row[row];
+    int& col_prev = last_in_col[col];
     if (row_prev >= 0) {
       row_next[row_prev] = i;
       ++waits[i];
@@ -191,8 +221,10 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
   }
 
   // Lanes take the earliest ready position, so execution stays close to
-  // list order. `mu` guards `ready`, `waits` and `done`; each position's
-  // squared error has its own slot, written by the lane that ran it.
+  // list order. `mu` guards `ready`, `waits`, `done`, the strata counts
+  // and `eval_ready`; each position's squared error has its own slot,
+  // written by the lane that ran it, and each evaluated rating its own
+  // error, written by the lane that evaluated it.
   std::vector<double> sq_err(static_cast<size_t>(n), 0.0);
   std::mutex mu;
   std::condition_variable cv;
@@ -201,31 +233,105 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
     if (waits[i] == 0) ready.push(i);
   }
   int done = 0;
+  // Released buckets' ratings no lane has taken yet, as ranges of
+  // eval->buckets' entries. A bucket is released once neither of its
+  // strata has a listed block left: its rows and columns are final.
+  std::vector<std::pair<int64_t, int64_t>> eval_ready;
+  auto release = [&](int row, int col) {
+    const size_t b = static_cast<size_t>(grid.BlockIndex(row, col));
+    const int64_t lo = eval->buckets->offsets[b];
+    const int64_t hi = eval->buckets->offsets[b + 1];
+    if (lo < hi) eval_ready.emplace_back(lo, hi);
+  };
+  if (evaluating) {
+    for (int row = 0; row < row_strata; ++row) {
+      for (int col = 0; col < col_strata; ++col) {
+        if (row_left[row] == 0 && col_left[col] == 0) release(row, col);
+      }
+    }
+  }
+  // Counts block `b` as applied and releases each bucket that leaves with
+  // no listed block in either stratum. The row count drops first, so a
+  // bucket whose two counts reach zero together is released once, by its
+  // column.
+  auto applied = [&](int b) {
+    const int row = b / col_strata;
+    const int col = b % col_strata;
+    if (--row_left[row] == 0) {
+      for (int c = 0; c < col_strata; ++c) {
+        if (col_left[c] == 0) release(row, c);
+      }
+    }
+    if (--col_left[col] == 0) {
+      for (int r = 0; r < row_strata; ++r) {
+        if (row_left[r] == 0) release(r, col);
+      }
+    }
+  };
+  const KernelOps& kernel = Resolve(ops);
   auto lane = [&](int64_t, int64_t) {
+    // The ranges of one evaluation task: buckets hold a few hundred
+    // ratings, so a task gathers several and pays one lock for them.
+    std::vector<std::pair<int64_t, int64_t>> task;
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      cv.wait(lock, [&] { return !ready.empty() || done == n; });
-      if (ready.empty()) return;
-      const int i = ready.top();
-      ready.pop();
-      lock.unlock();
-      sq_err[static_cast<size_t>(i)] =
-          SgdUpdateBlock(model, matrix.BlockRatings(blocks[i]), hyper, ops);
-      lock.lock();
-      ++done;
-      bool wake = done == n;
-      for (int next : {row_next[i], col_next[i]}) {
-        if (next >= 0 && --waits[next] == 0) {
-          ready.push(next);
-          wake = true;
+      cv.wait(lock, [&] {
+        return !ready.empty() || !eval_ready.empty() || done == n;
+      });
+      if (!ready.empty()) {
+        const int i = ready.top();
+        ready.pop();
+        lock.unlock();
+        sq_err[static_cast<size_t>(i)] =
+            SgdUpdateBlock(model, matrix.BlockRatings(blocks[i]), hyper, ops);
+        lock.lock();
+        ++done;
+        if (evaluating) applied(blocks[i]);
+        // Ratings this released need no wake of their own: with no block
+        // ready this lane takes them next, and with one ready the other
+        // lanes are busy (or already woken for it).
+        bool wake = done == n;
+        for (int next : {row_next[i], col_next[i]}) {
+          if (next >= 0 && --waits[next] == 0) {
+            ready.push(next);
+            wake = true;
+          }
         }
+        if (wake) cv.notify_all();
+      } else if (!eval_ready.empty()) {
+        // No block is ready: evaluate up to kErrorGrain released ratings.
+        task.clear();
+        int64_t room = kErrorGrain;
+        while (room > 0 && !eval_ready.empty()) {
+          std::pair<int64_t, int64_t>& range = eval_ready.back();
+          const int64_t hi = std::min(range.second, range.first + room);
+          task.emplace_back(range.first, hi);
+          room -= hi - range.first;
+          if (hi == range.second) {
+            eval_ready.pop_back();
+          } else {
+            range.first = hi;
+          }
+        }
+        // More than one task's worth: hand the rest to an idle lane.
+        if (!eval_ready.empty()) cv.notify_one();
+        lock.unlock();
+        for (const auto& [lo, hi] : task) {
+          kernel.error_block(model->p_data(), model->q_data(),
+                             model->stride(), model->k(),
+                             eval->buckets->ratings.data() + lo,
+                             eval->buckets->positions.data() + lo, hi - lo,
+                             eval->errors);
+        }
+        lock.lock();
+      } else {
+        return;
       }
-      if (wake) cv.notify_all();
     }
   };
   // One lane per pool thread plus one for the caller, which ParallelFor
   // also runs lanes on: if no pool thread ever joins, the caller's lane
-  // still applies every block.
+  // still applies every block and evaluates every rating.
   if (pool == nullptr) {
     lane(0, 1);
   } else {
@@ -238,62 +344,50 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
 }
 
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
-            const KernelOps* ops, std::vector<float>* scratch) {
+            const KernelOps* ops) {
   const int64_t n = static_cast<int64_t>(ratings.size());
   if (n == 0) return 0.0;
   const KernelOps& kernel = Resolve(ops);
+  // The errors of ratings[lo, hi), written to out[0, hi - lo) unless out
+  // is null; returns their in-order sum, one run's fold.
+  auto errors = [&](int64_t lo, int64_t hi, float* out) {
+    return kernel.error_block(model.p_data(), model.q_data(), model.stride(),
+                              model.k(), ratings.data() + lo, nullptr,
+                              hi - lo, out);
+  };
+  std::vector<double> run_sums(
+      static_cast<size_t>((n + kRmseGrain - 1) / kRmseGrain));
+  if (pool == nullptr) {
+    for (int64_t lo = 0; lo < n; lo += kRmseGrain) {
+      run_sums[static_cast<size_t>(lo / kRmseGrain)] =
+          errors(lo, std::min(n, lo + kRmseGrain), nullptr);
+    }
+    return RootMean(run_sums, n);
+  }
   // The list is taken one window of whole runs at a time, one run per
   // lane: the lanes compute the window's errors, splitting it finely
   // since each error is independent of the others, then fold its runs.
   // So the buffer holds one window, whatever the list's length.
-  const int64_t lanes =
-      pool == nullptr ? 1 : static_cast<int64_t>(pool->size()) + 1;
-  const int64_t window = std::min(n, lanes * kRmseGrain);
-  std::vector<float> local;
-  std::vector<float>& err = scratch != nullptr ? *scratch : local;
-  if (err.size() < static_cast<size_t>(window)) {
-    err.resize(static_cast<size_t>(window));
-  }
-  std::vector<double> partial(
-      static_cast<size_t>((n + kRmseGrain - 1) / kRmseGrain));
+  const int64_t window =
+      std::min(n, (static_cast<int64_t>(pool->size()) + 1) * kRmseGrain);
+  std::vector<float> err(static_cast<size_t>(window));
   for (int64_t begin = 0; begin < n; begin += window) {
     const int64_t end = std::min(n, begin + window);
-    // Each error in float, as the SGD kernel computes it.
-    auto errors = [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        if (i + kRmsePrefetchAhead < hi) {
-          const Rating& ahead =
-              ratings[static_cast<size_t>(i + kRmsePrefetchAhead)];
-          PrefetchRow(model.Row(ahead.u), model.stride());
-          PrefetchRow(model.Col(ahead.v), model.stride());
-        }
-        const Rating& rt = ratings[static_cast<size_t>(i)];
-        err[static_cast<size_t>(i - begin)] =
-            rt.r - kernel.dot(model.Row(rt.u), model.Col(rt.v), model.k());
-      }
-    };
-    // A run's squares are summed in list order. Windows start on a run
-    // boundary, so each fold covers exactly one run.
-    auto fold = [&](int64_t lo, int64_t hi) {
-      double acc = 0.0;
-      for (int64_t i = lo; i < hi; ++i) {
-        const float e = err[static_cast<size_t>(i - begin)];
-        acc += static_cast<double>(e) * e;
-      }
-      partial[static_cast<size_t>(lo / kRmseGrain)] = acc;
-    };
-    if (pool == nullptr) {
-      errors(begin, end);
-      fold(begin, end);
-    } else {
-      pool->ParallelFor(begin, end, kRmseErrorGrain, errors);
-      pool->ParallelFor(begin, end, kRmseGrain, fold);
-    }
+    pool->ParallelFor(begin, end, kErrorGrain, [&](int64_t lo, int64_t hi) {
+      errors(lo, hi, err.data() + (lo - begin));
+    });
+    FoldRuns(err.data(), end - begin, pool,
+             run_sums.data() + begin / kRmseGrain);
   }
-  // Partials in order, so the bits do not depend on the pool size.
-  double sq_err = 0.0;
-  for (double e : partial) sq_err += e;
-  return std::sqrt(sq_err / static_cast<double>(n));
+  return RootMean(run_sums, n);
+}
+
+double RmseOfErrors(const float* errors, int64_t n, ThreadPool* pool) {
+  if (n == 0) return 0.0;
+  std::vector<double> run_sums(
+      static_cast<size_t>((n + kRmseGrain - 1) / kRmseGrain));
+  FoldRuns(errors, n, pool, run_sums.data());
+  return RootMean(run_sums, n);
 }
 
 }  // namespace hsgd

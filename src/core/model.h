@@ -23,7 +23,8 @@
 
 namespace hsgd {
 
-class BlockedMatrix;  // sched/blocked_matrix.h
+class BlockedMatrix;   // sched/blocked_matrix.h
+struct BlockBuckets;  // sched/blocked_matrix.h
 
 class Model {
  public:
@@ -128,6 +129,14 @@ struct SgdHyper {
 double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
                       const KernelOps* ops = nullptr);
 
+/// A rating list that SgdUpdateBlocks evaluates on its lanes.
+struct EvalSet {
+  /// The list bucketed by the blocks of the matrix's grid (BucketByBlock).
+  const BlockBuckets* buckets = nullptr;
+  /// One error per rating of the list, written at the rating's position.
+  float* errors = nullptr;
+};
+
 /// Apply `blocks` (block ids of `matrix`, repeats allowed) on `pool`'s
 /// threads plus the calling thread. Contract: the factors end with the
 /// same bits as calling SgdUpdateBlock on each listed block, in list
@@ -138,6 +147,19 @@ double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
 /// Any two blocks left unordered share neither stratum, so they update
 /// disjoint rows of P and of Q and commute exactly.
 ///
+/// With `eval`, the lanes also write each evaluated rating's error
+/// r - dot(p_u, q_v) over the final factors to eval->errors at its list
+/// position, with the bits of ops.error_block run after the whole list.
+/// A rating of block b reads a row only blocks of b's row stratum write
+/// and a column only blocks of b's column stratum write, so the executor
+/// counts, per row stratum and per column stratum, the listed blocks not
+/// yet applied (a block counts once its sweep completes, not when a lane
+/// takes it) and releases b's bucket when both counts are zero: at the
+/// start if its strata hold no listed block. A lane takes a ready block
+/// first, else at most 4,096 released ratings, read in runs from the
+/// buckets' copies. So the evaluation fills lanes the dependency chain
+/// leaves idle, and its errors have the same bits for any pool size.
+///
 /// Returns the sum of the listed blocks' SgdUpdateBlock returns: each
 /// is kept for its list position and the sum is taken in list order
 /// after the lanes join, so it has the same bits for any pool size and
@@ -145,21 +167,26 @@ double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
 /// empty list.
 double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
                        const std::vector<int>& blocks, SgdHyper hyper,
-                       const KernelOps* ops, ThreadPool* pool);
+                       const KernelOps* ops, ThreadPool* pool,
+                       const EvalSet* eval = nullptr);
 
-/// Root mean squared prediction error over `ratings`. Each rating's error
-/// is r - ops.dot(p_u, q_v) in float, the pre-update error sgd_block
-/// computes; the lanes compute the errors, then (double)err * err is
-/// summed in list order within each run of 65,536 ratings and the runs'
-/// sums are added in order. So the result has the same bits for any
-/// pool size, and a run's sum equals sgd_block's return at learning
-/// rate 0 over the same ratings. `pool` may be null for serial
-/// evaluation. The errors of at most (pool threads + 1) runs are held at
-/// a time, in `scratch` when given (grown as needed and kept, so a
-/// caller that evaluates every epoch allocates it once), else in a
-/// temporary buffer.
+/// Root mean squared prediction error over `ratings`, the list-order
+/// reference for the evaluation SgdUpdateBlocks runs on its lanes. Each
+/// rating's error is ops.error_block's r - dot(p_u, q_v) in float, the
+/// pre-update error sgd_block computes; (double)err * err is summed in
+/// list order within each run of 65,536 ratings and the runs' sums are
+/// added in order. So the result has the same bits for any pool size,
+/// and a run's sum equals sgd_block's return at learning rate 0 over the
+/// same ratings. With no pool, error_block folds each run as it computes
+/// it; with one, the lanes compute (pool threads + 1) runs of errors at
+/// a time into a buffer, 4,096 ratings per task, and then fold each run.
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,
-            const KernelOps* ops = nullptr,
-            std::vector<float>* scratch = nullptr);
+            const KernelOps* ops = nullptr);
+
+/// Rmse's fold over errors computed elsewhere (SgdUpdateBlocks' EvalSet):
+/// the root mean of (double)e * e over errors[0, n), in runs of 65,536
+/// as Rmse sums them, the runs folded on `pool`'s lanes (null = the
+/// caller alone). Equals Rmse over the errors' ratings bit for bit.
+double RmseOfErrors(const float* errors, int64_t n, ThreadPool* pool);
 
 }  // namespace hsgd

@@ -288,6 +288,13 @@ Status Session::Init() {
   auto matrix_or = BlockedMatrix::Build(dataset_.train, grid, &shuffle_rng);
   if (!matrix_or.ok()) return matrix_or.status();
   matrix_ = *std::move(matrix_or);
+  auto buckets_or = BucketByBlock(dataset_.test, matrix_.grid());
+  if (!buckets_or.ok()) {
+    return Status::InvalidArgument("test split: " +
+                                   buckets_or.status().message());
+  }
+  test_buckets_ = *std::move(buckets_or);
+  test_errors_.assign(dataset_.test.size(), 0.0f);
 
   if (is_star_) {
     StarSchedulerOptions opts;
@@ -841,8 +848,10 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   // The event loop only records committed blocks, in commit order.
   // SgdUpdateBlocks then applies them on the eval pool with the same bits
   // as applying each at its release, also after a stall or abort exit,
-  // so a failed epoch keeps what committed before the failure. The epoch
-  // barrier is still held, so no reader sees the factors mid-write.
+  // so a failed epoch keeps what committed before the failure. After a
+  // successful loop its lanes also compute the test errors, each once
+  // its rows are final. The epoch barrier is still held, so no reader
+  // sees the factors mid-write.
   std::vector<int> committed;
   const Status simulated = [&]() -> Status {
     while (!scheduler_->EpochDone()) {
@@ -908,8 +917,12 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
     }
     return Status::Ok();
   }();
-  const double sq_err = SgdUpdateBlocks(model_.get(), matrix_, committed,
-                                        hyper, kernel_ops_, eval_pool_.get());
+  EvalSet test;
+  test.buckets = &test_buckets_;
+  test.errors = test_errors_.data();
+  const double sq_err =
+      SgdUpdateBlocks(model_.get(), matrix_, committed, hyper, kernel_ops_,
+                      eval_pool_.get(), simulated.ok() ? &test : nullptr);
   HSGD_RETURN_IF_ERROR(simulated);
   clock_ = epoch_end;  // epoch barrier: evaluate, then start together
   if (obs_.trace != nullptr) {
@@ -931,8 +944,9 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   const double test_rmse =
       dataset_.test.empty()
           ? train_rmse
-          : Rmse(*model_, dataset_.test, eval_pool_.get(), kernel_ops_,
-                 &test_errors_);
+          : RmseOfErrors(test_errors_.data(),
+                         static_cast<int64_t>(test_errors_.size()),
+                         eval_pool_.get());
   TracePoint point;
   point.epoch = epoch;
   point.time = clock_;

@@ -477,8 +477,16 @@ class Session {
   std::vector<std::unique_ptr<GpuDevice>> gpu_devices_;
   std::vector<Worker> workers_;
   std::unique_ptr<ThreadPool> eval_pool_;
-  /// The test RMSE's per-rating errors, kept across epochs so an epoch's
-  /// evaluation allocates nothing.
+  /// The test split bucketed by block once by Init, each bucket a copy of
+  /// its ratings and their positions (16 bytes per test rating: 2.5 MB at
+  /// perfbench's `live`, 0.9 MB at `train`). Appends only widen the
+  /// grid's trailing strata, so the buckets stay valid.
+  BlockBuckets test_buckets_;
+  /// One error per test rating, at its position in the split: the SGD
+  /// sweep's lanes write them and the epoch folds them into the test
+  /// RMSE. Sized once by Init (4 bytes per test rating: 640 KB at
+  /// perfbench's `live`, 225 KB at `train`), so an epoch's evaluation
+  /// allocates nothing.
   std::vector<float> test_errors_;
 
   // ---- Evolving state (persisted by SaveCheckpoint) -------------------

@@ -249,4 +249,43 @@ Status BlockedMatrix::AppendGrown(const Ratings& ratings, int32_t new_rows,
   return Status::Ok();
 }
 
+StatusOr<BlockBuckets> BucketByBlock(const Ratings& ratings,
+                                     const Grid& grid) {
+  if (ratings.size() > static_cast<size_t>(INT32_MAX)) {
+    return Status::InvalidArgument(
+        StrFormat("cannot bucket %zu ratings by position", ratings.size()));
+  }
+  const int32_t max_row = grid.row_bounds.back();
+  const int32_t max_col = grid.col_bounds.back();
+  auto block_of = [&grid](const Rating& rt) {
+    return static_cast<size_t>(
+        grid.BlockIndex(grid.RowOf(rt.u), grid.ColOf(rt.v)));
+  };
+  // A counting sort, as Build buckets: count each block's ratings, then
+  // fill each bucket from its start in list order.
+  BlockBuckets buckets;
+  buckets.offsets.assign(static_cast<size_t>(grid.num_blocks()) + 1, 0);
+  for (const Rating& rt : ratings) {
+    if (rt.u < 0 || rt.u >= max_row || rt.v < 0 || rt.v >= max_col) {
+      return Status::InvalidArgument(
+          StrFormat("rating (%d, %d) outside grid extent %dx%d", rt.u, rt.v,
+                    max_row, max_col));
+    }
+    ++buckets.offsets[block_of(rt) + 1];
+  }
+  for (size_t b = 1; b < buckets.offsets.size(); ++b) {
+    buckets.offsets[b] += buckets.offsets[b - 1];
+  }
+  std::vector<int64_t> next(buckets.offsets.begin(),
+                            buckets.offsets.end() - 1);
+  buckets.positions.resize(ratings.size());
+  buckets.ratings.resize(ratings.size());
+  for (size_t i = 0; i < ratings.size(); ++i) {
+    const size_t at = static_cast<size_t>(next[block_of(ratings[i])]++);
+    buckets.positions[at] = static_cast<int32_t>(i);
+    buckets.ratings[at] = ratings[i];
+  }
+  return buckets;
+}
+
 }  // namespace hsgd

@@ -106,4 +106,22 @@ class BlockedMatrix {
   int64_t total_nnz_ = 0;
 };
 
+/// A rating list grouped by the grid block each rating falls in: bucket b
+/// is entries [offsets[b], offsets[b + 1]), in list order. Entry i holds
+/// a copy of the rating at list position positions[i], so a bucket's
+/// ratings are read in one run, and its results can still be written to
+/// the ratings' list positions.
+struct BlockBuckets {
+  std::vector<int64_t> offsets;
+  std::vector<int32_t> positions;
+  Ratings ratings;
+};
+
+/// Bucket `ratings` (at most INT32_MAX of them) by the blocks of `grid`.
+/// The buckets stay valid while the grid only grows: ExtendTo widens the
+/// trailing strata and never moves a row or column to another stratum.
+/// Fails if a rating lies outside the grid's extent.
+StatusOr<BlockBuckets> BucketByBlock(const Ratings& ratings,
+                                     const Grid& grid);
+
 }  // namespace hsgd

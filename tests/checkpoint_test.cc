@@ -5,7 +5,8 @@
 // litter may survive. Also covers the reader and writer agreeing byte for
 // byte, the reader refusing a file of an older version, the factor
 // section's layout (unpadded rows, straight from and back into the
-// strided model) and the dataset fingerprint's content hash.
+// strided model), a save long enough to start early writebacks, and the
+// dataset fingerprint's content hash.
 
 #include <cmath>
 #include <cstdio>
@@ -285,6 +286,56 @@ void TestFactorSectionLayout() {
   std::remove(path.c_str());
 }
 
+// A save spanning more than three 4 MB writeback strides (the writer
+// hands each stride to the disk early) restores bit for bit, and a short
+// write past the first stride, after a writeback has started, still
+// fails the save and leaves the previous file with no temp file beside.
+void TestMultiStrideSaveRestoresBitIdentically() {
+  SyntheticSpec spec;
+  spec.num_rows = 20000;
+  spec.num_cols = 8000;
+  spec.train_nnz = 40000;
+  spec.test_nnz = 2000;
+  spec.params.k = 128;
+  spec.params.learning_rate = 0.01f;
+  auto ds = GenerateSynthetic(spec, 7);
+  EXPECT_TRUE(ds.ok());
+  if (!ds.ok()) return;
+  auto session = Session::Create(*ds, SmallConfig());
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return;
+  EXPECT_TRUE((*session)->RunEpoch().ok());
+
+  const std::string path = "checkpoint_test_strides.ckpt";
+  const std::string copy = "checkpoint_test_strides_copy.ckpt";
+  const int64_t stride = int64_t{4} << 20;
+  EXPECT_TRUE((*session)->SaveCheckpoint(path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  EXPECT_TRUE(static_cast<int64_t>(bytes.size()) > 3 * stride);
+  auto restored = Session::Restore(path, *ds);
+  EXPECT_TRUE(restored.ok());
+  if (restored.ok()) {
+    EXPECT_TRUE((*restored)->model().DenseP() ==
+                (*session)->model().DenseP());
+    EXPECT_TRUE((*restored)->model().DenseQ() ==
+                (*session)->model().DenseQ());
+    EXPECT_TRUE((*restored)->SaveCheckpoint(copy).ok());
+    EXPECT_TRUE(ReadFileBytes(copy) == bytes);
+  }
+
+  EXPECT_TRUE((*session)->RunEpoch().ok());
+  for (int64_t failpoint : {stride + 4096, 3 * stride + 1}) {
+    SetCheckpointWriteFailpoint(failpoint);
+    const Status short_write = (*session)->SaveCheckpoint(path);
+    SetCheckpointWriteFailpoint(-1);
+    EXPECT_TRUE(short_write.code() == StatusCode::kInternal);
+    EXPECT_TRUE(ReadFileBytes(path) == bytes);
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+  }
+  std::remove(copy.c_str());
+  std::remove(path.c_str());
+}
+
 // The content hash reads every rating in order: one changed u, v or r
 // (of the first, a middle and the last rating), two swapped ratings or a
 // dropped last rating each change train_hash; equal datasets hash equal.
@@ -321,6 +372,7 @@ void RunAllTests() {
   TestFailpointOnFreshPathLeavesNothing();
   TestReadWriteRoundTripIsByteExact();
   TestFactorSectionLayout();
+  TestMultiStrideSaveRestoresBitIdentically();
   TestFingerprintHashCoversEachRating();
 }
 

@@ -3,11 +3,11 @@
 // summation tolerance, TopK orderings exactly (and BatchTopK with a
 // brute-force scorer bit for bit), and checkpoint resume bit-identically
 // under a fixed kernel — and each variant's SGD sweep must equal its own
-// one-rating-at-a-time reference bit for bit at every row width. Also
-// covers the dispatch / naming API, the zero-padding layout invariant
-// the vector kernels rely on, the InitRandom degenerate-mean clamp, and
-// the rate calibrator. Runs under ASan/UBSan in CI like every other test
-// binary.
+// one-rating-at-a-time reference bit for bit at every row width, as its
+// error entry must equal its own dot per rating. Also covers the
+// dispatch / naming API, the zero-padding layout invariant the vector
+// kernels rely on, the InitRandom degenerate-mean clamp, and the rate
+// calibrator. Runs under ASan/UBSan in CI like every other test binary.
 
 #include <cmath>
 #include <cstdio>
@@ -223,6 +223,67 @@ void TestFrozenSweepMatchesReduction() {
       EXPECT_EQ(frozen, folded);
       EXPECT_EQ(Rmse(model, block, nullptr, &ops), std::sqrt(frozen / n));
       EXPECT_EQ(Rmse(model, block, &pool, &ops), std::sqrt(frozen / n));
+    }
+  }
+}
+
+// Each variant's error_block writes r - dot(p_u, q_v) from its own dot
+// bit for bit at every row width, written in order and scattered by
+// position (where it writes only the listed positions), and returns the
+// in-order fold of its errors, with or without an output.
+void TestErrorBlockMatchesDotPerVariant() {
+  const int32_t rows = 120, cols = 90;
+  Rng rng(13);
+  const Ratings ratings = RandomBlock(3000, rows, cols, &rng);
+  const int64_t n = static_cast<int64_t>(ratings.size());
+  // Every third position from the back, neither list order nor a run,
+  // and a copy of those ratings in that order, as a bucket holds them.
+  std::vector<int32_t> pos;
+  Ratings picked;
+  for (int32_t j = static_cast<int32_t>(n) - 1; j >= 0; j -= 3) {
+    pos.push_back(j);
+    picked.push_back(ratings[static_cast<size_t>(j)]);
+  }
+  const int64_t picked_n = static_cast<int64_t>(picked.size());
+  const float unwritten = -12345.0f;
+  for (KernelKind kind : SupportedKinds()) {
+    const KernelOps& ops = GetKernelOps(kind);
+    for (int k : kRowWidths) {
+      const Model model = RandomModel(rows, cols, k, 23);
+      std::vector<float> want(static_cast<size_t>(n));
+      for (size_t j = 0; j < want.size(); ++j) {
+        const Rating& rt = ratings[j];
+        want[j] = rt.r - ops.dot(model.Row(rt.u), model.Col(rt.v), k);
+      }
+      std::vector<float> got(static_cast<size_t>(n), unwritten);
+      const double sum =
+          ops.error_block(model.p_data(), model.q_data(), model.stride(), k,
+                          ratings.data(), nullptr, n, got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            sizeof(float) * want.size()),
+                0);
+      EXPECT_EQ(sum, SquaredErrorFold(ops, model, ratings));
+      EXPECT_EQ(ops.error_block(model.p_data(), model.q_data(),
+                                model.stride(), k, ratings.data(), nullptr,
+                                n, nullptr),
+                sum);
+
+      std::vector<float> want_scattered(static_cast<size_t>(n), unwritten);
+      for (int32_t j : pos) {
+        want_scattered[static_cast<size_t>(j)] = want[static_cast<size_t>(j)];
+      }
+      std::vector<float> scattered(static_cast<size_t>(n), unwritten);
+      const double scattered_sum = ops.error_block(
+          model.p_data(), model.q_data(), model.stride(), k, picked.data(),
+          pos.data(), picked_n, scattered.data());
+      EXPECT_EQ(std::memcmp(scattered.data(), want_scattered.data(),
+                            sizeof(float) * scattered.size()),
+                0);
+      EXPECT_EQ(scattered_sum, SquaredErrorFold(ops, model, picked));
+      EXPECT_EQ(ops.error_block(model.p_data(), model.q_data(),
+                                model.stride(), k, picked.data(),
+                                pos.data(), picked_n, nullptr),
+                scattered_sum);
     }
   }
 }
@@ -495,6 +556,7 @@ void RunAllTests() {
   TestKindNamesAndResolution();
   TestKernelEquivalence();
   TestFrozenSweepMatchesReduction();
+  TestErrorBlockMatchesDotPerVariant();
   TestSgdBlockBitExactPerVariant();
   TestTopKOrderingEquivalence();
   TestCheckpointResumeBitIdenticalPerKernel();

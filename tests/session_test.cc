@@ -572,6 +572,11 @@ void RunAppendAndIncrementalEpoch(int eval_threads, std::vector<float>* p,
     EXPECT_TRUE(point.ok());
     if (!point.ok()) return;
     EXPECT_TRUE(std::isfinite(point->train_rmse) && point->train_rmse > 0.0);
+    // The sweep's lanes evaluate the test split as its strata finish; the
+    // result is the list-order Rmse over the epoch's final factors.
+    EXPECT_EQ(point->test_rmse,
+              Rmse(s->model(), s->dataset().test, nullptr,
+                   &GetKernelOps(s->kernel())));
     ++checked;
   };
   check_epoch(s->RunEpoch());

@@ -192,6 +192,248 @@ void TestParallelBlocksMatchSerialOrder() {
   }
 }
 
+Model CopyModel(const Model& model) {
+  Model copy(model.num_rows(), model.num_cols(), model.k());
+  std::memcpy(copy.p_data(), model.p_data(), sizeof(float) * model.p_size());
+  std::memcpy(copy.q_data(), model.q_data(), sizeof(float) * model.q_size());
+  return copy;
+}
+
+Ratings RandomRatings(size_t n, int32_t rows, int32_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Ratings ratings(n);
+  for (Rating& r : ratings) {
+    r.u = static_cast<int32_t>(rng.UniformInt(rows));
+    r.v = static_cast<int32_t>(rng.UniformInt(cols));
+    r.r = 1.0f + 4.0f * rng.NextFloat();
+  }
+  return ratings;
+}
+
+// SgdUpdateBlocks with an evaluation set against the serial reference:
+// every block in list order, then r - dot(p_u, q_v) per evaluated rating
+// on the final model. The errors must match bit for bit (memcmp), their
+// fold must equal the list-order Rmse (==), and the factors and squared
+// error must stay what they are without evaluation, at every pool size.
+void ExpectEvaluationMatchesSerial(const std::vector<int>& order,
+                                   const BlockedMatrix& matrix,
+                                   const Model& init, const Ratings& eval,
+                                   const BlockBuckets& buckets) {
+  const SgdHyper hyper{0.01f, 0.05f, 0.05f};
+  Model reference = CopyModel(init);
+  double reference_sq_err = 0.0;
+  for (int b : order) {
+    reference_sq_err +=
+        SgdUpdateBlock(&reference, matrix.BlockRatings(b), hyper);
+  }
+  std::vector<float> reference_errors(eval.size());
+  for (size_t i = 0; i < eval.size(); ++i) {
+    reference_errors[i] = eval[i].r - reference.Predict(eval[i].u, eval[i].v);
+  }
+  const double reference_rmse = Rmse(reference, eval, nullptr);
+  for (int threads : {0, 1, 3, 7}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    Model model = CopyModel(init);
+    std::vector<float> errors(eval.size(), -1.0f);
+    EvalSet set;
+    set.buckets = &buckets;
+    set.errors = errors.data();
+    const double sq_err = SgdUpdateBlocks(&model, matrix, order, hyper,
+                                          nullptr, pool.get(), &set);
+    EXPECT_TRUE(SameFactors(reference, model));
+    EXPECT_EQ(std::memcmp(&sq_err, &reference_sq_err, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(errors.data(), reference_errors.data(),
+                          sizeof(float) * errors.size()),
+              0);
+    EXPECT_EQ(RmseOfErrors(errors.data(),
+                           static_cast<int64_t>(errors.size()), pool.get()),
+              reference_rmse);
+  }
+}
+
+void TestEvaluationOnLanesMatchesSerial() {
+  Dataset ds = TinyDataset();
+  auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols, 6, 5);
+  EXPECT_TRUE(grid.ok());
+  if (!grid.ok()) return;
+  Rng bucket_rng(2);
+  auto matrix = BlockedMatrix::Build(ds.train, *grid, &bucket_rng);
+  EXPECT_TRUE(matrix.ok());
+  if (!matrix.ok()) return;
+  // 150,000 ratings: two 65,536-rating runs and a partial one in the
+  // fold, and about 5,000 per bucket, so a bucket splits into tasks.
+  const Ratings eval =
+      RandomRatings(150000, ds.num_rows, ds.num_cols, /*seed=*/8);
+  auto buckets = BucketByBlock(eval, *grid);
+  EXPECT_TRUE(buckets.ok());
+  if (!buckets.ok()) return;
+  // Each bucket holds its block's ratings, copied in list order.
+  EXPECT_EQ(buckets->offsets.size(), 31u);
+  EXPECT_EQ(buckets->positions.size(), eval.size());
+  EXPECT_EQ(buckets->ratings.size(), eval.size());
+  bool bucketed = buckets->offsets.back() ==
+                  static_cast<int64_t>(eval.size());
+  for (int b = 0; b < grid->num_blocks(); ++b) {
+    for (int64_t i = buckets->offsets[b]; i < buckets->offsets[b + 1]; ++i) {
+      const int32_t at = buckets->positions[static_cast<size_t>(i)];
+      const Rating& copy = buckets->ratings[static_cast<size_t>(i)];
+      const Rating& rt = eval[static_cast<size_t>(at)];
+      bucketed = bucketed && copy.u == rt.u && copy.v == rt.v &&
+                 copy.r == rt.r &&
+                 grid->BlockIndex(grid->RowOf(rt.u), grid->ColOf(rt.v)) == b &&
+                 (i == buckets->offsets[b] ||
+                  buckets->positions[static_cast<size_t>(i) - 1] < at);
+    }
+  }
+  EXPECT_TRUE(bucketed);
+  const Model init = InitModel(ds);
+
+  std::vector<int> ids(static_cast<size_t>(matrix->num_blocks()));
+  std::iota(ids.begin(), ids.end(), 0);
+  std::vector<std::vector<int>> orders;
+  for (uint64_t seed : {5, 6, 7}) {
+    std::vector<int> order = ids;
+    Rng rng(seed);
+    for (size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[static_cast<size_t>(
+                              rng.UniformInt(static_cast<int64_t>(i) + 1))]);
+    }
+    orders.push_back(order);
+  }
+  // A dirty subset: row strata 3-5 and column stratum 4 hold no listed
+  // block, so every bucket in them is final from the start, while the
+  // buckets of rows 3-5 in columns 0-3 wait for their column strata.
+  std::vector<int> subset;
+  for (int b : orders[0]) {
+    if (b / 5 < 3 && b % 5 < 4) subset.push_back(b);
+  }
+  orders.push_back(subset);
+  // Every block twice, and a block repeated back to back.
+  std::vector<int> twice = orders[1];
+  twice.insert(twice.end(), orders[2].begin(), orders[2].end());
+  const int repeated = twice[10];
+  twice.insert(twice.begin() + 10, repeated);
+  orders.push_back(twice);
+  orders.push_back({});
+
+  for (const std::vector<int>& order : orders) {
+    ExpectEvaluationMatchesSerial(order, *matrix, init, eval, *buckets);
+  }
+}
+
+// The buckets outlive growth: after AppendGrown widens the trailing
+// strata, the buckets built before it are the ones a fresh bucketing of
+// the grown grid gives, and they evaluate a list with ratings in the
+// trailing strata, including grown rows and columns, exactly.
+void TestEvaluationAfterAppendGrown() {
+  Dataset ds = TinyDataset();
+  auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols, 6, 5);
+  EXPECT_TRUE(grid.ok());
+  if (!grid.ok()) return;
+  Rng bucket_rng(2);
+  auto matrix = BlockedMatrix::Build(ds.train, *grid, &bucket_rng);
+  EXPECT_TRUE(matrix.ok());
+  if (!matrix.ok()) return;
+  Ratings eval = RandomRatings(20000, ds.num_rows, ds.num_cols, 9);
+  const int32_t last_row = ds.num_rows - 1;
+  const int32_t last_col = ds.num_cols - 1;
+  eval.push_back({last_row, last_col, 3.0f});
+  eval.push_back({last_row, 0, 2.0f});
+  auto buckets = BucketByBlock(eval, *grid);
+  EXPECT_TRUE(buckets.ok());
+  if (!buckets.ok()) return;
+  const int trailing =
+      grid->BlockIndex(grid->num_row_strata() - 1, grid->num_col_strata() - 1);
+  const std::vector<int32_t> trailing_bucket(
+      buckets->positions.begin() + buckets->offsets[trailing],
+      buckets->positions.begin() + buckets->offsets[trailing + 1]);
+  EXPECT_TRUE(std::find(trailing_bucket.begin(), trailing_bucket.end(),
+                        static_cast<int32_t>(eval.size()) - 2) !=
+              trailing_bucket.end());
+
+  // Warm and cold ratings; the cold ones grow 20 rows and 10 columns.
+  const int32_t rows = ds.num_rows + 20;
+  const int32_t cols = ds.num_cols + 10;
+  Ratings appended = RandomRatings(600, ds.num_rows, ds.num_cols, 10);
+  for (int32_t i = 0; i < 20; ++i) {
+    appended.push_back({ds.num_rows + i, i % ds.num_cols, 4.0f});
+    appended.push_back({i, ds.num_cols + i % 10, 1.5f});
+  }
+  std::vector<uint8_t> dirty;
+  EXPECT_TRUE(matrix->AppendGrown(appended, rows, cols, &dirty).ok());
+  auto rebucketed = BucketByBlock(eval, matrix->grid());
+  EXPECT_TRUE(rebucketed.ok());
+  if (!rebucketed.ok()) return;
+  EXPECT_TRUE(rebucketed->offsets == buckets->offsets);
+  EXPECT_TRUE(rebucketed->positions == buckets->positions);
+
+  Model init = InitModel(ds);
+  Rng growth_rng(29);
+  init.Grow(rows, cols, &growth_rng, 3.0);
+  std::vector<int> dirty_blocks;
+  for (size_t b = 0; b < dirty.size(); ++b) {
+    if (dirty[b] != 0) dirty_blocks.push_back(static_cast<int>(b));
+  }
+  EXPECT_TRUE(std::find(dirty_blocks.begin(), dirty_blocks.end(),
+                        trailing) != dirty_blocks.end());
+  std::vector<int> all(static_cast<size_t>(matrix->num_blocks()));
+  std::iota(all.begin(), all.end(), 0);
+  for (const std::vector<int>& order : {dirty_blocks, all}) {
+    ExpectEvaluationMatchesSerial(order, *matrix, init, eval, *buckets);
+  }
+  // Ratings on the grown rows and columns, bucketed on the grown grid.
+  Ratings grown_eval = RandomRatings(3000, rows, cols, 11);
+  grown_eval.push_back({rows - 1, cols - 1, 2.5f});
+  auto grown_buckets = BucketByBlock(grown_eval, matrix->grid());
+  EXPECT_TRUE(grown_buckets.ok());
+  if (!grown_buckets.ok()) return;
+  ExpectEvaluationMatchesSerial(dirty_blocks, *matrix, init, grown_eval,
+                                *grown_buckets);
+  // A rating past the grid's extent is refused.
+  const Ratings outside = {Rating{rows, 0, 1.0f}};
+  EXPECT_FALSE(BucketByBlock(outside, matrix->grid()).ok());
+}
+
+// A bucket is final only when both of its strata have no listed block
+// left, counted when a block's sweep completes. The list is block (0, 0),
+// then six sweeps of block (1, 0), which holds 200,000 ratings: the pool's
+// lanes join during the first sweeps and then wait, idle, since the
+// chain leaves no other block. So a bucket of column stratum 0 released
+// early (when its row stratum is clear, or when the last sweep is taken
+// rather than finished) is evaluated over columns (1, 0) still updates,
+// and its errors differ from the serial reference's.
+void TestEvaluationWaitsForBothStrata() {
+  Dataset ds = TinyDataset();
+  auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols, 6, 5);
+  EXPECT_TRUE(grid.ok());
+  if (!grid.ok()) return;
+  // Block (1, 0) spans row stratum 1 and column stratum 0.
+  const int32_t rows = grid->RowStratumWidth(1);
+  const int32_t cols = grid->ColStratumWidth(0);
+  Ratings train = ds.train;
+  Rng rng(12);
+  for (int i = 0; i < 200000; ++i) {
+    const int32_t u =
+        grid->row_bounds[1] + static_cast<int32_t>(rng.UniformInt(rows));
+    const int32_t v = static_cast<int32_t>(rng.UniformInt(cols));
+    train.push_back({u, v, 1.0f + 4.0f * rng.NextFloat()});
+  }
+  Rng bucket_rng(2);
+  auto matrix = BlockedMatrix::Build(train, *grid, &bucket_rng);
+  EXPECT_TRUE(matrix.ok());
+  if (!matrix.ok()) return;
+  const Ratings eval =
+      RandomRatings(30000, ds.num_rows, ds.num_cols, /*seed=*/14);
+  auto buckets = BucketByBlock(eval, *grid);
+  EXPECT_TRUE(buckets.ok());
+  if (!buckets.ok()) return;
+  std::vector<int> order = {grid->BlockIndex(0, 0)};
+  order.insert(order.end(), 6, grid->BlockIndex(1, 0));
+  ExpectEvaluationMatchesSerial(order, *matrix, InitModel(ds), eval,
+                                *buckets);
+}
+
 void TestModelInitDeterministic() {
   Model a(50, 40, 8), b(50, 40, 8);
   Rng ra(9), rb(9);
@@ -234,6 +476,9 @@ void RunAllTests() {
   TestSgdConverges();
   TestSgdReturnsSquaredError();
   TestParallelBlocksMatchSerialOrder();
+  TestEvaluationOnLanesMatchesSerial();
+  TestEvaluationAfterAppendGrown();
+  TestEvaluationWaitsForBothStrata();
   TestModelInitDeterministic();
   TestShuffleAndStats();
 }
