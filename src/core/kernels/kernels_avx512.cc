@@ -15,7 +15,9 @@
 // kSgdPrefetchAhead positions ahead toward L1, far enough that the
 // gather has landed by the time that rating is reached. The result is
 // bit-identical to the one-rating-at-a-time reference built from
-// DotAvx512 (kernels_test checks it at every row width).
+// DotAvx512 (kernels_test checks it at every row width). error_block
+// dispatches on the same vector count, so the test errors' dot is
+// unrolled too, with DotAvx512's bits.
 
 #include "core/kernels/kernels.h"
 
@@ -79,16 +81,48 @@ inline void UpdateVector(float* pu, float* qv, __m512 pi, __m512 qi,
   _mm512_storeu_ps(qv, _mm512_fmadd_ps(vlr, gq, qi));
 }
 
+/// DotAvx512 over rows of exactly V vectors (V = Ceil16(k) / 16 <= 8)
+/// held in registers. Its paired loop covers the first k & ~31 lanes, so
+/// every vector before the last alternates acc0/acc1, and the last one
+/// joins acc1 only when it closes a pair (V even and k a multiple of 32),
+/// else acc0.
+template <int V>
+inline float DotRegs(const __m512* pr, const __m512* qr, int k) {
+  __m512 acc0 = _mm512_setzero_ps();
+  __m512 acc1 = _mm512_setzero_ps();
+  for (int j = 0; j + 1 < V; ++j) {
+    if (j % 2 == 0) {
+      acc0 = _mm512_fmadd_ps(pr[j], qr[j], acc0);
+    } else {
+      acc1 = _mm512_fmadd_ps(pr[j], qr[j], acc1);
+    }
+  }
+  if (V % 2 == 0 && k % 32 == 0) {
+    acc1 = _mm512_fmadd_ps(pr[V - 1], qr[V - 1], acc1);
+  } else {
+    acc0 = _mm512_fmadd_ps(pr[V - 1], qr[V - 1], acc0);
+  }
+  return _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+}
+
+/// DotAvx512 with the vector count fixed at V, for error_block.
+template <int V>
+inline float DotAvx512V(const float* p, const float* q, int k) {
+  __m512 pr[V];
+  __m512 qr[V];
+  for (int j = 0; j < V; ++j) {
+    pr[j] = _mm512_loadu_ps(p + 16 * j);
+    qr[j] = _mm512_loadu_ps(q + 16 * j);
+  }
+  return DotRegs<V>(pr, qr, k);
+}
+
 /// The sweep for rows of exactly V vectors (V = Ceil16(k) / 16 <= 8),
-/// with both rows held in registers. The dot reproduces DotAvx512: its
-/// paired loop covers the first k & ~31 lanes, so every vector before
-/// the last alternates acc0/acc1, and the last one joins acc1 only when
-/// it closes a pair (V even and k a multiple of 32), else acc0.
+/// with both rows held in registers and the dot taken by DotRegs.
 template <int V>
 double SgdBlockRegs(float* p, float* q, int64_t stride, int k,
                     const Rating* ratings, int64_t n, float lr, float lp,
                     float lq) {
-  const bool last_paired = V % 2 == 0 && k % 32 == 0;
   const __m512 vlr = _mm512_set1_ps(lr);
   const __m512 vlp = _mm512_set1_ps(lp);
   const __m512 vlq = _mm512_set1_ps(lq);
@@ -108,22 +142,7 @@ double SgdBlockRegs(float* p, float* q, int64_t stride, int k,
       pr[j] = _mm512_loadu_ps(pu + 16 * j);
       qr[j] = _mm512_loadu_ps(qv + 16 * j);
     }
-    __m512 acc0 = _mm512_setzero_ps();
-    __m512 acc1 = _mm512_setzero_ps();
-    for (int j = 0; j + 1 < V; ++j) {
-      if (j % 2 == 0) {
-        acc0 = _mm512_fmadd_ps(pr[j], qr[j], acc0);
-      } else {
-        acc1 = _mm512_fmadd_ps(pr[j], qr[j], acc1);
-      }
-    }
-    if (last_paired) {
-      acc1 = _mm512_fmadd_ps(pr[V - 1], qr[V - 1], acc1);
-    } else {
-      acc0 = _mm512_fmadd_ps(pr[V - 1], qr[V - 1], acc0);
-    }
-    const float err =
-        rt.r - _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+    const float err = rt.r - DotRegs<V>(pr, qr, k);
     const __m512 verr = _mm512_set1_ps(err);
     for (int j = 0; j < V; ++j) {
       UpdateVector(pu + 16 * j, qv + 16 * j, pr[j], qr[j], verr, vlr, vlp,
@@ -189,6 +208,34 @@ double SgdBlockAvx512(float* p, float* q, int64_t stride, int k,
   }
 }
 
+/// error_block with the dot's vector count fixed, as the sweep's is:
+/// rows of at most 8 vectors are loaded whole and summed by DotRegs;
+/// wider rows keep DotAvx512's loop.
+double ErrorBlockAvx512(const float* p, const float* q, int64_t stride,
+                        int k, const Rating* ratings, const int32_t* pos,
+                        int64_t n, float* out) {
+  switch (Ceil16(k) / 16) {
+    case 1:
+      return ErrorBlock<DotAvx512V<1>>(p, q, stride, k, ratings, pos, n, out);
+    case 2:
+      return ErrorBlock<DotAvx512V<2>>(p, q, stride, k, ratings, pos, n, out);
+    case 3:
+      return ErrorBlock<DotAvx512V<3>>(p, q, stride, k, ratings, pos, n, out);
+    case 4:
+      return ErrorBlock<DotAvx512V<4>>(p, q, stride, k, ratings, pos, n, out);
+    case 5:
+      return ErrorBlock<DotAvx512V<5>>(p, q, stride, k, ratings, pos, n, out);
+    case 6:
+      return ErrorBlock<DotAvx512V<6>>(p, q, stride, k, ratings, pos, n, out);
+    case 7:
+      return ErrorBlock<DotAvx512V<7>>(p, q, stride, k, ratings, pos, n, out);
+    case 8:
+      return ErrorBlock<DotAvx512V<8>>(p, q, stride, k, ratings, pos, n, out);
+    default:
+      return ErrorBlock<DotAvx512>(p, q, stride, k, ratings, pos, n, out);
+  }
+}
+
 void ScoreBlockAvx512(const float* user, const float* q, int64_t stride,
                       int k, int32_t first_item, int32_t count,
                       float* out) {
@@ -203,7 +250,7 @@ void ScoreBlockAvx512(const float* user, const float* q, int64_t stride,
 extern const KernelOps kAvx512KernelOps;
 const KernelOps kAvx512KernelOps = {
     KernelKind::kAvx512, "avx512", DotAvx512, SgdBlockAvx512,
-    ScoreBlockAvx512, ErrorBlock<DotAvx512>,
+    ScoreBlockAvx512, ErrorBlockAvx512,
 };
 
 }  // namespace hsgd

@@ -187,9 +187,14 @@ double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
 double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
                        const std::vector<int>& blocks, SgdHyper hyper,
                        const KernelOps* ops, ThreadPool* pool,
-                       const EvalSet* eval) {
+                       const EvalSet* eval,
+                       const std::function<void()>& side_task) {
   const int n = static_cast<int>(blocks.size());
   const bool evaluating = eval != nullptr && !eval->buckets->ratings.empty();
+  // With no pool or no block no lane ever waits for a block, so the
+  // caller's thread runs the task before anything else.
+  const bool lanes_take_task = side_task && pool != nullptr && n > 0;
+  if (side_task && !lanes_take_task) side_task();
   if (n == 0 && !evaluating) return 0.0;
   // The dependency DAG over list positions. A block waits for its row
   // predecessor and its column predecessor, so every block has at most
@@ -221,10 +226,10 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
   }
 
   // Lanes take the earliest ready position, so execution stays close to
-  // list order. `mu` guards `ready`, `waits`, `done`, the strata counts
-  // and `eval_ready`; each position's squared error has its own slot,
-  // written by the lane that ran it, and each evaluated rating its own
-  // error, written by the lane that evaluated it.
+  // list order. `mu` guards `ready`, `waits`, `done`, the strata counts,
+  // `eval_ready` and `pending_task`; each position's squared error has
+  // its own slot, written by the lane that ran it, and each evaluated
+  // rating its own error, written by the lane that evaluated it.
   std::vector<double> sq_err(static_cast<size_t>(n), 0.0);
   std::mutex mu;
   std::condition_variable cv;
@@ -233,6 +238,9 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
     if (waits[i] == 0) ready.push(i);
   }
   int done = 0;
+  // The side task until a lane takes it.
+  const std::function<void()>* pending_task =
+      lanes_take_task ? &side_task : nullptr;
   // Released buckets' ratings no lane has taken yet, as ranges of
   // eval->buckets' entries. A bucket is released once neither of its
   // strata has a listed block left: its rows and columns are final.
@@ -276,7 +284,8 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
       cv.wait(lock, [&] {
-        return !ready.empty() || !eval_ready.empty() || done == n;
+        return !ready.empty() || pending_task != nullptr ||
+               !eval_ready.empty() || done == n;
       });
       if (!ready.empty()) {
         const int i = ready.top();
@@ -298,6 +307,13 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
           }
         }
         if (wake) cv.notify_all();
+      } else if (pending_task != nullptr) {
+        // No block is ready: run the side task, once.
+        const std::function<void()>& run =
+            *std::exchange(pending_task, nullptr);
+        lock.unlock();
+        run();
+        lock.lock();
       } else if (!eval_ready.empty()) {
         // No block is ready: evaluate up to kErrorGrain released ratings.
         task.clear();
@@ -331,7 +347,8 @@ double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
   };
   // One lane per pool thread plus one for the caller, which ParallelFor
   // also runs lanes on: if no pool thread ever joins, the caller's lane
-  // still applies every block and evaluates every rating.
+  // still applies every block, runs the side task and evaluates every
+  // rating. No lane returns while the task waits, so it runs once.
   if (pool == nullptr) {
     lane(0, 1);
   } else {

@@ -497,21 +497,25 @@ StatusOr<TracePoint> Session::RunEpoch() {
   return RunEpochImpl(nullptr);
 }
 
-StatusOr<TracePoint> Session::RunIncrementalEpoch() {
+StatusOr<TracePoint> Session::RunIncrementalEpoch(
+    const std::function<void()>& side_task) {
   std::lock_guard<std::mutex> quiesce(epoch_mu_);
   std::vector<int> blocks;
   for (size_t b = 0; b < dirty_.size(); ++b) {
     if (dirty_[b]) blocks.push_back(static_cast<int>(b));
   }
   if (blocks.empty()) {
+    if (side_task) side_task();
     return Status::FailedPrecondition(
         "no appended ratings pending an incremental epoch");
   }
-  return RunEpochImpl(&blocks);
+  return RunEpochImpl(&blocks, side_task);
 }
 
-StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
+StatusOr<TracePoint> Session::RunEpochImpl(
+    const std::vector<int>* subset, const std::function<void()>& side_task) {
   if (Done()) {
+    if (side_task) side_task();
     return Status::FailedPrecondition(
         failed_ ? "session permanently failed after device loss"
         : reached_target_
@@ -681,7 +685,10 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   if (injector_ != nullptr) {
     injector_->BeginEpoch(epoch, scheduler_->remaining_blocks());
     handle_faults(injector_->Poll(0), epoch_start);
-    if (failed_) return failure();
+    if (failed_) {
+      if (side_task) side_task();
+      return failure();
+    }
   }
 
   // Resident-factor uploads. GPU-Only keeps everything in device memory
@@ -850,8 +857,9 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   // as applying each at its release, also after a stall or abort exit,
   // so a failed epoch keeps what committed before the failure. After a
   // successful loop its lanes also compute the test errors, each once
-  // its rows are final. The epoch barrier is still held, so no reader
-  // sees the factors mid-write.
+  // its rows are final. Either way they run the caller's side task. The
+  // epoch barrier is still held, so no reader sees the factors
+  // mid-write.
   std::vector<int> committed;
   const Status simulated = [&]() -> Status {
     while (!scheduler_->EpochDone()) {
@@ -922,7 +930,8 @@ StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   test.errors = test_errors_.data();
   const double sq_err =
       SgdUpdateBlocks(model_.get(), matrix_, committed, hyper, kernel_ops_,
-                      eval_pool_.get(), simulated.ok() ? &test : nullptr);
+                      eval_pool_.get(), simulated.ok() ? &test : nullptr,
+                      side_task);
   HSGD_RETURN_IF_ERROR(simulated);
   clock_ = epoch_end;  // epoch barrier: evaluate, then start together
   if (obs_.trace != nullptr) {

@@ -289,7 +289,16 @@ class Session {
   /// split, train_rmse over the dirty blocks' ratings it swept), and
   /// decays the learning rate on the shared schedule. FailedPrecondition
   /// when nothing is pending or Done().
-  StatusOr<TracePoint> RunIncrementalEpoch();
+  ///
+  /// `side_task`, when set, runs exactly once per call, whatever the call
+  /// returns: during the sweep on a lane SgdUpdateBlocks' dependency
+  /// chain leaves idle (see SgdUpdateBlocks), or on this thread when the
+  /// call returns before its sweep (nothing pending, Done(), every worker
+  /// dead at the epoch's start). It must not touch the session; a stalled
+  /// or aborted epoch still runs it in its sweep of the blocks committed
+  /// before the failure. It changes no bit of the epoch.
+  StatusOr<TracePoint> RunIncrementalEpoch(
+      const std::function<void()>& side_task = nullptr);
 
   /// Run `fn` while the session is guaranteed quiescent (no epoch in
   /// flight, no append mutating the factors). Never blocks: if training
@@ -416,8 +425,11 @@ class Session {
   Status InstallCheckpoint(CheckpointReader* file);
 
   /// Shared epoch body; the caller holds the epoch barrier. `subset`
-  /// selects the pending blocks (null = all, the classic RunEpoch).
-  StatusOr<TracePoint> RunEpochImpl(const std::vector<int>* subset);
+  /// selects the pending blocks (null = all, the classic RunEpoch);
+  /// `side_task` is RunIncrementalEpoch's, run once on every way out.
+  StatusOr<TracePoint> RunEpochImpl(
+      const std::vector<int>* subset,
+      const std::function<void()>& side_task = nullptr);
 
   /// Pre-resolved registry handles, filled in SetObservability so the
   /// event loop pays one null check per record — no name lookups on the

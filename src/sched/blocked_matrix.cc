@@ -262,7 +262,7 @@ StatusOr<BlockBuckets> BucketByBlock(const Ratings& ratings,
         grid.BlockIndex(grid.RowOf(rt.u), grid.ColOf(rt.v)));
   };
   // A counting sort, as Build buckets: count each block's ratings, then
-  // fill each bucket from its start in list order.
+  // fill each bucket's positions from its start in list order.
   BlockBuckets buckets;
   buckets.offsets.assign(static_cast<size_t>(grid.num_blocks()) + 1, 0);
   for (const Rating& rt : ratings) {
@@ -279,11 +279,15 @@ StatusOr<BlockBuckets> BucketByBlock(const Ratings& ratings,
   std::vector<int64_t> next(buckets.offsets.begin(),
                             buckets.offsets.end() - 1);
   buckets.positions.resize(ratings.size());
-  buckets.ratings.resize(ratings.size());
   for (size_t i = 0; i < ratings.size(); ++i) {
-    const size_t at = static_cast<size_t>(next[block_of(ratings[i])]++);
-    buckets.positions[at] = static_cast<int32_t>(i);
-    buckets.ratings[at] = ratings[i];
+    buckets.positions[static_cast<size_t>(next[block_of(ratings[i])]++)] =
+        static_cast<int32_t>(i);
+  }
+  // The copies are gathered in bucket order: each is written once, in
+  // order, into storage that is not zeroed first.
+  buckets.ratings.reserve(ratings.size());
+  for (const int32_t at : buckets.positions) {
+    buckets.ratings.push_back(ratings[static_cast<size_t>(at)]);
   }
   return buckets;
 }

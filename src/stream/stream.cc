@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -269,8 +270,32 @@ StatusOr<IngestResult> OnlineTrainer::ApplyBatch(
   return result;
 }
 
+std::unique_ptr<RatedIndex> OnlineTrainer::MergedIndex(Ratings added) const {
+  std::unique_ptr<RatedIndex> storage;
+  {
+    std::lock_guard<std::mutex> lock(retired_->mu);
+    storage = std::move(retired_->index);
+  }
+  if (storage == nullptr) storage = std::make_unique<RatedIndex>();
+  RatedIndex::Merge(*rated_, std::move(added), users_.size(), items_.size(),
+                    storage.get());
+  return storage;
+}
+
 StatusOr<TracePoint> OnlineTrainer::TrainDirty() {
-  auto point = session_->RunIncrementalEpoch();
+  // The merge reads only ratings, which the sweep does not write, so it
+  // runs on a lane the sweep's dependency chain leaves idle. The epoch
+  // runs it on every way out, so the moved ratings always land in
+  // `merged`.
+  std::unique_ptr<RatedIndex> merged;
+  std::function<void()> merge;
+  if (rated_ != nullptr && !unindexed_.empty()) {
+    merge = [this, &merged, added = std::exchange(unindexed_, {})]() mutable {
+      merged = MergedIndex(std::move(added));
+    };
+  }
+  auto point = session_->RunIncrementalEpoch(merge);
+  if (merged != nullptr) rated_ = ShareIndex(std::move(merged));
   if (point.ok()) {
     obs::Increment(metric_.epochs);
     obs::Set(metric_.staleness,
@@ -283,21 +308,14 @@ StatusOr<serve::SnapshotPtr> OnlineTrainer::PublishSnapshot() {
   Stopwatch wall;
   // The index depends only on the ratings, which change on this thread
   // alone, so it advances outside the epoch barrier — and stays advanced
-  // whatever happens to this publish.
+  // whatever happens to this publish. TrainDirty merged what came before
+  // it; only what arrived since is left.
   if (rated_ == nullptr) {
     rated_ = ShareIndex(std::make_unique<RatedIndex>(RatedIndex::Build(
         session_->dataset().train, users_.size(), items_.size())));
     unindexed_.clear();
   } else if (!unindexed_.empty()) {
-    std::unique_ptr<RatedIndex> storage;
-    {
-      std::lock_guard<std::mutex> lock(retired_->mu);
-      storage = std::move(retired_->index);
-    }
-    if (storage == nullptr) storage = std::make_unique<RatedIndex>();
-    RatedIndex::Merge(*rated_, std::exchange(unindexed_, {}), users_.size(),
-                      items_.size(), storage.get());
-    rated_ = ShareIndex(std::move(storage));
+    rated_ = ShareIndex(MergedIndex(std::exchange(unindexed_, {})));
   }
   serve::SnapshotPtr outgoing;
   HSGD_RETURN_IF_ERROR(session_->VisitQuiesced([&]() -> Status {

@@ -11,10 +11,13 @@
 //                       strata), appended to the session's dataset with
 //                       the touched blocks marked dirty.
 //   TrainDirty()        one incremental SGD epoch over only the dirty
-//                       blocks (Scheduler::BeginEpoch over a subset).
-//   PublishSnapshot()   merges the ratings applied since the last
-//                       publish into the trainer's rated-item index
-//                       (RatedIndex::Merge, outside the epoch barrier),
+//                       blocks (Scheduler::BeginEpoch over a subset);
+//                       beside the sweep, on a lane its dependency chain
+//                       leaves idle, it merges the ratings applied since
+//                       the last index into the trainer's rated-item
+//                       index (RatedIndex::Merge).
+//   PublishSnapshot()   merges what arrived after the last TrainDirty
+//                       into that index (outside the epoch barrier),
 //                       then copies only the factors under the barrier
 //                       (Session::VisitQuiesced, which fails with
 //                       kFailedPrecondition rather than tear mid-epoch)
@@ -221,7 +224,13 @@ class OnlineTrainer {
 
   /// One incremental epoch over the blocks dirtied since the last epoch.
   /// FailedPrecondition when nothing is pending (harmless; skip and keep
-  /// ingesting).
+  /// ingesting). The epoch's side task (Session::RunIncrementalEpoch)
+  /// merges the ratings applied since the last index into it, on a lane
+  /// the sweep leaves idle, so the next publish has only later arrivals
+  /// left to merge. That task runs whatever the epoch returns, so the
+  /// index advances also when the epoch is refused or fails; it changes
+  /// no bit of the epoch, and the index equals what PublishSnapshot's
+  /// own merge would have built.
   StatusOr<TracePoint> TrainDirty();
 
   /// Barrier-synchronized snapshot of the session's current factors +
@@ -230,8 +239,10 @@ class OnlineTrainer {
   /// (a chaos driver can swap in a poisoned copy there). The exclusion
   /// index is advanced first, outside the barrier: the first publish
   /// (also the first after Recover) builds it from the training list,
-  /// later ones merge only the ratings applied since, and a publish with
-  /// nothing new shares the previous snapshot's index as is. Only the
+  /// later ones merge only the ratings applied since the last index
+  /// (none in a round that ingests, trains and publishes, since
+  /// TrainDirty merged them), and a publish with nothing ingested since
+  /// the previous attempt shares that attempt's index as is. Only the
   /// factor copy runs under Session::VisitQuiesced, so a publish costs
   /// the new ratings plus the factors, not every rating. Both are
   /// written into storage the server has dropped (the index two publishes
@@ -280,6 +291,11 @@ class OnlineTrainer {
   /// `retired_` instead of freeing it.
   std::shared_ptr<const RatedIndex> ShareIndex(
       std::unique_ptr<RatedIndex> index);
+  /// `rated_` plus `added`, merged into the retired index's storage (a
+  /// fresh one when none is retired). The one merge path, for TrainDirty,
+  /// which runs it on a sweep lane while the calling thread waits in the
+  /// epoch, and for PublishSnapshot.
+  std::unique_ptr<RatedIndex> MergedIndex(Ratings added) const;
 
   std::unique_ptr<Session> session_;
   io::IdMap users_;
@@ -288,9 +304,10 @@ class OnlineTrainer {
   uint64_t version_ = 0;
   int64_t publishes_ = 0;
   int64_t publish_rejected_ = 0;
-  /// The rated-item index the last publish attempt built (null until
-  /// then), shared with every snapshot built on it, and the dense
-  /// ratings applied since, which the next publish merges into it.
+  /// The rated-item index the last TrainDirty or publish attempt built
+  /// (null until the first publish), shared with every snapshot built on
+  /// it, and the dense ratings applied since, which the next TrainDirty
+  /// or publish merges into it.
   std::shared_ptr<const RatedIndex> rated_;
   Ratings unindexed_;
   /// Storage of the last index that no snapshot holds any more, left by

@@ -507,6 +507,84 @@ void TestAllWorkersDead() {
   EXPECT_TRUE(failed_q[0] == failed_q[1]);
 }
 
+// RunIncrementalEpoch runs its side task exactly once on every way out:
+// nothing pending, a successful epoch (whose bits it leaves alone), an
+// abort mid-epoch, the failed session after it, every worker dead at the
+// epoch's start, and the epoch budget spent with ratings pending.
+void TestIncrementalSideTaskRunsOnEveryExit() {
+  Dataset ds = SmallDataset();
+  const Ratings appended(ds.train.begin(), ds.train.begin() + 500);
+  for (int eval_threads : {1, 7}) {
+    TrainConfig cfg = SmallConfig(Algorithm::kCpuOnly);
+    cfg.hardware.num_cpu_threads = 2;
+    cfg.eval_threads = eval_threads;
+    auto session = Session::Create(ds, cfg);
+    auto twin = Session::Create(ds, cfg);
+    EXPECT_TRUE(session.ok() && twin.ok());
+    if (!session.ok() || !twin.ok()) return;
+    Session* s = session->get();
+    int runs = 0;
+    auto count = [&runs] { ++runs; };
+    EXPECT_TRUE(s->RunIncrementalEpoch(count).status().code() ==
+                StatusCode::kFailedPrecondition);
+    EXPECT_EQ(runs, 1);
+
+    EXPECT_TRUE(s->AppendRatings(appended).ok());
+    EXPECT_TRUE((*twin)->AppendRatings(appended).ok());
+    auto counted = s->RunIncrementalEpoch(count);
+    auto plain = (*twin)->RunIncrementalEpoch();
+    EXPECT_EQ(runs, 2);
+    EXPECT_TRUE(counted.ok() && plain.ok());
+    if (counted.ok() && plain.ok()) {
+      EXPECT_EQ(counted->test_rmse, plain->test_rmse);
+      EXPECT_EQ(counted->train_rmse, plain->train_rmse);
+    }
+    EXPECT_TRUE(s->model().DenseP() == (*twin)->model().DenseP());
+    EXPECT_TRUE(s->model().DenseQ() == (*twin)->model().DenseQ());
+
+    auto plan = FaultPlan::Parse("crash:cpu0@e2; crash:cpu1@e2+0.2");
+    EXPECT_TRUE(plan.ok());
+    EXPECT_TRUE(s->SetFaultPlan(*plan).ok());
+    EXPECT_TRUE(s->AppendRatings(appended).ok());
+    auto aborted = s->RunIncrementalEpoch(count);
+    EXPECT_TRUE(aborted.status().code() == StatusCode::kInternal);
+    EXPECT_TRUE(s->failed());
+    EXPECT_EQ(runs, 3);
+    EXPECT_TRUE(s->RunIncrementalEpoch(count).status().code() ==
+                StatusCode::kFailedPrecondition);
+    EXPECT_EQ(runs, 4);
+  }
+
+  TrainConfig cfg = SmallConfig(Algorithm::kCpuOnly);
+  cfg.hardware.num_cpu_threads = 2;
+  auto dead = Session::Create(ds, cfg);
+  EXPECT_TRUE(dead.ok());
+  if (!dead.ok()) return;
+  auto plan = FaultPlan::Parse("crash:cpu0@e2; crash:cpu1@e2");
+  EXPECT_TRUE(plan.ok());
+  EXPECT_TRUE((*dead)->SetFaultPlan(*plan).ok());
+  EXPECT_TRUE((*dead)->RunEpoch().ok());
+  EXPECT_TRUE((*dead)->AppendRatings(appended).ok());
+  int runs = 0;
+  EXPECT_TRUE((*dead)->RunIncrementalEpoch([&runs] { ++runs; })
+                  .status()
+                  .code() == StatusCode::kInternal);
+  EXPECT_EQ(runs, 1);
+
+  cfg.max_epochs = 1;
+  auto spent = Session::Create(ds, cfg);
+  EXPECT_TRUE(spent.ok());
+  if (!spent.ok()) return;
+  EXPECT_TRUE((*spent)->RunEpoch().ok());
+  EXPECT_TRUE((*spent)->AppendRatings(appended).ok());
+  runs = 0;
+  EXPECT_TRUE((*spent)->RunIncrementalEpoch([&runs] { ++runs; })
+                  .status()
+                  .code() == StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*spent)->pending_nnz(), 500);
+  EXPECT_EQ(runs, 1);
+}
+
 // The serve half of the grammar: poison / walio / storm / slowshard
 // clauses parse with round-triggered semantics and round-trip through
 // ToString, and the misuse cases fail loudly.
@@ -679,6 +757,7 @@ void RunAllTests() {
   TestRepeatedExpiryDropsBlock();
   TestEpochWithoutSweepHasNoTrainLoss();
   TestAllWorkersDead();
+  TestIncrementalSideTaskRunsOnEveryExit();
   TestServePlanParsing();
   TestSessionRejectsServeKinds();
   TestServeFaultInjectorFiring();

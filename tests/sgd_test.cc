@@ -395,19 +395,13 @@ void TestEvaluationAfterAppendGrown() {
   EXPECT_FALSE(BucketByBlock(outside, matrix->grid()).ok());
 }
 
-// A bucket is final only when both of its strata have no listed block
-// left, counted when a block's sweep completes. The list is block (0, 0),
-// then six sweeps of block (1, 0), which holds 200,000 ratings: the pool's
-// lanes join during the first sweeps and then wait, idle, since the
-// chain leaves no other block. So a bucket of column stratum 0 released
-// early (when its row stratum is clear, or when the last sweep is taken
-// rather than finished) is evaluated over columns (1, 0) still updates,
-// and its errors differ from the serial reference's.
-void TestEvaluationWaitsForBothStrata() {
-  Dataset ds = TinyDataset();
+/// TinyDataset's ratings on its 6 x 5 balanced grid, plus 200,000 more in
+/// block (1, 0), so a list that sweeps that block again and again is a
+/// dependency chain long enough for the pool's lanes to join and find no
+/// block ready.
+StatusOr<BlockedMatrix> ChainMatrix(const Dataset& ds) {
   auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols, 6, 5);
-  EXPECT_TRUE(grid.ok());
-  if (!grid.ok()) return;
+  if (!grid.ok()) return grid.status();
   // Block (1, 0) spans row stratum 1 and column stratum 0.
   const int32_t rows = grid->RowStratumWidth(1);
   const int32_t cols = grid->ColStratumWidth(0);
@@ -420,18 +414,95 @@ void TestEvaluationWaitsForBothStrata() {
     train.push_back({u, v, 1.0f + 4.0f * rng.NextFloat()});
   }
   Rng bucket_rng(2);
-  auto matrix = BlockedMatrix::Build(train, *grid, &bucket_rng);
+  return BlockedMatrix::Build(train, *grid, &bucket_rng);
+}
+
+/// Block (0, 0), then six sweeps of ChainMatrix's block (1, 0).
+std::vector<int> ChainOrder(const Grid& grid) {
+  std::vector<int> order = {grid.BlockIndex(0, 0)};
+  order.insert(order.end(), 6, grid.BlockIndex(1, 0));
+  return order;
+}
+
+// A bucket is final only when both of its strata have no listed block
+// left, counted when a block's sweep completes. The list is ChainOrder:
+// the pool's lanes join during the first sweeps of block (1, 0) and then
+// wait, idle, since the chain leaves no other block. So a bucket of
+// column stratum 0 released early (when its row stratum is clear, or
+// when the last sweep is taken rather than finished) is evaluated over
+// columns (1, 0) still updates, and its errors differ from the serial
+// reference's.
+void TestEvaluationWaitsForBothStrata() {
+  Dataset ds = TinyDataset();
+  auto matrix = ChainMatrix(ds);
   EXPECT_TRUE(matrix.ok());
   if (!matrix.ok()) return;
   const Ratings eval =
       RandomRatings(30000, ds.num_rows, ds.num_cols, /*seed=*/14);
-  auto buckets = BucketByBlock(eval, *grid);
+  auto buckets = BucketByBlock(eval, matrix->grid());
   EXPECT_TRUE(buckets.ok());
   if (!buckets.ok()) return;
-  std::vector<int> order = {grid->BlockIndex(0, 0)};
-  order.insert(order.end(), 6, grid->BlockIndex(1, 0));
-  ExpectEvaluationMatchesSerial(order, *matrix, InitModel(ds), eval,
-                                *buckets);
+  ExpectEvaluationMatchesSerial(ChainOrder(matrix->grid()), *matrix,
+                                InitModel(ds), eval, *buckets);
+}
+
+// The side task runs exactly once per call, whether a pool lane takes it
+// while the chain keeps the others idle or the caller runs it (no pool,
+// or no block), and it changes no bit: the factors, the squared error
+// and the errors memcmp-equal the same call without it. The lists: a
+// shuffled full sweep, ChainOrder, the committed prefix a failed epoch
+// sweeps (which Session passes with no EvalSet), and an empty list.
+void TestSideTaskRunsOnceAndChangesNoBit() {
+  Dataset ds = TinyDataset();
+  auto matrix = ChainMatrix(ds);
+  EXPECT_TRUE(matrix.ok());
+  if (!matrix.ok()) return;
+  const Ratings eval =
+      RandomRatings(30000, ds.num_rows, ds.num_cols, /*seed=*/15);
+  auto buckets = BucketByBlock(eval, matrix->grid());
+  EXPECT_TRUE(buckets.ok());
+  if (!buckets.ok()) return;
+  std::vector<int> shuffled(static_cast<size_t>(matrix->num_blocks()));
+  std::iota(shuffled.begin(), shuffled.end(), 0);
+  Rng rng(16);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[static_cast<size_t>(
+                               rng.UniformInt(static_cast<int64_t>(i) + 1))]);
+  }
+  const std::vector<int> failed_prefix(shuffled.begin(),
+                                       shuffled.begin() + 11);
+  const Model init = InitModel(ds);
+  const SgdHyper hyper{0.01f, 0.05f, 0.05f};
+  for (const std::vector<int>& order :
+       {shuffled, ChainOrder(matrix->grid()), failed_prefix,
+        std::vector<int>{}}) {
+    for (const bool evaluate : {true, false}) {
+      for (int threads : {0, 1, 3, 7}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+        Model plain = CopyModel(init);
+        Model tasked = CopyModel(init);
+        std::vector<float> plain_errors(eval.size(), -1.0f);
+        std::vector<float> tasked_errors(eval.size(), -1.0f);
+        EvalSet plain_set{&*buckets, plain_errors.data()};
+        EvalSet tasked_set{&*buckets, tasked_errors.data()};
+        const double plain_sq_err =
+            SgdUpdateBlocks(&plain, *matrix, order, hyper, nullptr,
+                            pool.get(), evaluate ? &plain_set : nullptr);
+        int runs = 0;
+        const double tasked_sq_err = SgdUpdateBlocks(
+            &tasked, *matrix, order, hyper, nullptr, pool.get(),
+            evaluate ? &tasked_set : nullptr, [&runs] { ++runs; });
+        EXPECT_EQ(runs, 1);
+        EXPECT_TRUE(SameFactors(plain, tasked));
+        EXPECT_EQ(
+            std::memcmp(&plain_sq_err, &tasked_sq_err, sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(plain_errors.data(), tasked_errors.data(),
+                              sizeof(float) * eval.size()),
+                  0);
+      }
+    }
+  }
 }
 
 void TestModelInitDeterministic() {
@@ -479,6 +550,7 @@ void RunAllTests() {
   TestEvaluationOnLanesMatchesSerial();
   TestEvaluationAfterAppendGrown();
   TestEvaluationWaitsForBothStrata();
+  TestSideTaskRunsOnceAndChangesNoBit();
   TestModelInitDeterministic();
   TestShuffleAndStats();
 }

@@ -288,18 +288,32 @@ void ExpectSameAsFromScratch(const OnlineTrainer& trainer,
   }
 }
 
-// The publish path merges each round's ratings into the previous index
+// TrainDirty merges each round's ratings into the previous index on a
+// sweep lane, and the publish path merges what arrived after it, both
 // outside the epoch barrier. Across many rounds — ingest before the first
-// publish, empty rounds, duplicate ratings, cold users and items, and a
-// publisher that refuses every fifth snapshot — each candidate must equal
-// a from-scratch snapshot, and a publish with nothing new shares the
-// previous index.
-void TestPublishedIndexMatchesBuild() {
+// publish, empty rounds, rounds that ingest again between TrainDirty and
+// the publish, duplicate ratings, cold users and items, a publisher that
+// refuses every fifth snapshot, and a last stretch of rounds whose
+// TrainDirty is refused because the epoch budget is spent while their
+// ratings are pending — each candidate must equal a from-scratch
+// snapshot, at one and at seven eval threads. A publish with nothing
+// ingested since the previous attempt shares that attempt's index, and
+// any other gets a new one.
+void ExpectPublishedIndexMatchesBuild(int eval_threads) {
   const int32_t kRows = 80;
   const int32_t kCols = 60;
   const int kRounds = 60;
+  // The last kRefusedRounds rounds find the epoch budget spent.
+  const int kRefusedRounds = 6;
+  auto empty_round = [](int round) { return round % 7 == 3; };
   TrainConfig config = StreamConfig();
-  config.max_epochs = 2 + kRounds;  // every incremental epoch counts
+  config.eval_threads = eval_threads;
+  // The warm epoch, round 0's and one per ingesting round before the
+  // refused ones.
+  config.max_epochs = 2;
+  for (int round = 1; round <= kRounds - kRefusedRounds; ++round) {
+    if (!empty_round(round)) ++config.max_epochs;
+  }
   auto session = Session::Create(WarmDataset(kRows, kCols), config);
   EXPECT_TRUE(session.ok());
   if (!session.ok()) return;
@@ -326,22 +340,35 @@ void TestPublishedIndexMatchesBuild() {
   EXPECT_TRUE(ot->Ingest(StreamBatch(0, kRows, kCols)).ok());
   EXPECT_TRUE(ot->TrainDirty().ok());
 
+  // Raw ids run past the warm range, further every round, so cold users
+  // and items keep arriving; each batch repeats its first rating, and
+  // every batch rates the pair (1, 2) again.
+  auto batch_of = [&](int round, int salt) {
+    std::vector<RawRating> batch;
+    for (int i = 0; i < 5 + round % 4; ++i) {
+      batch.push_back(
+          {(round * 13 + 7 * i + salt) % (kRows + round / 2 + 1),
+           (round * 5 + 11 * i + salt) % (kCols + round / 3 + 1),
+           1.0f + 0.5f * static_cast<float>(i % 6)});
+    }
+    batch.push_back(batch.front());
+    batch.push_back({1, 2, 4.0f});
+    return batch;
+  };
   for (int round = 1; round <= kRounds; ++round) {
-    const bool empty = round % 7 == 3;
+    const bool empty = empty_round(round);
     if (!empty) {
-      // Raw ids run past the warm range, further every round, so cold
-      // users and items keep arriving; each batch repeats its first
-      // rating, and every round rates the pair (1, 2) again.
-      std::vector<RawRating> batch;
-      for (int i = 0; i < 5 + round % 4; ++i) {
-        batch.push_back({(round * 13 + 7 * i) % (kRows + round / 2 + 1),
-                         (round * 5 + 11 * i) % (kCols + round / 3 + 1),
-                         1.0f + 0.5f * static_cast<float>(i % 6)});
+      EXPECT_TRUE(ot->Ingest(batch_of(round, 0)).ok());
+      auto trained = ot->TrainDirty();
+      if (round > kRounds - kRefusedRounds) {
+        EXPECT_TRUE(trained.status().code() ==
+                    StatusCode::kFailedPrecondition);
+        EXPECT_LT(0, ot->pending_nnz());
+      } else {
+        EXPECT_TRUE(trained.ok());
       }
-      batch.push_back(batch.front());
-      batch.push_back({1, 2, 4.0f});
-      EXPECT_TRUE(ot->Ingest(batch).ok());
-      EXPECT_TRUE(ot->TrainDirty().ok());
+      // Ratings that arrive after TrainDirty are the publish's to merge.
+      if (round % 4 == 1) EXPECT_TRUE(ot->Ingest(batch_of(round, 3)).ok());
     }
     const int64_t before = attempts;
     const bool refused = (attempts + 1) % 5 == 0;
@@ -350,9 +377,8 @@ void TestPublishedIndexMatchesBuild() {
     EXPECT_EQ(attempts, before + 1);
     if (attempts != before + 1) return;
     ExpectSameAsFromScratch(*ot, *last);
-    if (empty) {
-      // Nothing new since the last attempt: the index is shared.
-      EXPECT_TRUE(&last->rated_index() == &previous->rated_index());
+    if (previous != nullptr) {
+      EXPECT_EQ(&last->rated_index() == &previous->rated_index(), empty);
     }
   }
   EXPECT_EQ(ot->publish_rejected(), kRounds / 5);
@@ -366,6 +392,12 @@ void TestPublishedIndexMatchesBuild() {
   EXPECT_TRUE(first.ok() && second.ok());
   if (first.ok() && second.ok()) {
     EXPECT_TRUE(&(*first)->rated_index() == &(*second)->rated_index());
+  }
+}
+
+void TestPublishedIndexMatchesBuild() {
+  for (int eval_threads : {1, 7}) {
+    ExpectPublishedIndexMatchesBuild(eval_threads);
   }
 }
 
