@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hsgd.h"
@@ -31,12 +32,13 @@
 namespace hsgd {
 namespace {
 
-Dataset MicroDataset(int64_t nnz, int32_t m = 20000, int32_t n = 8000) {
+Dataset MicroDataset(int64_t nnz, int32_t m = 20000, int32_t n = 8000,
+                     int64_t test_nnz = 1000) {
   SyntheticSpec spec;
   spec.num_rows = m;
   spec.num_cols = n;
   spec.train_nnz = nnz;
-  spec.test_nnz = 1000;
+  spec.test_nnz = test_nnz;
   auto ds = GenerateSynthetic(spec, 7);
   HSGD_CHECK_OK(ds.status());
   return std::move(ds).value();
@@ -272,20 +274,27 @@ void BM_FullEpochHsgdStar(benchmark::State& state) {
 BENCHMARK(BM_FullEpochHsgdStar)->Unit(benchmark::kMillisecond);
 
 /// One incremental HSGD* epoch after a small append, the train step of a
-/// `live` round: a warm session (10,000 x 4,000, 500 k ratings, k = 32,
-/// the default 16 CPU threads + 1 GPU) takes 300 new ratings of warm
-/// users and items, untimed, then RunIncrementalEpoch sweeps the blocks
-/// they dirtied: the event loop, the SGD sweep and the test RMSE.
+/// `live` round: a warm session (10,000 x 4,000, 500 k ratings, a test
+/// split of 10% of that as `live` has, k = 32, the default 16 CPU threads
+/// + 1 GPU, and `live`'s 1-thread eval pool) takes 300 new ratings of
+/// warm users and items, untimed, then RunIncrementalEpoch sweeps the
+/// blocks they dirtied: the event loop, the SGD sweep and the test RMSE.
+/// Its side task merges the batch into a rated-item index of the
+/// dataset, writing into the storage the previous round's index left, as
+/// OnlineTrainer::TrainDirty does.
 void BM_IncrementalEpochHsgdStar(benchmark::State& state) {
-  Dataset ds = MicroDataset(500000, 10000, 4000);
+  Dataset ds = MicroDataset(500000, 10000, 4000, 50000);
   ds.params.k = 32;
   TrainConfig cfg;
   cfg.algorithm = Algorithm::kHsgdStar;
   cfg.max_epochs = 1 << 24;
   cfg.use_dataset_target = false;
+  cfg.eval_threads = 1;
   auto session = Session::Create(ds, cfg);
   HSGD_CHECK_OK(session.status());
   HSGD_CHECK_OK((*session)->RunEpoch().status());
+  RatedIndex rated = RatedIndex::Build(ds.train, ds.num_rows, ds.num_cols);
+  RatedIndex spare;
   Rng rng(6);
   Ratings batch(300);
   for (auto _ : state) {
@@ -297,8 +306,11 @@ void BM_IncrementalEpochHsgdStar(benchmark::State& state) {
     }
     HSGD_CHECK_OK((*session)->AppendRatings(batch));
     state.ResumeTiming();
-    auto point = (*session)->RunIncrementalEpoch();
+    auto point = (*session)->RunIncrementalEpoch([&] {
+      RatedIndex::Merge(rated, batch, ds.num_rows, ds.num_cols, &spare);
+    });
     HSGD_CHECK_OK(point.status());
+    std::swap(rated, spare);
     benchmark::DoNotOptimize(*point);
   }
 }

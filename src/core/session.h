@@ -291,14 +291,13 @@ class Session {
   /// when nothing is pending or Done().
   ///
   /// `side_task`, when set, runs exactly once per call, whatever the call
-  /// returns: during the sweep on a lane SgdUpdateBlocks' dependency
-  /// chain leaves idle (see SgdUpdateBlocks), or on this thread when the
-  /// call returns before its sweep (nothing pending, Done(), every worker
-  /// dead at the epoch's start). It must not touch the session; a stalled
-  /// or aborted epoch still runs it in its sweep of the blocks committed
-  /// before the failure. It changes no bit of the epoch.
+  /// returns: it is submitted to the eval pool first, so it runs on a
+  /// pool thread beside the whole epoch (the event loop and the sweep,
+  /// whose dependency chain leaves lanes idle), and the call waits for it
+  /// before returning on every path. It must not touch the session, and
+  /// it changes no bit of the epoch.
   StatusOr<TracePoint> RunIncrementalEpoch(
-      const std::function<void()>& side_task = nullptr);
+      std::function<void()> side_task = nullptr);
 
   /// Run `fn` while the session is guaranteed quiescent (no epoch in
   /// flight, no append mutating the factors). Never blocks: if training
@@ -425,11 +424,8 @@ class Session {
   Status InstallCheckpoint(CheckpointReader* file);
 
   /// Shared epoch body; the caller holds the epoch barrier. `subset`
-  /// selects the pending blocks (null = all, the classic RunEpoch);
-  /// `side_task` is RunIncrementalEpoch's, run once on every way out.
-  StatusOr<TracePoint> RunEpochImpl(
-      const std::vector<int>* subset,
-      const std::function<void()>& side_task = nullptr);
+  /// selects the pending blocks (null = all, the classic RunEpoch).
+  StatusOr<TracePoint> RunEpochImpl(const std::vector<int>* subset);
 
   /// Pre-resolved registry handles, filled in SetObservability so the
   /// event loop pays one null check per record — no name lookups on the

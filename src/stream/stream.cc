@@ -89,7 +89,6 @@ struct OnlineTrainer::RetiredIndex {
 
 std::shared_ptr<const RatedIndex> OnlineTrainer::ShareIndex(
     std::unique_ptr<RatedIndex> index) {
-  if (retired_ == nullptr) retired_ = std::make_shared<RetiredIndex>();
   return std::shared_ptr<const RatedIndex>(
       index.release(), [retired = retired_](const RatedIndex* dropped) {
         std::unique_ptr<RatedIndex> older;
@@ -130,6 +129,13 @@ StatusOr<std::unique_ptr<OnlineTrainer>> OnlineTrainer::Open(
   trainer->AttachMetrics(metrics);
   trainer->wal_applied_seq_ = applied_seq;
   obs::Set(trainer->metric_.wal_applied_seq, static_cast<double>(applied_seq));
+  // Every rating the session holds is indexed here, once; later ones are
+  // merged in as they arrive.
+  trainer->retired_ = std::make_shared<RetiredIndex>();
+  trainer->rated_ = trainer->ShareIndex(
+      std::make_unique<RatedIndex>(RatedIndex::Build(
+          trainer->session_->dataset().train, trainer->users_.size(),
+          trainer->items_.size())));
   return trainer;
 }
 
@@ -253,10 +259,7 @@ StatusOr<IngestResult> OnlineTrainer::ApplyBatch(
   // bug this layer exists to prevent.
   HSGD_CHECK(users_.size() == session_->dataset().num_rows &&
              items_.size() == session_->dataset().num_cols);
-  // Before the first index is built, the build covers these ratings.
-  if (rated_ != nullptr) {
-    unindexed_.insert(unindexed_.end(), dense.begin(), dense.end());
-  }
+  unindexed_.insert(unindexed_.end(), dense.begin(), dense.end());
   IngestResult result;
   result.accepted = static_cast<int64_t>(batch.size());
   result.cold_users = users_.size() - users_before;
@@ -283,18 +286,17 @@ std::unique_ptr<RatedIndex> OnlineTrainer::MergedIndex(Ratings added) const {
 }
 
 StatusOr<TracePoint> OnlineTrainer::TrainDirty() {
-  // The merge reads only ratings, which the sweep does not write, so it
-  // runs on a lane the sweep's dependency chain leaves idle. The epoch
-  // runs it on every way out, so the moved ratings always land in
-  // `merged`.
+  // The merge reads only ratings, which the epoch does not write, so it
+  // runs on a pool thread beside the epoch. The epoch runs it once on
+  // every way out, so the moved ratings always land in `merged`.
   std::unique_ptr<RatedIndex> merged;
   std::function<void()> merge;
-  if (rated_ != nullptr && !unindexed_.empty()) {
+  if (!unindexed_.empty()) {
     merge = [this, &merged, added = std::exchange(unindexed_, {})]() mutable {
       merged = MergedIndex(std::move(added));
     };
   }
-  auto point = session_->RunIncrementalEpoch(merge);
+  auto point = session_->RunIncrementalEpoch(std::move(merge));
   if (merged != nullptr) rated_ = ShareIndex(std::move(merged));
   if (point.ok()) {
     obs::Increment(metric_.epochs);
@@ -310,11 +312,7 @@ StatusOr<serve::SnapshotPtr> OnlineTrainer::PublishSnapshot() {
   // alone, so it advances outside the epoch barrier — and stays advanced
   // whatever happens to this publish. TrainDirty merged what came before
   // it; only what arrived since is left.
-  if (rated_ == nullptr) {
-    rated_ = ShareIndex(std::make_unique<RatedIndex>(RatedIndex::Build(
-        session_->dataset().train, users_.size(), items_.size())));
-    unindexed_.clear();
-  } else if (!unindexed_.empty()) {
+  if (!unindexed_.empty()) {
     rated_ = ShareIndex(MergedIndex(std::exchange(unindexed_, {})));
   }
   serve::SnapshotPtr outgoing;

@@ -12,10 +12,11 @@
 //                       the touched blocks marked dirty.
 //   TrainDirty()        one incremental SGD epoch over only the dirty
 //                       blocks (Scheduler::BeginEpoch over a subset);
-//                       beside the sweep, on a lane its dependency chain
-//                       leaves idle, it merges the ratings applied since
-//                       the last index into the trainer's rated-item
-//                       index (RatedIndex::Merge).
+//                       beside the epoch, on a thread of the session's
+//                       pool, it merges the ratings applied since the
+//                       last index into the trainer's rated-item index
+//                       (RatedIndex::Merge), which Create and Recover
+//                       build over the whole training list.
 //   PublishSnapshot()   merges what arrived after the last TrainDirty
 //                       into that index (outside the epoch barrier),
 //                       then copies only the factors under the barrier
@@ -225,8 +226,8 @@ class OnlineTrainer {
   /// One incremental epoch over the blocks dirtied since the last epoch.
   /// FailedPrecondition when nothing is pending (harmless; skip and keep
   /// ingesting). The epoch's side task (Session::RunIncrementalEpoch)
-  /// merges the ratings applied since the last index into it, on a lane
-  /// the sweep leaves idle, so the next publish has only later arrivals
+  /// merges the ratings applied since the last index into it, on a pool
+  /// thread beside the epoch, so the next publish has only later arrivals
   /// left to merge. That task runs whatever the epoch returns, so the
   /// index advances also when the epoch is refused or fails; it changes
   /// no bit of the epoch, and the index equals what PublishSnapshot's
@@ -237,12 +238,11 @@ class OnlineTrainer {
   /// THIS moment's id maps, with a fresh monotonic version, handed to
   /// the publisher, which sees every snapshot before it is installed
   /// (a chaos driver can swap in a poisoned copy there). The exclusion
-  /// index is advanced first, outside the barrier: the first publish
-  /// (also the first after Recover) builds it from the training list,
-  /// later ones merge only the ratings applied since the last index
-  /// (none in a round that ingests, trains and publishes, since
-  /// TrainDirty merged them), and a publish with nothing ingested since
-  /// the previous attempt shares that attempt's index as is. Only the
+  /// index is advanced first, outside the barrier: a publish merges only
+  /// the ratings applied since the last index (none in a round that
+  /// ingests, trains and publishes, since TrainDirty merged them), and a
+  /// publish with nothing ingested since the last index shares it as is:
+  /// Create and Recover built it over the training list. Only the
   /// factor copy runs under Session::VisitQuiesced, so a publish costs
   /// the new ratings plus the factors, not every rating. Both are
   /// written into storage the server has dropped (the index two publishes
@@ -278,7 +278,8 @@ class OnlineTrainer {
 
   /// The one place a trainer is wired, for Create and Recover: checks
   /// the id maps against the session, opens `wal` (when given), attaches
-  /// `metrics` and starts the applied WAL mark at `applied_seq`.
+  /// `metrics`, starts the applied WAL mark at `applied_seq` and builds
+  /// the rated-item index over the session's training list.
   static StatusOr<std::unique_ptr<OnlineTrainer>> Open(
       std::unique_ptr<Session> session, io::IdMap users, io::IdMap items,
       Publisher publisher, obs::MetricsRegistry* metrics,
@@ -293,7 +294,7 @@ class OnlineTrainer {
       std::unique_ptr<RatedIndex> index);
   /// `rated_` plus `added`, merged into the retired index's storage (a
   /// fresh one when none is retired). The one merge path, for TrainDirty,
-  /// which runs it on a sweep lane while the calling thread waits in the
+  /// which runs it on a pool thread while the calling thread runs the
   /// epoch, and for PublishSnapshot.
   std::unique_ptr<RatedIndex> MergedIndex(Ratings added) const;
 
@@ -304,10 +305,11 @@ class OnlineTrainer {
   uint64_t version_ = 0;
   int64_t publishes_ = 0;
   int64_t publish_rejected_ = 0;
-  /// The rated-item index the last TrainDirty or publish attempt built
-  /// (null until the first publish), shared with every snapshot built on
-  /// it, and the dense ratings applied since, which the next TrainDirty
-  /// or publish merges into it.
+  /// The rated-item index: built by Open over the training list, then
+  /// replaced by each TrainDirty or publish attempt that merges into it,
+  /// and shared with every snapshot built on it. Never null. The dense
+  /// ratings applied since are `unindexed_`, which the next TrainDirty or
+  /// publish merges into it.
   std::shared_ptr<const RatedIndex> rated_;
   Ratings unindexed_;
   /// Storage of the last index that no snapshot holds any more, left by

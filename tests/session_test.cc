@@ -225,6 +225,15 @@ void TestCheckpointCorruptionRejected() {
       EXPECT_TRUE(false);
     }
   };
+  // A field that is wrong whatever the dataset is refused by the reader
+  // itself, so ReadCheckpoint (the state alone) refuses it too.
+  auto expect_unreadable = [&](const char* what, auto mutate) {
+    expect_rejected(what, mutate);
+    if (ReadCheckpoint(tmp).ok()) {
+      std::fprintf(stderr, "  (corruption read as valid: %s)\n", what);
+      EXPECT_TRUE(false);
+    }
+  };
   expect_rejected("fingerprint num_rows",
                   [](SessionCheckpoint* c) { ++c->dataset.num_rows; });
   expect_rejected("fingerprint num_cols",
@@ -239,35 +248,40 @@ void TestCheckpointCorruptionRejected() {
                   [](SessionCheckpoint* c) { c->dataset.train_hash ^= 1; });
   expect_rejected("fingerprint test_hash",
                   [](SessionCheckpoint* c) { c->dataset.test_hash ^= 1; });
-  expect_rejected("epoch counter ahead",
-                  [](SessionCheckpoint* c) { ++c->epochs_run; });
-  expect_rejected("negative epoch counter",
-                  [](SessionCheckpoint* c) { c->epochs_run = -1; });
-  expect_rejected("zero epoch budget",
-                  [](SessionCheckpoint* c) { c->config.max_epochs = 0; });
-  expect_rejected("unknown algorithm enum", [](SessionCheckpoint* c) {
+  expect_unreadable("epoch counter ahead",
+                    [](SessionCheckpoint* c) { ++c->epochs_run; });
+  expect_unreadable("negative epoch counter",
+                    [](SessionCheckpoint* c) { c->epochs_run = -1; });
+  expect_unreadable("zero epoch budget",
+                    [](SessionCheckpoint* c) { c->config.max_epochs = 0; });
+  expect_unreadable("unknown algorithm enum", [](SessionCheckpoint* c) {
     c->config.algorithm = static_cast<Algorithm>(42);
   });
-  expect_rejected("unknown cost-model enum", [](SessionCheckpoint* c) {
+  expect_unreadable("unknown cost-model enum", [](SessionCheckpoint* c) {
     c->config.cost_model = static_cast<CostModelKind>(9);
   });
-  expect_rejected("zero eval threads",
-                  [](SessionCheckpoint* c) { c->config.eval_threads = 0; });
-  expect_rejected("NaN speed variability", [](SessionCheckpoint* c) {
+  expect_unreadable("zero eval threads",
+                    [](SessionCheckpoint* c) { c->config.eval_threads = 0; });
+  expect_unreadable("NaN speed variability", [](SessionCheckpoint* c) {
     c->config.hardware.speed_variability =
         std::numeric_limits<double>::quiet_NaN();
   });
-  expect_rejected("negative CPU rate", [](SessionCheckpoint* c) {
+  expect_unreadable("negative CPU rate", [](SessionCheckpoint* c) {
     c->config.hardware.cpu_updates_per_sec_k128 = -1.0;
   });
-  expect_rejected("zero GPU workers", [](SessionCheckpoint* c) {
+  expect_unreadable("zero GPU workers", [](SessionCheckpoint* c) {
     c->config.hardware.gpu_workers = 0;
   });
-  expect_rejected("absurd GPU fleet", [](SessionCheckpoint* c) {
+  expect_unreadable("absurd GPU fleet", [](SessionCheckpoint* c) {
     c->config.hardware.num_gpus = 1 << 20;
   });
-  expect_rejected("truncated trace",
-                  [](SessionCheckpoint* c) { c->trace.pop_back(); });
+  expect_unreadable("truncated trace",
+                    [](SessionCheckpoint* c) { c->trace.pop_back(); });
+  expect_unreadable("zero rating count",
+                    [](SessionCheckpoint* c) { c->rating_count = 0; });
+  expect_unreadable("NaN rating sum", [](SessionCheckpoint* c) {
+    c->rating_sum = std::numeric_limits<double>::quiet_NaN();
+  });
   expect_rejected("extra GPU stream state", [](SessionCheckpoint* c) {
     c->gpu_streams.push_back(GpuStreamState{});
   });

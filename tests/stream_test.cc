@@ -288,12 +288,13 @@ void ExpectSameAsFromScratch(const OnlineTrainer& trainer,
   }
 }
 
-// TrainDirty merges each round's ratings into the previous index on a
-// sweep lane, and the publish path merges what arrived after it, both
-// outside the epoch barrier. Across many rounds — ingest before the first
-// publish, empty rounds, rounds that ingest again between TrainDirty and
-// the publish, duplicate ratings, cold users and items, a publisher that
-// refuses every fifth snapshot, and a last stretch of rounds whose
+// Create indexes the training list, TrainDirty merges each round's
+// ratings into the previous index on a pool thread beside the epoch, and
+// the publish path merges what arrived after it, both outside the epoch
+// barrier. Across many rounds — ingest before the first publish, empty
+// rounds, rounds that ingest again between TrainDirty and the publish,
+// duplicate ratings, cold users and items, a publisher that refuses
+// every fifth snapshot, and a last stretch of rounds whose
 // TrainDirty is refused because the epoch budget is spent while their
 // ratings are pending — each candidate must equal a from-scratch
 // snapshot, at one and at seven eval threads. A publish with nothing
@@ -336,7 +337,8 @@ void ExpectPublishedIndexMatchesBuild(int eval_threads) {
   if (!trainer.ok()) return;
   OnlineTrainer* ot = trainer->get();
 
-  // Ratings ingested before the first publish are covered by its build.
+  // Ratings ingested and trained before the first publish reach its
+  // index through TrainDirty's merge into the one Create built.
   EXPECT_TRUE(ot->Ingest(StreamBatch(0, kRows, kCols)).ok());
   EXPECT_TRUE(ot->TrainDirty().ok());
 
@@ -555,8 +557,9 @@ void TestWalCheckpointRecoverBitIdentity() {
   EXPECT_TRUE(back->session().model().DenseQ() == q);
   EXPECT_EQ(back->wal_applied_seq(), 5u);
 
-  // The recovered trainer's first publish builds its index from the
-  // whole grown training list...
+  // Recover indexed the restored training list and each TrainDirty of
+  // the re-driven tail merged its batch in, so the recovered trainer's
+  // first publish covers the whole grown list...
   auto rebuilt = back->PublishSnapshot();
   EXPECT_TRUE(rebuilt.ok());
   if (rebuilt.ok()) ExpectSameAsFromScratch(*back, **rebuilt);
